@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 unreadable or malformed graph file, 2 no perfect
 matching, 3 violated solver invariant, 4 oracle mismatch under --validate,
-64 usage errors.
+64 usage errors, 73 an output file (--trace, --output) cannot be written.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ EXIT_NO_MATCHING = 2
 EXIT_INVARIANT = 3
 EXIT_VALIDATE = 4
 EXIT_USAGE = 64
+EXIT_CANTCREAT = 73
 
 ORACLE_LIMIT = 14
 
@@ -114,6 +115,17 @@ def _validate(g: Graph, matching, cost, err) -> int:
     return EXIT_OK
 
 
+def _write(path: str, text: str, err) -> bool:
+    """Write text to path; on failure report it on err and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=err)
+        return False
+    return True
+
+
 def _cmd_solve(args, out, err) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
@@ -160,9 +172,9 @@ def _cmd_solve(args, out, err) -> int:
         print(f"lp-solves {result.total_lp_solves}", file=out)
 
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(_trace_json(result), fh, indent=2)
-            fh.write("\n")
+        text = json.dumps(_trace_json(result), indent=2) + "\n"
+        if not _write(args.trace, text, err):
+            return EXIT_CANTCREAT
 
     if args.validate:
         status = _validate(g, matching, cost, err)
@@ -186,11 +198,21 @@ def _cmd_gen(args, out, err) -> int:
         f" max-cost={args.max_cost} seed={args.seed}"
     ])
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write(args.output, text, err):
+            return EXIT_CANTCREAT
     else:
         out.write(text)
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"check the result against exhaustive search (n <= {ORACLE_LIMIT})",
     )
-    solve.add_argument("--max-iter", type=int, default=None, metavar="N")
+    solve.add_argument("--max-iter", type=_positive_int, default=None, metavar="N")
 
     gen = sub.add_parser("gen", help="generate a random matchable instance")
     gen.add_argument("--vertices", type=int, required=True)

@@ -60,7 +60,7 @@ from .perturb import SignViolation, series_first_sign
 from .rationals import R0, R1, Rational, rat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     index: int
     family: tuple[frozenset[int], ...]
@@ -69,7 +69,7 @@ class IterationRecord:
     lp_solves: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchingResult:
     algorithm: str
     matching: frozenset[Edge]
@@ -78,7 +78,7 @@ class MatchingResult:
     total_lp_solves: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NaiveTrace:
     stop_reason: str
     detail: str | None
@@ -117,8 +117,22 @@ def extract_matching(x: Mapping[Edge, object], n: int | None = None) -> frozense
     return frozenset(chosen)
 
 
-def _dense(g: Graph, values: Mapping[Edge, object]) -> dict:
-    return {e: values.get(e, R0) for e in g.edge_pairs()}
+def _edge_keys(g: Graph, sigma: EdgeOrdering) -> tuple[Edge, ...]:
+    """g's edges in graph order, as the tuple objects sigma already holds, so
+    every iteration record keys its x by them instead of by m new tuples."""
+    held = {e: e for e in sigma.rank}
+    return tuple(held[e] for e in g.edge_pairs())
+
+
+def _dense(edges: Sequence[Edge], values: Mapping[Edge, object]) -> dict:
+    return {e: values.get(e, R0) for e in edges}
+
+
+def _reuse_targets(pi: dict, target: Mapping) -> dict:
+    """pi with each value that equals the target's value under its key
+    replaced by the target's object, so successive iterations share the dual
+    values that did not move instead of holding equal copies."""
+    return {k: target[k] if k in target and target[k] == v else v for k, v in pi.items()}
 
 
 def _family_key(family) -> tuple[frozenset[int], ...]:
@@ -191,6 +205,7 @@ def _stage_duals(g, sigma, costs, family, x, gammas):
         if not isinstance(out, Optimal):
             raise StageSolveError(f"dual stage {i} came back {out.status}")
         pi, r = split_dual_solution(out.x)
+        pi = _reuse_targets(pi, gammas[i])
         stage_pis.append(pi)
 
         for k in keys:
@@ -238,6 +253,7 @@ def solve_unperturbed(
     """Cutting-plane matching with staged duals standing in for perturbation."""
     sigma.validate_for(g)
     costs = g.cost_map()
+    edges = _edge_keys(g, sigma)
     order = sigma.order()
     m = g.m
     cap = default_iteration_cap(g) if iteration_cap is None else iteration_cap
@@ -260,7 +276,7 @@ def solve_unperturbed(
         total += lex.lp_solves
         if lex.status != "optimal":
             raise StageSolveError(f"lexicographic stage came back {lex.status}")
-        x = _dense(g, lex.values)
+        x = _dense(edges, lex.values)
         stage_pis, positive, dual_solves = _stage_duals(
             g, sigma, costs, family, x, gammas
         )
@@ -295,6 +311,7 @@ def solve_perturbed_reference(
     solves plain relaxations, and reports costs against the original values."""
     sigma.validate_for(g)
     costs = g.cost_map()
+    edges = _edge_keys(g, sigma)
     perturbed = {
         e: rat(costs[e]) + rat(1, 2 ** sigma.rank[e]) for e in g.edge_pairs()
     }
@@ -314,13 +331,14 @@ def solve_perturbed_reference(
             raise NoPerfectMatching("the relaxation is infeasible")
         if not isinstance(out, Optimal):
             raise StageSolveError("the relaxation came back unbounded")
-        x = _dense(g, out.x)
+        x = _dense(edges, out.x)
         dlp = build_closest_dual(g, perturbed, family, x, gamma)
         dout = solve(dlp)
         total += 1
         if not isinstance(dout, Optimal):
             raise StageSolveError(f"closest dual came back {dout.status}")
         pi, _ = split_dual_solution(dout.x)
+        pi = _reuse_targets(pi, gamma)
         records.append(
             IterationRecord(
                 index=index,
@@ -353,6 +371,7 @@ def solve_naive(
     patterns it exists to exhibit; they become stop reasons."""
     sigma.validate_for(g)
     costs = g.cost_map()
+    edges = _edge_keys(g, sigma)
     order = sigma.order()
     family: set[frozenset[int]] = set()
     gamma: dict = {}
@@ -372,7 +391,7 @@ def solve_naive(
             break
         if lex.status != "optimal":
             raise StageSolveError(f"lexicographic stage came back {lex.status}")
-        x = _dense(g, lex.values)
+        x = _dense(edges, lex.values)
         family_key = _family_key(family)
         if vector_is_integral(x):
             records.append(IterationRecord(index, family_key, x, (), lex.lp_solves))
@@ -393,6 +412,7 @@ def solve_naive(
         if not isinstance(dout, Optimal):
             raise StageSolveError(f"closest dual came back {dout.status}")
         pi, _ = split_dual_solution(dout.x)
+        pi = _reuse_targets(pi, gamma)
         records.append(
             IterationRecord(index, family_key, x, (pi,), lex.lp_solves + 1)
         )

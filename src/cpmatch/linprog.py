@@ -4,7 +4,8 @@ Models are row-oriented: named variables (nonnegative or free), an objective
 with a sense, and relational rows over the variables. solve() returns both a
 primal optimum and a matching dual vector, all in exact rationals, and checks
 the certificate (feasibility, complementary slackness, strong duality) on
-every call before handing it back.
+every call before handing it back. Values equal to 0, +-1, +-1/2 or +-2 come
+back as the shared instances from rationals.shared.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Free variables participate directly:
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvariantViolation
-from .rationals import R0, R1, Rational, rat
+from .rationals import R0, R1, Rational, rat, shared
 
 MIN = "min"
 MAX = "max"
@@ -205,20 +206,25 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
     for j in basis:
         in_basis[j] = True
 
+    # Both updates below touch only the nonzero columns of the row being
+    # subtracted: a - f*0 == a, so the arithmetic (and with it the Bland
+    # pivot path) is the same as a dense update, at a fraction of the cost.
     def pivot(r: int, j: int, zrow: list[Rational]) -> None:
         prow = tableau[r]
         piv = prow[j]
         if piv != R1:
-            tableau[r] = prow = [v / piv for v in prow]
-        for row in tableau:
+            nonzero = [(k, v / piv) for k, v in enumerate(prow) if v]
+            for k, v in nonzero:
+                prow[k] = v
+        else:
+            nonzero = [(k, v) for k, v in enumerate(prow) if v]
+        for row in (*tableau, zrow):
             if row is prow:
                 continue
             f = row[j]
             if f:
-                row[:] = [a - f * b for a, b in zip(row, prow)]
-        f = zrow[j]
-        if f:
-            zrow[:] = [a - f * b for a, b in zip(zrow, prow)]
+                for k, b in nonzero:
+                    row[k] -= f * b
         in_basis[basis[r]] = False
         in_basis[j] = True
         basis[r] = j
@@ -228,8 +234,9 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
         for i, b in enumerate(basis):
             cb = costvec[b]
             if cb:
-                row = tableau[i]
-                z[:] = [a - cb * t for a, t in zip(z, row)]
+                for k, t in enumerate(tableau[i]):
+                    if t:
+                        z[k] -= cb * t
         return z
 
     def run(zrow: list[Rational], banned: set[int]) -> str:
@@ -298,7 +305,7 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
     xvals = [R0] * ncols
     for i, b in enumerate(basis):
         xvals[b] = tableau[i][-1]
-    x = {v.name: xvals[j] for j, v in enumerate(lp.variables)}
+    x = {v.name: shared(xvals[j]) for j, v in enumerate(lp.variables)}
 
     y = {}
     for i, row in enumerate(lp.rows):
@@ -307,7 +314,7 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
             yi = -yi
         if not minimize:
             yi = -yi
-        y[row.id] = yi
+        y[row.id] = shared(yi)
 
     objective = sum((lp.objective[name] * x[name] for name in lp.objective), R0)
     return Optimal(x=x, y=y, objective=objective)

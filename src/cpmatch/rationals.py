@@ -22,6 +22,11 @@ R0 = _backend(0)
 R1 = _backend(1)
 HALF = _backend(1, 2)
 
+#: One canonical instance of each value an exact solve returns most often.
+_SHARED = {
+    q: q for q in (R0, R1, -R1, HALF, -HALF, _backend(2), _backend(-2))
+}
+
 
 def rat(numerator, denominator=None):
     """Build a canonical rational from ints, a rational, or a 'p/q' string."""
@@ -35,14 +40,8 @@ def rat_str(value) -> str:
     return str(_backend(value))
 
 
-def is_int(value) -> bool:
-    """True when the rational is an integer."""
-    return _backend(value).denominator == 1
-
-
-def as_int(value) -> int:
-    """Convert an integral rational to int; raises ValueError otherwise."""
-    q = _backend(value)
-    if q.denominator != 1:
-        raise ValueError(f"not an integer: {q}")
-    return int(q.numerator)
+def shared(value):
+    """The canonical instance of value when it is 0, +-1, +-1/2 or +-2, else
+    value itself; results that hold many such values then hold one object
+    each instead of one per entry."""
+    return _SHARED.get(value, value)

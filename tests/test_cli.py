@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from cpmatch.cli import (
+    EXIT_CANTCREAT,
     EXIT_INVARIANT,
     EXIT_NO_MATCHING,
     EXIT_OK,
@@ -111,6 +112,36 @@ def test_usage_errors_exit_sixtyfour(capsys):
     assert main(["solve", "x.g", "--algorithm", "nope"]) == EXIT_USAGE
     capsys.readouterr()
     assert main(["gen", "--vertices", "5", "--edges", "4"]) == EXIT_USAGE
+
+
+def test_max_iter_below_one_is_a_usage_error(capsys):
+    for algorithm in ("unperturbed", "perturbed", "naive"):
+        for bad in ("0", "-1", "two"):
+            code = main(["solve", str(DATA / "cycling.g"), "--algorithm", algorithm,
+                         "--max-iter", bad])
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE
+            assert "--max-iter" in captured.err
+            assert captured.out == ""
+
+
+def test_unwritable_outputs_exit_seventythree(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    trace = str(missing / "t.json")
+    code = main(["solve", k2_file(tmp_path), "--trace", trace])
+    captured = capsys.readouterr()
+    assert code == EXIT_CANTCREAT
+    assert f"cannot write {trace}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert "cost 7" in captured.out
+
+    graph = str(missing / "x.g")
+    code = main(["gen", "--vertices", "4", "--edges", "4", "--output", graph])
+    captured = capsys.readouterr()
+    assert code == EXIT_CANTCREAT
+    assert f"cannot write {graph}: " in captured.err
+    assert captured.out == ""
+    assert not missing.exists()
 
 
 def test_trace_schema(tmp_path, capsys):

@@ -21,7 +21,7 @@ from cpmatch.linprog import (
     solve,
     verify_certificate,
 )
-from cpmatch.rationals import rat
+from cpmatch.rationals import HALF, R0, R1, Rational, rat, shared
 
 
 def test_single_bound_row():
@@ -209,3 +209,55 @@ def test_random_models_match_enumeration():
             optimal += 1
     assert optimal >= 50
     assert infeasible >= 10
+
+
+def test_beale_cycling_lp_terminates_at_its_optimum():
+    # Beale (1955): the textbook largest-coefficient rule cycles on this
+    # degenerate LP; Bland's rule must leave the degenerate vertex at the
+    # origin and stop at the optimum.
+    lp = LinearProgram(
+        MIN,
+        ["x4", "x5", "x6", "x7"],
+        {"x4": rat(-3, 4), "x5": 20, "x6": rat(-1, 2), "x7": 6},
+        [
+            ("r1", {"x4": rat(1, 4), "x5": -8, "x6": -1, "x7": 9}, LE, 0),
+            ("r2", {"x4": rat(1, 2), "x5": -12, "x6": rat(-1, 2), "x7": 3}, LE, 0),
+            ("r3", {"x6": 1}, LE, 1),
+        ],
+    )
+    out = solve(lp)
+    assert isinstance(out, Optimal)
+    assert out.objective == rat(-5, 4)
+    assert out.x == {"x4": 1, "x5": 0, "x6": 1, "x7": 0}
+    assert out.y == {"r1": 0, "r2": rat(-3, 2), "r3": rat(-5, 4)}
+    verify_certificate(lp, out)
+
+
+def test_common_values_come_back_as_shared_constants():
+    # Every value below is computed by the simplex (2a = 1 gives a by
+    # division), so identity with the constants shows the final lookup ran.
+    lp = LinearProgram(
+        MIN,
+        ["a", ("b", False), "c", "d", ("e", False), "f"],
+        {"a": 1, "b": -1, "c": 1, "d": 1, "e": -1, "f": 1},
+        [
+            ("half", {"a": 2}, EQ, 1),
+            ("minus_half", {"b": 2}, EQ, -1),
+            ("one", {"d": 1}, EQ, 1),
+            ("minus_one", {"e": 1}, EQ, -1),
+            ("loose", {"c": 1}, LE, 5),
+            ("sevenths", {"f": 7}, EQ, 3),
+        ],
+    )
+    out = solve(lp)
+    minus_half, minus_one = shared(rat(-1, 2)), shared(rat(-1))
+    assert minus_half == rat(-1, 2) and minus_one == -1
+    assert out.x["a"] is HALF and out.y["half"] is HALF
+    assert out.x["b"] is minus_half and out.y["minus_half"] is minus_half
+    assert out.x["c"] is R0 and out.y["loose"] is R0
+    assert out.x["d"] is R1 and out.y["one"] is R1
+    assert out.x["e"] is minus_one and out.y["minus_one"] is minus_one
+    assert out.x["f"] == rat(3, 7) and out.y["sevenths"] == rat(1, 7)
+    assert shared(out.x["f"]) is out.x["f"]
+    values = [*out.x.values(), *out.y.values()]
+    assert all(type(v) is Rational for v in values)
