@@ -52,6 +52,7 @@ from .matchlp import (
     StageContext,
     build_closest_dual,
     build_primal,
+    canonical_sets,
     split_dual_solution,
     stage_cost,
     tight_sets,
@@ -133,10 +134,6 @@ def _reuse_targets(pi: dict, target: Mapping) -> dict:
     replaced by the target's object, so successive iterations share the dual
     values that did not move instead of holding equal copies."""
     return {k: target[k] if k in target and target[k] == v else v for k, v in pi.items()}
-
-
-def _family_key(family) -> tuple[frozenset[int], ...]:
-    return tuple(sorted(family, key=lambda s: (min(s), len(s), sorted(s))))
 
 
 def _expand_family(g: Graph, x: Mapping[Edge, object], positive_sets) -> set:
@@ -284,7 +281,7 @@ def solve_unperturbed(
         records.append(
             IterationRecord(
                 index=index,
-                family=_family_key(family),
+                family=tuple(canonical_sets(family)),
                 x=x,
                 dual_stages=tuple(stage_pis),
                 lp_solves=1 + lex.lp_solves + dual_solves,
@@ -342,7 +339,7 @@ def solve_perturbed_reference(
         records.append(
             IterationRecord(
                 index=index,
-                family=_family_key(family),
+                family=tuple(canonical_sets(family)),
                 x=x,
                 dual_stages=(pi,),
                 lp_solves=2,
@@ -392,7 +389,7 @@ def solve_naive(
         if lex.status != "optimal":
             raise StageSolveError(f"lexicographic stage came back {lex.status}")
         x = _dense(edges, lex.values)
-        family_key = _family_key(family)
+        family_key = tuple(canonical_sets(family))
         if vector_is_integral(x):
             records.append(IterationRecord(index, family_key, x, (), lex.lp_solves))
             matching = extract_matching(x, g.n)

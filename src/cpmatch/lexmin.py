@@ -6,6 +6,13 @@ in turn. That is one solve per variable plus one, always: later stages are
 never skipped even when a value is already forced, so the solve count is a
 fixed function of the model size. The result is the unique point of the
 optimal face that is lexicographically smallest in the given variable order.
+
+Each stage only appends one equality row that the previous optimum already
+satisfies, so all stages reoptimize one Tableau: stage 0 is the only cold
+two-phase solve, and every later stage pivots its new row in at value zero
+and runs phase 2 alone. Each stage is still one solve() call, counted as one
+LP solve, and its certificate is checked against the full stage model. The
+result does not depend on the pivot path, since it is unique.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .linprog import EQ, MIN, LinearProgram, Optimal, Row, solve
+from .linprog import EQ, MIN, LinearProgram, Optimal, Row, Tableau, solve
 from .rationals import R1, Rational
 
 
@@ -35,7 +42,8 @@ def lex_min_optimal(lp: LinearProgram, order: Sequence[Hashable]) -> LexMinResul
     if len(order) != len(names) or set(order) != set(names):
         raise ValueError("order must be a permutation of the model's variables")
 
-    first = solve(lp)
+    tab = Tableau()
+    first = solve(lp, start=tab)
     solves = 1
     if not isinstance(first, Optimal):
         return LexMinResult(first.status, None, None, solves)
@@ -45,7 +53,7 @@ def lex_min_optimal(lp: LinearProgram, order: Sequence[Hashable]) -> LexMinResul
     values: dict = {}
     for name in order:
         stage = LinearProgram(MIN, lp.variables, {name: R1}, rows)
-        out = solve(stage)
+        out = solve(stage, start=tab)
         solves += 1
         if not isinstance(out, Optimal):
             # The face is nonempty, so only unboundedness can occur here

@@ -7,6 +7,14 @@ the certificate (feasibility, complementary slackness, strong duality) on
 every call before handing it back. Values equal to 0, +-1, +-1/2 or +-2 come
 back as the shared instances from rationals.shared.
 
+solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
+two-phase solve and keeps its result. After an Optimal outcome the next model
+must be the last one plus appended ``=`` rows on the same variables that the
+last optimum satisfies (objective and sense may change); they are pivoted in
+at value zero and only phase 2 runs, and the optimum is certificate-checked
+like any other. Any other model, or any model after an Infeasible or
+Unbounded outcome, raises LinearProgramError instead of solving cold.
+
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Free variables participate directly:
 a free variable may enter in either direction and never leaves the basis,
@@ -136,80 +144,165 @@ class Unbounded:
 LPOutcome = Optimal | Infeasible | Unbounded
 
 
-def solve(lp: LinearProgram, verify: bool = True) -> LPOutcome:
-    """Solve exactly; on Optimal the (x, y, objective) certificate is verified."""
-    outcome = _simplex(lp)
+def solve(
+    lp: LinearProgram, verify: bool = True, start: Tableau | None = None
+) -> LPOutcome:
+    """Solve exactly, on a fresh Tableau or on ``start`` (see the module
+    docstring); on Optimal the (x, y, objective) certificate is verified."""
+    outcome = (Tableau() if start is None else start).optimize(lp)
     if verify and isinstance(outcome, Optimal):
         verify_certificate(lp, outcome)
     return outcome
 
 
-def _simplex(lp: LinearProgram) -> LPOutcome:
-    nvar = len(lp.variables)
-    minimize = lp.sense == MIN
-    cost = [R0] * nvar
-    for name, c in lp.objective.items():
-        cost[lp.variable_index(name)] = c if minimize else -c
+class Tableau:
+    """One model's simplex state: standard form, basis, Bland pivot loop.
 
-    # Standard form: append a slack per inequality, scale rhs nonnegative,
-    # then give every row an identity column (reusing the slack when it
-    # already is +e_i, otherwise adding an artificial).
-    m = len(lp.rows)
-    dense_rows: list[list[Rational]] = []
-    rhs: list[Rational] = []
-    flips: list[bool] = []
-    for row in lp.rows:
-        vec = [R0] * nvar
-        for name, c in row.coeffs.items():
-            vec[lp.variable_index(name)] = c
-        flip = row.rhs < 0
-        if flip:
-            vec = [-c for c in vec]
-        dense_rows.append(vec)
-        rhs.append(-row.rhs if flip else row.rhs)
-        flips.append(flip)
+    Columns are the variables, one slack per inequality row, then one
+    artificial per row without a +e_i slack; each row ends with its rhs.
+    """
 
-    nonneg = [v.nonnegative for v in lp.variables]
-    slack_col: list[int | None] = [None] * m
-    for i, row in enumerate(lp.rows):
-        if row.relation == EQ:
-            continue
-        sign = R1 if row.relation == LE else -R1
-        if flips[i]:
-            sign = -sign
-        col = len(nonneg)
-        slack_col[i] = col
-        nonneg.append(True)
-        for k in range(m):
-            dense_rows[k].append(sign if k == i else R0)
+    def __init__(self) -> None:
+        self.lp: LinearProgram | None = None
+        self.status: str | None = None
 
-    identity_col: list[int] = [0] * m
-    artificial: set[int] = set()
-    basis: list[int] = [0] * m
-    for i in range(m):
-        j = slack_col[i]
-        if j is not None and dense_rows[i][j] == R1:
-            identity_col[i] = j
+    def optimize(self, lp: LinearProgram) -> LPOutcome:
+        """Solve lp cold on a fresh tableau, else as an extension of the last model."""
+        if self.status is None:
+            feasible = self.build(lp)
+        elif self.status == "optimal":
+            self.extend(lp)
+            feasible = True
         else:
-            col = len(nonneg)
-            nonneg.append(True)
-            artificial.add(col)
-            for k in range(m):
-                dense_rows[k].append(R1 if k == i else R0)
-            identity_col[i] = col
-    ncols = len(nonneg)
+            raise LinearProgramError(f"cannot reoptimize after an {self.status} solve")
+        outcome = self.phase2(lp) if feasible else Infeasible()
+        self.lp, self.status = lp, outcome.status
+        return outcome
 
-    tableau = [dense_rows[i] + [rhs[i]] for i in range(m)]
-    for i in range(m):
-        basis[i] = identity_col[i]
-    in_basis = [False] * ncols
-    for j in basis:
-        in_basis[j] = True
+    def build(self, lp: LinearProgram) -> bool:
+        """Standard form of lp, then phase 1; False when lp is infeasible."""
+        nvar = len(lp.variables)
+        # Append a slack per inequality, scale rhs nonnegative, then give
+        # every row an identity column (reusing the slack when it already
+        # is +e_i, otherwise adding an artificial).
+        m = len(lp.rows)
+        dense_rows: list[list[Rational]] = []
+        rhs: list[Rational] = []
+        flips: list[bool] = []
+        for row in lp.rows:
+            vec = [R0] * nvar
+            for name, c in row.coeffs.items():
+                vec[lp.variable_index(name)] = c
+            flip = row.rhs < 0
+            if flip:
+                vec = [-c for c in vec]
+            dense_rows.append(vec)
+            rhs.append(-row.rhs if flip else row.rhs)
+            flips.append(flip)
+
+        nonneg = [v.nonnegative for v in lp.variables]
+        slack_col: list[int | None] = [None] * m
+        for i, row in enumerate(lp.rows):
+            if row.relation == EQ:
+                continue
+            sign = R1 if row.relation == LE else -R1
+            if flips[i]:
+                sign = -sign
+            col = len(nonneg)
+            slack_col[i] = col
+            nonneg.append(True)
+            for k in range(m):
+                dense_rows[k].append(sign if k == i else R0)
+
+        identity_col: list[int] = [0] * m
+        artificial: set[int] = set()
+        for i in range(m):
+            j = slack_col[i]
+            if j is not None and dense_rows[i][j] == R1:
+                identity_col[i] = j
+            else:
+                col = len(nonneg)
+                nonneg.append(True)
+                artificial.add(col)
+                for k in range(m):
+                    dense_rows[k].append(R1 if k == i else R0)
+                identity_col[i] = col
+
+        self.rows = [dense_rows[i] + [rhs[i]] for i in range(m)]
+        self.basis = list(identity_col)
+        self.in_basis = [False] * len(nonneg)
+        for j in self.basis:
+            self.in_basis[j] = True
+        self.nonneg, self.artificial = nonneg, artificial
+        self.identity_col, self.flips = identity_col, flips
+
+        # Phase 1: drive the artificial variables to zero.
+        if artificial:
+            z = self.reduced_costs([R1 if j in artificial else R0 for j in range(len(nonneg))])
+            if self.run(z, banned=set()) == "unbounded":
+                raise SolverInvariantError("phase-1 objective cannot be unbounded")
+            if any(self.rows[i][-1] for i, b in enumerate(self.basis) if b in artificial):
+                return False
+            self.drive_out(range(m))
+        return True
+
+    def extend(self, lp: LinearProgram) -> None:
+        """Append the = rows by which lp extends the last model, each with an
+        artificial that is then pivoted out. Reduced against the basis, a
+        row's rhs is its rhs minus its value at the last optimum: it must be
+        0, so no value moves."""
+        k = len(self.lp.rows)
+        if (
+            lp.variables != self.lp.variables
+            or lp.rows[:k] != self.lp.rows
+            or any(row.relation != EQ for row in lp.rows[k:])
+        ):
+            raise LinearProgramError("start= takes the last model plus appended = rows")
+        new = []
+        for row in lp.rows[k:]:
+            coeffs = [R0] * len(self.nonneg)
+            for name, c in row.coeffs.items():
+                coeffs[lp.variable_index(name)] = c
+            vec = self.reduced_costs(coeffs)
+            vec[-1] += row.rhs
+            if vec[-1]:
+                raise LinearProgramError(f"the last optimum violates appended row {row.id!r}")
+            new.append(vec)
+
+        m, ncols = len(self.rows), len(self.nonneg)
+        for i, vec in enumerate(self.rows + new):
+            vec[-1:-1] = [R1 if i == m + t else R0 for t in range(len(new))]
+        arts = range(ncols, ncols + len(new))
+        self.rows += new
+        self.basis += arts
+        self.identity_col += arts
+        self.flips += [False] * len(new)
+        self.nonneg += [True] * len(new)
+        self.in_basis += [True] * len(new)
+        self.artificial.update(arts)
+        self.drive_out(range(m, len(self.rows)))
+
+    def drive_out(self, rows: Iterable[int]) -> None:
+        """Pivot each basic artificial of `rows` out at value zero, onto the
+        lowest nonbasic real column with a nonzero entry."""
+        for i in rows:
+            if self.basis[i] not in self.artificial:
+                continue
+            row = self.rows[i]
+            for j in range(len(self.nonneg)):
+                if j in self.artificial or self.in_basis[j]:
+                    continue
+                if row[j]:
+                    self.pivot(i, j)
+                    break
+            # A row with no eligible pivot column is redundant; its
+            # artificial stays basic at value zero and never re-enters.
 
     # Both updates below touch only the nonzero columns of the row being
     # subtracted: a - f*0 == a, so the arithmetic (and with it the Bland
     # pivot path) is the same as a dense update, at a fraction of the cost.
-    def pivot(r: int, j: int, zrow: list[Rational]) -> None:
+    def pivot(self, r: int, j: int, zrow: list[Rational] | None = None) -> None:
+        tableau = self.rows
         prow = tableau[r]
         piv = prow[j]
         if piv != R1:
@@ -218,28 +311,30 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
                 prow[k] = v
         else:
             nonzero = [(k, v) for k, v in enumerate(prow) if v]
-        for row in (*tableau, zrow):
+        for row in tableau if zrow is None else (*tableau, zrow):
             if row is prow:
                 continue
             f = row[j]
             if f:
                 for k, b in nonzero:
                     row[k] -= f * b
-        in_basis[basis[r]] = False
-        in_basis[j] = True
-        basis[r] = j
+        self.in_basis[self.basis[r]] = False
+        self.in_basis[j] = True
+        self.basis[r] = j
 
-    def reduced_costs(costvec: list[Rational]) -> list[Rational]:
+    def reduced_costs(self, costvec: list[Rational]) -> list[Rational]:
         z = list(costvec) + [R0]
-        for i, b in enumerate(basis):
+        for i, b in enumerate(self.basis):
             cb = costvec[b]
             if cb:
-                for k, t in enumerate(tableau[i]):
+                for k, t in enumerate(self.rows[i]):
                     if t:
                         z[k] -= cb * t
         return z
 
-    def run(zrow: list[Rational], banned: set[int]) -> str:
+    def run(self, zrow: list[Rational], banned: set[int]) -> str:
+        tableau, basis, in_basis, nonneg = self.rows, self.basis, self.in_basis, self.nonneg
+        ncols, m = len(nonneg), len(tableau)
         while True:
             enter = -1
             direction = R1
@@ -272,52 +367,34 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
                         leave = i
             if leave < 0:
                 return "unbounded"
-            pivot(leave, enter, zrow)
+            self.pivot(leave, enter, zrow)
 
-    # Phase 1: drive the artificial variables to zero.
-    if artificial:
-        phase1 = [R1 if j in artificial else R0 for j in range(ncols)]
-        z = reduced_costs(phase1)
-        status = run(z, banned=set())
-        if status == "unbounded":
-            raise SolverInvariantError("phase-1 objective cannot be unbounded")
-        total = sum((tableau[i][-1] for i in range(m) if basis[i] in artificial), R0)
-        if total != R0:
-            return Infeasible()
-        for i in range(m):
-            if basis[i] not in artificial:
-                continue
-            for j in range(ncols):
-                if j in artificial or in_basis[j]:
-                    continue
-                if tableau[i][j]:
-                    pivot(i, j, z)
-                    break
-            # A row with no eligible pivot column is redundant; its
-            # artificial stays basic at value zero and never re-enters.
+    def phase2(self, lp: LinearProgram) -> LPOutcome:
+        """Phase 2 on lp's objective from the current feasible basis."""
+        minimize = lp.sense == MIN
+        cost = [R0] * len(self.nonneg)
+        for name, c in lp.objective.items():
+            cost[lp.variable_index(name)] = c if minimize else -c
+        z = self.reduced_costs(cost)
+        if self.run(z, banned=self.artificial) == "unbounded":
+            return Unbounded()
 
-    # Phase 2 on the real objective, artificials banned from entering.
-    z = reduced_costs(cost + [R0] * (ncols - nvar))
-    status = run(z, banned=artificial)
-    if status == "unbounded":
-        return Unbounded()
+        xvals = [R0] * len(self.nonneg)
+        for i, b in enumerate(self.basis):
+            xvals[b] = self.rows[i][-1]
+        x = {v.name: shared(xvals[j]) for j, v in enumerate(lp.variables)}
 
-    xvals = [R0] * ncols
-    for i, b in enumerate(basis):
-        xvals[b] = tableau[i][-1]
-    x = {v.name: shared(xvals[j]) for j, v in enumerate(lp.variables)}
+        y = {}
+        for i, row in enumerate(lp.rows):
+            yi = -z[self.identity_col[i]]
+            if self.flips[i]:
+                yi = -yi
+            if not minimize:
+                yi = -yi
+            y[row.id] = shared(yi)
 
-    y = {}
-    for i, row in enumerate(lp.rows):
-        yi = -z[identity_col[i]]
-        if flips[i]:
-            yi = -yi
-        if not minimize:
-            yi = -yi
-        y[row.id] = shared(yi)
-
-    objective = sum((lp.objective[name] * x[name] for name in lp.objective), R0)
-    return Optimal(x=x, y=y, objective=objective)
+        objective = sum((lp.objective[name] * x[name] for name in lp.objective), R0)
+        return Optimal(x=x, y=y, objective=objective)
 
 
 def verify_certificate(lp: LinearProgram, opt: Optimal) -> None:

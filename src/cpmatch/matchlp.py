@@ -32,6 +32,8 @@ class MatchingLpError(ValueError):
 
 
 def canonical_sets(family) -> list[frozenset[int]]:
+    """The family's sets in the one order used everywhere: cut rows, tight
+    sets and IterationRecord.family sort by (min, size, sorted members)."""
     return sorted(
         (frozenset(s) for s in family), key=lambda s: (min(s), len(s), sorted(s))
     )

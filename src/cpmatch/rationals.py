@@ -12,7 +12,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _backend
-except ImportError:  # pragma: no cover - exercised only without gmpy2
+except ImportError:
     _backend = Fraction
 
 #: The concrete rational type in use (for isinstance checks in tests).

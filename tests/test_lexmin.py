@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from helpers import random_perturbed_pair
+
+from cpmatch.fixtures import dancing_robot
 from cpmatch.gen import random_matchable_graph, random_ordering
 from cpmatch.graphs import Graph
 from cpmatch.lexmin import lex_min_optimal
-from cpmatch.linprog import GE, MIN, LinearProgram, Optimal, solve
+from cpmatch.linprog import EQ, GE, LE, MAX, MIN, LinearProgram, Optimal, Row, Tableau, solve
 from cpmatch.matchlp import build_primal
 from cpmatch.rationals import R0, R1, rat
 
@@ -103,3 +106,132 @@ def test_matches_explicit_power_of_two_perturbation():
         out = solve(build_primal(g, bumped, []))
         assert isinstance(out, Optimal)
         assert out.x == res.values
+
+
+def cold_lex_min(lp, order):
+    """The reference: the stage models lex_min_optimal solves, each solved
+    cold (no start), as (status, values, objective)."""
+    first = solve(lp)
+    if not isinstance(first, Optimal):
+        return first.status, None, None
+    rows = list(lp.rows)
+    rows.append(Row(("lex", "objective"), dict(lp.objective), EQ, first.objective))
+    values = {}
+    for name in order:
+        out = solve(LinearProgram(MIN, lp.variables, {name: R1}, rows))
+        if not isinstance(out, Optimal):
+            return out.status, None, None
+        values[name] = out.x[name]
+        rows.append(Row(("lex", "fix", name), {name: R1}, EQ, values[name]))
+    return "optimal", values, first.objective
+
+
+def assert_matches_cold(lp, order):
+    res = lex_min_optimal(lp, order)
+    assert (res.status, res.values, res.objective) == cold_lex_min(lp, order)
+    return res
+
+
+def test_warm_stages_match_cold_stages_on_matching_lps():
+    rng = random.Random(2026)
+    for trial in range(24):
+        n = rng.choice([6, 8])
+        m = rng.randint(n // 2 + 2, min(n * (n - 1) // 2, 14))
+        g = random_matchable_graph(n, m, 5, rng)
+        family = []
+        if trial % 2:
+            inner = frozenset(rng.sample(range(n), 3))
+            family.append(inner)
+            if n == 8:
+                family.append(inner | frozenset(rng.sample(sorted(set(range(n)) - inner), 2)))
+        lp = build_primal(g, g.cost_map(), family)
+        order = random_ordering(g, rng).order()
+        res = assert_matches_cold(lp, order)
+        assert res.lp_solves == m + 1
+
+
+def test_warm_stages_match_cold_stages_on_a_fractional_fixture():
+    # dancing_robot's second relaxation has a half-integral optimum under
+    # its two cut rows.
+    g, sigma, exp = dancing_robot()
+    lp = build_primal(g, g.cost_map(), exp.family2)
+    res = assert_matches_cold(lp, sigma.order())
+    assert res.values == exp.iterate2
+
+
+def test_warm_stages_match_cold_stages_on_hand_made_models():
+    # Max sense, a free variable, negative right-hand sides: the optimal
+    # face is a + b = 4, 1 <= b, 0 <= a <= 2, c = a + 1.
+    lp = LinearProgram(
+        MAX,
+        ["a", "b", ("c", False)],
+        {"a": 1, "b": 1},
+        [
+            ("cap", {"a": 1, "b": 1}, LE, 4),
+            ("link", {"a": 1, "c": -1}, EQ, -1),
+            ("ceil", {"c": 1}, LE, 3),
+            ("floor", {"b": -1}, LE, -1),
+        ],
+    )
+    assert assert_matches_cold(lp, ["a", "b", "c"]).values == {"a": 0, "b": 4, "c": 1}
+    assert assert_matches_cold(lp, ["b", "c", "a"]).values == {"a": 2, "b": 2, "c": 3}
+    assert assert_matches_cold(lp, ["c", "a", "b"]).values == {"a": 0, "b": 4, "c": 1}
+
+    # Two free variables that settle negative on the face x + y = -2.
+    lp = LinearProgram(
+        MIN,
+        [("x", False), ("y", False)],
+        {"x": 1, "y": 1},
+        [
+            ("sum", {"x": 1, "y": 1}, GE, -2),
+            ("xlo", {"x": 1}, GE, -5),
+            ("ylo", {"y": 1}, GE, -5),
+        ],
+    )
+    assert assert_matches_cold(lp, ["x", "y"]).values == {"x": -5, "y": 3}
+    assert assert_matches_cold(lp, ["y", "x"]).values == {"x": 3, "y": -5}
+
+    # Unbounded stage and infeasible model keep their status.
+    lp = LinearProgram(MIN, [("a", False), "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
+    assert assert_matches_cold(lp, ["a", "b"]).status == "unbounded"
+    lp = LinearProgram(MIN, ["a"], {}, [("r1", {"a": 1}, GE, 2), ("r2", {"a": 1}, LE, 1)])
+    assert assert_matches_cold(lp, ["a"]).status == "infeasible"
+
+
+def test_warm_stages_match_cold_stages_on_random_models():
+    # Free columns, >= rows with negative right-hand sides, either sense.
+    rng = random.Random(31)
+    for trial in range(40):
+        pair = random_perturbed_pair(rng)
+        names = [("x", j) for j in range(pair.ncols)]
+        cost = {name: c for name, c in zip(names, pair.costs[0]) if c}
+        sense = MAX if trial % 2 else MIN
+        lp = LinearProgram(
+            sense,
+            [(name, j in pair.nonneg) for j, name in enumerate(names)],
+            {k: -c for k, c in cost.items()} if sense == MAX else cost,
+            [
+                (("row", i), {names[j]: c for j, c in enumerate(pair.a[i]) if c}, GE, pair.b[i])
+                for i in range(pair.nrows)
+            ],
+        )
+        rng.shuffle(names)
+        assert assert_matches_cold(lp, names).status == "optimal"
+
+
+def test_lexmin_builds_one_tableau_per_call(monkeypatch):
+    builds = []
+    build = Tableau.build
+
+    def counting_build(self, lp):
+        builds.append(lp)
+        return build(self, lp)
+
+    monkeypatch.setattr(Tableau, "build", counting_build)
+    g = Graph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
+    lp = build_primal(g, g.cost_map(), [])
+    res = lex_min_optimal(lp, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert res.lp_solves == 5
+    assert builds == [lp]
+    lex_min_optimal(lp, [(1, 2), (0, 1), (2, 3), (0, 3)])
+    assert builds == [lp, lp]

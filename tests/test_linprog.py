@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import enumerate_minimum, random_bounded_lp
+from helpers import enumerate_minimum, random_bounded_lp, random_perturbed_pair
 
 from cpmatch.linprog import (
     EQ,
@@ -17,6 +17,7 @@ from cpmatch.linprog import (
     LinearProgramError,
     Optimal,
     SolverInvariantError,
+    Tableau,
     Unbounded,
     solve,
     verify_certificate,
@@ -211,11 +212,10 @@ def test_random_models_match_enumeration():
     assert infeasible >= 10
 
 
-def test_beale_cycling_lp_terminates_at_its_optimum():
+def beale_lp():
     # Beale (1955): the textbook largest-coefficient rule cycles on this
-    # degenerate LP; Bland's rule must leave the degenerate vertex at the
-    # origin and stop at the optimum.
-    lp = LinearProgram(
+    # degenerate LP.
+    return LinearProgram(
         MIN,
         ["x4", "x5", "x6", "x7"],
         {"x4": rat(-3, 4), "x5": 20, "x6": rat(-1, 2), "x7": 6},
@@ -225,6 +225,12 @@ def test_beale_cycling_lp_terminates_at_its_optimum():
             ("r3", {"x6": 1}, LE, 1),
         ],
     )
+
+
+def test_beale_cycling_lp_terminates_at_its_optimum():
+    # Bland's rule must leave the degenerate vertex at the origin and stop
+    # at the optimum.
+    lp = beale_lp()
     out = solve(lp)
     assert isinstance(out, Optimal)
     assert out.objective == rat(-5, 4)
@@ -261,3 +267,85 @@ def test_common_values_come_back_as_shared_constants():
     assert shared(out.x["f"]) is out.x["f"]
     values = [*out.x.values(), *out.y.values()]
     assert all(type(v) is Rational for v in values)
+
+
+def test_fresh_tableau_start_is_the_cold_solve():
+    rng = random.Random(5)
+    models = [beale_lp()] + [random_bounded_lp(rng)[0] for _ in range(30)]
+    for _ in range(10):
+        pair = random_perturbed_pair(rng)
+        names = [("x", j) for j in range(pair.ncols)]
+        models.append(LinearProgram(
+            MAX,
+            [(name, j in pair.nonneg) for j, name in enumerate(names)],
+            {name: -c for name, c in zip(names, pair.costs[0])},
+            [(i, dict(zip(names, pair.a[i])), GE, pair.b[i]) for i in range(pair.nrows)],
+        ))
+    for lp in models:
+        tab = Tableau()
+        a, b = solve(lp), solve(lp, start=tab)
+        assert type(a) is type(b)
+        assert (tab.lp, tab.status) == (lp, a.status)
+        if isinstance(a, Optimal):
+            assert (a.x, a.y, a.objective) == (b.x, b.y, b.objective)
+    out = solve(beale_lp(), start=Tableau())
+    assert out.x == {"x4": 1, "x5": 0, "x6": 1, "x7": 0}
+    assert out.y == {"r1": 0, "r2": rat(-3, 2), "r3": rat(-5, 4)}
+
+
+def _model(objective, extra_rows=(), sense=MIN):
+    rows = [("cover", {"x": 1, "y": 1}, GE, 2), ("xcap", {"x": 1}, LE, 3)]
+    return LinearProgram(sense, ["x", "y"], objective, rows + list(extra_rows))
+
+
+def test_reoptimize_after_appended_rows():
+    tab = Tableau()
+    first = solve(_model({"x": 1, "y": 2}), start=tab)
+    assert first.x == {"x": 2, "y": 0}
+    # Both appended rows hold at (2, 0); one has a negative rhs. The new
+    # objective moves along x + y = 2 to the other end, x = 0.
+    rows = [("line", {"x": 1, "y": 1}, EQ, 2), ("neg", {"x": -1, "y": -1}, EQ, -2)]
+    lp = _model({"y": 1}, rows, MAX)
+    out = solve(lp, start=tab)
+    cold = solve(lp)
+    assert out.x == cold.x == {"x": 0, "y": 2}
+    assert out.objective == cold.objective == 2
+    verify_certificate(lp, out)
+    # No appended rows: only the objective changes.
+    out = solve(_model({"x": -1}, rows), start=tab)
+    assert out.x == {"x": 2, "y": 0}
+
+
+def test_reoptimize_rejects_a_model_that_does_not_extend_the_last_one():
+    tab = Tableau()
+    solve(_model({"x": 1, "y": 2}), start=tab)
+    changed = LinearProgram(
+        MIN, ["x", "y"], {"x": 1},
+        [("cover", {"x": 1, "y": 1}, GE, 1), ("xcap", {"x": 1}, LE, 3)],
+    )
+    bad = [
+        changed,
+        _model({"x": 1}, [("ge", {"x": 1}, GE, 1)]),
+        _model({"x": 1}, [("violated", {"y": 1}, EQ, 1)]),
+        _model({"x": 1}, [("holds", {"x": 1}, EQ, 2), ("violated", {"x": 1}, EQ, 1)]),
+        LinearProgram(MIN, ["x", "y", "z"], {"x": 1}, _model({}).rows),
+        LinearProgram(MIN, ["x", "y"], {"x": 1}, _model({}).rows[:1]),
+    ]
+    for lp in bad:
+        with pytest.raises(LinearProgramError):
+            solve(lp, start=tab)
+    # A rejected model leaves the tableau as it was.
+    out = solve(_model({"y": 1}, [("holds", {"x": 1}, EQ, 2)]), start=tab)
+    assert out.x == {"x": 2, "y": 0}
+
+
+def test_no_reoptimization_after_infeasible_or_unbounded():
+    infeasible = LinearProgram(
+        MIN, ["x"], {"x": 1}, [("lo", {"x": 1}, GE, 2), ("hi", {"x": 1}, LE, 1)]
+    )
+    unbounded = LinearProgram(MIN, ["x"], {"x": -1}, [("lo", {"x": 1}, GE, 0)])
+    for lp, outcome in ((infeasible, Infeasible), (unbounded, Unbounded)):
+        tab = Tableau()
+        assert isinstance(solve(lp, start=tab), outcome)
+        with pytest.raises(LinearProgramError):
+            solve(lp, start=tab)
