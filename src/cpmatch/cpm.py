@@ -1,22 +1,31 @@
 """Cutting-plane solvers for minimum-cost perfect matching, in three modes.
 
-solve_unperturbed is the real algorithm: each iteration takes the
-lexicographically minimal optimum of the current relaxation (in a fixed edge
-order), then runs one distance-minimal dual solve per cost stage, where stage
-0 carries the true costs and stage i >= 1 carries the indicator of the edge
-ranked i. The stage duals decide which cuts keep positive weight; those cuts,
-plus one grown set per odd cycle in the fractional support, form the next
-relaxation. Cost perturbation is thereby emulated exactly, with no perturbed
-numbers anywhere.
+All three run one loop. Each iteration solves the relaxation over the current
+cut family, picks a point x of its optimal face, runs one distance-minimal
+dual solve per stage cost vector, and records the iteration. The sets whose
+stage-dual series is positive, plus one grown set per odd cycle in the
+half-valued support of x, form the next family; an integral x ends the run.
+The modes differ only in how x is picked, in the stage costs, and in naive
+mode's stops:
+
+solve_unperturbed is the real algorithm. x is the lexicographically minimal
+optimum (in a fixed edge order), taken after a probe solve. Stage 0 carries
+the true costs and stage i >= 1 the indicator of the edge ranked i. Cost
+perturbation is thereby emulated exactly, with no perturbed numbers anywhere.
 
 solve_perturbed_reference is the classical variant it must agree with: it
-really adds 2**(-rank) to each edge cost and solves plain LPs.
+really adds 2**(-rank) to each edge cost, takes the optimum of one plain
+solve as x, and has the perturbed costs as its one stage.
 
 solve_naive drops both tie-breaking mechanisms' justifications down to one
-documented diagnostic: lexmin primal plus a single closest-dual per
-iteration, recording everything and stopping on integrality, on a detected
-repeat of the (x, family) pair, or on loss of the half-integral odd-cycle
-structure, instead of treating those as errors.
+documented diagnostic: lexmin primal plus the true costs as its one stage.
+It checks for an integral x and for a repeat of the (x, family) pair before
+its dual solve, and reports no perfect matching, the iteration cap or the
+loss of the half-integral odd-cycle structure as stop reasons instead of
+raising them.
+
+A graph with an odd number of vertices has no perfect matching; every mode
+says so before any solve.
 
 Every iteration of every mode appends an IterationRecord holding the family
 at solve time, the full primal vector, the dual stage vectors, and the exact
@@ -53,12 +62,13 @@ from .matchlp import (
     build_closest_dual,
     build_primal,
     canonical_sets,
+    crossing_keys,
     split_dual_solution,
     stage_cost,
     tight_sets,
 )
 from .perturb import SignViolation, series_first_sign
-from .rationals import R0, R1, Rational, rat
+from .rationals import R0, R1, rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,41 +182,42 @@ def _restrict_target(values: Mapping, family: set) -> dict:
     }
 
 
-def _stage_duals(g, sigma, costs, family, x, gammas):
-    """One closest-dual solve per stage, threading the drop context through.
+def _stage_duals(g, stages, family, x, targets):
+    """One closest-dual solve per stage cost vector, threading the drop
+    context through; targets[i] is stage i's target from the last iteration.
 
-    Returns (stage pi vectors, sets with positive series, solve count).
-    Raises SignViolation when any tracked stage series starts negative.
+    Returns (stage pi vectors, sets with positive series). Raises
+    SignViolation when any tracked stage series starts negative. With a
+    single stage the positive sets are those with pi(S) > 0, and no sign
+    check can fire: the closest-dual LP's own rows keep lo, hi, the edge
+    slacks and every cut's pi nonnegative while no set is free.
+
+    perturb.solve_perturbed_pair cannot run these stages: it fixes A and b
+    and stages only the objective, while here each stage drops distance
+    rows, edge rows and sign bounds according to the previous stage's
+    residuals, and takes targets carried over from the previous iteration.
     """
-    m = g.m
     f_x = tight_sets(g, x, family)
     keys = list(range(g.n)) + f_x
-    pairs = g.edge_pairs()
-    supp = {e for e in pairs if x.get(e, R0)}
-    crossing = {
-        e: [e[0], e[1]] + [s for s in f_x if (e[0] in s) != (e[1] in s)]
-        for e in pairs
-    }
+    crossing = crossing_keys(g, f_x)
+    supp = {e for e in crossing if x.get(e, R0)}
 
     ctx = StageContext()
     stage_pis: list[dict] = []
     lo_residuals = {k: [] for k in keys}
     hi_residuals = {k: [] for k in keys}
-    edge_slacks = {e: [] for e in pairs if e not in supp}
-    solves = 0
-    for i in range(m + 1):
-        ci = stage_cost(g, costs, sigma, i)
-        lp = build_closest_dual(g, ci, family, x, gammas[i], ctx)
+    edge_slacks = {e: [] for e in crossing if e not in supp}
+    for i, (ci, target) in enumerate(zip(stages, targets)):
+        lp = build_closest_dual(g, ci, family, x, target, ctx)
         out = solve(lp)
-        solves += 1
         if not isinstance(out, Optimal):
             raise StageSolveError(f"dual stage {i} came back {out.status}")
         pi, r = split_dual_solution(out.x)
-        pi = _reuse_targets(pi, gammas[i])
+        pi = _reuse_targets(pi, target)
         stage_pis.append(pi)
 
         for k in keys:
-            goal = rat(gammas[i].get(k, R0))
+            goal = rat(target.get(k, R0))
             lo = r[k] + pi[k] - goal
             hi = goal - (pi[k] - r[k])
             lo_residuals[k].append(lo)
@@ -215,11 +226,9 @@ def _stage_duals(g, sigma, costs, family, x, gammas):
                 ctx.dropped_lo.add(k)
             if hi:
                 ctx.dropped_hi.add(k)
-        for e, ks in crossing.items():
-            if e in supp:
-                continue
-            slack = ci[e] - sum((pi[k] for k in ks), R0)
-            edge_slacks[e].append(slack)
+        for e, slacks in edge_slacks.items():
+            slack = ci[e] - sum((pi[k] for k in crossing[e]), R0)
+            slacks.append(slack)
             if slack:
                 ctx.dropped_edges.add(e)
         for s in f_x:
@@ -241,186 +250,86 @@ def _stage_duals(g, sigma, costs, family, x, gammas):
     for e, slacks in edge_slacks.items():
         if series_first_sign(slacks) < 0:
             raise SignViolation(("edge", e), slacks)
-    return stage_pis, positive, solves
+    return stage_pis, positive
 
 
-def solve_unperturbed(
-    g: Graph, sigma: EdgeOrdering, iteration_cap: int | None = None
-) -> MatchingResult:
-    """Cutting-plane matching with staged duals standing in for perturbation."""
+def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -> NaiveTrace:
+    """The loop behind all three modes (see the module docstring).
+
+    The outcome comes back as a NaiveTrace; outside naive mode every stop
+    other than "Integral" is raised instead.
+    """
     sigma.validate_for(g)
     costs = g.cost_map()
     edges = _edge_keys(g, sigma)
     order = sigma.order()
-    m = g.m
-    cap = default_iteration_cap(g) if iteration_cap is None else iteration_cap
-    gammas: list[dict] = [{} for _ in range(m + 1)]
+    if mode == "perturbed":
+        costs = {e: rat(c) + rat(1, 2 ** sigma.rank[e]) for e, c in costs.items()}
+    stages = [costs]
+    if mode == "unperturbed":
+        stages = [stage_cost(g, costs, sigma, i) for i in range(g.m + 1)]
+    cap = default_iteration_cap(g) if cap is None else cap
     family: set[frozenset[int]] = set()
-    records: list[IterationRecord] = []
-    total = 0
-    while True:
-        index = len(records) + 1
-        if index > cap:
-            raise IterationCapExceeded(f"no integral optimum after {cap} iterations")
-        lp = build_primal(g, costs, family)
-        probe = solve(lp)
-        total += 1
-        if isinstance(probe, Infeasible):
-            raise NoPerfectMatching("the relaxation is infeasible")
-        if not isinstance(probe, Optimal):
-            raise StageSolveError("the relaxation came back unbounded")
-        lex = lex_min_optimal(lp, order)
-        total += lex.lp_solves
-        if lex.status != "optimal":
-            raise StageSolveError(f"lexicographic stage came back {lex.status}")
-        x = _dense(edges, lex.values)
-        stage_pis, positive, dual_solves = _stage_duals(
-            g, sigma, costs, family, x, gammas
-        )
-        total += dual_solves
-        records.append(
-            IterationRecord(
-                index=index,
-                family=tuple(canonical_sets(family)),
-                x=x,
-                dual_stages=tuple(stage_pis),
-                lp_solves=1 + lex.lp_solves + dual_solves,
-            )
-        )
-        family = _expand_family(g, x, positive)
-        gammas = [_restrict_target(pi, family) for pi in stage_pis]
-        if vector_is_integral(x):
-            break
-    matching = extract_matching(x, g.n)
-    return MatchingResult(
-        algorithm="unperturbed",
-        matching=matching,
-        cost=_matching_cost(g, matching),
-        iterations=tuple(records),
-        total_lp_solves=total,
-    )
-
-
-def solve_perturbed_reference(
-    g: Graph, sigma: EdgeOrdering, iteration_cap: int | None = None
-) -> MatchingResult:
-    """The explicit-perturbation variant: adds 2**(-rank) to each edge cost,
-    solves plain relaxations, and reports costs against the original values."""
-    sigma.validate_for(g)
-    costs = g.cost_map()
-    edges = _edge_keys(g, sigma)
-    perturbed = {
-        e: rat(costs[e]) + rat(1, 2 ** sigma.rank[e]) for e in g.edge_pairs()
-    }
-    cap = default_iteration_cap(g) if iteration_cap is None else iteration_cap
-    family: set[frozenset[int]] = set()
-    gamma: dict = {}
-    records: list[IterationRecord] = []
-    total = 0
-    while True:
-        index = len(records) + 1
-        if index > cap:
-            raise IterationCapExceeded(f"no integral optimum after {cap} iterations")
-        lp = build_primal(g, perturbed, family)
-        out = solve(lp)
-        total += 1
-        if isinstance(out, Infeasible):
-            raise NoPerfectMatching("the relaxation is infeasible")
-        if not isinstance(out, Optimal):
-            raise StageSolveError("the relaxation came back unbounded")
-        x = _dense(edges, out.x)
-        dlp = build_closest_dual(g, perturbed, family, x, gamma)
-        dout = solve(dlp)
-        total += 1
-        if not isinstance(dout, Optimal):
-            raise StageSolveError(f"closest dual came back {dout.status}")
-        pi, _ = split_dual_solution(dout.x)
-        pi = _reuse_targets(pi, gamma)
-        records.append(
-            IterationRecord(
-                index=index,
-                family=tuple(canonical_sets(family)),
-                x=x,
-                dual_stages=(pi,),
-                lp_solves=2,
-            )
-        )
-        positive = {k for k, v in pi.items() if isinstance(k, frozenset) and v > R0}
-        family = _expand_family(g, x, positive)
-        gamma = _restrict_target(pi, family)
-        if vector_is_integral(x):
-            break
-    matching = extract_matching(x, g.n)
-    return MatchingResult(
-        algorithm="perturbed",
-        matching=matching,
-        cost=_matching_cost(g, matching),
-        iterations=tuple(records),
-        total_lp_solves=total,
-    )
-
-
-def solve_naive(
-    g: Graph, sigma: EdgeOrdering, max_iterations: int = 50
-) -> NaiveTrace:
-    """Diagnostic mode: no perturbation and no stage series, just lexmin
-    primal plus one closest dual per iteration. Never raises on the failure
-    patterns it exists to exhibit; they become stop reasons."""
-    sigma.validate_for(g)
-    costs = g.cost_map()
-    edges = _edge_keys(g, sigma)
-    order = sigma.order()
-    family: set[frozenset[int]] = set()
-    gamma: dict = {}
+    targets: list[dict] = [{} for _ in stages]
     records: list[IterationRecord] = []
     seen: dict = {}
     total = 0
-    stop = "MaxIterationsReached"
-    detail = None
-    repeat_of = None
-    matching = None
-    for index in range(1, max_iterations + 1):
-        lp = build_primal(g, costs, family)
-        lex = lex_min_optimal(lp, order)
-        total += lex.lp_solves
-        if lex.status == "infeasible":
-            stop = "NoPerfectMatching"
-            break
-        if lex.status != "optimal":
-            raise StageSolveError(f"lexicographic stage came back {lex.status}")
-        x = _dense(edges, lex.values)
-        family_key = tuple(canonical_sets(family))
-        if vector_is_integral(x):
-            records.append(IterationRecord(index, family_key, x, (), lex.lp_solves))
-            matching = extract_matching(x, g.n)
-            stop = "Integral"
-            break
-        state = (tuple(sorted(x.items())), frozenset(family))
-        if state in seen:
-            records.append(IterationRecord(index, family_key, x, (), lex.lp_solves))
-            stop = "CyclingDetected"
-            repeat_of = seen[state]
-            detail = f"iteration {index} repeats iteration {seen[state]}"
-            break
-        seen[state] = index
-        dlp = build_closest_dual(g, costs, family, x, gamma)
-        dout = solve(dlp)
-        total += 1
-        if not isinstance(dout, Optimal):
-            raise StageSolveError(f"closest dual came back {dout.status}")
-        pi, _ = split_dual_solution(dout.x)
-        pi = _reuse_targets(pi, gamma)
-        records.append(
-            IterationRecord(index, family_key, x, (pi,), lex.lp_solves + 1)
-        )
-        positive = {k for k, v in pi.items() if isinstance(k, frozenset) and v > R0}
-        try:
+    stop, detail, repeat_of, matching = "Integral", None, None, None
+    try:
+        if g.n % 2:
+            raise NoPerfectMatching("the graph has an odd number of vertices")
+        while True:
+            index = len(records) + 1
+            if index > cap:
+                raise IterationCapExceeded(f"no integral optimum after {cap} iterations")
+            before = total
+            lp = build_primal(g, costs, family)
+            if mode != "naive":
+                probe = solve(lp)
+                total += 1
+                if isinstance(probe, Infeasible):
+                    raise NoPerfectMatching("the relaxation is infeasible")
+                if not isinstance(probe, Optimal):
+                    raise StageSolveError("the relaxation came back unbounded")
+                point = probe.x
+            if mode != "perturbed":
+                lex = lex_min_optimal(lp, order)
+                total += lex.lp_solves
+                if lex.status == "infeasible":
+                    raise NoPerfectMatching("the relaxation is infeasible")
+                if lex.status != "optimal":
+                    raise StageSolveError(f"lexicographic stage came back {lex.status}")
+                point = lex.values
+            x = _dense(edges, point)
+            family_key = tuple(canonical_sets(family))
+            if mode == "naive":
+                state = (tuple(sorted(x.items())), frozenset(family))
+                if vector_is_integral(x) or state in seen:
+                    records.append(IterationRecord(index, family_key, x, (), total - before))
+                    if state in seen:
+                        stop, repeat_of = "CyclingDetected", seen[state]
+                        detail = f"iteration {index} repeats iteration {repeat_of}"
+                    break
+                seen[state] = index
+            stage_pis, positive = _stage_duals(g, stages, family, x, targets)
+            total += len(stage_pis)
+            records.append(
+                IterationRecord(index, family_key, x, tuple(stage_pis), total - before)
+            )
             family = _expand_family(g, x, positive)
-        except (HalfIntegralityViolation, StructureViolation, FamilyViolation) as exc:
-            stop = type(exc).__name__
-            detail = str(exc)
-            break
-        gamma = _restrict_target(pi, family)
+            targets = [_restrict_target(pi, family) for pi in stage_pis]
+            if vector_is_integral(x):
+                break
+    except (NoPerfectMatching, IterationCapExceeded) as exc:
+        if mode != "naive":
+            raise
+        stop = "NoPerfectMatching" if isinstance(exc, NoPerfectMatching) else "MaxIterationsReached"
+    except (HalfIntegralityViolation, StructureViolation, FamilyViolation) as exc:
+        if mode != "naive":
+            raise
+        stop, detail = type(exc).__name__, str(exc)
+    if stop == "Integral":
+        matching = extract_matching(x, g.n)
     return NaiveTrace(
         stop_reason=stop,
         detail=detail,
@@ -430,3 +339,37 @@ def solve_naive(
         matching=matching,
         cost=None if matching is None else _matching_cost(g, matching),
     )
+
+
+def _matching_result(algorithm: str, trace: NaiveTrace) -> MatchingResult:
+    return MatchingResult(
+        algorithm=algorithm,
+        matching=trace.matching,
+        cost=trace.cost,
+        iterations=trace.iterations,
+        total_lp_solves=trace.total_lp_solves,
+    )
+
+
+def solve_unperturbed(
+    g: Graph, sigma: EdgeOrdering, iteration_cap: int | None = None
+) -> MatchingResult:
+    """Cutting-plane matching with staged duals standing in for perturbation."""
+    return _matching_result("unperturbed", _cutting_planes(g, sigma, "unperturbed", iteration_cap))
+
+
+def solve_perturbed_reference(
+    g: Graph, sigma: EdgeOrdering, iteration_cap: int | None = None
+) -> MatchingResult:
+    """The explicit-perturbation variant: adds 2**(-rank) to each edge cost,
+    solves plain relaxations, and reports costs against the original values."""
+    return _matching_result("perturbed", _cutting_planes(g, sigma, "perturbed", iteration_cap))
+
+
+def solve_naive(
+    g: Graph, sigma: EdgeOrdering, max_iterations: int = 50
+) -> NaiveTrace:
+    """Diagnostic mode: no perturbation and no stage series, just lexmin
+    primal plus one closest dual per iteration. Never raises on the failure
+    patterns it exists to exhibit; they become stop reasons."""
+    return _cutting_planes(g, sigma, "naive", max_iterations)

@@ -78,13 +78,6 @@ class Graph:
     def cost_map(self) -> dict[Edge, int]:
         return {(u, v): c for u, v, c in self.edges}
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: sorted(nbrs) for v, nbrs in adj.items()}
-
 
 @dataclass(frozen=True)
 class EdgeOrdering:
@@ -117,13 +110,11 @@ class EdgeOrdering:
 
 def cut_edges(g: Graph, s: Iterable[int]) -> frozenset[Edge]:
     """Edges with exactly one endpoint in s."""
-    sset = frozenset(s)
-    for v in sset:
+    s = frozenset(s)
+    for v in s:
         if not (0 <= v < g.n):
             raise GraphError(f"cut member {v} outside vertex range")
-    return frozenset(
-        (u, v) for u, v, _ in g.edges if (u in sset) != (v in sset)
-    )
+    return frozenset((u, v) for u, v, _ in g.edges if (u in s) != (v in s))
 
 
 def is_laminar(family: Iterable[frozenset[int]]) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graphs import Edge, EdgeOrdering, Graph, GraphError, validate_cut_family
+from .graphs import Edge, EdgeOrdering, Graph, cut_edges, validate_cut_family
 from .linprog import EQ, GE, LE, MIN, LinearProgram
 from .rationals import R0, R1, rat
 
@@ -51,8 +51,7 @@ def build_primal(g: Graph, costs: Mapping[Edge, object], family) -> LinearProgra
     for v in range(g.n):
         rows.append((("deg", v), incident[v], EQ, R1))
     for s in canonical_sets(sets):
-        coeffs = {e: R1 for e in pairs if (e[0] in s) != (e[1] in s)}
-        rows.append((("cut", s), coeffs, GE, R1))
+        rows.append((("cut", s), {e: R1 for e in cut_edges(g, s)}, GE, R1))
     objective = {e: rat(costs[e]) for e in pairs}
     return LinearProgram(MIN, [(e, True) for e in pairs], objective, rows)
 
@@ -61,10 +60,19 @@ def tight_sets(g: Graph, x: Mapping[Edge, object], family) -> list[frozenset[int
     """The family members whose cut row holds with equality at x."""
     out = []
     for s in canonical_sets(family):
-        total = sum((x.get(e, R0) for e in g.edge_pairs() if (e[0] in s) != (e[1] in s)), R0)
-        if total == R1:
+        if sum((x.get(e, R0) for e in cut_edges(g, s)), R0) == R1:
             out.append(s)
     return out
+
+
+def crossing_keys(g: Graph, sets) -> dict[Edge, list[DualKey]]:
+    """For each edge in graph order, the dual keys of the cuts it crosses:
+    its two endpoints, then each member of `sets` in the order given."""
+    keys: dict[Edge, list[DualKey]] = {(u, v): [u, v] for u, v in g.edge_pairs()}
+    for s in sets:
+        for e in cut_edges(g, s):
+            keys[e].append(s)
+    return keys
 
 
 def check_primal_feasible(g: Graph, x: Mapping[Edge, object], family) -> None:
@@ -84,7 +92,7 @@ def check_primal_feasible(g: Graph, x: Mapping[Edge, object], family) -> None:
         if total != R1:
             raise MatchingLpError(f"vertex {v} has degree {total}, not 1")
     for s in canonical_sets(family):
-        total = sum((x.get(e, R0) for e in pairs if (e[0] in s) != (e[1] in s)), R0)
+        total = sum((x.get(e, R0) for e in cut_edges(g, s)), R0)
         if total < R1:
             raise MatchingLpError(f"cut {sorted(s)} carries {total} < 1")
 
@@ -133,7 +141,8 @@ def build_closest_dual(
     keys: list[DualKey] = list(range(g.n)) + f_x
     key_set = set(keys)
 
-    supp = {e for e in g.edge_pairs() if x.get(e, R0)}
+    crossing = crossing_keys(g, f_x)
+    supp = {e for e in crossing if x.get(e, R0)}
     if ctx.dropped_edges & supp:
         raise MatchingLpError("context drops a support edge row")
     if not ctx.free_sets <= set(f_x):
@@ -144,14 +153,6 @@ def build_closest_dual(
 
     def size(key: DualKey) -> int:
         return 1 if isinstance(key, int) else len(key)
-
-    def crossing(e: Edge) -> list[DualKey]:
-        u, v = e
-        out: list[DualKey] = [u, v]
-        for s in f_x:
-            if (u in s) != (v in s):
-                out.append(s)
-        return out
 
     variables = [(("pi", k), isinstance(k, frozenset) and k not in ctx.free_sets) for k in keys]
     variables += [(("r", k), True) for k in keys]
@@ -164,8 +165,8 @@ def build_closest_dual(
             rows.append(((("lo", k)), {("r", k): R1, ("pi", k): R1}, GE, goal))
         if k not in ctx.dropped_hi:
             rows.append(((("hi", k)), {("r", k): -R1, ("pi", k): R1}, LE, goal))
-    for e in g.edge_pairs():
-        coeffs = {("pi", k): R1 for k in crossing(e)}
+    for e, ks in crossing.items():
+        coeffs = {("pi", k): R1 for k in ks}
         if e in supp:
             rows.append((("tight", e), coeffs, EQ, rat(costs[e])))
         elif e not in ctx.dropped_edges:

@@ -86,15 +86,21 @@ def test_missing_file_exit(capsys):
 
 
 def test_no_perfect_matching_exits_two(tmp_path, capsys):
-    path = triangles_file(tmp_path)
-    assert main(["solve", path]) == EXIT_NO_MATCHING
-    capsys.readouterr()
-    assert main(["solve", path, "--algorithm", "perturbed"]) == EXIT_NO_MATCHING
-    capsys.readouterr()
-    code = main(["solve", path, "--algorithm", "naive"])
-    out = capsys.readouterr().out
-    assert code == EXIT_NO_MATCHING
-    assert "stop NoPerfectMatching" in out
+    # Two triangles, then a triangle and a 5-cycle: odd vertex counts.
+    paths = [
+        triangles_file(tmp_path),
+        write(tmp_path, "k3.g", "p edge 3 3\ne 0 1 1\ne 1 2 1\ne 0 2 1\n"),
+        write(tmp_path, "c5.g", "p edge 5 5\n" + "".join(f"e {v} {(v + 1) % 5} 1\n" for v in range(5))),
+    ]
+    for path in paths:
+        assert main(["solve", path]) == EXIT_NO_MATCHING
+        capsys.readouterr()
+        assert main(["solve", path, "--algorithm", "perturbed"]) == EXIT_NO_MATCHING
+        capsys.readouterr()
+        code = main(["solve", path, "--algorithm", "naive"])
+        out = capsys.readouterr().out
+        assert code == EXIT_NO_MATCHING
+        assert "stop NoPerfectMatching" in out
 
 
 def test_iteration_cap_exits_three(capsys):

@@ -66,6 +66,17 @@ def test_no_perfect_matching_raises():
     # One fractional iteration, then the cut rows expose the infeasibility.
     assert len(naive.iterations) == 1
     assert naive.total_lp_solves == 9
+    # An odd vertex count is caught before any solve.
+    for n in (3, 5):
+        g = Graph(n, tuple((v, (v + 1) % n, 1) for v in range(n)))
+        sigma = EdgeOrdering.from_sequence(g.edge_pairs())
+        with pytest.raises(NoPerfectMatching, match="odd number of vertices"):
+            solve_unperturbed(g, sigma)
+        with pytest.raises(NoPerfectMatching, match="odd number of vertices"):
+            solve_perturbed_reference(g, sigma)
+        naive = solve_naive(g, sigma)
+        assert naive.stop_reason == "NoPerfectMatching"
+        assert naive.iterations == () and naive.total_lp_solves == 0
 
 
 def test_iteration_cap():
@@ -111,6 +122,32 @@ DANCING_ROBOT_STAGE_DIGESTS = (
     "aef1e55649b579f49f90105faf8a6335d6e2aedce7880e7a5b774cf6bb7b3329",
     "79d289403babc21e29259f14314b0da2ea48665bccedcf392433ae6074ce9d3d",
 )
+
+#: The same digests for the two single-stage modes: perturbed dancing_robot
+#: and naive cycling. Naive mode's fourth iteration stops on the repeat before
+#: its dual solve, so its stage list is empty (the digest of no text).
+PERTURBED_DANCING_ROBOT_STAGE_DIGESTS = (
+    "f74d84e4b9ef8a36266c5459f034511394dc7169b7f831db36a0d5c9d3daa5e1",
+    "be4261335b5fe7fcca8577116ae17702db0cadfb92060b9a6b9fb17e3fba7c27",
+    "efdc7d5287d0df1ed852585e778ebd5240593ad021f0da90ea531638e67492f1",
+)
+NAIVE_CYCLING_STAGE_DIGESTS = (
+    "cd6874866c70da0cae024115d5d6842a9f2280a69845dcd0e0159083fdd14271",
+    "43d3c039e49c1d02e0c74d00f9fa45c8b5451ee5ca3eb295036fdc902e33ed3c",
+    "82dacaf9d46af91ecb7b5ac0927e8523d073cd8b68c8488e8b341793eb635d67",
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+)
+
+
+def test_single_stage_modes_pin_their_duals():
+    g, sigma, _ = dancing_robot()
+    ref = solve_perturbed_reference(g, sigma)
+    assert all(len(r.dual_stages) == 1 for r in ref.iterations)
+    assert tuple(_stage_digest(r) for r in ref.iterations) == PERTURBED_DANCING_ROBOT_STAGE_DIGESTS
+    g, sigma, _ = cycling_graph()
+    naive = solve_naive(g, sigma)
+    assert [len(r.dual_stages) for r in naive.iterations] == [1, 1, 1, 0]
+    assert tuple(_stage_digest(r) for r in naive.iterations) == NAIVE_CYCLING_STAGE_DIGESTS
 
 
 def test_dancing_robot_unperturbed_trace():

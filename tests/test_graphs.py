@@ -31,7 +31,6 @@ def test_edges_are_normalized_and_order_preserved():
     assert g.m == 2
     assert g.edge_pairs() == ((0, 3), (1, 2))
     assert g.cost_map() == {(0, 3): 5, (1, 2): -2}
-    assert g.adjacency() == {0: [3], 1: [2], 2: [1], 3: [0]}
 
 
 def test_construction_rejects_bad_edges():
