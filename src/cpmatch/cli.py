@@ -64,34 +64,20 @@ def _iteration_json(rec: IterationRecord) -> dict:
 
 
 def _trace_json(result: MatchingResult | NaiveTrace) -> dict:
-    if isinstance(result, MatchingResult):
-        top = {
-            "algorithm": result.algorithm,
-            "totalLpSolves": result.total_lp_solves,
-            "result": sorted(f"{u}-{v}" for u, v in result.matching),
-            "cost": result.cost,
-        }
-    else:
-        top = {
-            "algorithm": "naive",
-            "totalLpSolves": result.total_lp_solves,
-            "result": result.stop_reason,
-            "cost": result.cost,
-        }
+    naive = isinstance(result, NaiveTrace)
+    top = {
+        "algorithm": "naive" if naive else result.algorithm,
+        "totalLpSolves": result.total_lp_solves,
+        "result": result.stop_reason if naive else sorted(f"{u}-{v}" for u, v in result.matching),
+        "cost": result.cost,
+    }
+    if naive:
         if result.detail is not None:
             top["detail"] = result.detail
         if result.repeat_of is not None:
             top["repeatOf"] = result.repeat_of
     top["iterations"] = [_iteration_json(r) for r in result.iterations]
     return top
-
-
-def _print_matching(matching, cost, iterations, lp_solves, out) -> None:
-    for u, v in sorted(matching):
-        print(f"matching {u} {v}", file=out)
-    print(f"cost {cost}", file=out)
-    print(f"iterations {iterations}", file=out)
-    print(f"lp-solves {lp_solves}", file=out)
 
 
 def _validate(g: Graph, matching, cost, err) -> int:
@@ -130,7 +116,7 @@ def _cmd_solve(args, out, err) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.file}: {exc}", file=err)
         return EXIT_PARSE
     try:
@@ -154,22 +140,19 @@ def _cmd_solve(args, out, err) -> int:
         print(f"invariant violated: {type(exc).__name__}: {exc}", file=err)
         return EXIT_INVARIANT
 
-    if isinstance(result, MatchingResult):
-        matching, cost = result.matching, result.cost
-        _print_matching(matching, cost, len(result.iterations), result.total_lp_solves, out)
-    else:
+    if isinstance(result, NaiveTrace):
         print(f"stop {result.stop_reason}", file=out)
         if result.detail:
             print(f"detail {result.detail}", file=out)
         if result.repeat_of is not None:
             print(f"repeat-of {result.repeat_of}", file=out)
-        matching, cost = result.matching, result.cost
-        if matching is not None:
-            for u, v in sorted(matching):
-                print(f"matching {u} {v}", file=out)
-            print(f"cost {cost}", file=out)
-        print(f"iterations {len(result.iterations)}", file=out)
-        print(f"lp-solves {result.total_lp_solves}", file=out)
+    matching, cost = result.matching, result.cost
+    if matching is not None:
+        for u, v in sorted(matching):
+            print(f"matching {u} {v}", file=out)
+        print(f"cost {cost}", file=out)
+    print(f"iterations {len(result.iterations)}", file=out)
+    print(f"lp-solves {result.total_lp_solves}", file=out)
 
     if args.trace:
         text = json.dumps(_trace_json(result), indent=2) + "\n"

@@ -58,16 +58,14 @@ from .graphs import (
 from .lexmin import lex_min_optimal
 from .linprog import Infeasible, Optimal, solve
 from .matchlp import (
-    StageContext,
     build_closest_dual,
     build_primal,
     canonical_sets,
-    crossing_keys,
     split_dual_solution,
+    stage_context,
     stage_cost,
-    tight_sets,
 )
-from .perturb import SignViolation, series_first_sign
+from .perturb import SignViolation
 from .rationals import R0, R1, rat
 
 
@@ -183,74 +181,54 @@ def _restrict_target(values: Mapping, family: set) -> dict:
 
 
 def _stage_duals(g, stages, family, x, targets):
-    """One closest-dual solve per stage cost vector, threading the drop
-    context through; targets[i] is stage i's target from the last iteration.
+    """One closest-dual solve per stage cost vector, all on one StageContext;
+    targets[i] is stage i's target from the last iteration.
 
-    Returns (stage pi vectors, sets with positive series). Raises
-    SignViolation when any tracked stage series starts negative. With a
-    single stage the positive sets are those with pi(S) > 0, and no sign
-    check can fire: the closest-dual LP's own rows keep lo, hi, the edge
-    slacks and every cut's pi nonnegative while no set is free.
+    A distance row, non-support edge row or set sign bound stays in the
+    stages until its value (residual, slack, or the set's pi) is first
+    nonzero. That value decides the sign of its stage series: a negative one
+    raises SignViolation (the certificate-checked rows and bounds forbid it,
+    so only a faulty solve can), a positive one drops the row or bound from
+    all later stages. Returns the stage pi vectors and the sets whose bound
+    was dropped, which are those with a positive series.
 
     perturb.solve_perturbed_pair cannot run these stages: it fixes A and b
-    and stages only the objective, while here each stage drops distance
-    rows, edge rows and sign bounds according to the previous stage's
-    residuals, and takes targets carried over from the previous iteration.
+    and stages only the objective, while here the stages drop rows and
+    bounds and take targets carried over from the previous iteration.
     """
-    f_x = tight_sets(g, x, family)
-    keys = list(range(g.n)) + f_x
-    crossing = crossing_keys(g, f_x)
-    supp = {e for e in crossing if x.get(e, R0)}
-
-    ctx = StageContext()
+    ctx = stage_context(g, x, family)
     stage_pis: list[dict] = []
-    lo_residuals = {k: [] for k in keys}
-    hi_residuals = {k: [] for k in keys}
-    edge_slacks = {e: [] for e in crossing if e not in supp}
     for i, (ci, target) in enumerate(zip(stages, targets)):
-        lp = build_closest_dual(g, ci, family, x, target, ctx)
-        out = solve(lp)
+        out = solve(build_closest_dual(ctx, ci, target))
         if not isinstance(out, Optimal):
             raise StageSolveError(f"dual stage {i} came back {out.status}")
         pi, r = split_dual_solution(out.x)
         pi = _reuse_targets(pi, target)
         stage_pis.append(pi)
 
-        for k in keys:
+        for k in ctx.keys:
             goal = rat(target.get(k, R0))
-            lo = r[k] + pi[k] - goal
-            hi = goal - (pi[k] - r[k])
-            lo_residuals[k].append(lo)
-            hi_residuals[k].append(hi)
-            if lo:
-                ctx.dropped_lo.add(k)
-            if hi:
-                ctx.dropped_hi.add(k)
-        for e, slacks in edge_slacks.items():
-            slack = ci[e] - sum((pi[k] for k in crossing[e]), R0)
-            slacks.append(slack)
-            if slack:
-                ctx.dropped_edges.add(e)
-        for s in f_x:
-            if pi[s]:
-                ctx.free_sets.add(s)
+            if k not in ctx.dropped_lo:
+                _drop_if_nonzero(ctx.dropped_lo, "lo", k, r[k] + pi[k] - goal, i)
+            if k not in ctx.dropped_hi:
+                _drop_if_nonzero(ctx.dropped_hi, "hi", k, goal - (pi[k] - r[k]), i)
+        for e, ks in ctx.crossing.items():
+            if e not in ctx.support and e not in ctx.dropped_edges:
+                slack = ci[e] - sum((pi[k] for k in ks), R0)
+                _drop_if_nonzero(ctx.dropped_edges, "edge", e, slack, i)
+        for s in ctx.tight:
+            if s not in ctx.free_sets:
+                _drop_if_nonzero(ctx.free_sets, "cut", s, pi[s], i)
+    return stage_pis, ctx.free_sets
 
-    for k in keys:
-        if series_first_sign(lo_residuals[k]) < 0:
-            raise SignViolation(("lo", k), lo_residuals[k])
-        if series_first_sign(hi_residuals[k]) < 0:
-            raise SignViolation(("hi", k), hi_residuals[k])
-    positive = set()
-    for s in f_x:
-        sign = series_first_sign([pi.get(s, R0) for pi in stage_pis])
-        if sign < 0:
-            raise SignViolation(("cut", s), [pi.get(s, R0) for pi in stage_pis])
-        if sign > 0:
-            positive.add(s)
-    for e, slacks in edge_slacks.items():
-        if series_first_sign(slacks) < 0:
-            raise SignViolation(("edge", e), slacks)
-    return stage_pis, positive
+
+def _drop_if_nonzero(dropped: set, kind: str, key, value, stage: int) -> None:
+    """Add key to dropped when value, the first nonzero of its stage series
+    (every earlier stage gave 0), is positive; raise when it is negative."""
+    if value:
+        if value < 0:
+            raise SignViolation((kind, key), (R0,) * stage + (value,))
+        dropped.add(key)
 
 
 def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -> NaiveTrace:

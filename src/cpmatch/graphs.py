@@ -101,12 +101,6 @@ class EdgeOrdering:
     def order(self) -> list[Edge]:
         return sorted(self.rank, key=self.rank.__getitem__)
 
-    def edge_at(self, r: int) -> Edge:
-        for e, rr in self.rank.items():
-            if rr == r:
-                return e
-        raise KeyError(r)
-
 
 def cut_edges(g: Graph, s: Iterable[int]) -> frozenset[Edge]:
     """Edges with exactly one endpoint in s."""

@@ -119,9 +119,6 @@ class LinearProgram:
     def variable_index(self, name: Hashable) -> int:
         return self._index[name]
 
-    def is_nonnegative(self, name: Hashable) -> bool:
-        return self.variables[self._index[name]].nonnegative
-
 
 @dataclass(frozen=True)
 class Optimal:
@@ -144,13 +141,11 @@ class Unbounded:
 LPOutcome = Optimal | Infeasible | Unbounded
 
 
-def solve(
-    lp: LinearProgram, verify: bool = True, start: Tableau | None = None
-) -> LPOutcome:
+def solve(lp: LinearProgram, start: Tableau | None = None) -> LPOutcome:
     """Solve exactly, on a fresh Tableau or on ``start`` (see the module
     docstring); on Optimal the (x, y, objective) certificate is verified."""
     outcome = (Tableau() if start is None else start).optimize(lp)
-    if verify and isinstance(outcome, Optimal):
+    if isinstance(outcome, Optimal):
         verify_certificate(lp, outcome)
     return outcome
 

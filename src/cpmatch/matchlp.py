@@ -9,6 +9,8 @@ pick the one minimizing the size-weighted distance sum(|target(S) - pi(S)|/|S|)
 to a target vector via auxiliary r(S) variables. Stage variants drop rows or
 relax variable bounds according to an accumulated context, which is how the
 staged emulation of an infinitesimal cost perturbation reuses one builder.
+The context also holds what all stages against one x share (tight sets,
+dual keys, crossing lists, support), so it is computed once per x.
 
 Keys for dual quantities are vertex ids (ints) for singleton cuts and
 frozensets for family cuts. Sets in F whose cut row is slack at x get no dual
@@ -99,17 +101,39 @@ def check_primal_feasible(g: Graph, x: Mapping[Edge, object], family) -> None:
 
 @dataclass
 class StageContext:
-    """Accumulated drop sets for the staged dual solves.
+    """What the closest-dual stages of one iteration share, plus the drop
+    sets they accumulate.
 
-    dropped_lo / dropped_hi hold dual keys whose distance rows are gone,
-    dropped_edges holds non-support edges whose capacity row is gone, and
-    free_sets holds tight family sets whose nonnegativity bound is gone.
+    keys are the dual keys (vertices, then the tight sets in canonical
+    order), tight the family sets whose cut row is tight at x, crossing the
+    dual keys of each edge (see crossing_keys) and support the edges with
+    x(e) > 0. dropped_lo / dropped_hi hold dual keys whose distance rows are
+    gone, dropped_edges holds non-support edges whose capacity row is gone,
+    and free_sets holds tight sets whose nonnegativity bound is gone.
     """
 
+    keys: list[DualKey]
+    tight: list[frozenset[int]]
+    crossing: dict[Edge, list[DualKey]]
+    support: set[Edge]
     dropped_lo: set = field(default_factory=set)
     dropped_hi: set = field(default_factory=set)
     dropped_edges: set = field(default_factory=set)
     free_sets: set = field(default_factory=set)
+
+
+def stage_context(g: Graph, x: Mapping[Edge, object], family) -> StageContext:
+    """The shared part of every closest-dual stage against primal optimum x,
+    with no rows or bounds dropped yet; raises if x is infeasible."""
+    check_primal_feasible(g, x, family)
+    tight = tight_sets(g, x, family)
+    crossing = crossing_keys(g, tight)
+    return StageContext(
+        keys=list(range(g.n)) + tight,
+        tight=tight,
+        crossing=crossing,
+        support={e for e in crossing if x.get(e, R0)},
+    )
 
 
 def stage_cost(g: Graph, costs: Mapping[Edge, int], sigma: EdgeOrdering, i: int) -> dict:
@@ -121,32 +145,22 @@ def stage_cost(g: Graph, costs: Mapping[Edge, int], sigma: EdgeOrdering, i: int)
 
 
 def build_closest_dual(
-    g: Graph,
-    costs: Mapping[Edge, object],
-    family,
-    x: Mapping[Edge, object],
-    target: Mapping[DualKey, object],
-    ctx: StageContext | None = None,
+    ctx: StageContext, costs: Mapping[Edge, object], target: Mapping[DualKey, object]
 ) -> LinearProgram:
-    """The distance-minimal dual program against primal optimum x.
+    """The distance-minimal dual program against the primal optimum ctx was
+    built for.
 
     Feasible points are exactly the optimal duals of the relaxation (tight
     rows on the support enforce complementary slackness); the objective picks
-    the one closest to `target` in the size-weighted L1 sense. `ctx` drops
-    rows and bounds for the stage variants; omitted keys of `target` read 0.
+    the one closest to `target` in the size-weighted L1 sense. The drop sets
+    of `ctx` remove rows and bounds for the stage variants; omitted keys of
+    `target` read 0.
     """
-    ctx = ctx or StageContext()
-    check_primal_feasible(g, x, family)
-    f_x = tight_sets(g, x, family)
-    keys: list[DualKey] = list(range(g.n)) + f_x
-    key_set = set(keys)
-
-    crossing = crossing_keys(g, f_x)
-    supp = {e for e in crossing if x.get(e, R0)}
-    if ctx.dropped_edges & supp:
+    if ctx.dropped_edges & ctx.support:
         raise MatchingLpError("context drops a support edge row")
-    if not ctx.free_sets <= set(f_x):
+    if not ctx.free_sets <= set(ctx.tight):
         raise MatchingLpError("context frees a set without a tight cut row")
+    key_set = set(ctx.keys)
     for key in (ctx.dropped_lo | ctx.dropped_hi):
         if key not in key_set:
             raise MatchingLpError(f"context references unknown dual key {key!r}")
@@ -154,6 +168,7 @@ def build_closest_dual(
     def size(key: DualKey) -> int:
         return 1 if isinstance(key, int) else len(key)
 
+    keys = ctx.keys
     variables = [(("pi", k), isinstance(k, frozenset) and k not in ctx.free_sets) for k in keys]
     variables += [(("r", k), True) for k in keys]
     objective = {("r", k): rat(1, size(k)) for k in keys}
@@ -165,9 +180,9 @@ def build_closest_dual(
             rows.append(((("lo", k)), {("r", k): R1, ("pi", k): R1}, GE, goal))
         if k not in ctx.dropped_hi:
             rows.append(((("hi", k)), {("r", k): -R1, ("pi", k): R1}, LE, goal))
-    for e, ks in crossing.items():
+    for e, ks in ctx.crossing.items():
         coeffs = {("pi", k): R1 for k in ks}
-        if e in supp:
+        if e in ctx.support:
             rows.append((("tight", e), coeffs, EQ, rat(costs[e])))
         elif e not in ctx.dropped_edges:
             rows.append((("edge", e), coeffs, LE, rat(costs[e])))

@@ -89,11 +89,6 @@ def series_first_sign(series: Sequence) -> int:
     return 0
 
 
-def series_is_positive(series: DualSeries, row) -> bool:
-    """True when the row's stage series has a positive first nonzero entry."""
-    return series_first_sign(series.row_series(row)) > 0
-
-
 @dataclass(frozen=True)
 class StageRecord:
     index: int

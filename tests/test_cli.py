@@ -79,10 +79,13 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "line 2: loop at vertex 0" in captured.err
 
 
-def test_missing_file_exit(capsys):
-    code = main(["solve", "/no/such/file.g"])
-    assert code == EXIT_PARSE
-    assert "cannot read" in capsys.readouterr().err
+def test_missing_file_exit(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.g"
+    undecodable.write_bytes(b"p edge 2 1\ne 0 1 7 \xff\n")
+    for path in ("/no/such/file.g", str(undecodable)):
+        code = main(["solve", path])
+        assert code == EXIT_PARSE
+        assert f"cannot read {path}:" in capsys.readouterr().err
 
 
 def test_no_perfect_matching_exits_two(tmp_path, capsys):

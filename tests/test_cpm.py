@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cpmatch import cpm
 from cpmatch.cpm import (
     default_iteration_cap,
     extract_matching,
@@ -16,7 +17,9 @@ from cpmatch.errors import IterationCapExceeded, NoPerfectMatching
 from cpmatch.fixtures import altered_robot, cycling_graph, dancing_robot
 from cpmatch.gen import random_matchable_graph, random_ordering
 from cpmatch.graphs import EdgeOrdering, Graph, cut_edges, support
+from cpmatch.linprog import Optimal
 from cpmatch.oracle import brute_force_matchings, lex_tie_break
+from cpmatch.perturb import SignViolation
 from cpmatch.rationals import HALF, R0, R1, rat, rat_str
 
 
@@ -137,6 +140,28 @@ NAIVE_CYCLING_STAGE_DIGESTS = (
     "82dacaf9d46af91ecb7b5ac0927e8523d073cd8b68c8488e8b341793eb635d67",
     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 )
+
+
+def test_negative_first_stage_value_raises_sign_violation(monkeypatch):
+    # A faulty closest-dual solve that leaves vertex 0's lo residual at -1 in
+    # the first stage: the first nonzero of its series is negative.
+    real = cpm.solve
+
+    def tampered(lp, *args, **kwargs):
+        out = real(lp, *args, **kwargs)
+        if isinstance(out, Optimal) and ("r", 0) in out.x:
+            x = dict(out.x)
+            x[("r", 0)] = -x[("pi", 0)] - 1
+            out = Optimal(x, out.y, out.objective)
+        return out
+
+    monkeypatch.setattr(cpm, "solve", tampered)
+    g, sigma = k2()
+    for solver in (solve_unperturbed, solve_perturbed_reference):
+        with pytest.raises(SignViolation) as err:
+            solver(g, sigma)
+        assert err.value.what == ("lo", 0)
+        assert err.value.series == (rat(-1),)
 
 
 def test_single_stage_modes_pin_their_duals():

@@ -51,14 +51,11 @@ def test_ordering_bijection_checks():
     sigma = EdgeOrdering.from_sequence([(2, 3), (1, 0)])
     assert sigma.rank == {(2, 3): 1, (0, 1): 2}
     assert sigma.order() == [(2, 3), (0, 1)]
-    assert sigma.edge_at(2) == (0, 1)
     sigma.validate_for(g)
     with pytest.raises(GraphError, match="bijection"):
         EdgeOrdering({(0, 1): 1, (2, 3): 3})
     with pytest.raises(GraphError, match="cover"):
         EdgeOrdering({(0, 1): 1}).validate_for(g)
-    with pytest.raises(KeyError):
-        sigma.edge_at(3)
 
 
 def test_cut_edges():

@@ -4,7 +4,8 @@ perfbench/tracing.py patches names in cpmatch.cpm (solve, lex_min_optimal,
 build_primal, build_closest_dual, odd_cycles, validate_cut_family) and
 attributes each LP solve to the probe, lexmin or the stage duals. These
 tests fail if the solver stops calling through those names or the layers
-stop adding up to the solve counts criterion 7 pins.
+stop adding up to the solve counts criterion 7 pins. The shared part of the
+closest-dual stages is checked to be built once per iteration.
 """
 
 import sys
@@ -17,6 +18,7 @@ if PERFBENCH not in sys.path:
 import instances  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
+from cpmatch import matchlp  # noqa: E402
 from cpmatch.cpm import (  # noqa: E402
     solve_naive,
     solve_perturbed_reference,
@@ -90,3 +92,18 @@ def test_naive_layers():
     assert tracer.span_count("lexmin") == iters
     assert tracer.span_count("matchlp.build_closest_dual") == duals
     check_common(res, tracer)
+
+
+def test_stage_context_built_once_per_iteration(monkeypatch):
+    calls = []
+    real = matchlp.tight_sets
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matchlp, "tight_sets", counted)
+    inst = instances.build_pool("cuts", 1, [])[0]
+    res = solve_unperturbed(inst.graph, inst.sigma)
+    assert len(res.iterations) >= 2
+    assert len(calls) == len(res.iterations)

@@ -6,12 +6,12 @@ from cpmatch.graphs import EdgeOrdering, Graph
 from cpmatch.linprog import EQ, GE, Optimal, solve
 from cpmatch.matchlp import (
     MatchingLpError,
-    StageContext,
     build_closest_dual,
     build_primal,
     canonical_sets,
     check_primal_feasible,
     split_dual_solution,
+    stage_context,
     stage_cost,
     tight_sets,
     weighted_deviation,
@@ -111,7 +111,7 @@ def test_closest_dual_feasible_points_are_optimal_duals():
     g = bridged_triangles()
     s = frozenset({0, 1, 2})
     x = {(0, 1): R1, (2, 3): R1, (4, 5): R1}
-    lp = build_closest_dual(g, g.cost_map(), [s], x, target={})
+    lp = build_closest_dual(stage_context(g, x, [s]), g.cost_map(), target={})
     out = solve(lp)
     assert isinstance(out, Optimal)
     pi, r = split_dual_solution(out.x)
@@ -132,7 +132,7 @@ def test_closest_dual_tracks_target():
     g = square()
     x = {(0, 1): R1, (2, 3): R1, (1, 2): R0, (0, 3): R0}
     target = {0: HALF, 1: HALF, 2: HALF, 3: HALF}
-    out = solve(build_closest_dual(g, g.cost_map(), [], x, target))
+    out = solve(build_closest_dual(stage_context(g, x, []), g.cost_map(), target))
     pi, r = split_dual_solution(out.x)
     # The all-halves potential is itself an optimal dual, so the distance is 0.
     assert out.objective == R0
@@ -143,7 +143,7 @@ def test_closest_dual_tracks_target():
 def test_closest_dual_respects_nonsupport_capacities():
     g = Graph(4, ((0, 1, 1), (2, 3, 1), (0, 2, 0)))
     x = {(0, 1): R1, (2, 3): R1, (0, 2): R0}
-    out = solve(build_closest_dual(g, g.cost_map(), [], x, target={0: rat(9)}))
+    out = solve(build_closest_dual(stage_context(g, x, []), g.cost_map(), target={0: rat(9)}))
     pi, _ = split_dual_solution(out.x)
     # pi(0) wants to reach 9 but the zero-cost non-support edge caps pi(0)+pi(2).
     assert pi[0] + pi[2] <= R0
@@ -156,21 +156,28 @@ def test_stage_context_validation():
     s = frozenset({0, 1, 2})
     x = {(0, 1): R1, (2, 3): R1, (4, 5): R1}
     cm = g.cost_map()
+    ctx = stage_context(g, x, [s])
+    ctx.dropped_edges = {(0, 1)}
     with pytest.raises(MatchingLpError, match="support edge"):
-        build_closest_dual(g, cm, [s], x, {}, StageContext(dropped_edges={(0, 1)}))
+        build_closest_dual(ctx, cm, {})
+    ctx = stage_context(g, x, [])
+    ctx.free_sets = {s}
     with pytest.raises(MatchingLpError, match="frees a set"):
-        build_closest_dual(g, cm, [], x, {}, StageContext(free_sets={s}))
+        build_closest_dual(ctx, cm, {})
+    ctx = stage_context(g, x, [s])
+    ctx.dropped_lo = {frozenset({9})}
     with pytest.raises(MatchingLpError, match="unknown dual key"):
-        build_closest_dual(g, cm, [s], x, {}, StageContext(dropped_lo={frozenset({9})}))
+        build_closest_dual(ctx, cm, {})
 
 
 def test_dropped_rows_loosen_the_distance():
     g = square()
     x = {(0, 1): R1, (2, 3): R1, (1, 2): R0, (0, 3): R0}
     target = {0: rat(2)}
-    plain = solve(build_closest_dual(g, g.cost_map(), [], x, target))
-    ctx = StageContext(dropped_lo={0}, dropped_hi={0})
-    dropped = solve(build_closest_dual(g, g.cost_map(), [], x, target, ctx))
+    plain = solve(build_closest_dual(stage_context(g, x, []), g.cost_map(), target))
+    ctx = stage_context(g, x, [])
+    ctx.dropped_lo, ctx.dropped_hi = {0}, {0}
+    dropped = solve(build_closest_dual(ctx, g.cost_map(), target))
     # With vertex 0's distance rows gone its deviation no longer costs anything.
     assert dropped.objective <= plain.objective
     pi, r = split_dual_solution(dropped.x)

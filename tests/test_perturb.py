@@ -12,7 +12,6 @@ from cpmatch.perturb import (
     PerturbedPair,
     SignViolation,
     series_first_sign,
-    series_is_positive,
     solve_perturbed_pair,
 )
 from cpmatch.rationals import R0, rat
@@ -48,8 +47,8 @@ def test_worked_example_stage_bookkeeping():
     assert [s.objective for s in sol.stages] == [rat(2), rat(2), rat(-1, 2)]
     assert sol.series.row_series(0) == (rat(1), rat(4), rat(-2))
     assert sol.series.row_series(1) == (rat(1), rat(-2), rat(3, 2))
-    assert series_is_positive(sol.series, 0)
-    assert series_is_positive(sol.series, 1)
+    assert series_first_sign(sol.series.row_series(0)) > 0
+    assert series_first_sign(sol.series.row_series(1)) > 0
 
 
 def test_single_stage_pair():
@@ -68,8 +67,8 @@ def test_series_helpers():
     assert series_first_sign((rat(2), rat(-5))) == 1
     series = DualSeries(({0: R0}, {0: rat(3)}))
     assert series.row_series(0) == (R0, rat(3))
-    assert series_is_positive(series, 0)
-    assert not series_is_positive(DualSeries(({0: R0},)), 0)
+    assert series_first_sign(series.row_series(0)) > 0
+    assert not series_first_sign(DualSeries(({0: R0},)).row_series(0)) > 0
 
 
 def test_sign_violation_message():
