@@ -56,7 +56,7 @@ from .graphs import (
     vector_is_integral,
 )
 from .lexmin import lex_min_optimal
-from .linprog import Infeasible, Optimal, solve
+from .linprog import Infeasible, Optimal, Tableau, solve
 from .matchlp import (
     build_closest_dual,
     build_primal,
@@ -182,7 +182,10 @@ def _restrict_target(values: Mapping, family: set) -> dict:
 
 def _stage_duals(g, stages, family, x, targets):
     """One closest-dual solve per stage cost vector, all on one StageContext;
-    targets[i] is stage i's target from the last iteration.
+    targets[i] is stage i's target from the last iteration. Stage 0 is solved
+    cold; each later stage reoptimizes the same Tableau (see linprog), since
+    it only changes right-hand sides, drops rows whose slack is nonzero and
+    frees positive sets' bounds, which keeps the last basis dual feasible.
 
     A distance row, non-support edge row or set sign bound stays in the
     stages until its value (residual, slack, or the set's pi) is first
@@ -197,9 +200,10 @@ def _stage_duals(g, stages, family, x, targets):
     bounds and take targets carried over from the previous iteration.
     """
     ctx = stage_context(g, x, family)
+    tab = Tableau()
     stage_pis: list[dict] = []
     for i, (ci, target) in enumerate(zip(stages, targets)):
-        out = solve(build_closest_dual(ctx, ci, target))
+        out = solve(build_closest_dual(ctx, ci, target), start=tab)
         if not isinstance(out, Optimal):
             raise StageSolveError(f"dual stage {i} came back {out.status}")
         pi, r = split_dual_solution(out.x)
@@ -262,8 +266,9 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
                 raise IterationCapExceeded(f"no integral optimum after {cap} iterations")
             before = total
             lp = build_primal(g, costs, family)
+            tab = Tableau()
             if mode != "naive":
-                probe = solve(lp)
+                probe = solve(lp, start=tab)
                 total += 1
                 if isinstance(probe, Infeasible):
                     raise NoPerfectMatching("the relaxation is infeasible")
@@ -271,7 +276,7 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
                     raise StageSolveError("the relaxation came back unbounded")
                 point = probe.x
             if mode != "perturbed":
-                lex = lex_min_optimal(lp, order)
+                lex = lex_min_optimal(lp, order, start=tab)
                 total += lex.lp_solves
                 if lex.status == "infeasible":
                     raise NoPerfectMatching("the relaxation is infeasible")

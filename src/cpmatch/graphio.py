@@ -45,6 +45,7 @@ def parse_graph(text: str) -> tuple[Graph, EdgeOrdering]:
     edges: list[tuple[int, int, int]] = []
     seen: set[Edge] = set()
     ranks: dict[Edge, int] = {}
+    used_ranks: set[int] = set()
     rank_lines: dict[Edge, int] = {}
     last_line = 0
 
@@ -86,8 +87,9 @@ def parse_graph(text: str) -> tuple[Graph, EdgeOrdering]:
             e = normalize_edge(u, v)
             if e in rank_lines:
                 raise ParseError(line_no, f"edge {e} ranked twice")
-            if rank in ranks.values():
+            if rank in used_ranks:
                 raise ParseError(line_no, f"rank {rank} assigned twice")
+            used_ranks.add(rank)
             rank_lines[e] = line_no
             ranks[e] = rank
         else:

@@ -9,7 +9,8 @@ optimal face that is lexicographically smallest in the given variable order.
 
 Each stage only appends one equality row that the previous optimum already
 satisfies, so all stages reoptimize one Tableau: stage 0 is the only cold
-two-phase solve, and every later stage pivots its new row in at value zero
+two-phase solve (none when the caller passes a Tableau that has just solved
+the model), and every later stage pivots its new row in at value zero
 and runs phase 2 alone. Each stage is still one solve() call, counted as one
 LP solve, and its certificate is checked against the full stage model. The
 result does not depend on the pivot path, since it is unique.
@@ -32,17 +33,21 @@ class LexMinResult:
     lp_solves: int
 
 
-def lex_min_optimal(lp: LinearProgram, order: Sequence[Hashable]) -> LexMinResult:
+def lex_min_optimal(
+    lp: LinearProgram, order: Sequence[Hashable], start: Tableau | None = None
+) -> LexMinResult:
     """Lexicographic minimum over the optimal face, in `order`.
 
     `order` must enumerate every variable exactly once. Infeasible or
-    unbounded models propagate as a LexMinResult with that status.
+    unbounded models propagate as a LexMinResult with that status. The
+    stages run on `start` when given (see linprog's start=): a Tableau that
+    has just solved lp to Optimal makes stage 0 a reoptimization too.
     """
     names = [v.name for v in lp.variables]
     if len(order) != len(names) or set(order) != set(names):
         raise ValueError("order must be a permutation of the model's variables")
 
-    tab = Tableau()
+    tab = Tableau() if start is None else start
     first = solve(lp, start=tab)
     solves = 1
     if not isinstance(first, Optimal):

@@ -9,11 +9,13 @@ back as the shared instances from rationals.shared.
 
 solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
 two-phase solve and keeps its result. After an Optimal outcome the next model
-must be the last one plus appended ``=`` rows on the same variables that the
-last optimum satisfies (objective and sense may change); they are pivoted in
-at value zero and only phase 2 runs, and the optimum is certificate-checked
-like any other. Any other model, or any model after an Infeasible or
-Unbounded outcome, raises LinearProgramError instead of solving cold.
+may change the objective, sense and rhs values, drop rows whose slack is
+basic, free bounds of basic columns, or (with no other row change) append
+``=`` rows the last optimum satisfies. A negative basic value B^-1 b starts a
+dual simplex (leave by the lowest basic index, enter by the least ratio, then
+lowest index) that needs lp's objective dual feasible; phase 2 follows. Any
+other model, or any model after an Infeasible or Unbounded outcome, raises
+LinearProgramError before the tableau changes, instead of solving cold.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Free variables participate directly:
@@ -155,6 +157,9 @@ class Tableau:
 
     Columns are the variables, one slack per inequality row, then one
     artificial per row without a +e_i slack; each row ends with its rhs.
+    banned holds the columns that never enter (artificials, dropped rows'
+    slacks); row_cols holds each model row's (identity column, slack column
+    or None, build-time flip).
     """
 
     def __init__(self) -> None:
@@ -162,12 +167,11 @@ class Tableau:
         self.status: str | None = None
 
     def optimize(self, lp: LinearProgram) -> LPOutcome:
-        """Solve lp cold on a fresh tableau, else as an extension of the last model."""
+        """Solve lp cold on a fresh tableau, else as a variant of the last model."""
         if self.status is None:
             feasible = self.build(lp)
         elif self.status == "optimal":
-            self.extend(lp)
-            feasible = True
+            feasible = self.reoptimize(lp)
         else:
             raise LinearProgramError(f"cannot reoptimize after an {self.status} solve")
         outcome = self.phase2(lp) if feasible else Infeasible()
@@ -228,8 +232,8 @@ class Tableau:
         self.in_basis = [False] * len(nonneg)
         for j in self.basis:
             self.in_basis[j] = True
-        self.nonneg, self.artificial = nonneg, artificial
-        self.identity_col, self.flips = identity_col, flips
+        self.nonneg, self.banned = nonneg, set(artificial)
+        self.row_cols = list(zip(identity_col, slack_col, flips))
 
         # Phase 1: drive the artificial variables to zero.
         if artificial:
@@ -241,51 +245,76 @@ class Tableau:
             self.drive_out(range(m))
         return True
 
-    def extend(self, lp: LinearProgram) -> None:
-        """Append the = rows by which lp extends the last model, each with an
-        artificial that is then pivoted out. Reduced against the basis, a
-        row's rhs is its rhs minus its value at the last optimum: it must be
-        0, so no value moves."""
-        k = len(self.lp.rows)
+    def reoptimize(self, lp: LinearProgram) -> bool:
+        """Carry the last optimal basis over to lp, a variant of the last
+        model (see the module docstring); False when lp is infeasible."""
+        old, nonneg, in_basis = self.lp, self.nonneg, self.in_basis
+        index = {row.id: i for i, row in enumerate(old.rows)}
+        kept = [index[row.id] for row in lp.rows if row.id in index]
+        appended = lp.rows[len(kept):]
+        freed = {j for j, (v, nn) in enumerate(zip(lp.variables, nonneg)) if v.nonnegative != nn}
+        gone = {self.row_cols[i][1] for i in set(index.values()) - set(kept)}
+        changed = any(row.rhs != old.rows[i].rhs for i, row in zip(kept, lp.rows))
         if (
-            lp.variables != self.lp.variables
-            or lp.rows[:k] != self.lp.rows
-            or any(row.relation != EQ for row in lp.rows[k:])
+            [v.name for v in lp.variables] != [v.name for v in old.variables]
+            or kept != sorted(kept)
+            or any((old.rows[i].coeffs, old.rows[i].relation) != (row.coeffs, row.relation)
+                   for i, row in zip(kept, lp.rows))
+            or any(lp.variables[j].nonnegative or not in_basis[j] for j in freed)
+            or None in gone or not all(in_basis[j] for j in gone)
+            or any(row.relation != EQ or row.id in index for row in appended)
+            or (appended and (gone or changed))
         ):
-            raise LinearProgramError("start= takes the last model plus appended = rows")
+            raise LinearProgramError("start= takes a variant of the last model (see linprog)")
         new = []
-        for row in lp.rows[k:]:
-            coeffs = [R0] * len(self.nonneg)
-            for name, c in row.coeffs.items():
-                coeffs[lp.variable_index(name)] = c
-            vec = self.reduced_costs(coeffs)
+        for row in appended:
+            coeffs = [row.coeffs.get(v.name, R0) for v in lp.variables]
+            vec = self.reduced_costs(coeffs + [R0] * (len(nonneg) - len(coeffs)))
             vec[-1] += row.rhs
             if vec[-1]:
                 raise LinearProgramError(f"the last optimum violates appended row {row.id!r}")
             new.append(vec)
+        b = [(self.row_cols[i][0], -row.rhs if self.row_cols[i][2] else row.rhs)
+             for i, row in zip(kept, lp.rows) if row.rhs and changed]
+        values = [sum((t[c] * v for c, v in b if t[c]), R0) if changed else t[-1]
+                  for t in self.rows]
+        live = [(r, j) for r, j in enumerate(self.basis) if j not in gone]
+        if any(values[r] for r, j in live if j in self.banned):
+            return False
+        negative = any(values[r] < R0 and nonneg[j] and j not in freed for r, j in live)
+        z = self.reduced_costs(self.cost_vector(lp)) if negative else None
+        if negative and any((zj < R0 if nonneg[j] else zj) for j, zj in enumerate(z[:-1])
+                            if not in_basis[j] and j not in self.banned):
+            raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
 
-        m, ncols = len(self.rows), len(self.nonneg)
+        self.nonneg = nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
+        for j in gone:
+            in_basis[j] = False
+        for t, v in zip(self.rows, values):
+            t[-1] = v
+        self.banned |= gone
+        self.rows, self.basis = [self.rows[r] for r, _ in live], [j for _, j in live]
+        # Appended rows each get an artificial, then pivot in at value zero.
+        m, arts = len(self.rows), range(len(nonneg), len(nonneg) + len(new))
         for i, vec in enumerate(self.rows + new):
             vec[-1:-1] = [R1 if i == m + t else R0 for t in range(len(new))]
-        arts = range(ncols, ncols + len(new))
-        self.rows += new
-        self.basis += arts
-        self.identity_col += arts
-        self.flips += [False] * len(new)
-        self.nonneg += [True] * len(new)
-        self.in_basis += [True] * len(new)
-        self.artificial.update(arts)
+        self.rows, self.basis = self.rows + new, self.basis + list(arts)
+        self.row_cols = [self.row_cols[i] for i in kept] + [(a, None, False) for a in arts]
+        nonneg += [True] * len(new)
+        in_basis += [True] * len(new)
+        self.banned.update(arts)
         self.drive_out(range(m, len(self.rows)))
+        return self.dual_run(z) if negative else True
 
     def drive_out(self, rows: Iterable[int]) -> None:
         """Pivot each basic artificial of `rows` out at value zero, onto the
         lowest nonbasic real column with a nonzero entry."""
         for i in rows:
-            if self.basis[i] not in self.artificial:
+            if self.basis[i] not in self.banned:
                 continue
             row = self.rows[i]
             for j in range(len(self.nonneg)):
-                if j in self.artificial or self.in_basis[j]:
+                if j in self.banned or self.in_basis[j]:
                     continue
                 if row[j]:
                     self.pivot(i, j)
@@ -316,6 +345,13 @@ class Tableau:
         self.in_basis[self.basis[r]] = False
         self.in_basis[j] = True
         self.basis[r] = j
+
+    def cost_vector(self, lp: LinearProgram) -> list[Rational]:
+        """lp's objective over the tableau columns, negated for MAX."""
+        cost = [R0] * len(self.nonneg)
+        for name, c in lp.objective.items():
+            cost[lp.variable_index(name)] = c if lp.sense == MIN else -c
+        return cost
 
     def reduced_costs(self, costvec: list[Rational]) -> list[Rational]:
         z = list(costvec) + [R0]
@@ -364,14 +400,24 @@ class Tableau:
                 return "unbounded"
             self.pivot(leave, enter, zrow)
 
+    def dual_run(self, z: list[Rational]) -> bool:
+        """Dual simplex from dual feasible reduced costs z (rule in the module
+        docstring; a free column's ratio is 0); False when lp is infeasible."""
+        rows, basis, nonneg = self.rows, self.basis, self.nonneg
+        while negative := [(b, r) for r, b in enumerate(basis) if nonneg[b] and rows[r][-1] < R0]:
+            r = min(negative)[1]
+            eligible = [(z[j] / abs(a), j) for j, a in enumerate(rows[r][:-1])
+                        if (a < R0 or (a and not nonneg[j])) and j not in self.banned]
+            if not eligible:
+                return False
+            self.pivot(r, min(eligible)[1], z)
+        return True
+
     def phase2(self, lp: LinearProgram) -> LPOutcome:
         """Phase 2 on lp's objective from the current feasible basis."""
         minimize = lp.sense == MIN
-        cost = [R0] * len(self.nonneg)
-        for name, c in lp.objective.items():
-            cost[lp.variable_index(name)] = c if minimize else -c
-        z = self.reduced_costs(cost)
-        if self.run(z, banned=self.artificial) == "unbounded":
+        z = self.reduced_costs(self.cost_vector(lp))
+        if self.run(z, banned=self.banned) == "unbounded":
             return Unbounded()
 
         xvals = [R0] * len(self.nonneg)
@@ -379,14 +425,8 @@ class Tableau:
             xvals[b] = self.rows[i][-1]
         x = {v.name: shared(xvals[j]) for j, v in enumerate(lp.variables)}
 
-        y = {}
-        for i, row in enumerate(lp.rows):
-            yi = -z[self.identity_col[i]]
-            if self.flips[i]:
-                yi = -yi
-            if not minimize:
-                yi = -yi
-            y[row.id] = shared(yi)
+        y = {row.id: shared(-z[col] if flip != minimize else z[col])
+             for (col, _, flip), row in zip(self.row_cols, lp.rows)}
 
         objective = sum((lp.objective[name] * x[name] for name in lp.objective), R0)
         return Optimal(x=x, y=y, objective=objective)

@@ -17,7 +17,7 @@ from cpmatch.errors import IterationCapExceeded, NoPerfectMatching
 from cpmatch.fixtures import altered_robot, cycling_graph, dancing_robot
 from cpmatch.gen import random_matchable_graph, random_ordering
 from cpmatch.graphs import EdgeOrdering, Graph, cut_edges, support
-from cpmatch.linprog import Optimal
+from cpmatch.linprog import Optimal, Tableau
 from cpmatch.oracle import brute_force_matchings, lex_tie_break
 from cpmatch.perturb import SignViolation
 from cpmatch.rationals import HALF, R0, R1, rat, rat_str
@@ -101,29 +101,39 @@ def test_extract_matching_validation():
         extract_matching({(0, 1): R1}, n=4)
 
 
-def _stage_digest(rec):
-    """SHA-256 of one iteration's dual stages, each written as sorted
-    'key:value' pairs (a set key is its sorted vertices joined with '+')."""
+def _stage_digest(rec, stages=None):
+    """SHA-256 of one iteration's first `stages` dual stages (all when None),
+    each written as sorted 'key:value' pairs (a set key is its sorted
+    vertices joined with '+')."""
 
     def key(k):
         return str(k) if isinstance(k, int) else "+".join(str(v) for v in sorted(k))
 
     text = "|".join(
         ",".join(f"{key(k)}:{rat_str(v)}" for k, v in sorted(stage.items(), key=lambda kv: key(kv[0])))
-        for stage in rec.dual_stages
+        for stage in rec.dual_stages[:stages]
     )
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 #: Stage duals of unperturbed dancing_robot, one digest per iteration. The
 #: closest-dual optimum is not unique, so these pin the simplex pivot path
-#: (Bland's rule on the tableau as built today), not just the algorithm. A
-#: change of pivot path, such as the warm starts of ROADMAP item 3, may
-#: re-pin them on purpose; x and the families must not move with them.
+#: (a cold stage 0, then each stage warm-started from the last one by a dual
+#: simplex), not just the algorithm. A change of pivot path, such as the
+#: warm starts of ROADMAP item 2, may re-pin them on purpose; x and the
+#: families must not move with them.
 DANCING_ROBOT_STAGE_DIGESTS = (
-    "a8275a43a4d21757beedcd4760b8ebf61359f2e03bef40b0f8761b12b4643411",
-    "aef1e55649b579f49f90105faf8a6335d6e2aedce7880e7a5b774cf6bb7b3329",
-    "79d289403babc21e29259f14314b0da2ea48665bccedcf392433ae6074ce9d3d",
+    "61ae81bf0a13cdba5344bec5fecbba49fc8c0bd35cb9532048bdc5afc58de5e2",
+    "4186f794335103fe9745c46b82c6b8d6f547ab7d36a8a28f128c2466fca6e9c9",
+    "69e3a41469c55a7904a46560bc00057b0b8722cc5cbc714fbd7289fa5cd6a59c",
+)
+
+#: The same digests over stage 0 alone. Stage 0 is solved cold on a fresh
+#: tableau, so a warm start of the later stages must not move these.
+DANCING_ROBOT_STAGE0_DIGESTS = (
+    "b3bdf8fba14043e55cbda5868d3b4296ec06b9ab8f144a7fcd80c013c66f6457",
+    "8a7b2f529b9f8759030b47b7d605f1ebe95f147bd39b99b52a24037c5b9545b4",
+    "f9f41f5eb31da94adcaadb3147a5fa358194faab0c92ebcbd8ad11fb7c24e6e8",
 )
 
 #: The same digests for the two single-stage modes: perturbed dancing_robot
@@ -164,6 +174,26 @@ def test_negative_first_stage_value_raises_sign_violation(monkeypatch):
         assert err.value.series == (rat(-1),)
 
 
+def test_two_tableau_builds_per_iteration(monkeypatch):
+    # The probe's tableau carries on into lexmin, and stage 0's into the
+    # later stages, so each iteration builds (cold-solves) two tableaus in
+    # every mode: probe or lexmin stage 0, and closest-dual stage 0.
+    builds = []
+    build = Tableau.build
+
+    def counting_build(self, lp):
+        builds.append(lp)
+        return build(self, lp)
+
+    monkeypatch.setattr(Tableau, "build", counting_build)
+    g, sigma, _ = dancing_robot()
+    for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive):
+        builds.clear()
+        res = solver(g, sigma)
+        assert len(res.iterations) == 3
+        assert len(builds) == 2 * len(res.iterations)
+
+
 def test_single_stage_modes_pin_their_duals():
     g, sigma, _ = dancing_robot()
     ref = solve_perturbed_reference(g, sigma)
@@ -198,6 +228,7 @@ def test_dancing_robot_unperturbed_trace():
     assert all(len(r.dual_stages) == g.m + 1 for r in res.iterations)
     assert all(r.lp_solves == 2 * g.m + 3 for r in res.iterations)
     assert tuple(_stage_digest(r) for r in res.iterations) == DANCING_ROBOT_STAGE_DIGESTS
+    assert tuple(_stage_digest(r, 1) for r in res.iterations) == DANCING_ROBOT_STAGE0_DIGESTS
     assert all(r1.dual_stages[0][v] == HALF for v in range(g.n))
 
 

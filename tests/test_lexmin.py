@@ -235,3 +235,8 @@ def test_lexmin_builds_one_tableau_per_call(monkeypatch):
     assert builds == [lp]
     lex_min_optimal(lp, [(1, 2), (0, 1), (2, 3), (0, 3)])
     assert builds == [lp, lp]
+    # A tableau that has just solved lp carries on: no build at all.
+    tab = Tableau()
+    solve(lp, start=tab)
+    assert lex_min_optimal(lp, [(0, 1), (1, 2), (2, 3), (0, 3)], start=tab) == res
+    assert builds == [lp, lp, lp]

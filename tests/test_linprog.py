@@ -16,9 +16,11 @@ from cpmatch.linprog import (
     LinearProgram,
     LinearProgramError,
     Optimal,
+    Row,
     SolverInvariantError,
     Tableau,
     Unbounded,
+    Variable,
     solve,
     verify_certificate,
 )
@@ -319,17 +321,17 @@ def test_reoptimize_after_appended_rows():
 def test_reoptimize_rejects_a_model_that_does_not_extend_the_last_one():
     tab = Tableau()
     solve(_model({"x": 1, "y": 2}), start=tab)
-    changed = LinearProgram(
-        MIN, ["x", "y"], {"x": 1},
-        [("cover", {"x": 1, "y": 1}, GE, 1), ("xcap", {"x": 1}, LE, 3)],
-    )
+    rows = _model({}).rows
     bad = [
-        changed,
+        # A changed coefficient, and rows in another order.
+        LinearProgram(MIN, ["x", "y"], {"x": 1}, [("cover", {"x": 1, "y": 2}, GE, 2), rows[1]]),
+        LinearProgram(MIN, ["x", "y"], {"x": 1}, rows[::-1]),
         _model({"x": 1}, [("ge", {"x": 1}, GE, 1)]),
         _model({"x": 1}, [("violated", {"y": 1}, EQ, 1)]),
         _model({"x": 1}, [("holds", {"x": 1}, EQ, 2), ("violated", {"x": 1}, EQ, 1)]),
-        LinearProgram(MIN, ["x", "y", "z"], {"x": 1}, _model({}).rows),
-        LinearProgram(MIN, ["x", "y"], {"x": 1}, _model({}).rows[:1]),
+        LinearProgram(MIN, ["x", "y", "z"], {"x": 1}, rows),
+        # cover is tight at the optimum (2, 0): its slack is nonbasic.
+        LinearProgram(MIN, ["x", "y"], {"x": 1}, rows[1:]),
     ]
     for lp in bad:
         with pytest.raises(LinearProgramError):
@@ -349,3 +351,153 @@ def test_no_reoptimization_after_infeasible_or_unbounded():
         assert isinstance(solve(lp, start=tab), outcome)
         with pytest.raises(LinearProgramError):
             solve(lp, start=tab)
+
+
+def _capped(objective, cover=2, rows=None):
+    """min objective over x + y >= cover, x <= 3, y <= 3 (ids cover, xcap,
+    ycap); the optimum of x + 2y at cover 2 is (2, 0), with x basic in the
+    cover row and both cap slacks basic."""
+    caps = [("xcap", {"x": 1}, LE, 3), ("ycap", {"y": 1}, LE, 3)]
+    rows = [("cover", {"x": 1, "y": 1}, GE, cover)] + caps if rows is None else rows
+    return LinearProgram(MIN, ["x", "y"], objective, rows)
+
+
+def test_reoptimize_restores_feasibility_by_a_dual_simplex():
+    tab = Tableau()
+    assert solve(_capped({"x": 1, "y": 2}), start=tab).x == {"x": 2, "y": 0}
+    # cover 4 pushes x past its cap: the dual simplex moves to (3, 1).
+    lp = _capped({"x": 1, "y": 2}, cover=4)
+    out = solve(lp, start=tab)
+    assert out.x == solve(lp).x == {"x": 3, "y": 1} and out.objective == 5
+    verify_certificate(lp, out)
+    # Back to (2, 0); then one model drops xcap (its slack, 1, is basic),
+    # frees x (basic) and lowers cover to 1.
+    lp = _capped({"x": 1, "y": 2}, cover=2)
+    assert solve(lp, start=tab).x == {"x": 2, "y": 0}
+    rows = [("cover", {"x": 1, "y": 1}, GE, 1), ("ycap", {"y": 1}, LE, 3)]
+    lp = LinearProgram(MIN, [("x", False), "y"], {"x": 1, "y": 2}, rows)
+    out = solve(lp, start=tab)
+    assert out.x == {"x": 1, "y": 0} and out.y == {"cover": 1, "ycap": 0}
+    # cover 7 exceeds both caps together: no column can enter.
+    tab = Tableau()
+    solve(_capped({"x": 1, "y": 2}), start=tab)
+    assert isinstance(solve(_capped({"x": 1, "y": 2}, cover=7), start=tab), Infeasible)
+    assert isinstance(solve(_capped({"x": 1, "y": 2}, cover=7)), Infeasible)
+
+
+def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
+    # Two independent capped pairs; lowering both caps below the optimum
+    # (2, 0, 2, 0) makes both cap slacks negative. Columns: x, y, z, w, then
+    # the slacks of cover1, xcap, cover2, zcap (4-7): xcap's slack leaves
+    # first, and y, the only column with a negative entry, enters.
+    def model(cap):
+        return LinearProgram(MIN, ["x", "y", "z", "w"], {"x": 1, "y": 2, "z": 1, "w": 2}, [
+            ("cover1", {"x": 1, "y": 1}, GE, 2), ("xcap", {"x": 1}, LE, cap),
+            ("cover2", {"z": 1, "w": 1}, GE, 2), ("zcap", {"z": 1}, LE, cap),
+        ])
+
+    tab = Tableau()
+    assert solve(model(3), start=tab).x == {"x": 2, "y": 0, "z": 2, "w": 0}
+    pivots = []
+    pivot = Tableau.pivot
+
+    def recording(self, r, j, zrow=None):
+        pivots.append((self.basis[r], j))
+        pivot(self, r, j, zrow)
+
+    monkeypatch.setattr(Tableau, "pivot", recording)
+    out = solve(model(1), start=tab)
+    assert out.x == {"x": 1, "y": 1, "z": 1, "w": 1}
+    assert pivots == [(5, 1), (7, 3)]
+
+
+def test_reoptimize_detects_an_inconsistent_redundant_row():
+    # r2 is r1 doubled: its artificial stays basic at 0 in a redundant row,
+    # and an rhs that breaks the doubling makes that value nonzero.
+    def model(rhs2):
+        return LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 2}, [
+            ("r1", {"x": 1, "y": 1}, EQ, 2), ("r2", {"x": 2, "y": 2}, EQ, rhs2),
+        ])
+
+    tab = Tableau()
+    assert solve(model(4), start=tab).x == {"x": 2, "y": 0}
+    assert isinstance(solve(model(5)), Infeasible)
+    assert isinstance(solve(model(5), start=tab), Infeasible)
+
+
+def test_reoptimize_rejects_misuse_and_stays_usable():
+    rows = _capped({}).rows
+    bad = [
+        # cover is tight at (2, 0), so its slack is nonbasic.
+        _capped({"x": 1, "y": 2}, rows=rows[1:]),
+        # y = 0 is nonbasic, so its bound cannot be freed.
+        LinearProgram(MIN, ["x", ("y", False)], {"x": 1, "y": 2}, rows),
+        _capped({"x": 1, "y": 2}, rows=[Row("cover", {"x": 2, "y": 1}, GE, 2), *rows[1:]]),
+        # The basis is primal infeasible at cover 4, and y's reduced cost
+        # under 2x + y is negative: no dual simplex can start.
+        _capped({"x": 2, "y": 1}, cover=4),
+    ]
+    tab = Tableau()
+    solve(_capped({"x": 1, "y": 2}), start=tab)
+    for lp in bad:
+        with pytest.raises(LinearProgramError):
+            solve(lp, start=tab)
+        good = _capped({"x": 1, "y": 2}, cover=3)
+        out = solve(good, start=tab)
+        assert out.x == solve(good).x == {"x": 3, "y": 0}
+        assert solve(_capped({"x": 1, "y": 2}), start=tab).x == {"x": 2, "y": 0}
+
+
+def _variant(lp, out, rng):
+    """lp with some rhs values moved, some rows that are slack at out's
+    optimum dropped and some positive (so basic) variables freed."""
+    rows = []
+    for row in lp.rows:
+        lhs = sum((c * out.x[name] for name, c in row.coeffs.items()), R0)
+        if lhs != row.rhs and rng.random() < 0.4:
+            continue
+        shift = rng.randint(-4, 4) if rng.random() < 0.7 else 0
+        rows.append(Row(row.id, row.coeffs, row.relation, row.rhs + shift))
+    variables = [
+        Variable(v.name, v.nonnegative and not (out.x[v.name] > 0 and rng.random() < 0.3))
+        for v in lp.variables
+    ]
+    return LinearProgram(lp.sense, variables, lp.objective, rows)
+
+
+def test_reoptimize_variants_match_cold_solves(monkeypatch):
+    dual_outcomes = []
+    dual_run = Tableau.dual_run
+
+    def recording(self, z):
+        dual_outcomes.append(dual_run(self, z))
+        return dual_outcomes[-1]
+
+    monkeypatch.setattr(Tableau, "dual_run", recording)
+    rng = random.Random(11)
+    models = [random_bounded_lp(rng)[0] for _ in range(60)]
+    for _ in range(30):
+        pair = random_perturbed_pair(rng)
+        names = [("x", j) for j in range(pair.ncols)]
+        models.append(LinearProgram(
+            MIN,
+            [(name, j in pair.nonneg) for j, name in enumerate(names)],
+            dict(zip(names, pair.costs[0])),
+            [(i, dict(zip(names, pair.a[i])), GE, pair.b[i]) for i in range(pair.nrows)],
+        ))
+    statuses = []
+    for lp in models:
+        tab = Tableau()
+        out = solve(lp, start=tab)
+        for _ in range(4):
+            if not isinstance(out, Optimal):
+                break
+            lp = _variant(lp, out, rng)
+            out, cold = solve(lp, start=tab), solve(lp)
+            assert out.status == cold.status
+            statuses.append(out.status)
+            if isinstance(out, Optimal):
+                assert out.objective == cold.objective
+                verify_certificate(lp, out)
+    assert {"optimal", "infeasible"} <= set(statuses)
+    assert dual_outcomes.count(True) >= 10 and False in dual_outcomes
