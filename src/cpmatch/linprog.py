@@ -10,12 +10,14 @@ back as the shared instances from rationals.shared.
 solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
 two-phase solve and keeps its result. After an Optimal outcome the next model
 may change the objective, sense and rhs values, drop rows whose slack is
-basic, free bounds of basic columns, or (with no other row change) append
-``=`` rows the last optimum satisfies. A negative basic value B^-1 b starts a
-dual simplex (leave by the lowest basic index, enter by the least ratio, then
-lowest index) that needs lp's objective dual feasible; phase 2 follows. Any
-other model, or any model after an Infeasible or Unbounded outcome, raises
-LinearProgramError before the tableau changes, instead of solving cold.
+basic, free bounds of basic columns, and fix nonbasic columns at zero: drop a
+nonbasic variable, or make ``=`` an inequality whose slack is nonbasic (as
+optimal_face does). A negative basic value B^-1 b starts a dual simplex
+(leave by the lowest basic index, enter by the least ratio, then lowest
+index) that needs lp's objective dual feasible; phase 2 follows. Any other
+model (new rows or variables among them), or any model after an Infeasible
+or Unbounded outcome, raises LinearProgramError before the tableau changes,
+instead of solving cold.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Free variables participate directly:
@@ -31,7 +33,7 @@ For maximization the signs flip (``<=`` rows carry y >= 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping
 
 from .errors import InvariantViolation
 from .rationals import R0, R1, Rational, rat, shared
@@ -90,14 +92,13 @@ class LinearProgram:
             else:
                 var = Variable(spec, True)
             self.variables.append(var)
-        names = [v.name for v in self.variables]
-        self._index = {name: j for j, name in enumerate(names)}
-        if len(self._index) != len(names):
+        known = {v.name for v in self.variables}
+        if len(known) != len(self.variables):
             raise LinearProgramError("duplicate variable name")
 
         self.objective = {name: rat(c) for name, c in objective.items()}
         for name in self.objective:
-            if name not in self._index:
+            if name not in known:
                 raise LinearProgramError(f"objective references unknown variable {name!r}")
 
         self.rows: list[Row] = []
@@ -108,7 +109,7 @@ class LinearProgram:
                 raise LinearProgramError(f"unknown relation {row.relation!r} in row {row.id!r}")
             coeffs = {name: rat(c) for name, c in row.coeffs.items()}
             for name in coeffs:
-                if name not in self._index:
+                if name not in known:
                     raise LinearProgramError(
                         f"row {row.id!r} references unknown variable {name!r}"
                     )
@@ -117,9 +118,6 @@ class LinearProgram:
                 raise LinearProgramError(f"duplicate row id {row.id!r}")
             seen_ids.add(row.id)
             self.rows.append(row)
-
-    def variable_index(self, name: Hashable) -> int:
-        return self._index[name]
 
 
 @dataclass(frozen=True)
@@ -155,11 +153,12 @@ def solve(lp: LinearProgram, start: Tableau | None = None) -> LPOutcome:
 class Tableau:
     """One model's simplex state: standard form, basis, Bland pivot loop.
 
-    Columns are the variables, one slack per inequality row, then one
-    artificial per row without a +e_i slack; each row ends with its rhs.
-    banned holds the columns that never enter (artificials, dropped rows'
-    slacks); row_cols holds each model row's (identity column, slack column
-    or None, build-time flip).
+    Columns are the built model's variables (cols maps each name to its
+    column), one slack per inequality row, then one artificial per row
+    without a +e_i slack; each row ends with its rhs. banned holds the
+    columns that never enter (artificials, dropped rows' slacks, columns
+    fixed at zero); row_cols holds each model row's (identity column, slack
+    column or None, build-time flip).
     """
 
     def __init__(self) -> None:
@@ -169,18 +168,20 @@ class Tableau:
     def optimize(self, lp: LinearProgram) -> LPOutcome:
         """Solve lp cold on a fresh tableau, else as a variant of the last model."""
         if self.status is None:
-            feasible = self.build(lp)
+            z = self.build(lp)
         elif self.status == "optimal":
-            feasible = self.reoptimize(lp)
+            z = self.reoptimize(lp)
         else:
             raise LinearProgramError(f"cannot reoptimize after an {self.status} solve")
-        outcome = self.phase2(lp) if feasible else Infeasible()
+        outcome = Infeasible() if z is None else self.phase2(lp, z)
         self.lp, self.status = lp, outcome.status
         return outcome
 
-    def build(self, lp: LinearProgram) -> bool:
-        """Standard form of lp, then phase 1; False when lp is infeasible."""
+    def build(self, lp: LinearProgram) -> list[Rational] | None:
+        """Standard form of lp, then phase 1; lp's reduced costs, or None
+        when lp is infeasible."""
         nvar = len(lp.variables)
+        self.cols = {v.name: j for j, v in enumerate(lp.variables)}
         # Append a slack per inequality, scale rhs nonnegative, then give
         # every row an identity column (reusing the slack when it already
         # is +e_i, otherwise adding an artificial).
@@ -191,7 +192,7 @@ class Tableau:
         for row in lp.rows:
             vec = [R0] * nvar
             for name, c in row.coeffs.items():
-                vec[lp.variable_index(name)] = c
+                vec[self.cols[name]] = c
             flip = row.rhs < 0
             if flip:
                 vec = [-c for c in vec]
@@ -235,92 +236,75 @@ class Tableau:
         self.nonneg, self.banned = nonneg, set(artificial)
         self.row_cols = list(zip(identity_col, slack_col, flips))
 
-        # Phase 1: drive the artificial variables to zero.
+        # Phase 1: drive the artificial variables to zero, then pivot each
+        # basic one out at value zero, onto the lowest nonbasic real column
+        # with a nonzero entry. A row with no such column is redundant; its
+        # artificial stays basic at value zero and never re-enters.
         if artificial:
             z = self.reduced_costs([R1 if j in artificial else R0 for j in range(len(nonneg))])
             if self.run(z, banned=set()) == "unbounded":
                 raise SolverInvariantError("phase-1 objective cannot be unbounded")
             if any(self.rows[i][-1] for i, b in enumerate(self.basis) if b in artificial):
-                return False
-            self.drive_out(range(m))
-        return True
+                return None
+            for i, row in enumerate(self.rows):
+                if self.basis[i] in artificial:
+                    j = next((j for j, t in enumerate(row[:-1])
+                              if t and j not in artificial and not self.in_basis[j]), None)
+                    if j is not None:
+                        self.pivot(i, j)
+        return self.reduced_costs(self.cost_vector(lp))
 
-    def reoptimize(self, lp: LinearProgram) -> bool:
+    def reoptimize(self, lp: LinearProgram) -> list[Rational] | None:
         """Carry the last optimal basis over to lp, a variant of the last
-        model (see the module docstring); False when lp is infeasible."""
-        old, nonneg, in_basis = self.lp, self.nonneg, self.in_basis
+        model (see the module docstring); lp's reduced costs, or None when
+        lp is infeasible."""
+        old, nonneg, in_basis, cols = self.lp, self.nonneg, self.in_basis, self.cols
         index = {row.id: i for i, row in enumerate(old.rows)}
-        kept = [index[row.id] for row in lp.rows if row.id in index]
-        appended = lp.rows[len(kept):]
-        freed = {j for j, (v, nn) in enumerate(zip(lp.variables, nonneg)) if v.nonnegative != nn}
+        kept = [index.get(row.id, -1) for row in lp.rows]
+        names = {v.name for v in lp.variables}
+        if -1 in kept or kept != sorted(kept) or not names <= {v.name for v in old.variables}:
+            raise LinearProgramError("start= takes a variant of the last model (see linprog)")
+        dropped = [v.name for v in old.variables if v.name not in names]
+        pairs = list(zip(kept, lp.rows))
+        tightened = [(i, row) for i, row in pairs if row.relation != old.rows[i].relation]
+        fixed = {cols[name] for name in dropped} | {self.row_cols[i][1] for i, _ in tightened}
+        freed = {cols[v.name]: v.nonnegative for v in lp.variables
+                 if v.nonnegative != nonneg[cols[v.name]]}
         gone = {self.row_cols[i][1] for i in set(index.values()) - set(kept)}
-        changed = any(row.rhs != old.rows[i].rhs for i, row in zip(kept, lp.rows))
-        if (
-            [v.name for v in lp.variables] != [v.name for v in old.variables]
-            or kept != sorted(kept)
-            or any((old.rows[i].coeffs, old.rows[i].relation) != (row.coeffs, row.relation)
-                   for i, row in zip(kept, lp.rows))
-            or any(lp.variables[j].nonnegative or not in_basis[j] for j in freed)
+        if (  # each kept row: the last model's, on lp's variables
+            any(row.coeffs != ({k: c for k, c in old.rows[i].coeffs.items() if k in names}
+                               if dropped else old.rows[i].coeffs) for i, row in pairs)
+            or any(row.relation != EQ for _, row in tightened)
+            or None in fixed or any(in_basis[j] for j in fixed)
+            or any(nn or not in_basis[j] for j, nn in freed.items())
             or None in gone or not all(in_basis[j] for j in gone)
-            or any(row.relation != EQ or row.id in index for row in appended)
-            or (appended and (gone or changed))
         ):
             raise LinearProgramError("start= takes a variant of the last model (see linprog)")
-        new = []
-        for row in appended:
-            coeffs = [row.coeffs.get(v.name, R0) for v in lp.variables]
-            vec = self.reduced_costs(coeffs + [R0] * (len(nonneg) - len(coeffs)))
-            vec[-1] += row.rhs
-            if vec[-1]:
-                raise LinearProgramError(f"the last optimum violates appended row {row.id!r}")
-            new.append(vec)
+        changed = any(row.rhs != old.rows[i].rhs for i, row in pairs)
         b = [(self.row_cols[i][0], -row.rhs if self.row_cols[i][2] else row.rhs)
-             for i, row in zip(kept, lp.rows) if row.rhs and changed]
+             for i, row in pairs if row.rhs and changed]
         values = [sum((t[c] * v for c, v in b if t[c]), R0) if changed else t[-1]
                   for t in self.rows]
         live = [(r, j) for r, j in enumerate(self.basis) if j not in gone]
         if any(values[r] for r, j in live if j in self.banned):
-            return False
+            return None
         negative = any(values[r] < R0 and nonneg[j] and j not in freed for r, j in live)
-        z = self.reduced_costs(self.cost_vector(lp)) if negative else None
+        # Dropped rows' basic slacks cost 0, so z is already lp's; its last
+        # entry (the objective value) is never read.
+        z = self.reduced_costs(self.cost_vector(lp))
         if negative and any((zj < R0 if nonneg[j] else zj) for j, zj in enumerate(z[:-1])
-                            if not in_basis[j] and j not in self.banned):
+                            if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
 
-        self.nonneg = nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
+        self.nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
         for j in gone:
             in_basis[j] = False
         for t, v in zip(self.rows, values):
             t[-1] = v
-        self.banned |= gone
+        self.banned |= gone | fixed
         self.rows, self.basis = [self.rows[r] for r, _ in live], [j for _, j in live]
-        # Appended rows each get an artificial, then pivot in at value zero.
-        m, arts = len(self.rows), range(len(nonneg), len(nonneg) + len(new))
-        for i, vec in enumerate(self.rows + new):
-            vec[-1:-1] = [R1 if i == m + t else R0 for t in range(len(new))]
-        self.rows, self.basis = self.rows + new, self.basis + list(arts)
-        self.row_cols = [self.row_cols[i] for i in kept] + [(a, None, False) for a in arts]
-        nonneg += [True] * len(new)
-        in_basis += [True] * len(new)
-        self.banned.update(arts)
-        self.drive_out(range(m, len(self.rows)))
-        return self.dual_run(z) if negative else True
-
-    def drive_out(self, rows: Iterable[int]) -> None:
-        """Pivot each basic artificial of `rows` out at value zero, onto the
-        lowest nonbasic real column with a nonzero entry."""
-        for i in rows:
-            if self.basis[i] not in self.banned:
-                continue
-            row = self.rows[i]
-            for j in range(len(self.nonneg)):
-                if j in self.banned or self.in_basis[j]:
-                    continue
-                if row[j]:
-                    self.pivot(i, j)
-                    break
-            # A row with no eligible pivot column is redundant; its
-            # artificial stays basic at value zero and never re-enters.
+        self.row_cols = [self.row_cols[i] for i in kept]
+        return z if not negative or self.dual_run(z) else None
 
     # Both updates below touch only the nonzero columns of the row being
     # subtracted: a - f*0 == a, so the arithmetic (and with it the Bland
@@ -350,7 +334,7 @@ class Tableau:
         """lp's objective over the tableau columns, negated for MAX."""
         cost = [R0] * len(self.nonneg)
         for name, c in lp.objective.items():
-            cost[lp.variable_index(name)] = c if lp.sense == MIN else -c
+            cost[self.cols[name]] = c if lp.sense == MIN else -c
         return cost
 
     def reduced_costs(self, costvec: list[Rational]) -> list[Rational]:
@@ -413,17 +397,16 @@ class Tableau:
             self.pivot(r, min(eligible)[1], z)
         return True
 
-    def phase2(self, lp: LinearProgram) -> LPOutcome:
-        """Phase 2 on lp's objective from the current feasible basis."""
+    def phase2(self, lp: LinearProgram, z: list[Rational]) -> LPOutcome:
+        """Phase 2 from the current feasible basis, on lp's reduced costs z."""
         minimize = lp.sense == MIN
-        z = self.reduced_costs(self.cost_vector(lp))
         if self.run(z, banned=self.banned) == "unbounded":
             return Unbounded()
 
         xvals = [R0] * len(self.nonneg)
         for i, b in enumerate(self.basis):
             xvals[b] = self.rows[i][-1]
-        x = {v.name: shared(xvals[j]) for j, v in enumerate(lp.variables)}
+        x = {v.name: shared(xvals[self.cols[v.name]]) for v in lp.variables}
 
         y = {row.id: shared(-z[col] if flip != minimize else z[col])
              for (col, _, flip), row in zip(self.row_cols, lp.rows)}
@@ -451,35 +434,52 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> None:
         if not ok:
             raise SolverInvariantError(f"row {row.id!r} violated: {lhs} {row.relation} {row.rhs}")
         yi = y[row.id]
-        if row.relation != EQ:
-            upper = (row.relation == LE) == minimize
-            if upper and yi > R0:
-                raise SolverInvariantError(f"dual sign for row {row.id!r}")
-            if not upper and yi < R0:
-                raise SolverInvariantError(f"dual sign for row {row.id!r}")
+        if row.relation != EQ and (yi > R0 if (row.relation == LE) == minimize else yi < R0):
+            raise SolverInvariantError(f"dual sign for row {row.id!r}")
         if yi and lhs != row.rhs:
             raise SolverInvariantError(f"complementary slackness fails on row {row.id!r}")
         ydotb += yi * row.rhs
 
-    slack_by_var = {v.name: lp.objective.get(v.name, R0) for v in lp.variables}
-    for row in lp.rows:
-        yi = y[row.id]
-        if yi:
-            for name, c in row.coeffs.items():
-                slack_by_var[name] -= yi * c
+    slack_by_var = _dual_slacks(lp, y)
     for var in lp.variables:
         d = slack_by_var[var.name]
-        if not var.nonnegative:
-            if d != R0:
-                raise SolverInvariantError(f"dual constraint for free {var.name!r}")
-        else:
-            if (d < R0) if minimize else (d > R0):
-                raise SolverInvariantError(f"dual constraint for {var.name!r}")
-            if x[var.name] and d:
-                raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")
+        if d and not var.nonnegative:
+            raise SolverInvariantError(f"dual constraint for free {var.name!r}")
+        if (d < R0) if minimize else (d > R0):
+            raise SolverInvariantError(f"dual constraint for {var.name!r}")
+        if x[var.name] and d:
+            raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")
 
     cost = sum((c * x[name] for name, c in lp.objective.items()), R0)
     if cost != opt.objective:
         raise SolverInvariantError("objective value mismatch")
     if ydotb != cost:
         raise SolverInvariantError(f"strong duality fails: {ydotb} != {cost}")
+
+
+def _dual_slacks(lp: LinearProgram, y: Mapping) -> dict:
+    """c_j - y.A_j for every variable of lp: its reduced cost under y."""
+    d = {v.name: lp.objective.get(v.name, R0) for v in lp.variables}
+    for row in lp.rows:
+        yi = y[row.id]
+        if yi:
+            for name, c in row.coeffs.items():
+                d[name] -= yi * c
+    return d
+
+
+def optimal_face(lp: LinearProgram, opt: Optimal, objective: Mapping) -> LinearProgram:
+    """lp's optimal face, at the certified optimum opt, as a MIN model with
+    the given objective (on the face's variables). By complementary
+    slackness with opt.y, every optimum is zero on a variable with a nonzero
+    reduced cost, which the face drops, and tight on a row with a nonzero
+    dual, which becomes ``=``."""
+    d = _dual_slacks(lp, opt.y)
+    keep = {name for name, dj in d.items() if not dj}
+    return LinearProgram(
+        MIN,
+        [v for v in lp.variables if v.name in keep],
+        {name: c for name, c in objective.items() if name in keep},
+        [Row(row.id, {name: c for name, c in row.coeffs.items() if name in keep},
+             EQ if opt.y[row.id] else row.relation, row.rhs) for row in lp.rows],
+    )

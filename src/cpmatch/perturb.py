@@ -3,13 +3,14 @@
 The object of interest is min (c_0 + eps*c_1 + ... + eps^k*c_k).x subject to
 A x >= b with a subset of the columns sign-constrained, for a symbolic
 infinitesimal eps > 0. Nothing here ever materializes eps: stage p solves an
-ordinary LP with objective c_p on a model shrunk by what earlier stages
-proved. Rows whose dual went positive become equalities (they are tight in
-every optimum of the finer objective); columns whose dual constraint went
-strictly slack are dropped (they are zero in every such optimum). The stage-k
-primal solution, padded with zeros on dropped columns, is THE optimum of the
-perturbed problem, and the per-stage duals form its dual's coefficient series
-in powers of eps.
+ordinary LP with objective c_p over the optimal face of stage p - 1
+(linprog.optimal_face): rows whose dual went nonzero become equalities (they
+are tight in every optimum of the finer objective), and columns whose dual
+constraint went strictly slack are dropped (they are zero in every such
+optimum). Each stage is a cold solve of its own model. The stage-k primal
+solution, padded with zeros on dropped columns, is THE optimum of the
+perturbed problem, and the per-stage duals form its dual's coefficient
+series in powers of eps.
 
 The sign rule for that series: reading a fixed row's values stage by stage,
 the first nonzero must be positive, otherwise the series is not a valid
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvariantViolation, StageSolveError
-from .linprog import EQ, GE, MIN, LinearProgram, Optimal, solve
+from .linprog import EQ, GE, MIN, LinearProgram, Optimal, optimal_face, solve
 from .rationals import R0, Rational, rat
 
 
@@ -112,41 +113,22 @@ def solve_perturbed_pair(pair: PerturbedPair) -> PerturbedSolution:
     Raises StageSolveError when any stage is infeasible or unbounded and
     SignViolation when the assembled series breaks the sign rule.
     """
-    eq_rows: set[int] = set()
-    dropped: set[int] = set()
+    columns = [(j, j in pair.nonneg) for j in range(pair.ncols)]
+    rows = [(i, {j: a for j, a in enumerate(pair.a[i]) if a}, GE, pair.b[i])
+            for i in range(pair.nrows)]
     stages: list[StageRecord] = []
-    last_x: dict = {}
     for p, cost in enumerate(pair.costs):
-        kept = tuple(j for j in range(pair.ncols) if j not in dropped)
-        lp = LinearProgram(
-            MIN,
-            [(j, j in pair.nonneg) for j in kept],
-            {j: cost[j] for j in kept},
-            [
-                (i, {j: pair.a[i][j] for j in kept if pair.a[i][j]},
-                 EQ if i in eq_rows else GE, pair.b[i])
-                for i in range(pair.nrows)
-            ],
-        )
+        objective = dict(enumerate(cost))
+        lp = (optimal_face(lp, out, objective) if p
+              else LinearProgram(MIN, columns, objective, rows))
         out = solve(lp)
         if not isinstance(out, Optimal):
             raise StageSolveError(f"stage {p} came back {out.status}")
-        stages.append(
-            StageRecord(p, kept, frozenset(eq_rows), dict(out.x), dict(out.y), out.objective)
-        )
-        last_x = out.x
-        for i in range(pair.nrows):
-            if out.y[i]:
-                eq_rows.add(i)
-        for j in kept:
-            if j not in pair.nonneg or j in dropped:
-                continue
-            slack = cost[j] - sum(
-                (out.y[i] * pair.a[i][j] for i in range(pair.nrows) if out.y[i]), R0
-            )
-            if slack > R0:
-                dropped.add(j)
+        equality_rows = frozenset(row.id for row in lp.rows if row.relation == EQ)
+        kept = tuple(v.name for v in lp.variables)
+        stages.append(StageRecord(p, kept, equality_rows, dict(out.x), dict(out.y), out.objective))
 
+    last_x = stages[-1].x if stages else {}
     x = tuple(last_x.get(j, R0) for j in range(pair.ncols))
     series = DualSeries(tuple(stage.y for stage in stages))
 

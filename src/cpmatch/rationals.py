@@ -29,9 +29,10 @@ _SHARED = {
 
 
 def rat(numerator, denominator=None):
-    """Build a canonical rational from ints, a rational, or a 'p/q' string."""
+    """Build a canonical rational from ints, a rational, or a 'p/q' string;
+    a value that already is one comes back as itself."""
     if denominator is None:
-        return _backend(numerator)
+        return numerator if type(numerator) is Rational else _backend(numerator)
     return _backend(numerator, denominator)
 
 

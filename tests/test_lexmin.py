@@ -240,3 +240,16 @@ def test_lexmin_builds_one_tableau_per_call(monkeypatch):
     solve(lp, start=tab)
     assert lex_min_optimal(lp, [(0, 1), (1, 2), (2, 3), (0, 3)], start=tab) == res
     assert builds == [lp, lp, lp]
+
+
+def test_lexmin_keeps_the_probe_tableau_size():
+    # Each stage only fixes columns of the probe's tableau at zero, so no
+    # stage adds a row or a column to it.
+    g, sigma, exp = dancing_robot()
+    lp = build_primal(g, g.cost_map(), exp.family2)
+    tab = Tableau()
+    solve(lp, start=tab)
+    size = (len(tab.rows), len(tab.nonneg))
+    res = lex_min_optimal(lp, sigma.order(), start=tab)
+    assert res.values == exp.iterate2 and res.lp_solves == g.m + 1
+    assert (len(tab.rows), len(tab.nonneg)) == size

@@ -21,6 +21,7 @@ from cpmatch.linprog import (
     Tableau,
     Unbounded,
     Variable,
+    optimal_face,
     solve,
     verify_certificate,
 )
@@ -271,6 +272,14 @@ def test_common_values_come_back_as_shared_constants():
     assert all(type(v) is Rational for v in values)
 
 
+def test_models_keep_rational_values_as_given():
+    # rat() passes a backend rational through, so a model built from
+    # another model's rows shares their values instead of copying them.
+    c = rat(7, 3)
+    lp = LinearProgram(MIN, ["x"], {"x": c}, [("r", {"x": c}, GE, c)])
+    assert lp.objective["x"] is c and lp.rows[0].coeffs["x"] is c and lp.rows[0].rhs is c
+
+
 def test_fresh_tableau_start_is_the_cold_solve():
     rng = random.Random(5)
     models = [beale_lp()] + [random_bounded_lp(rng)[0] for _ in range(30)]
@@ -300,21 +309,29 @@ def _model(objective, extra_rows=(), sense=MIN):
     return LinearProgram(sense, ["x", "y"], objective, rows + list(extra_rows))
 
 
-def test_reoptimize_after_appended_rows():
+def test_reoptimize_on_an_optimal_face():
     tab = Tableau()
-    first = solve(_model({"x": 1, "y": 2}), start=tab)
-    assert first.x == {"x": 2, "y": 0}
-    # Both appended rows hold at (2, 0); one has a negative rhs. The new
-    # objective moves along x + y = 2 to the other end, x = 0.
-    rows = [("line", {"x": 1, "y": 1}, EQ, 2), ("neg", {"x": -1, "y": -1}, EQ, -2)]
-    lp = _model({"y": 1}, rows, MAX)
+    lp = _model({"x": 1, "y": 1})
+    first = solve(lp, start=tab)
+    assert first.x == {"x": 2, "y": 0} and first.y == {"cover": 1, "xcap": 0}
+    # Appended = rows that the optimum satisfies (one has a negative rhs)
+    # do not carry the tableau onto the face x + y = 2: each is rejected.
+    line, neg = ("line", {"x": 1, "y": 1}, EQ, 2), ("neg", {"x": -1, "y": -1}, EQ, -2)
+    for rows in ([line, neg], [line], [neg]):
+        with pytest.raises(LinearProgramError):
+            solve(_model({"y": 1}, rows, MAX), start=tab)
+    # The face fixes cover's slack (dual 1, so nonbasic) at zero instead,
+    # and the new objective moves along x + y = 2 to the other end, x = 0.
+    face = optimal_face(lp, first, {})
+    assert [row.relation for row in face.rows] == [EQ, LE]
+    lp = LinearProgram(MAX, face.variables, {"y": 1}, face.rows)
     out = solve(lp, start=tab)
     cold = solve(lp)
     assert out.x == cold.x == {"x": 0, "y": 2}
     assert out.objective == cold.objective == 2
     verify_certificate(lp, out)
-    # No appended rows: only the objective changes.
-    out = solve(_model({"x": -1}, rows), start=tab)
+    # Only the objective changes.
+    out = solve(LinearProgram(MIN, face.variables, {"x": -1}, face.rows), start=tab)
     assert out.x == {"x": 2, "y": 0}
 
 
@@ -326,9 +343,13 @@ def test_reoptimize_rejects_a_model_that_does_not_extend_the_last_one():
         # A changed coefficient, and rows in another order.
         LinearProgram(MIN, ["x", "y"], {"x": 1}, [("cover", {"x": 1, "y": 2}, GE, 2), rows[1]]),
         LinearProgram(MIN, ["x", "y"], {"x": 1}, rows[::-1]),
+        # Appended rows: none is accepted, held at (2, 0) or not.
         _model({"x": 1}, [("ge", {"x": 1}, GE, 1)]),
         _model({"x": 1}, [("violated", {"y": 1}, EQ, 1)]),
         _model({"x": 1}, [("holds", {"x": 1}, EQ, 2), ("violated", {"x": 1}, EQ, 1)]),
+        _model({"y": 1}, [("holds", {"x": 1}, EQ, 2)]),
+        # An appended copy of xcap, ahead of the kept rows.
+        LinearProgram(MIN, ["x", "y"], {"x": 1}, [("first", {"x": 1}, LE, 3), *rows]),
         LinearProgram(MIN, ["x", "y", "z"], {"x": 1}, rows),
         # cover is tight at the optimum (2, 0): its slack is nonbasic.
         LinearProgram(MIN, ["x", "y"], {"x": 1}, rows[1:]),
@@ -337,7 +358,7 @@ def test_reoptimize_rejects_a_model_that_does_not_extend_the_last_one():
         with pytest.raises(LinearProgramError):
             solve(lp, start=tab)
     # A rejected model leaves the tableau as it was.
-    out = solve(_model({"y": 1}, [("holds", {"x": 1}, EQ, 2)]), start=tab)
+    out = solve(_model({"y": 1}), start=tab)
     assert out.x == {"x": 2, "y": 0}
 
 
@@ -383,6 +404,13 @@ def test_reoptimize_restores_feasibility_by_a_dual_simplex():
     solve(_capped({"x": 1, "y": 2}), start=tab)
     assert isinstance(solve(_capped({"x": 1, "y": 2}, cover=7), start=tab), Infeasible)
     assert isinstance(solve(_capped({"x": 1, "y": 2}, cover=7)), Infeasible)
+    # y fixed at zero and cover 4 at once: y's reduced cost under x alone is
+    # negative, but a fixed column never enters, and x cannot pass its cap.
+    tab = Tableau()
+    solve(_capped({"x": 1, "y": 2}), start=tab)
+    rows = [Row("cover", {"x": 1}, GE, 4), Row("xcap", {"x": 1}, LE, 3), Row("ycap", {}, LE, 3)]
+    lp = LinearProgram(MIN, ["x"], {"x": 1}, rows)
+    assert isinstance(solve(lp, start=tab), Infeasible) and isinstance(solve(lp), Infeasible)
 
 
 def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
@@ -436,6 +464,16 @@ def test_reoptimize_rejects_misuse_and_stays_usable():
         # The basis is primal infeasible at cover 4, and y's reduced cost
         # under 2x + y is negative: no dual simplex can start.
         _capped({"x": 2, "y": 1}, cover=4),
+        # x = 2 is basic, so it cannot be dropped (fixed at zero).
+        LinearProgram(MIN, ["y"], {"y": 2}, [
+            Row("cover", {"y": 1}, GE, 2), Row("xcap", {}, LE, 3), rows[2]]),
+        # xcap's slack (1) is basic, so xcap cannot become an equality; and
+        # a <= row never becomes >=.
+        _capped({"x": 1, "y": 2}, rows=[rows[0], Row("xcap", {"x": 1}, EQ, 3), rows[2]]),
+        _capped({"x": 1, "y": 2}, rows=[rows[0], Row("xcap", {"x": 1}, GE, 3), rows[2]]),
+        # An appended row, even one the optimum satisfies, and a new variable.
+        _capped({"x": 1, "y": 2}, rows=[*rows, Row("fix", {"x": 1}, EQ, 2)]),
+        LinearProgram(MIN, ["x", "y", "z"], {"x": 1, "y": 2}, rows),
     ]
     tab = Tableau()
     solve(_capped({"x": 1, "y": 2}), start=tab)
@@ -446,6 +484,22 @@ def test_reoptimize_rejects_misuse_and_stays_usable():
         out = solve(good, start=tab)
         assert out.x == solve(good).x == {"x": 3, "y": 0}
         assert solve(_capped({"x": 1, "y": 2}), start=tab).x == {"x": 2, "y": 0}
+
+    # On the face of x + 2y at (2, 0), y (reduced cost 1) is dropped and
+    # cover (dual 1) is an equality; neither comes back.
+    lp = _capped({"x": 1, "y": 2})
+    face = optimal_face(lp, solve(lp, start=tab), {"x": -1})
+    assert [v.name for v in face.variables] == ["x"]
+    assert [row.relation for row in face.rows] == [EQ, LE, LE]
+    assert solve(face, start=tab).x == {"x": 2}
+    bad = [
+        LinearProgram(MIN, ["x"], {}, [Row("cover", {"x": 1}, GE, 2), *face.rows[1:]]),
+        lp,
+    ]
+    for lp in bad:
+        with pytest.raises(LinearProgramError):
+            solve(lp, start=tab)
+        assert solve(face, start=tab).x == {"x": 2}
 
 
 def _variant(lp, out, rng):
@@ -501,3 +555,51 @@ def test_reoptimize_variants_match_cold_solves(monkeypatch):
                 verify_certificate(lp, out)
     assert {"optimal", "infeasible"} <= set(statuses)
     assert dual_outcomes.count(True) >= 10 and False in dual_outcomes
+
+
+def _fixed_at_zero(lp, tab, rng, sense):
+    """lp, solved last on tab, with some nonbasic variables dropped, some
+    inequalities whose slack is nonbasic made =, and a random objective
+    in sense; also the counts of dropped variables and tightened rows."""
+    drop = {v.name for v in lp.variables
+            if not tab.in_basis[tab.cols[v.name]] and rng.random() < 0.3}
+    rows = [
+        Row(row.id, {k: c for k, c in row.coeffs.items() if k not in drop},
+            EQ if slack is not None and not tab.in_basis[slack] and rng.random() < 0.5
+            else row.relation, row.rhs)
+        for row, (_, slack, _) in zip(lp.rows, tab.row_cols)
+    ]
+    tightened = sum(new.relation != row.relation for new, row in zip(rows, lp.rows))
+    variables = [v for v in lp.variables if v.name not in drop]
+    objective = {v.name: rng.randint(-3, 3) for v in variables}
+    return LinearProgram(sense, variables, objective, rows), len(drop), tightened
+
+
+def test_fixing_nonbasic_columns_matches_cold_solves():
+    rng = random.Random(12)
+    models = [random_bounded_lp(rng)[0] for _ in range(40)]
+    for _ in range(40):
+        pair = random_perturbed_pair(rng)
+        names = [("x", j) for j in range(pair.ncols)]
+        models.append(LinearProgram(
+            MAX,
+            [(name, j in pair.nonneg) for j, name in enumerate(names)],
+            {name: -c for name, c in zip(names, pair.costs[0])},
+            [(i, dict(zip(names, pair.a[i])), GE, pair.b[i]) for i in range(pair.nrows)],
+        ))
+    dropped = tightened = solves = 0
+    for lp in models:
+        tab = Tableau()
+        out = solve(lp, start=tab)
+        for _ in range(3):
+            if not isinstance(out, Optimal):
+                break
+            lp, d, t = _fixed_at_zero(lp, tab, rng, rng.choice([MIN, MAX]))
+            dropped, tightened = dropped + d, tightened + t
+            out, cold = solve(lp, start=tab), solve(lp)
+            assert out.status == cold.status
+            if isinstance(out, Optimal):
+                assert out.objective == cold.objective
+                verify_certificate(lp, out)
+                solves += 1
+    assert dropped >= 40 and tightened >= 80 and solves >= 150

@@ -1,5 +1,6 @@
 """Tests for the staged-cost solver that replaces explicit perturbation."""
 
+import hashlib
 import random
 
 import pytest
@@ -129,3 +130,37 @@ def test_random_pairs_satisfy_stagewise_complementary_slackness():
                         stage.y[i] * pair.a[i][j] for i in range(pair.nrows)
                     )
                     assert reduced == R0
+
+
+
+def _stage_records_digest(solutions):
+    """SHA-256 over every stage record's kept_columns, equality_rows, x, y
+    and objective, values rendered as exact 'p/q' strings."""
+    h = hashlib.sha256()
+    for sol in solutions:
+        for s in sol.stages:
+            record = (
+                s.kept_columns,
+                sorted(s.equality_rows),
+                [(j, str(v)) for j, v in sorted(s.x.items())],
+                [(i, str(v)) for i, v in sorted(s.y.items())],
+                str(s.objective),
+            )
+            h.update(repr(record).encode())
+    return h.hexdigest()
+
+
+# Taken while solve_perturbed_pair still kept its own drop and equality
+# bookkeeping, before the face rule moved into linprog.optimal_face.
+STAGE_RECORDS_DIGEST = "0aa901e0887d3870947092590148acf71a76ac4c0990d1cb66cdef578d0c2952"
+
+
+def test_stage_records_are_pinned():
+    rng = random.Random(2019)
+    pairs = [random_perturbed_pair(rng) for _ in range(120)]
+    solutions = [solve_perturbed_pair(pair) for pair in pairs]
+    # The draws exercise both halves of the face rule.
+    assert any(len(s.kept_columns) < pair.ncols
+               for pair, sol in zip(pairs, solutions) for s in sol.stages)
+    assert any(s.equality_rows for sol in solutions for s in sol.stages)
+    assert _stage_records_digest(solutions) == STAGE_RECORDS_DIGEST
