@@ -3,8 +3,8 @@
 Models are row-oriented: named variables (nonnegative or free), an objective
 with a sense, and relational rows over the variables. solve() returns both a
 primal optimum and a matching dual vector, all in exact rationals, and checks
-the certificate (feasibility, complementary slackness, strong duality) on
-every call before handing it back. Values equal to 0, +-1, +-1/2 or +-2 come
+the certificate (feasibility, complementary slackness, strong duality)
+exactly, on scaled integers, on every solve before handing it back. Values equal to 0, +-1, +-1/2 or +-2 come
 back as the shared instances from rationals.shared.
 
 solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
@@ -33,6 +33,7 @@ For maximization the signs flip (``<=`` rows carry y >= 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Any, Hashable, Iterable, Mapping
 
 from .errors import InvariantViolation
@@ -158,7 +159,8 @@ class Tableau:
     without a +e_i slack; each row ends with its rhs. banned holds the
     columns that never enter (artificials, dropped rows' slacks, columns
     fixed at zero); row_cols holds each model row's (identity column, slack
-    column or None, build-time flip).
+    column or None, build-time flip); z holds the last model's reduced costs,
+    kept current through the last solve's pivots.
     """
 
     def __init__(self) -> None:
@@ -174,7 +176,7 @@ class Tableau:
         else:
             raise LinearProgramError(f"cannot reoptimize after an {self.status} solve")
         outcome = Infeasible() if z is None else self.phase2(lp, z)
-        self.lp, self.status = lp, outcome.status
+        self.lp, self.status, self.z = lp, outcome.status, z
         return outcome
 
     def build(self, lp: LinearProgram) -> list[Rational] | None:
@@ -280,18 +282,21 @@ class Tableau:
             or None in gone or not all(in_basis[j] for j in gone)
         ):
             raise LinearProgramError("start= takes a variant of the last model (see linprog)")
-        changed = any(row.rhs != old.rows[i].rhs for i, row in pairs)
-        b = [(self.row_cols[i][0], -row.rhs if self.row_cols[i][2] else row.rhs)
-             for i, row in pairs if row.rhs and changed]
-        values = [sum((t[c] * v for c, v in b if t[c]), R0) if changed else t[-1]
-                  for t in self.rows]
+        # B^-1 b moves by B^-1 (b - b_old); a dropped row's rhs never reaches
+        # a kept row's value, because its slack is basic and in no other row.
+        delta = [(self.row_cols[i][0], old.rows[i].rhs - row.rhs if self.row_cols[i][2]
+                  else row.rhs - old.rows[i].rhs)
+                 for i, row in pairs if row.rhs != old.rows[i].rhs]
+        values = [sum((t[c] * v for c, v in delta if t[c]), t[-1]) for t in self.rows]
         live = [(r, j) for r, j in enumerate(self.basis) if j not in gone]
         if any(values[r] for r, j in live if j in self.banned):
             return None
         negative = any(values[r] < R0 and nonneg[j] and j not in freed for r, j in live)
-        # Dropped rows' basic slacks cost 0, so z is already lp's; its last
-        # entry (the objective value) is never read.
-        z = self.reduced_costs(self.cost_vector(lp))
+        # Dropped rows' basic slacks cost 0, so the z the last solve kept
+        # current is lp's when the objective is; its last entry (the
+        # objective value) is never read.
+        z = (self.z if lp.sense == old.sense and lp.objective == old.objective
+             else self.reduced_costs(self.cost_vector(lp)))
         if negative and any((zj < R0 if nonneg[j] else zj) for j, zj in enumerate(z[:-1])
                             if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
@@ -416,55 +421,89 @@ class Tableau:
 
 
 def verify_certificate(lp: LinearProgram, opt: Optimal) -> None:
-    """Exact optimality check: feasibility both sides, CS, strong duality."""
+    """Exact optimality check: feasibility both sides, CS, strong duality.
+
+    x and y are scaled once each to integers over their least common
+    denominator, each row by the lcm of its coefficient and rhs
+    denominators, so every row sum and every relation, sign and
+    complementary-slackness test runs on ints; rationals are formed only for
+    error messages and for the objective and strong-duality comparisons."""
     x, y = opt.x, opt.y
     minimize = lp.sense == MIN
     for var in lp.variables:
         if var.name not in x:
             raise SolverInvariantError(f"missing primal value for {var.name!r}")
-        if var.nonnegative and x[var.name] < R0:
+        if var.nonnegative and x[var.name].numerator < 0:
             raise SolverInvariantError(f"negative value for {var.name!r}")
-
-    ydotb = R0
     for row in lp.rows:
-        lhs = sum((c * x[name] for name, c in row.coeffs.items()), R0)
-        ok = lhs == row.rhs if row.relation == EQ else (
-            lhs <= row.rhs if row.relation == LE else lhs >= row.rhs
-        )
-        if not ok:
-            raise SolverInvariantError(f"row {row.id!r} violated: {lhs} {row.relation} {row.rhs}")
-        yi = y[row.id]
-        if row.relation != EQ and (yi > R0 if (row.relation == LE) == minimize else yi < R0):
-            raise SolverInvariantError(f"dual sign for row {row.id!r}")
-        if yi and lhs != row.rhs:
-            raise SolverInvariantError(f"complementary slackness fails on row {row.id!r}")
-        ydotb += yi * row.rhs
+        if row.id not in y:
+            raise SolverInvariantError(f"missing dual value for row {row.id!r}")
 
-    slack_by_var = _dual_slacks(lp, y)
+    names = [v.name for v in lp.variables]
+    xn, dx = _integers([x[name] for name in names])
+    xs = dict(zip(names, xn))
+    ys, dy = _integers([y[row.id] for row in lp.rows])
+    ydotb: dict[int, int] = {}  # y.b as integers over dy * s, by row scale s
+    terms = []  # (row, y_i * dy, coefficients * s, s) where y_i != 0
+    for row, yi in zip(lp.rows, ys):
+        a, s = _integers([*row.coeffs.values(), row.rhs])
+        rhs = a.pop()
+        lhs, b = sum(c * xs[name] for name, c in zip(row.coeffs, a)), rhs * dx
+        relation = row.relation
+        if not (lhs == b if relation == EQ else lhs <= b if relation == LE else lhs >= b):
+            raise SolverInvariantError(
+                f"row {row.id!r} violated: {rat(lhs, s * dx)} {relation} {row.rhs}")
+        if relation != EQ and (yi > 0 if (relation == LE) == minimize else yi < 0):
+            raise SolverInvariantError(f"dual sign for row {row.id!r}")
+        if yi:
+            if lhs != b:
+                raise SolverInvariantError(f"complementary slackness fails on row {row.id!r}")
+            terms.append((row, yi, a, s))
+            ydotb[s] = ydotb.get(s, 0) + yi * rhs
+
+    slack_by_var = _dual_slacks(lp, terms, dy)
     for var in lp.variables:
         d = slack_by_var[var.name]
         if d and not var.nonnegative:
             raise SolverInvariantError(f"dual constraint for free {var.name!r}")
-        if (d < R0) if minimize else (d > R0):
+        if (d < 0) if minimize else (d > 0):
             raise SolverInvariantError(f"dual constraint for {var.name!r}")
-        if x[var.name] and d:
+        if xs[var.name] and d:
             raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")
 
-    cost = sum((c * x[name] for name, c in lp.objective.items()), R0)
+    c, dc = _integers(list(lp.objective.values()))
+    cost = rat(sum(cj * xs[name] for name, cj in zip(lp.objective, c)), dc * dx)
     if cost != opt.objective:
         raise SolverInvariantError("objective value mismatch")
-    if ydotb != cost:
-        raise SolverInvariantError(f"strong duality fails: {ydotb} != {cost}")
+    dual = sum((rat(v, dy * s) for s, v in ydotb.items()), R0)
+    if dual != cost:
+        raise SolverInvariantError(f"strong duality fails: {dual} != {cost}")
 
 
-def _dual_slacks(lp: LinearProgram, y: Mapping) -> dict:
-    """c_j - y.A_j for every variable of lp: its reduced cost under y."""
-    d = {v.name: lp.objective.get(v.name, R0) for v in lp.variables}
-    for row in lp.rows:
-        yi = y[row.id]
-        if yi:
-            for name, c in row.coeffs.items():
-                d[name] -= yi * c
+def _integers(values: list) -> tuple[list, int]:
+    """values as integers over their least common denominator: (nums, den)."""
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // q) for v, q in zip(values, dens)], den
+
+
+def _dual_slacks(lp: LinearProgram, terms: list, dy: int) -> dict:
+    """c_j - y.A_j for every variable of lp, its reduced cost under y, as
+    integers over one positive common denominator (so signs and zeros are
+    exact). terms holds (row, y_i * dy, row coefficients * s, s) for each row
+    with y_i != 0, all integers."""
+    c, dc = _integers(list(lp.objective.values()))
+    den = lcm(dc, dy * lcm(*(s for *_, s in terms)))
+    d = dict.fromkeys((v.name for v in lp.variables), 0)
+    f = den // dc
+    for name, cj in zip(lp.objective, c):
+        d[name] = cj * f
+    for row, yi, a, s in terms:
+        f = yi * (den // (dy * s))
+        for name, aij in zip(row.coeffs, a):
+            d[name] -= f * aij
     return d
 
 
@@ -474,7 +513,9 @@ def optimal_face(lp: LinearProgram, opt: Optimal, objective: Mapping) -> LinearP
     slackness with opt.y, every optimum is zero on a variable with a nonzero
     reduced cost, which the face drops, and tight on a row with a nonzero
     dual, which becomes ``=``."""
-    d = _dual_slacks(lp, opt.y)
+    ys, dy = _integers([opt.y[row.id] for row in lp.rows])
+    d = _dual_slacks(lp, [(row, yi, *_integers(list(row.coeffs.values())))
+                          for row, yi in zip(lp.rows, ys) if yi], dy)
     keep = {name for name, dj in d.items() if not dj}
     return LinearProgram(
         MIN,

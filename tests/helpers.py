@@ -10,9 +10,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
-from cpmatch.linprog import EQ, GE, LE, MIN, LinearProgram, Optimal, solve
+from cpmatch.linprog import (
+    EQ,
+    GE,
+    LE,
+    MIN,
+    LinearProgram,
+    Optimal,
+    SolverInvariantError,
+    solve,
+)
 from cpmatch.perturb import PerturbedPair
+from cpmatch.rationals import R0
 
 
 def _solve_square(system, n):
@@ -157,3 +168,58 @@ def sequential_stage_minima(pair: PerturbedPair) -> list:
         minima.append(out.objective)
         rows = rows + [(("face", p), objective, EQ, out.objective)]
     return minima
+
+
+def fraction_verify_certificate(lp: LinearProgram, opt: Optimal) -> None:
+    """The reference certificate check: linprog.verify_certificate as it was
+    on rationals, before it moved to scaled integers, kept verbatim (it reads
+    y[row.id] directly, so a missing dual raises KeyError here)."""
+    x, y = opt.x, opt.y
+    minimize = lp.sense == MIN
+    for var in lp.variables:
+        if var.name not in x:
+            raise SolverInvariantError(f"missing primal value for {var.name!r}")
+        if var.nonnegative and x[var.name] < R0:
+            raise SolverInvariantError(f"negative value for {var.name!r}")
+
+    ydotb = R0
+    for row in lp.rows:
+        lhs = sum((c * x[name] for name, c in row.coeffs.items()), R0)
+        ok = lhs == row.rhs if row.relation == EQ else (
+            lhs <= row.rhs if row.relation == LE else lhs >= row.rhs
+        )
+        if not ok:
+            raise SolverInvariantError(f"row {row.id!r} violated: {lhs} {row.relation} {row.rhs}")
+        yi = y[row.id]
+        if row.relation != EQ and (yi > R0 if (row.relation == LE) == minimize else yi < R0):
+            raise SolverInvariantError(f"dual sign for row {row.id!r}")
+        if yi and lhs != row.rhs:
+            raise SolverInvariantError(f"complementary slackness fails on row {row.id!r}")
+        ydotb += yi * row.rhs
+
+    slack_by_var = _dual_slacks(lp, y)
+    for var in lp.variables:
+        d = slack_by_var[var.name]
+        if d and not var.nonnegative:
+            raise SolverInvariantError(f"dual constraint for free {var.name!r}")
+        if (d < R0) if minimize else (d > R0):
+            raise SolverInvariantError(f"dual constraint for {var.name!r}")
+        if x[var.name] and d:
+            raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")
+
+    cost = sum((c * x[name] for name, c in lp.objective.items()), R0)
+    if cost != opt.objective:
+        raise SolverInvariantError("objective value mismatch")
+    if ydotb != cost:
+        raise SolverInvariantError(f"strong duality fails: {ydotb} != {cost}")
+
+
+def _dual_slacks(lp: LinearProgram, y: Mapping) -> dict:
+    """c_j - y.A_j for every variable of lp: its reduced cost under y."""
+    d = {v.name: lp.objective.get(v.name, R0) for v in lp.variables}
+    for row in lp.rows:
+        yi = y[row.id]
+        if yi:
+            for name, c in row.coeffs.items():
+                d[name] -= yi * c
+    return d

@@ -93,6 +93,30 @@ def test_round_trip_with_shuffled_ordering():
         assert g2 == g and sigma2 == sigma
 
 
+def test_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def instances(draw):
+        """A graph on n <= 12 vertices: any edge subset, in any file order
+        and orientation, costs in -50..50, and any edge ordering."""
+        n = draw(st.integers(0, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        edges = tuple((*(e[::-1] if draw(st.booleans()) else e), draw(st.integers(-50, 50)))
+                      for e in chosen)
+        return Graph(n, edges), EdgeOrdering.from_sequence(draw(st.permutations(chosen)))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(instances())
+    def round_trip(case):
+        g, sigma = case
+        assert parse_graph(emit_graph(g, sigma)) == (g, sigma)
+
+    round_trip()
+
+
 def test_emit_requires_matching_ordering():
     g = Graph(4, ((0, 1, 1), (2, 3, 1)))
     other = EdgeOrdering.from_sequence([(0, 1), (2, 3), (1, 2)])

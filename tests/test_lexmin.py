@@ -109,8 +109,11 @@ def test_matches_explicit_power_of_two_perturbation():
 
 
 def cold_lex_min(lp, order):
-    """The reference: the stage models lex_min_optimal solves, each solved
-    cold (no start), as (status, values, objective)."""
+    """The reference, as (status, values, objective): lexmin by appended
+    rows, each stage solved cold (no start). A stage model is lp's rows plus
+    one row pinning the optimal objective and one row pinning each variable
+    already minimized. lex_min_optimal solves optimal faces on one tableau
+    instead; both reach the unique lexmin point."""
     first = solve(lp)
     if not isinstance(first, Optimal):
         return first.status, None, None

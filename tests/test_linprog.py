@@ -1,11 +1,18 @@
 """Tests for the exact two-phase simplex."""
 
 import random
+import re
 
 import pytest
 
-from helpers import enumerate_minimum, random_bounded_lp, random_perturbed_pair
+from helpers import (
+    enumerate_minimum,
+    fraction_verify_certificate,
+    random_bounded_lp,
+    random_perturbed_pair,
+)
 
+from cpmatch import linprog
 from cpmatch.linprog import (
     EQ,
     GE,
@@ -195,6 +202,119 @@ def test_verification_rejects_tampered_certificate():
     bad = Optimal(x=out.x, y={"r": rat(-1)}, objective=out.objective)
     with pytest.raises(SolverInvariantError):
         verify_certificate(lp, bad)
+
+
+def _one_row(sense, variables, objective, coeffs, relation):
+    return LinearProgram(sense, variables, objective, [("r", coeffs, relation, 1)])
+
+
+_GE = _one_row(MIN, ["x"], {"x": 1}, {"x": 1}, GE)  # optimum x = 1, y = 1
+
+
+def _cert(x, y, objective):
+    return Optimal(x={k: rat(v) for k, v in x.items()},
+                   y={k: rat(v) for k, v in y.items()}, objective=rat(objective))
+
+
+# One certificate per rejection branch of verify_certificate, each passing
+# every check before it, with the message it must raise.
+REJECTED = [
+    (_GE, _cert({}, {"r": 1}, 1), "missing primal value for 'x'"),
+    (_GE, _cert({"x": -1}, {"r": 1}, 1), "negative value for 'x'"),
+    (_GE, _cert({"x": 1}, {}, 1), "missing dual value for row 'r'"),
+    (_one_row(MAX, ["x"], {"x": 1}, {"x": 1}, LE), _cert({"x": 2}, {"r": 1}, 2),
+     "row 'r' violated: 2 <= 1"),
+    (_one_row(MIN, ["x"], {"x": 1}, {"x": 1}, EQ), _cert({"x": 2}, {"r": 1}, 2),
+     "row 'r' violated: 2 = 1"),
+    (_one_row(MIN, ["x"], {"x": 1}, {"x": rat(1, 3)}, GE), _cert({"x": 2}, {"r": 3}, 2),
+     "row 'r' violated: 2/3 >= 1"),
+    (_GE, _cert({"x": 1}, {"r": -1}, 1), "dual sign for row 'r'"),
+    (_GE, _cert({"x": rat(3, 2)}, {"r": 1}, rat(3, 2)), "complementary slackness fails on row 'r'"),
+    (_one_row(MIN, [("x", False)], {"x": 1}, {"x": 1}, GE), _cert({"x": 1}, {"r": 0}, 1),
+     "dual constraint for free 'x'"),
+    (_GE, _cert({"x": 1}, {"r": 2}, 1), "dual constraint for 'x'"),
+    (_one_row(MAX, ["x"], {"x": -1}, {"x": 1}, GE), _cert({"x": 1}, {"r": -2}, -1),
+     "dual constraint for 'x'"),
+    (_one_row(MIN, ["x", "y"], {"x": 1, "y": 2}, {"x": 1, "y": 1}, GE),
+     _cert({"x": 0, "y": 1}, {"r": 1}, 2), "complementary slackness fails on 'y'"),
+    (_GE, _cert({"x": 1}, {"r": 1}, 2), "objective value mismatch"),
+]
+
+
+def _verdict(check, lp, cert):
+    """The message check raises SolverInvariantError with, or None."""
+    try:
+        check(lp, cert)
+    except SolverInvariantError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("lp, cert, message", REJECTED)
+def test_verification_rejects_each_broken_certificate(lp, cert, message):
+    assert _verdict(verify_certificate, lp, cert) == message
+    if message.startswith("missing dual"):
+        with pytest.raises(KeyError):  # the reference reads y[row.id] directly
+            fraction_verify_certificate(lp, cert)
+    else:
+        assert _verdict(fraction_verify_certificate, lp, cert) == message
+
+
+def test_strong_duality_backs_up_the_dual_slacks(monkeypatch):
+    # No certificate reaches this check while the slacks are right: rows with
+    # y_i != 0 are tight and columns with x_j != 0 have d_j = 0, so
+    # y.b = y.Ax = c.x - d.x = c.x. Slacks that wrongly read zero let y = 2
+    # past every dual constraint; strong duality still rejects it.
+    monkeypatch.setattr(linprog, "_dual_slacks",
+                        lambda lp, terms, dy: dict.fromkeys((v.name for v in lp.variables), 0))
+    verify_certificate(_GE, _cert({"x": 1}, {"r": 1}, 1))
+    with pytest.raises(SolverInvariantError, match=r"^strong duality fails: 2 != 1$"):
+        verify_certificate(_GE, _cert({"x": 1}, {"r": 2}, 1))
+
+
+def _variants(rng, lp):
+    """lp; lp with each row multiplied by a random positive rational; its MAX
+    twin (objective negated); and lp with x0 free above a floor row."""
+    scaled = [Row(row.id, {k: c * f for k, c in row.coeffs.items()}, row.relation, row.rhs * f)
+              for row in lp.rows for f in [rat(rng.randint(1, 3), rng.randint(1, 4))]]
+    free = [Variable(v.name, v.name != "x0") for v in lp.variables]
+    floor = Row("floor", {"x0": 1}, GE, -rng.randint(0, 3))
+    return [
+        lp,
+        LinearProgram(MIN, lp.variables, lp.objective, scaled),
+        LinearProgram(MAX, lp.variables, {k: -c for k, c in lp.objective.items()}, lp.rows),
+        LinearProgram(MIN, free, lp.objective, [*lp.rows, floor]),
+    ]
+
+
+def test_integer_checker_agrees_with_the_fraction_checker():
+    # Optimal certificates and single-entry tamperings of x, y and objective:
+    # both checkers accept, or both raise the same message.
+    rng = random.Random(20261018)
+    shifts = [rat(1), rat(-1), rat(1, 2), rat(-1, 3), rat(5, 7), rat(-7, 4)]
+    verdicts = []
+    for _ in range(60):
+        for lp in _variants(rng, random_bounded_lp(rng)[0]):
+            out = solve(lp)
+            if not isinstance(out, Optimal):
+                continue
+            certs = [out, Optimal(out.x, out.y, out.objective + rng.choice(shifts))]
+            for key in out.x:
+                certs.append(Optimal({**out.x, key: out.x[key] + rng.choice(shifts)},
+                                     out.y, out.objective))
+            for key in out.y:
+                certs.append(Optimal(out.x, {**out.y, key: out.y[key] + rng.choice(shifts)},
+                                     out.objective))
+            for cert in certs:
+                verdict = _verdict(verify_certificate, lp, cert)
+                assert verdict == _verdict(fraction_verify_certificate, lp, cert)
+                verdicts.append(verdict)
+    kinds = {v and re.sub(" '.*", "", v) for v in verdicts}
+    assert verdicts.count(None) >= 100
+    assert kinds == {None, "negative value for", "row", "dual sign for row",
+                     "complementary slackness fails on row", "dual constraint for free",
+                     "dual constraint for", "complementary slackness fails on",
+                     "objective value mismatch"}
 
 
 def test_random_models_match_enumeration():
@@ -411,6 +531,34 @@ def test_reoptimize_restores_feasibility_by_a_dual_simplex():
     rows = [Row("cover", {"x": 1}, GE, 4), Row("xcap", {"x": 1}, LE, 3), Row("ycap", {}, LE, 3)]
     lp = LinearProgram(MIN, ["x"], {"x": 1}, rows)
     assert isinstance(solve(lp, start=tab), Infeasible) and isinstance(solve(lp), Infeasible)
+
+
+def test_reoptimize_keeps_the_reduced_costs_of_an_unchanged_objective(monkeypatch):
+    # The z the last solve kept current is lp's while objective and sense
+    # stay, so only a new objective or sense recomputes reduced costs.
+    calls = []
+    reduced_costs = Tableau.reduced_costs
+
+    def counting(self, costvec):
+        calls.append(costvec)
+        return reduced_costs(self, costvec)
+
+    tab = Tableau()
+    solve(_capped({"x": 1, "y": 2}), start=tab)
+    models = [
+        (_capped({"x": 1, "y": 2}, cover=4), 0),  # rhs only: a dual simplex
+        (_capped({"x": 1, "y": 2}, cover=1), 0),
+        (_capped({"x": 2, "y": 1}, cover=1), 1),
+        (LinearProgram(MAX, ["x", "y"], {"x": 2, "y": 1}, _capped({}).rows), 1),
+    ]
+    for lp, recomputed in models:
+        cold = solve(lp)
+        monkeypatch.setattr(Tableau, "reduced_costs", counting)
+        out = solve(lp, start=tab)
+        monkeypatch.undo()
+        assert len(calls) == recomputed
+        assert (out.x, out.y, out.objective) == (cold.x, cold.y, cold.objective)
+        del calls[:]
 
 
 def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
