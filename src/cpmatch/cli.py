@@ -19,6 +19,7 @@ import random
 import sys
 
 from .cpm import (
+    NAIVE_ITERATION_CAP,
     IterationRecord,
     MatchingResult,
     NaiveTrace,
@@ -131,7 +132,7 @@ def _cmd_solve(args, out, err) -> int:
         elif args.algorithm == "perturbed":
             result = solve_perturbed_reference(g, sigma, iteration_cap=args.max_iter)
         else:
-            cap = args.max_iter if args.max_iter is not None else 50
+            cap = NAIVE_ITERATION_CAP if args.max_iter is None else args.max_iter
             result = solve_naive(g, sigma, max_iterations=cap)
     except NoPerfectMatching as exc:
         print(f"no perfect matching: {exc}", file=err)

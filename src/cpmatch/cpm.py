@@ -56,7 +56,7 @@ from .graphs import (
     vector_is_integral,
 )
 from .lexmin import lex_min_optimal
-from .linprog import Infeasible, Optimal, Tableau, solve
+from .linprog import EQ, GE, Infeasible, Optimal, Tableau, solve
 from .matchlp import (
     build_closest_dual,
     build_primal,
@@ -96,6 +96,10 @@ class NaiveTrace:
     total_lp_solves: int
     matching: frozenset[Edge] | None
     cost: int | None
+
+
+#: solve_naive's iteration cap, and the CLI's for --algorithm naive.
+NAIVE_ITERATION_CAP = 50
 
 
 def default_iteration_cap(g: Graph) -> int:
@@ -187,13 +191,13 @@ def _stage_duals(g, stages, family, x, targets):
     it only changes right-hand sides, drops rows whose slack is nonzero and
     frees positive sets' bounds, which keeps the last basis dual feasible.
 
-    A distance row, non-support edge row or set sign bound stays in the
-    stages until its value (residual, slack, or the set's pi) is first
-    nonzero. That value decides the sign of its stage series: a negative one
-    raises SignViolation (the certificate-checked rows and bounds forbid it,
-    so only a faulty solve can), a positive one drops the row or bound from
-    all later stages. Returns the stage pi vectors and the sets whose bound
-    was dropped, which are those with a positive series.
+    An inequality row of the stage model, or a set's sign bound, stays in the
+    stages until its value (the row's slack at the stage optimum, or the
+    set's pi) is first nonzero. That value decides the sign of its stage
+    series: a negative one raises SignViolation (the certificate-checked rows
+    and bounds forbid it, so only a faulty solve can), a positive one drops
+    the row or bound from all later stages. Returns the stage pi vectors and
+    the sets whose bound was dropped, which are those with a positive series.
 
     perturb.solve_perturbed_pair cannot run these stages: it fixes A and b
     and stages only the objective, while here the stages drop rows and
@@ -203,35 +207,30 @@ def _stage_duals(g, stages, family, x, targets):
     tab = Tableau()
     stage_pis: list[dict] = []
     for i, (ci, target) in enumerate(zip(stages, targets)):
-        out = solve(build_closest_dual(ctx, ci, target), start=tab)
+        lp = build_closest_dual(ctx, ci, target)
+        out = solve(lp, start=tab)
         if not isinstance(out, Optimal):
             raise StageSolveError(f"dual stage {i} came back {out.status}")
-        pi, r = split_dual_solution(out.x)
-        pi = _reuse_targets(pi, target)
-        stage_pis.append(pi)
+        pi, _ = split_dual_solution(out.x)
+        stage_pis.append(_reuse_targets(pi, target))
 
-        for k in ctx.keys:
-            goal = rat(target.get(k, R0))
-            if k not in ctx.dropped_lo:
-                _drop_if_nonzero(ctx.dropped_lo, "lo", k, r[k] + pi[k] - goal, i)
-            if k not in ctx.dropped_hi:
-                _drop_if_nonzero(ctx.dropped_hi, "hi", k, goal - (pi[k] - r[k]), i)
-        for e, ks in ctx.crossing.items():
-            if e not in ctx.support and e not in ctx.dropped_edges:
-                slack = ci[e] - sum((pi[k] for k in ks), R0)
-                _drop_if_nonzero(ctx.dropped_edges, "edge", e, slack, i)
+        for row in lp.rows:
+            if row.relation != EQ:
+                lhs = sum((c * out.x[v] for v, c in row.coeffs.items() if out.x[v]), R0)
+                slack = lhs - row.rhs if row.relation == GE else row.rhs - lhs
+                _drop_if_nonzero(ctx.dropped, row.id, row.id, slack, i)
         for s in ctx.tight:
             if s not in ctx.free_sets:
-                _drop_if_nonzero(ctx.free_sets, "cut", s, pi[s], i)
+                _drop_if_nonzero(ctx.free_sets, s, ("cut", s), pi[s], i)
     return stage_pis, ctx.free_sets
 
 
-def _drop_if_nonzero(dropped: set, kind: str, key, value, stage: int) -> None:
-    """Add key to dropped when value, the first nonzero of its stage series
+def _drop_if_nonzero(dropped: set, key, what, value, stage: int) -> None:
+    """Add key to dropped when value, the first nonzero of series `what`
     (every earlier stage gave 0), is positive; raise when it is negative."""
     if value:
         if value < 0:
-            raise SignViolation((kind, key), (R0,) * stage + (value,))
+            raise SignViolation(what, (R0,) * stage + (value,))
         dropped.add(key)
 
 
@@ -350,7 +349,7 @@ def solve_perturbed_reference(
 
 
 def solve_naive(
-    g: Graph, sigma: EdgeOrdering, max_iterations: int = 50
+    g: Graph, sigma: EdgeOrdering, max_iterations: int = NAIVE_ITERATION_CAP
 ) -> NaiveTrace:
     """Diagnostic mode: no perturbation and no stage series, just lexmin
     primal plus one closest dual per iteration. Never raises on the failure

@@ -59,7 +59,11 @@ class Graph:
                 raise GraphError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"edge ({u}, {v}) outside vertex range")
-            if int(cost) != cost:
+            try:
+                integral = int(cost) == cost
+            except (TypeError, ValueError, OverflowError):  # None, NaN, inf, "1.5"
+                integral = False
+            if not integral:
                 raise GraphError(f"edge ({u}, {v}) has non-integer cost {cost!r}")
             e = normalize_edge(u, v)
             if e in seen:
@@ -86,9 +90,9 @@ class EdgeOrdering:
     rank: Mapping[Edge, int]
 
     def __post_init__(self):
-        ranks = sorted(self.rank.values())
+        ranks = sorted(r for r in self.rank.values() if isinstance(r, int))
         if ranks != list(range(1, len(self.rank) + 1)):
-            raise GraphError("ranks must be a bijection onto 1..m")
+            raise GraphError("ranks must be ints forming a bijection onto 1..m")
 
     @classmethod
     def from_sequence(cls, edges: Iterable[Edge]) -> "EdgeOrdering":

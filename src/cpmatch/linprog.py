@@ -4,8 +4,9 @@ Models are row-oriented: named variables (nonnegative or free), an objective
 with a sense, and relational rows over the variables. solve() returns both a
 primal optimum and a matching dual vector, all in exact rationals, and checks
 the certificate (feasibility, complementary slackness, strong duality)
-exactly, on scaled integers, on every solve before handing it back. Values equal to 0, +-1, +-1/2 or +-2 come
-back as the shared instances from rationals.shared.
+exactly, on scaled integers, on every solve before handing it back. Values
+equal to 0, +-1, +-1/2 or +-2 come back as the shared instances from
+rationals.shared.
 
 solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
 two-phase solve and keeps its result. After an Optimal outcome the next model

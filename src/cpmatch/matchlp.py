@@ -107,18 +107,16 @@ class StageContext:
     keys are the dual keys (vertices, then the tight sets in canonical
     order), tight the family sets whose cut row is tight at x, crossing the
     dual keys of each edge (see crossing_keys) and support the edges with
-    x(e) > 0. dropped_lo / dropped_hi hold dual keys whose distance rows are
-    gone, dropped_edges holds non-support edges whose capacity row is gone,
-    and free_sets holds tight sets whose nonnegativity bound is gone.
+    x(e) > 0. dropped holds the ids of the inequality rows (("lo", k),
+    ("hi", k) or ("edge", e)) that are gone, and free_sets the tight sets
+    whose nonnegativity bound is gone.
     """
 
     keys: list[DualKey]
     tight: list[frozenset[int]]
     crossing: dict[Edge, list[DualKey]]
     support: set[Edge]
-    dropped_lo: set = field(default_factory=set)
-    dropped_hi: set = field(default_factory=set)
-    dropped_edges: set = field(default_factory=set)
+    dropped: set = field(default_factory=set)
     free_sets: set = field(default_factory=set)
 
 
@@ -152,18 +150,13 @@ def build_closest_dual(
 
     Feasible points are exactly the optimal duals of the relaxation (tight
     rows on the support enforce complementary slackness); the objective picks
-    the one closest to `target` in the size-weighted L1 sense. The drop sets
-    of `ctx` remove rows and bounds for the stage variants; omitted keys of
-    `target` read 0.
+    the one closest to `target` in the size-weighted L1 sense. Every row is
+    built, then the inequality rows in ctx.dropped are left out and the sets
+    in ctx.free_sets lose their sign bound, which gives the stage variants;
+    omitted keys of `target` read 0.
     """
-    if ctx.dropped_edges & ctx.support:
-        raise MatchingLpError("context drops a support edge row")
     if not ctx.free_sets <= set(ctx.tight):
         raise MatchingLpError("context frees a set without a tight cut row")
-    key_set = set(ctx.keys)
-    for key in (ctx.dropped_lo | ctx.dropped_hi):
-        if key not in key_set:
-            raise MatchingLpError(f"context references unknown dual key {key!r}")
 
     def size(key: DualKey) -> int:
         return 1 if isinstance(key, int) else len(key)
@@ -176,16 +169,16 @@ def build_closest_dual(
     rows = []
     for k in keys:
         goal = rat(target.get(k, R0))
-        if k not in ctx.dropped_lo:
-            rows.append(((("lo", k)), {("r", k): R1, ("pi", k): R1}, GE, goal))
-        if k not in ctx.dropped_hi:
-            rows.append(((("hi", k)), {("r", k): -R1, ("pi", k): R1}, LE, goal))
+        rows.append((("lo", k), {("r", k): R1, ("pi", k): R1}, GE, goal))
+        rows.append((("hi", k), {("r", k): -R1, ("pi", k): R1}, LE, goal))
     for e, ks in ctx.crossing.items():
-        coeffs = {("pi", k): R1 for k in ks}
-        if e in ctx.support:
-            rows.append((("tight", e), coeffs, EQ, rat(costs[e])))
-        elif e not in ctx.dropped_edges:
-            rows.append((("edge", e), coeffs, LE, rat(costs[e])))
+        kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
+        rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs[e])))
+    unknown = ctx.dropped - {row[0] for row in rows if row[2] != EQ}
+    if unknown:
+        raise MatchingLpError(
+            f"context drops {sorted(unknown, key=repr)}, which name no inequality row")
+    rows = [row for row in rows if row[0] not in ctx.dropped]
     return LinearProgram(MIN, variables, objective, rows)
 
 

@@ -152,26 +152,104 @@ NAIVE_CYCLING_STAGE_DIGESTS = (
 )
 
 
-def test_negative_first_stage_value_raises_sign_violation(monkeypatch):
-    # A faulty closest-dual solve that leaves vertex 0's lo residual at -1 in
-    # the first stage: the first nonzero of its series is negative.
+def _tamper_closest_duals(monkeypatch, edit):
+    """Route cpm.solve through edit(lp, x, call) on every closest-dual
+    optimum, where x is a copy of its primal values that edit may change
+    and call counts those solves from 0: a faulty solve, seen only by cpm.
+    Returns the list of the non-None values edit returned."""
     real = cpm.solve
+    calls, broken = [], []
 
     def tampered(lp, *args, **kwargs):
         out = real(lp, *args, **kwargs)
         if isinstance(out, Optimal) and ("r", 0) in out.x:
             x = dict(out.x)
-            x[("r", 0)] = -x[("pi", 0)] - 1
+            what = edit(lp, x, len(calls))
+            if what is not None:
+                broken.append(what)
+            calls.append(lp)
             out = Optimal(x, out.y, out.objective)
         return out
 
     monkeypatch.setattr(cpm, "solve", tampered)
+    return broken
+
+
+def test_negative_first_stage_value_raises_sign_violation(monkeypatch):
+    # A faulty closest-dual solve that leaves vertex 0's lo residual at -1 in
+    # the first stage: the first nonzero of its series is negative.
+    def edit(lp, x, call):
+        x[("r", 0)] = -x[("pi", 0)] - 1
+
+    _tamper_closest_duals(monkeypatch, edit)
     g, sigma = k2()
     for solver in (solve_unperturbed, solve_perturbed_reference):
         with pytest.raises(SignViolation) as err:
             solver(g, sigma)
         assert err.value.what == ("lo", 0)
         assert err.value.series == (rat(-1),)
+
+
+def _break_hi(lp, x, call):
+    # pi_0 = r_0 + 1 leaves the hi row pi_0 - r_0 <= 0 at slack -1, while the
+    # lo row r_0 + pi_0 >= 0 stays positive.
+    x[("pi", 0)] = x[("r", 0)] + 1
+    return ("hi", 0)
+
+
+def _break_hi_at_stage_1(lp, x, call):
+    # Stage 0 of k2 gives pi_0 = 7 = r_0: the hi row is tight and stays, the
+    # lo row is dropped.
+    return _break_hi(lp, x, call) if call == 1 else None
+
+
+def _break_edge(lp, x, call):
+    # Raising pi_0 past the capacity of the non-support edge (0, 2), with
+    # r_0 = |pi_0| so vertex 0's distance rows hold, leaves the edge row
+    # pi_0 + pi_2 <= c at slack -1.
+    (cap,) = [row.rhs for row in lp.rows if row.id == ("edge", (0, 2))]
+    x[("pi", 0)] = cap - x[("pi", 2)] + 1
+    x[("r", 0)] = abs(x[("pi", 0)])
+    return ("edge", (0, 2))
+
+
+def _break_set(lp, x, call):
+    # The first stage with a tight set S (iteration 2, where S is new and its
+    # target is 0) reports pi_S = -1 and r_S = 1: S's distance rows hold, so
+    # only its sign bound fails, and the solve raises at once.
+    sets = [name[1] for name in x if name[0] == "pi" and isinstance(name[1], frozenset)]
+    if sets:
+        x[("pi", sets[0])], x[("r", sets[0])] = rat(-1), R1
+        return ("cut", sets[0])
+    return None
+
+
+def _one_non_support_edge():
+    g = Graph(4, ((0, 1, 1), (2, 3, 1), (0, 2, 5)))
+    return g, EdgeOrdering.from_sequence(g.edge_pairs())
+
+
+@pytest.mark.parametrize(
+    "instance, edit, solvers, series",
+    [
+        (k2, _break_hi, (solve_unperturbed, solve_perturbed_reference), (rat(-1),)),
+        (k2, _break_hi_at_stage_1, (solve_unperturbed,), (R0, rat(-1))),
+        (_one_non_support_edge, _break_edge, (solve_unperturbed, solve_perturbed_reference),
+         (rat(-1),)),
+        (lambda: dancing_robot()[:2], _break_set, (solve_unperturbed, solve_perturbed_reference),
+         (rat(-1),)),
+    ],
+    ids=["hi", "hi-stage-1", "edge", "cut"],
+)
+def test_sign_rule_covers_every_row_and_bound(monkeypatch, instance, edit, solvers, series):
+    broken = _tamper_closest_duals(monkeypatch, edit)
+    g, sigma = instance()
+    for solver in solvers:
+        broken.clear()
+        with pytest.raises(SignViolation) as err:
+            solver(g, sigma)
+        assert err.value.what == broken[-1]
+        assert err.value.series == series
 
 
 def test_two_tableau_builds_per_iteration(monkeypatch):

@@ -46,6 +46,20 @@ def test_construction_rejects_bad_edges():
         Graph(-1, ())
 
 
+@pytest.mark.parametrize(
+    "cost", [float("inf"), float("-inf"), float("nan"), None, "3", "1.5", 1.5, rat(1, 2)]
+)
+def test_construction_rejects_non_integer_costs(cost):
+    with pytest.raises(GraphError, match=r"edge \(0, 1\) has non-integer cost"):
+        Graph(2, ((0, 1, cost),))
+
+
+@pytest.mark.parametrize("rank", [1.0, rat(1), "1", None])
+def test_ordering_rejects_non_int_ranks(rank):
+    with pytest.raises(GraphError, match="ranks must be ints forming a bijection"):
+        EdgeOrdering({(0, 1): rank})
+
+
 def test_ordering_bijection_checks():
     g = Graph(4, ((0, 1, 1), (2, 3, 1)))
     sigma = EdgeOrdering.from_sequence([(2, 3), (1, 0)])

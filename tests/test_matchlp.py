@@ -1,5 +1,7 @@
 """Tests for the matching relaxation and the distance-minimal dual program."""
 
+import re
+
 import pytest
 
 from cpmatch.graphs import EdgeOrdering, Graph
@@ -157,16 +159,19 @@ def test_stage_context_validation():
     x = {(0, 1): R1, (2, 3): R1, (4, 5): R1}
     cm = g.cost_map()
     ctx = stage_context(g, x, [s])
-    ctx.dropped_edges = {(0, 1)}
-    with pytest.raises(MatchingLpError, match="support edge"):
-        build_closest_dual(ctx, cm, {})
+    # A support edge gets a ("tight", e) equality, never an ("edge", e) row.
+    for row in (("edge", (0, 1)), ("tight", (0, 1))):
+        ctx.dropped = {row}
+        message = re.escape(f"drops [{row!r}], which name no inequality row")
+        with pytest.raises(MatchingLpError, match=message):
+            build_closest_dual(ctx, cm, {})
     ctx = stage_context(g, x, [])
     ctx.free_sets = {s}
-    with pytest.raises(MatchingLpError, match="frees a set"):
+    with pytest.raises(MatchingLpError, match="frees a set without a tight cut row"):
         build_closest_dual(ctx, cm, {})
     ctx = stage_context(g, x, [s])
-    ctx.dropped_lo = {frozenset({9})}
-    with pytest.raises(MatchingLpError, match="unknown dual key"):
+    ctx.dropped = {("lo", frozenset({9}))}
+    with pytest.raises(MatchingLpError, match=re.escape("drops [('lo', frozenset({9}))], which")):
         build_closest_dual(ctx, cm, {})
 
 
@@ -176,8 +181,11 @@ def test_dropped_rows_loosen_the_distance():
     target = {0: rat(2)}
     plain = solve(build_closest_dual(stage_context(g, x, []), g.cost_map(), target))
     ctx = stage_context(g, x, [])
-    ctx.dropped_lo, ctx.dropped_hi = {0}, {0}
-    dropped = solve(build_closest_dual(ctx, g.cost_map(), target))
+    ctx.dropped = {("lo", 0), ("hi", 0)}
+    lp = build_closest_dual(ctx, g.cost_map(), target)
+    assert not {("lo", 0), ("hi", 0)} & {row.id for row in lp.rows}
+    assert ("lo", 1) in {row.id for row in lp.rows}
+    dropped = solve(lp)
     # With vertex 0's distance rows gone its deviation no longer costs anything.
     assert dropped.objective <= plain.objective
     pi, r = split_dual_solution(dropped.x)
