@@ -184,12 +184,13 @@ def _restrict_target(values: Mapping, family: set) -> dict:
     }
 
 
-def _stage_duals(g, stages, family, x, targets):
-    """One closest-dual solve per stage cost vector, all on one StageContext;
-    targets[i] is stage i's target from the last iteration. Stage 0 is solved
-    cold; each later stage reoptimizes the same Tableau (see linprog), since
-    it only changes right-hand sides, drops rows whose slack is nonzero and
-    frees positive sets' bounds, which keeps the last basis dual feasible.
+def _stage_duals(primal, stages, x, targets):
+    """One closest-dual solve per stage cost vector, all on one StageContext
+    read off the rows of primal, the relaxation x solves; targets[i] is
+    stage i's target from the last iteration. Stage 0 is solved cold; each
+    later stage reoptimizes the same Tableau (see linprog), since it only
+    changes right-hand sides, drops rows whose slack is nonzero and frees
+    positive sets' bounds, which keeps the last basis dual feasible.
 
     An inequality row of the stage model, or a set's sign bound, stays in the
     stages until its value (the row's slack at the stage optimum, or the
@@ -203,7 +204,7 @@ def _stage_duals(g, stages, family, x, targets):
     and stages only the objective, while here the stages drop rows and
     bounds and take targets carried over from the previous iteration.
     """
-    ctx = stage_context(g, x, family)
+    ctx = stage_context(primal, x)
     tab = Tableau()
     stage_pis: list[dict] = []
     for i, (ci, target) in enumerate(zip(stages, targets)):
@@ -293,7 +294,7 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
                         detail = f"iteration {index} repeats iteration {repeat_of}"
                     break
                 seen[state] = index
-            stage_pis, positive = _stage_duals(g, stages, family, x, targets)
+            stage_pis, positive = _stage_duals(lp, stages, x, targets)
             total += len(stage_pis)
             records.append(
                 IterationRecord(index, family_key, x, tuple(stage_pis), total - before)

@@ -125,9 +125,10 @@ def emit_graph(g: Graph, sigma: EdgeOrdering | None = None, comments: Iterable[s
     """Render a graph (and optionally its ordering) in the text format.
 
     `o` lines are emitted only when the ordering differs from the order of
-    the `e` lines, so parse(emit(g, sigma)) round-trips exactly.
+    the `e` lines, so parse(emit(g, sigma)) round-trips exactly. Each line of
+    a comment, as parse_graph splits lines, becomes one `c` line.
     """
-    lines = [f"c {c}" for c in comments]
+    lines = [f"c {line}" for c in comments for line in c.splitlines()]
     lines.append(f"p edge {g.n} {g.m}")
     lines.extend(f"e {u} {v} {cost}" for u, v, cost in g.edges)
     if sigma is not None:

@@ -90,7 +90,9 @@ class EdgeOrdering:
     rank: Mapping[Edge, int]
 
     def __post_init__(self):
-        ranks = sorted(r for r in self.rank.values() if isinstance(r, int))
+        ranks = sorted(
+            r for r in self.rank.values() if isinstance(r, int) and not isinstance(r, bool)
+        )
         if ranks != list(range(1, len(self.rank) + 1)):
             raise GraphError("ranks must be ints forming a bijection onto 1..m")
 

@@ -10,7 +10,9 @@ to a target vector via auxiliary r(S) variables. Stage variants drop rows or
 relax variable bounds according to an accumulated context, which is how the
 staged emulation of an infinitesimal cost perturbation reuses one builder.
 The context also holds what all stages against one x share (tight sets,
-dual keys, crossing lists, support), so it is computed once per x.
+dual keys, crossing lists, support). It is read off the rows of the primal
+model that x solves, in one pass per x, so only build_primal works out which
+edges cross which cut.
 
 Keys for dual quantities are vertex ids (ints) for singleton cuts and
 frozensets for family cuts. Sets in F whose cut row is slack at x get no dual
@@ -58,58 +60,19 @@ def build_primal(g: Graph, costs: Mapping[Edge, object], family) -> LinearProgra
     return LinearProgram(MIN, [(e, True) for e in pairs], objective, rows)
 
 
-def tight_sets(g: Graph, x: Mapping[Edge, object], family) -> list[frozenset[int]]:
-    """The family members whose cut row holds with equality at x."""
-    out = []
-    for s in canonical_sets(family):
-        if sum((x.get(e, R0) for e in cut_edges(g, s)), R0) == R1:
-            out.append(s)
-    return out
-
-
-def crossing_keys(g: Graph, sets) -> dict[Edge, list[DualKey]]:
-    """For each edge in graph order, the dual keys of the cuts it crosses:
-    its two endpoints, then each member of `sets` in the order given."""
-    keys: dict[Edge, list[DualKey]] = {(u, v): [u, v] for u, v in g.edge_pairs()}
-    for s in sets:
-        for e in cut_edges(g, s):
-            keys[e].append(s)
-    return keys
-
-
-def check_primal_feasible(g: Graph, x: Mapping[Edge, object], family) -> None:
-    """Exact feasibility of x for the relaxation; raises on any violation."""
-    pairs = set(g.edge_pairs())
-    for e, value in x.items():
-        if e not in pairs:
-            raise MatchingLpError(f"vector names unknown edge {e}")
-        if value < R0:
-            raise MatchingLpError(f"negative value on edge {e}")
-    degree = {v: R0 for v in range(g.n)}
-    for (u, v) in pairs:
-        value = x.get((u, v), R0)
-        degree[u] += value
-        degree[v] += value
-    for v, total in degree.items():
-        if total != R1:
-            raise MatchingLpError(f"vertex {v} has degree {total}, not 1")
-    for s in canonical_sets(family):
-        total = sum((x.get(e, R0) for e in cut_edges(g, s)), R0)
-        if total < R1:
-            raise MatchingLpError(f"cut {sorted(s)} carries {total} < 1")
-
-
 @dataclass
 class StageContext:
     """What the closest-dual stages of one iteration share, plus the drop
     sets they accumulate.
 
-    keys are the dual keys (vertices, then the tight sets in canonical
-    order), tight the family sets whose cut row is tight at x, crossing the
-    dual keys of each edge (see crossing_keys) and support the edges with
-    x(e) > 0. dropped holds the ids of the inequality rows (("lo", k),
-    ("hi", k) or ("edge", e)) that are gone, and free_sets the tight sets
-    whose nonnegativity bound is gone.
+    The shared fields are read off the primal model's rows (see
+    stage_context): keys are the dual keys (vertices, then the tight sets in
+    canonical order), tight the family sets whose cut row is tight at x,
+    crossing the keys of the rows each edge appears in (its two endpoints,
+    then the tight sets it crosses), in graph edge order, and support the
+    edges with x(e) > 0. dropped holds the ids of the inequality rows
+    (("lo", k), ("hi", k) or ("edge", e)) that are gone, and free_sets the
+    tight sets whose nonnegativity bound is gone.
     """
 
     keys: list[DualKey]
@@ -120,15 +83,32 @@ class StageContext:
     free_sets: set = field(default_factory=set)
 
 
-def stage_context(g: Graph, x: Mapping[Edge, object], family) -> StageContext:
+def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageContext:
     """The shared part of every closest-dual stage against primal optimum x,
-    with no rows or bounds dropped yet; raises if x is infeasible."""
-    check_primal_feasible(g, x, family)
-    tight = tight_sets(g, x, family)
-    crossing = crossing_keys(g, tight)
+    with no rows or bounds dropped yet, read off the rows of
+    primal = build_primal(g, costs, family) in one pass; raises if x is not
+    feasible for primal."""
+    crossing: dict[Edge, list[DualKey]] = {var.name: [] for var in primal.variables}
+    for e, value in x.items():
+        if e not in crossing:
+            raise MatchingLpError(f"vector names unknown edge {e}")
+        if value < R0:
+            raise MatchingLpError(f"negative value on edge {e}")
+    keys: list[DualKey] = []
+    for row in primal.rows:
+        kind, key = row.id
+        total = sum((x.get(e, R0) for e in row.coeffs), R0)
+        if kind == "deg" and total != R1:
+            raise MatchingLpError(f"vertex {key} has degree {total}, not 1")
+        if kind == "cut" and total < R1:
+            raise MatchingLpError(f"cut {sorted(key)} carries {total} < 1")
+        if total == R1:  # every degree row, and the cut rows tight at x
+            keys.append(key)
+            for e in row.coeffs:
+                crossing[e].append(key)
     return StageContext(
-        keys=list(range(g.n)) + tight,
-        tight=tight,
+        keys=keys,
+        tight=[k for k in keys if isinstance(k, frozenset)],
         crossing=crossing,
         support={e for e in crossing if x.get(e, R0)},
     )

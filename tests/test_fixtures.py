@@ -8,7 +8,7 @@ import hashlib
 
 from cpmatch.fixtures import altered_robot, cycling_graph, dancing_robot
 from cpmatch.graphs import cut_edges, odd_cycles, support
-from cpmatch.matchlp import check_primal_feasible
+from cpmatch.matchlp import build_primal, stage_context
 from cpmatch.oracle import brute_force_matchings, lex_tie_break
 from cpmatch.rationals import rat
 
@@ -21,6 +21,12 @@ CHECKSUMS = {
     "altered": "acf5644f8a7560921e26dc165effa8a400da8bb55050ff0504e9f024845e1893",
     "cycling": "4461f1135410748010f9f527f42841e9a5738f96c4c08549bfe9ae090117f64b",
 }
+
+
+def check_feasible(g, x, family):
+    """Raise MatchingLpError unless x is feasible for the relaxation over
+    family (stage_context checks every row of the primal model)."""
+    stage_context(build_primal(g, g.cost_map(), family), x)
 
 
 def edge_list_digest(g):
@@ -66,9 +72,9 @@ def test_fixture_minimum_costs_and_tie_breaks():
 
 def test_dancing_robot_expected_iterates_are_feasible():
     g, _, exp = dancing_robot()
-    check_primal_feasible(g, exp.iterate1, [])
-    check_primal_feasible(g, exp.iterate2, exp.family2)
-    check_primal_feasible(g, exp.iterate3, exp.family3)
+    check_feasible(g, exp.iterate1, [])
+    check_feasible(g, exp.iterate2, exp.family2)
+    check_feasible(g, exp.iterate3, exp.family3)
     assert odd_cycles(g, exp.iterate1) == [(5, 13, 15), (10, 11, 14)]
     # Each iterate's odd cycles are exactly the sets of the next family.
     assert {frozenset(c) for c in odd_cycles(g, exp.iterate1)} == set(exp.family2)
@@ -83,8 +89,8 @@ def test_dancing_robot_iterate3_has_thirds():
 
 def test_altered_robot_expected_iterates_are_feasible():
     g, _, exp = altered_robot()
-    check_primal_feasible(g, exp.iterate1, [])
-    check_primal_feasible(g, exp.iterate2, exp.family2)
+    check_feasible(g, exp.iterate1, [])
+    check_feasible(g, exp.iterate2, exp.family2)
 
 
 def test_altered_robot_nine_set_crossings():
@@ -103,11 +109,11 @@ def test_altered_robot_nine_set_crossings():
 
 def test_cycling_expected_supports():
     g, _, exp = cycling_graph()
-    check_primal_feasible(g, exp.iterate_a, [])
-    check_primal_feasible(g, exp.iterate_b, [])
+    check_feasible(g, exp.iterate_a, [])
+    check_feasible(g, exp.iterate_b, [])
     # Each support recurs against the family built from the other iterate.
-    check_primal_feasible(g, exp.iterate_a, exp.family_from_b)
-    check_primal_feasible(g, exp.iterate_b, exp.family_from_a)
+    check_feasible(g, exp.iterate_a, exp.family_from_b)
+    check_feasible(g, exp.iterate_b, exp.family_from_a)
     assert {frozenset(c) for c in odd_cycles(g, exp.iterate_a)} == set(exp.family_from_a)
     assert {frozenset(c) for c in odd_cycles(g, exp.iterate_b)} == set(exp.family_from_b)
     assert exp.detected_at == 4 and exp.repeat_of == 2

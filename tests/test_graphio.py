@@ -100,19 +100,21 @@ def test_round_trip_property():
     @st.composite
     def instances(draw):
         """A graph on n <= 12 vertices: any edge subset, in any file order
-        and orientation, costs in -50..50, and any edge ordering."""
+        and orientation, costs in -50..50, any edge ordering, and comments
+        of arbitrary text."""
         n = draw(st.integers(0, 12))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         edges = tuple((*(e[::-1] if draw(st.booleans()) else e), draw(st.integers(-50, 50)))
                       for e in chosen)
-        return Graph(n, edges), EdgeOrdering.from_sequence(draw(st.permutations(chosen)))
+        sigma = EdgeOrdering.from_sequence(draw(st.permutations(chosen)))
+        return Graph(n, edges), sigma, draw(st.lists(st.text()))
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(instances())
     def round_trip(case):
-        g, sigma = case
-        assert parse_graph(emit_graph(g, sigma)) == (g, sigma)
+        g, sigma, comments = case
+        assert parse_graph(emit_graph(g, sigma, comments)) == (g, sigma)
 
     round_trip()
 

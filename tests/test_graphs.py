@@ -54,7 +54,7 @@ def test_construction_rejects_non_integer_costs(cost):
         Graph(2, ((0, 1, cost),))
 
 
-@pytest.mark.parametrize("rank", [1.0, rat(1), "1", None])
+@pytest.mark.parametrize("rank", [1.0, rat(1), "1", None, True])
 def test_ordering_rejects_non_int_ranks(rank):
     with pytest.raises(GraphError, match="ranks must be ints forming a bijection"):
         EdgeOrdering({(0, 1): rank})

@@ -18,7 +18,7 @@ if PERFBENCH not in sys.path:
 import instances  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
-from cpmatch import matchlp  # noqa: E402
+from cpmatch import cpm  # noqa: E402
 from cpmatch.cpm import (  # noqa: E402
     solve_naive,
     solve_perturbed_reference,
@@ -96,13 +96,13 @@ def test_naive_layers():
 
 def test_stage_context_built_once_per_iteration(monkeypatch):
     calls = []
-    real = matchlp.tight_sets
+    real = cpm.stage_context
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(matchlp, "tight_sets", counted)
+    monkeypatch.setattr(cpm, "stage_context", counted)
     inst = instances.build_pool("cuts", 1, [])[0]
     res = solve_unperturbed(inst.graph, inst.sigma)
     assert len(res.iterations) >= 2

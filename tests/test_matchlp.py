@@ -11,11 +11,9 @@ from cpmatch.matchlp import (
     build_closest_dual,
     build_primal,
     canonical_sets,
-    check_primal_feasible,
     split_dual_solution,
     stage_context,
     stage_cost,
-    tight_sets,
     weighted_deviation,
 )
 from cpmatch.rationals import HALF, R0, R1, rat
@@ -30,6 +28,11 @@ def bridged_triangles():
         6,
         ((0, 1, 1), (1, 2, 2), (0, 2, 2), (2, 3, 3), (3, 4, 2), (4, 5, 1), (3, 5, 2)),
     )
+
+
+def context(g, x, family):
+    """The stage context of x, read off the relaxation of g over family."""
+    return stage_context(build_primal(g, g.cost_map(), family), x)
 
 
 def test_canonical_sets_order():
@@ -67,31 +70,45 @@ def test_tight_sets():
     g = bridged_triangles()
     s = frozenset({0, 1, 2})
     matching = {(0, 1): R1, (2, 3): R1, (4, 5): R1}
-    assert tight_sets(g, matching, [s]) == [s]
-    halves = {
-        (0, 1): HALF, (1, 2): HALF, (0, 2): HALF,
-        (3, 4): HALF, (4, 5): HALF, (3, 5): HALF,
+    ctx = context(g, matching, [s])
+    assert ctx.tight == [s]
+    assert ctx.keys == [0, 1, 2, 3, 4, 5, s]
+    # Each edge lists its endpoints, then the tight sets it crosses.
+    assert ctx.crossing == {
+        (0, 1): [0, 1], (1, 2): [1, 2], (0, 2): [0, 2], (2, 3): [2, 3, s],
+        (3, 4): [3, 4], (4, 5): [4, 5], (3, 5): [3, 5],
     }
-    assert tight_sets(g, halves, [s]) == []
+    assert ctx.support == {(0, 1), (2, 3), (4, 5)}
+    # Triangles joined by three edges: the matching on those edges carries 3
+    # across the cut, so the cut row is slack and s gets no dual key.
+    g = Graph(6, ((0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1),
+                  (0, 3, 1), (1, 4, 1), (2, 5, 1)))
+    across = {(0, 3): R1, (1, 4): R1, (2, 5): R1}
+    ctx = context(g, across, [s])
+    assert ctx.tight == []
+    assert ctx.keys == [0, 1, 2, 3, 4, 5]
+    assert ctx.crossing[(0, 3)] == [0, 3]
 
 
 def test_check_primal_feasible_rejections():
     g = square()
     good = {(0, 1): R1, (2, 3): R1}
-    check_primal_feasible(g, good, [])
+    context(g, good, [])
     with pytest.raises(MatchingLpError, match="unknown edge"):
-        check_primal_feasible(g, {(0, 2): R1}, [])
+        context(g, {(0, 2): R1}, [])
     with pytest.raises(MatchingLpError, match="negative"):
-        check_primal_feasible(g, {(0, 1): -R1}, [])
+        context(g, {(0, 1): -R1}, [])
     with pytest.raises(MatchingLpError, match="degree"):
-        check_primal_feasible(g, {(0, 1): R1}, [])
+        context(g, {(0, 1): R1}, [])
+    with pytest.raises(MatchingLpError, match="vertex 1 has degree 2, not 1"):
+        context(g, {(0, 1): R1, (1, 2): R1, (2, 3): R1}, [])
     g2 = bridged_triangles()
     halves = {
         (0, 1): HALF, (1, 2): HALF, (0, 2): HALF,
         (3, 4): HALF, (4, 5): HALF, (3, 5): HALF,
     }
     with pytest.raises(MatchingLpError, match="carries 0 < 1"):
-        check_primal_feasible(g2, halves, [{0, 1, 2}])
+        context(g2, halves, [{0, 1, 2}])
 
 
 def test_stage_costs():
@@ -113,7 +130,7 @@ def test_closest_dual_feasible_points_are_optimal_duals():
     g = bridged_triangles()
     s = frozenset({0, 1, 2})
     x = {(0, 1): R1, (2, 3): R1, (4, 5): R1}
-    lp = build_closest_dual(stage_context(g, x, [s]), g.cost_map(), target={})
+    lp = build_closest_dual(context(g, x, [s]), g.cost_map(), target={})
     out = solve(lp)
     assert isinstance(out, Optimal)
     pi, r = split_dual_solution(out.x)
@@ -134,7 +151,7 @@ def test_closest_dual_tracks_target():
     g = square()
     x = {(0, 1): R1, (2, 3): R1, (1, 2): R0, (0, 3): R0}
     target = {0: HALF, 1: HALF, 2: HALF, 3: HALF}
-    out = solve(build_closest_dual(stage_context(g, x, []), g.cost_map(), target))
+    out = solve(build_closest_dual(context(g, x, []), g.cost_map(), target))
     pi, r = split_dual_solution(out.x)
     # The all-halves potential is itself an optimal dual, so the distance is 0.
     assert out.objective == R0
@@ -145,7 +162,7 @@ def test_closest_dual_tracks_target():
 def test_closest_dual_respects_nonsupport_capacities():
     g = Graph(4, ((0, 1, 1), (2, 3, 1), (0, 2, 0)))
     x = {(0, 1): R1, (2, 3): R1, (0, 2): R0}
-    out = solve(build_closest_dual(stage_context(g, x, []), g.cost_map(), target={0: rat(9)}))
+    out = solve(build_closest_dual(context(g, x, []), g.cost_map(), target={0: rat(9)}))
     pi, _ = split_dual_solution(out.x)
     # pi(0) wants to reach 9 but the zero-cost non-support edge caps pi(0)+pi(2).
     assert pi[0] + pi[2] <= R0
@@ -158,18 +175,18 @@ def test_stage_context_validation():
     s = frozenset({0, 1, 2})
     x = {(0, 1): R1, (2, 3): R1, (4, 5): R1}
     cm = g.cost_map()
-    ctx = stage_context(g, x, [s])
+    ctx = context(g, x, [s])
     # A support edge gets a ("tight", e) equality, never an ("edge", e) row.
     for row in (("edge", (0, 1)), ("tight", (0, 1))):
         ctx.dropped = {row}
         message = re.escape(f"drops [{row!r}], which name no inequality row")
         with pytest.raises(MatchingLpError, match=message):
             build_closest_dual(ctx, cm, {})
-    ctx = stage_context(g, x, [])
+    ctx = context(g, x, [])
     ctx.free_sets = {s}
     with pytest.raises(MatchingLpError, match="frees a set without a tight cut row"):
         build_closest_dual(ctx, cm, {})
-    ctx = stage_context(g, x, [s])
+    ctx = context(g, x, [s])
     ctx.dropped = {("lo", frozenset({9}))}
     with pytest.raises(MatchingLpError, match=re.escape("drops [('lo', frozenset({9}))], which")):
         build_closest_dual(ctx, cm, {})
@@ -179,8 +196,8 @@ def test_dropped_rows_loosen_the_distance():
     g = square()
     x = {(0, 1): R1, (2, 3): R1, (1, 2): R0, (0, 3): R0}
     target = {0: rat(2)}
-    plain = solve(build_closest_dual(stage_context(g, x, []), g.cost_map(), target))
-    ctx = stage_context(g, x, [])
+    plain = solve(build_closest_dual(context(g, x, []), g.cost_map(), target))
+    ctx = context(g, x, [])
     ctx.dropped = {("lo", 0), ("hi", 0)}
     lp = build_closest_dual(ctx, g.cost_map(), target)
     assert not {("lo", 0), ("hi", 0)} & {row.id for row in lp.rows}
