@@ -56,7 +56,7 @@ from .graphs import (
     vector_is_integral,
 )
 from .lexmin import lex_min_optimal
-from .linprog import EQ, GE, Infeasible, Optimal, Tableau, solve
+from .linprog import EQ, Infeasible, Optimal, Tableau, solve
 from .matchlp import (
     build_closest_dual,
     build_primal,
@@ -193,12 +193,13 @@ def _stage_duals(primal, stages, x, targets):
     positive sets' bounds, which keeps the last basis dual feasible.
 
     An inequality row of the stage model, or a set's sign bound, stays in the
-    stages until its value (the row's slack at the stage optimum, or the
-    set's pi) is first nonzero. That value decides the sign of its stage
-    series: a negative one raises SignViolation (the certificate-checked rows
-    and bounds forbid it, so only a faulty solve can), a positive one drops
-    the row or bound from all later stages. Returns the stage pi vectors and
-    the sets whose bound was dropped, which are those with a positive series.
+    stages until its value (the row's slack at the stage optimum, read off
+    the solve's certificate check as out.slack, or the set's pi) is first
+    nonzero. That value decides the sign of its stage series: a negative one
+    raises SignViolation (the certificate-checked rows and bounds forbid it,
+    so only a faulty solve can), a positive one drops the row or bound from
+    all later stages. Returns the stage pi vectors and the sets whose bound
+    was dropped, which are those with a positive series.
 
     perturb.solve_perturbed_pair cannot run these stages: it fixes A and b
     and stages only the objective, while here the stages drop rows and
@@ -217,9 +218,7 @@ def _stage_duals(primal, stages, x, targets):
 
         for row in lp.rows:
             if row.relation != EQ:
-                lhs = sum((c * out.x[v] for v, c in row.coeffs.items() if out.x[v]), R0)
-                slack = lhs - row.rhs if row.relation == GE else row.rhs - lhs
-                _drop_if_nonzero(ctx.dropped, row.id, row.id, slack, i)
+                _drop_if_nonzero(ctx.dropped, row.id, row.id, out.slack.get(row.id, R0), i)
         for s in ctx.tight:
             if s not in ctx.free_sets:
                 _drop_if_nonzero(ctx.free_sets, s, ("cut", s), pi[s], i)

@@ -4,9 +4,11 @@ Models are row-oriented: named variables (nonnegative or free), an objective
 with a sense, and relational rows over the variables. solve() returns both a
 primal optimum and a matching dual vector, all in exact rationals, and checks
 the certificate (feasibility, complementary slackness, strong duality)
-exactly, on scaled integers, on every solve before handing it back. Values
-equal to 0, +-1, +-1/2 or +-2 come back as the shared instances from
-rationals.shared.
+exactly, on scaled integers, on every solve before handing it back. The
+Optimal it returns also carries what that check computed: the slack of each
+inequality row that is not tight, and each nonzero reduced cost. Values of
+x and y equal to 0, +-1, +-1/2 or +-2 come back as the shared instances
+from rationals.shared.
 
 solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
 two-phase solve and keeps its result. After an Optimal outcome the next model
@@ -124,10 +126,17 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Optimal:
+    """An optimum (x, y, objective). solve returns it checked, with what
+    verify_certificate computed: slack maps each inequality row that is not
+    tight at x to its slack (rhs - lhs for <=, lhs - rhs for >=), reduced
+    maps each variable whose reduced cost c_j - y.A_j is nonzero to it; both
+    None on an unchecked optimum."""
     status = "optimal"
     x: dict
     y: dict
     objective: Rational
+    slack: dict | None = None
+    reduced: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -145,10 +154,10 @@ LPOutcome = Optimal | Infeasible | Unbounded
 
 def solve(lp: LinearProgram, start: Tableau | None = None) -> LPOutcome:
     """Solve exactly, on a fresh Tableau or on ``start`` (see the module
-    docstring); on Optimal the (x, y, objective) certificate is verified."""
+    docstring); an Optimal outcome comes back as verify_certificate returns it."""
     outcome = (Tableau() if start is None else start).optimize(lp)
     if isinstance(outcome, Optimal):
-        verify_certificate(lp, outcome)
+        return verify_certificate(lp, outcome)
     return outcome
 
 
@@ -185,58 +194,40 @@ class Tableau:
         when lp is infeasible."""
         nvar = len(lp.variables)
         self.cols = {v.name: j for j, v in enumerate(lp.variables)}
-        # Append a slack per inequality, scale rhs nonnegative, then give
-        # every row an identity column (reusing the slack when it already
-        # is +e_i, otherwise adding an artificial).
-        m = len(lp.rows)
-        dense_rows: list[list[Rational]] = []
-        rhs: list[Rational] = []
-        flips: list[bool] = []
+        # A row with a negative rhs is negated (flipped), so every rhs is
+        # nonnegative. Its slack is then +e_i, and is its identity column,
+        # for a <= row without a flip or a >= row with one; every other row
+        # gets an artificial.
+        flips = [row.rhs < 0 for row in lp.rows]
+        slack_col: list[int | None] = []
+        ncols = nvar
         for row in lp.rows:
-            vec = [R0] * nvar
-            for name, c in row.coeffs.items():
-                vec[self.cols[name]] = c
-            flip = row.rhs < 0
-            if flip:
-                vec = [-c for c in vec]
-            dense_rows.append(vec)
-            rhs.append(-row.rhs if flip else row.rhs)
-            flips.append(flip)
-
-        nonneg = [v.nonnegative for v in lp.variables]
-        slack_col: list[int | None] = [None] * m
-        for i, row in enumerate(lp.rows):
-            if row.relation == EQ:
-                continue
-            sign = R1 if row.relation == LE else -R1
-            if flips[i]:
-                sign = -sign
-            col = len(nonneg)
-            slack_col[i] = col
-            nonneg.append(True)
-            for k in range(m):
-                dense_rows[k].append(sign if k == i else R0)
-
-        identity_col: list[int] = [0] * m
+            slack_col.append(None if row.relation == EQ else ncols)
+            ncols += row.relation != EQ
+        identity_col: list[int] = []
         artificial: set[int] = set()
-        for i in range(m):
-            j = slack_col[i]
-            if j is not None and dense_rows[i][j] == R1:
-                identity_col[i] = j
+        for row, flip, j in zip(lp.rows, flips, slack_col):
+            if j is not None and (row.relation == LE) != flip:
+                identity_col.append(j)
             else:
-                col = len(nonneg)
-                nonneg.append(True)
-                artificial.add(col)
-                for k in range(m):
-                    dense_rows[k].append(R1 if k == i else R0)
-                identity_col[i] = col
+                identity_col.append(ncols)
+                artificial.add(ncols)
+                ncols += 1
 
-        self.rows = [dense_rows[i] + [rhs[i]] for i in range(m)]
-        self.basis = list(identity_col)
-        self.in_basis = [False] * len(nonneg)
-        for j in self.basis:
+        self.rows = []
+        for row, flip, j, b in zip(lp.rows, flips, slack_col, identity_col):
+            t = [R0] * ncols + [-row.rhs if flip else row.rhs]
+            for name, c in row.coeffs.items():
+                t[self.cols[name]] = -c if flip else c
+            if j is not None:
+                t[j] = -R1  # the slack, unless it is the identity column b
+            t[b] = R1
+            self.rows.append(t)
+        self.nonneg = [v.nonnegative for v in lp.variables] + [True] * (ncols - nvar)
+        self.basis, self.banned = list(identity_col), set(artificial)
+        self.in_basis = [False] * ncols
+        for j in identity_col:
             self.in_basis[j] = True
-        self.nonneg, self.banned = nonneg, set(artificial)
         self.row_cols = list(zip(identity_col, slack_col, flips))
 
         # Phase 1: drive the artificial variables to zero, then pivot each
@@ -244,7 +235,7 @@ class Tableau:
         # with a nonzero entry. A row with no such column is redundant; its
         # artificial stays basic at value zero and never re-enters.
         if artificial:
-            z = self.reduced_costs([R1 if j in artificial else R0 for j in range(len(nonneg))])
+            z = self.reduced_costs([R1 if j in artificial else R0 for j in range(ncols)])
             if self.run(z, banned=set()) == "unbounded":
                 raise SolverInvariantError("phase-1 objective cannot be unbounded")
             if any(self.rows[i][-1] for i, b in enumerate(self.basis) if b in artificial):
@@ -421,14 +412,16 @@ class Tableau:
         return Optimal(x=x, y=y, objective=objective)
 
 
-def verify_certificate(lp: LinearProgram, opt: Optimal) -> None:
+def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
     """Exact optimality check: feasibility both sides, CS, strong duality.
+    Returns opt with its slack and reduced maps (see Optimal) filled in.
 
-    x and y are scaled once each to integers over their least common
-    denominator, each row by the lcm of its coefficient and rhs
+    x, y and the objective are scaled once each to integers over their least
+    common denominator, each row by the lcm of its coefficient and rhs
     denominators, so every row sum and every relation, sign and
     complementary-slackness test runs on ints; rationals are formed only for
-    error messages and for the objective and strong-duality comparisons."""
+    error messages, the returned slacks and reduced costs, and the objective
+    and strong-duality comparisons."""
     x, y = opt.x, opt.y
     minimize = lp.sense == MIN
     for var in lp.variables:
@@ -446,6 +439,7 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> None:
     ys, dy = _integers([y[row.id] for row in lp.rows])
     ydotb: dict[int, int] = {}  # y.b as integers over dy * s, by row scale s
     terms = []  # (row, y_i * dy, coefficients * s, s) where y_i != 0
+    slack = {}
     for row, yi in zip(lp.rows, ys):
         a, s = _integers([*row.coeffs.values(), row.rhs])
         rhs = a.pop()
@@ -456,29 +450,35 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> None:
                 f"row {row.id!r} violated: {rat(lhs, s * dx)} {relation} {row.rhs}")
         if relation != EQ and (yi > 0 if (relation == LE) == minimize else yi < 0):
             raise SolverInvariantError(f"dual sign for row {row.id!r}")
-        if yi:
-            if lhs != b:
+        if lhs != b:
+            if yi:
                 raise SolverInvariantError(f"complementary slackness fails on row {row.id!r}")
+            slack[row.id] = rat(b - lhs if relation == LE else lhs - b, s * dx)
+        elif yi:
             terms.append((row, yi, a, s))
             ydotb[s] = ydotb.get(s, 0) + yi * rhs
 
-    slack_by_var = _dual_slacks(lp, terms, dy)
-    for var in lp.variables:
-        d = slack_by_var[var.name]
-        if d and not var.nonnegative:
-            raise SolverInvariantError(f"dual constraint for free {var.name!r}")
-        if (d < 0) if minimize else (d > 0):
-            raise SolverInvariantError(f"dual constraint for {var.name!r}")
-        if xs[var.name] and d:
-            raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")
-
     c, dc = _integers(list(lp.objective.values()))
+    d, den = _dual_slacks(lp, terms, dy, c, dc)
+    reduced = {}
+    for var in lp.variables:
+        dj = d[var.name]
+        if dj:
+            if not var.nonnegative:
+                raise SolverInvariantError(f"dual constraint for free {var.name!r}")
+            if (dj < 0) if minimize else (dj > 0):
+                raise SolverInvariantError(f"dual constraint for {var.name!r}")
+            if xs[var.name]:
+                raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")
+            reduced[var.name] = rat(dj, den)
+
     cost = rat(sum(cj * xs[name] for name, cj in zip(lp.objective, c)), dc * dx)
     if cost != opt.objective:
         raise SolverInvariantError("objective value mismatch")
     dual = sum((rat(v, dy * s) for s, v in ydotb.items()), R0)
     if dual != cost:
         raise SolverInvariantError(f"strong duality fails: {dual} != {cost}")
+    return Optimal(x, y, opt.objective, slack, reduced)
 
 
 def _integers(values: list) -> tuple[list, int]:
@@ -490,12 +490,12 @@ def _integers(values: list) -> tuple[list, int]:
     return [v.numerator * (den // q) for v, q in zip(values, dens)], den
 
 
-def _dual_slacks(lp: LinearProgram, terms: list, dy: int) -> dict:
+def _dual_slacks(lp: LinearProgram, terms: list, dy: int, c: list, dc: int) -> tuple[dict, int]:
     """c_j - y.A_j for every variable of lp, its reduced cost under y, as
-    integers over one positive common denominator (so signs and zeros are
-    exact). terms holds (row, y_i * dy, row coefficients * s, s) for each row
-    with y_i != 0, all integers."""
-    c, dc = _integers(list(lp.objective.values()))
+    integers over one positive common denominator: (by name, den), so signs
+    and zeros are exact. terms holds (row, y_i * dy, row coefficients * s, s)
+    for each row with y_i != 0, and c the objective's values times dc, all
+    integers."""
     den = lcm(dc, dy * lcm(*(s for *_, s in terms)))
     d = dict.fromkeys((v.name for v in lp.variables), 0)
     f = den // dc
@@ -505,19 +505,16 @@ def _dual_slacks(lp: LinearProgram, terms: list, dy: int) -> dict:
         f = yi * (den // (dy * s))
         for name, aij in zip(row.coeffs, a):
             d[name] -= f * aij
-    return d
+    return d, den
 
 
 def optimal_face(lp: LinearProgram, opt: Optimal, objective: Mapping) -> LinearProgram:
-    """lp's optimal face, at the certified optimum opt, as a MIN model with
-    the given objective (on the face's variables). By complementary
-    slackness with opt.y, every optimum is zero on a variable with a nonzero
-    reduced cost, which the face drops, and tight on a row with a nonzero
-    dual, which becomes ``=``."""
-    ys, dy = _integers([opt.y[row.id] for row in lp.rows])
-    d = _dual_slacks(lp, [(row, yi, *_integers(list(row.coeffs.values())))
-                          for row, yi in zip(lp.rows, ys) if yi], dy)
-    keep = {name for name, dj in d.items() if not dj}
+    """lp's optimal face, at opt as solve returned it (checked), as a MIN
+    model with the given objective (on the face's variables). By
+    complementary slackness with opt.y, every optimum is zero on a variable
+    in opt.reduced (a nonzero reduced cost), which the face drops, and tight
+    on a row with a nonzero dual, which becomes ``=``."""
+    keep = {v.name for v in lp.variables if v.name not in opt.reduced}
     return LinearProgram(
         MIN,
         [v for v in lp.variables if v.name in keep],

@@ -153,22 +153,23 @@ NAIVE_CYCLING_STAGE_DIGESTS = (
 
 
 def _tamper_closest_duals(monkeypatch, edit):
-    """Route cpm.solve through edit(lp, x, call) on every closest-dual
-    optimum, where x is a copy of its primal values that edit may change
-    and call counts those solves from 0: a faulty solve, seen only by cpm.
-    Returns the list of the non-None values edit returned."""
+    """Route cpm.solve through edit(lp, x, slack, call) on every
+    closest-dual optimum, where x and slack are copies of its primal values
+    and row slacks that edit may change and call counts those solves from 0:
+    a faulty solve, seen only by cpm. Returns the list of the non-None
+    values edit returned."""
     real = cpm.solve
     calls, broken = [], []
 
     def tampered(lp, *args, **kwargs):
         out = real(lp, *args, **kwargs)
         if isinstance(out, Optimal) and ("r", 0) in out.x:
-            x = dict(out.x)
-            what = edit(lp, x, len(calls))
+            x, slack = dict(out.x), dict(out.slack)
+            what = edit(lp, x, slack, len(calls))
             if what is not None:
                 broken.append(what)
             calls.append(lp)
-            out = Optimal(x, out.y, out.objective)
+            out = Optimal(x, out.y, out.objective, slack, out.reduced)
         return out
 
     monkeypatch.setattr(cpm, "solve", tampered)
@@ -178,8 +179,9 @@ def _tamper_closest_duals(monkeypatch, edit):
 def test_negative_first_stage_value_raises_sign_violation(monkeypatch):
     # A faulty closest-dual solve that leaves vertex 0's lo residual at -1 in
     # the first stage: the first nonzero of its series is negative.
-    def edit(lp, x, call):
+    def edit(lp, x, slack, call):
         x[("r", 0)] = -x[("pi", 0)] - 1
+        slack[("lo", 0)] = rat(-1)
 
     _tamper_closest_duals(monkeypatch, edit)
     g, sigma = k2()
@@ -190,30 +192,32 @@ def test_negative_first_stage_value_raises_sign_violation(monkeypatch):
         assert err.value.series == (rat(-1),)
 
 
-def _break_hi(lp, x, call):
+def _break_hi(lp, x, slack, call):
     # pi_0 = r_0 + 1 leaves the hi row pi_0 - r_0 <= 0 at slack -1, while the
     # lo row r_0 + pi_0 >= 0 stays positive.
     x[("pi", 0)] = x[("r", 0)] + 1
+    slack[("hi", 0)] = rat(-1)
     return ("hi", 0)
 
 
-def _break_hi_at_stage_1(lp, x, call):
+def _break_hi_at_stage_1(lp, x, slack, call):
     # Stage 0 of k2 gives pi_0 = 7 = r_0: the hi row is tight and stays, the
     # lo row is dropped.
-    return _break_hi(lp, x, call) if call == 1 else None
+    return _break_hi(lp, x, slack, call) if call == 1 else None
 
 
-def _break_edge(lp, x, call):
+def _break_edge(lp, x, slack, call):
     # Raising pi_0 past the capacity of the non-support edge (0, 2), with
     # r_0 = |pi_0| so vertex 0's distance rows hold, leaves the edge row
     # pi_0 + pi_2 <= c at slack -1.
     (cap,) = [row.rhs for row in lp.rows if row.id == ("edge", (0, 2))]
     x[("pi", 0)] = cap - x[("pi", 2)] + 1
     x[("r", 0)] = abs(x[("pi", 0)])
+    slack[("edge", (0, 2))] = rat(-1)
     return ("edge", (0, 2))
 
 
-def _break_set(lp, x, call):
+def _break_set(lp, x, slack, call):
     # The first stage with a tight set S (iteration 2, where S is new and its
     # target is 0) reports pi_S = -1 and r_S = 1: S's distance rows hold, so
     # only its sign bound fails, and the solve raises at once.

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from helpers import (
+    _dual_slacks,
     enumerate_minimum,
     fraction_verify_certificate,
     random_bounded_lp,
@@ -265,8 +266,8 @@ def test_strong_duality_backs_up_the_dual_slacks(monkeypatch):
     # y_i != 0 are tight and columns with x_j != 0 have d_j = 0, so
     # y.b = y.Ax = c.x - d.x = c.x. Slacks that wrongly read zero let y = 2
     # past every dual constraint; strong duality still rejects it.
-    monkeypatch.setattr(linprog, "_dual_slacks",
-                        lambda lp, terms, dy: dict.fromkeys((v.name for v in lp.variables), 0))
+    monkeypatch.setattr(linprog, "_dual_slacks", lambda lp, terms, dy, c, dc: (
+        dict.fromkeys((v.name for v in lp.variables), 0), 1))
     verify_certificate(_GE, _cert({"x": 1}, {"r": 1}, 1))
     with pytest.raises(SolverInvariantError, match=r"^strong duality fails: 2 != 1$"):
         verify_certificate(_GE, _cert({"x": 1}, {"r": 2}, 1))
@@ -315,6 +316,31 @@ def test_integer_checker_agrees_with_the_fraction_checker():
                      "complementary slackness fails on row", "dual constraint for free",
                      "dual constraint for", "complementary slackness fails on",
                      "objective value mismatch"}
+
+
+def test_solve_returns_the_checked_slacks_and_reduced_costs():
+    # solve hands back what verify_certificate computed on integers: the
+    # slack of each inequality row that is not tight at x, and each nonzero
+    # reduced cost c_j - y.A_j, as the rationals the reference computes.
+    rng = random.Random(20261019)
+    seen = {LE: 0, GE: 0, "reduced": 0}
+    for _ in range(60):
+        for lp in _variants(rng, random_bounded_lp(rng)[0]):
+            out = solve(lp)
+            if not isinstance(out, Optimal):
+                continue
+            slack = {}
+            for row in lp.rows:
+                lhs = sum((c * out.x[name] for name, c in row.coeffs.items()), R0)
+                if row.relation != EQ and lhs != row.rhs:
+                    slack[row.id] = lhs - row.rhs if row.relation == GE else row.rhs - lhs
+                    seen[row.relation] += 1
+            reduced = {name: d for name, d in _dual_slacks(lp, out.y).items() if d}
+            seen["reduced"] += len(reduced)
+            assert out.slack == slack and out.reduced == reduced
+            assert all(type(v) is Rational for v in [*slack.values(), *reduced.values()])
+            assert verify_certificate(lp, Optimal(out.x, out.y, out.objective)) == out
+    assert min(seen.values()) >= 50
 
 
 def test_random_models_match_enumeration():
