@@ -12,9 +12,9 @@ variable order.
 
 A face only fixes nonbasic columns of the last optimum at zero (dropped
 variables, and the slacks of rows made ``=``), so all stages reoptimize one
-Tableau of the model's size: stage 0 is the only cold two-phase solve (none
-when the caller passes a Tableau that has just solved the model), and every
-later stage runs phase 2 alone. Each stage is still one solve() call,
+Tableau of the model's size: stage 0 is the only cold solve (none when the
+caller passes a Tableau that has just solved the model), and every later
+stage runs phase 2 alone. Each stage is still one solve() call,
 counted as one LP solve, and its certificate is checked against its stage
 model. The result does not depend on the pivot path, since it is unique.
 """

@@ -1,4 +1,4 @@
-"""Exact-rational linear programs and a deterministic two-phase simplex.
+"""Exact-rational linear programs and a deterministic primal and dual simplex.
 
 Models are row-oriented: named variables (nonnegative or free), an objective
 with a sense, and relational rows over the variables. solve() returns both a
@@ -10,17 +10,24 @@ inequality row that is not tight, and each nonzero reduced cost. Values of
 x and y equal to 0, +-1, +-1/2 or +-2 come back as the shared instances
 from rationals.shared.
 
+A cold solve starts from the all-slack basis. When lp's objective is dual
+feasible there (MIN costs >= 0 on nonnegative columns and 0 on free ones,
+MAX mirrored), as in every closest-dual model and every relaxation with
+nonnegative costs, a dual simplex reaches a feasible basis; any other
+objective takes phase 1 (minimize the artificials). Phase 2 follows either
+way. The start is chosen from lp's objective alone, before any pivot.
+
 solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
-two-phase solve and keeps its result. After an Optimal outcome the next model
-may change the objective, sense and rhs values, drop rows whose slack is
-basic, free bounds of basic columns, and fix nonbasic columns at zero: drop a
+solve and keeps its result. After an Optimal outcome the next model may
+change the objective, sense and rhs values, drop rows whose slack is basic,
+free bounds of basic columns, and fix nonbasic columns at zero: drop a
 nonbasic variable, or make ``=`` an inequality whose slack is nonbasic (as
-optimal_face does). A negative basic value B^-1 b starts a dual simplex
-(leave by the lowest basic index, enter by the least ratio, then lowest
-index) that needs lp's objective dual feasible; phase 2 follows. Any other
-model (new rows or variables among them), or any model after an Infeasible
-or Unbounded outcome, raises LinearProgramError before the tableau changes,
-instead of solving cold.
+optimal_face does). A negative basic value B^-1 b starts the dual simplex
+(leave by the lowest basic index, enter by the least ratio z_j/|a|, then
+lowest index) that needs lp's objective dual feasible; phase 2 follows. Any
+other model (new rows or variables among them), or any model after an
+Infeasible or Unbounded outcome, raises LinearProgramError before the
+tableau changes, instead of solving cold.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Free variables participate directly:
@@ -166,11 +173,13 @@ class Tableau:
 
     Columns are the built model's variables (cols maps each name to its
     column), one slack per inequality row, then one artificial per row
-    without a +e_i slack; each row ends with its rhs. banned holds the
-    columns that never enter (artificials, dropped rows' slacks, columns
-    fixed at zero); row_cols holds each model row's (identity column, slack
-    column or None, build-time flip); z holds the last model's reduced costs,
-    kept current through the last solve's pivots.
+    without a +e_i slack (every ``=`` row under the dual start); each row
+    ends with its rhs, negated on a flipped row. banned holds the columns
+    that never enter (artificials, dropped rows' slacks, columns fixed at
+    zero); row_cols holds each model row's (identity column, slack column or
+    None, build-time flip: rhs < 0 under phase 1, ``>=`` under the dual
+    start); z holds the last model's reduced costs, kept current through the
+    last solve's pivots.
     """
 
     def __init__(self) -> None:
@@ -190,15 +199,22 @@ class Tableau:
         return outcome
 
     def build(self, lp: LinearProgram) -> list[Rational] | None:
-        """Standard form of lp, then phase 1; lp's reduced costs, or None
-        when lp is infeasible."""
+        """Standard form of lp, then a feasible basis; lp's reduced costs,
+        or None when lp is infeasible. When lp's objective is dual feasible
+        at the all-slack basis (cost >= 0 on every nonnegative column and 0
+        on every free one, MAX negated), a dual simplex from that basis
+        finds it; any other objective takes phase 1."""
         nvar = len(lp.variables)
         self.cols = {v.name: j for j, v in enumerate(lp.variables)}
-        # A row with a negative rhs is negated (flipped), so every rhs is
-        # nonnegative. Its slack is then +e_i, and is its identity column,
-        # for a <= row without a flip or a >= row with one; every other row
-        # gets an artificial.
-        flips = [row.rhs < 0 for row in lp.rows]
+        sign = R1 if lp.sense == MIN else -R1
+        dual = all(sign * lp.objective.get(v.name, R0) >= R0 if v.nonnegative
+                   else not lp.objective.get(v.name) for v in lp.variables)
+        # Phase 1 negates (flips) each row with a negative rhs, so every rhs
+        # is nonnegative; the dual start flips exactly the >= rows, so every
+        # inequality row's slack is +e_i. A slack that is +e_i (a <= row
+        # without a flip or a >= row with one) is its row's identity column;
+        # every other row gets an artificial.
+        flips = [row.relation == GE if dual else row.rhs < 0 for row in lp.rows]
         slack_col: list[int | None] = []
         ncols = nvar
         for row in lp.rows:
@@ -230,22 +246,25 @@ class Tableau:
             self.in_basis[j] = True
         self.row_cols = list(zip(identity_col, slack_col, flips))
 
-        # Phase 1: drive the artificial variables to zero, then pivot each
-        # basic one out at value zero, onto the lowest nonbasic real column
-        # with a nonzero entry. A row with no such column is redundant; its
-        # artificial stays basic at value zero and never re-enters.
-        if artificial:
+        if dual:
+            if not self.dual_run(self.reduced_costs(self.cost_vector(lp))):
+                return None
+        elif artificial:  # phase 1: drive the artificial variables to zero
             z = self.reduced_costs([R1 if j in artificial else R0 for j in range(ncols)])
             if self.run(z, banned=set()) == "unbounded":
                 raise SolverInvariantError("phase-1 objective cannot be unbounded")
             if any(self.rows[i][-1] for i, b in enumerate(self.basis) if b in artificial):
                 return None
-            for i, row in enumerate(self.rows):
-                if self.basis[i] in artificial:
-                    j = next((j for j, t in enumerate(row[:-1])
-                              if t and j not in artificial and not self.in_basis[j]), None)
-                    if j is not None:
-                        self.pivot(i, j)
+        # Pivot each artificial still basic (at value zero) out, onto the
+        # lowest nonbasic real column with a nonzero entry. A row with no
+        # such column is redundant; its artificial stays basic at value zero
+        # and never re-enters.
+        for i, row in enumerate(self.rows):
+            if self.basis[i] in artificial:
+                j = next((j for j, t in enumerate(row[:-1])
+                          if t and j not in artificial and not self.in_basis[j]), None)
+                if j is not None:
+                    self.pivot(i, j)
         return self.reduced_costs(self.cost_vector(lp))
 
     def reoptimize(self, lp: LinearProgram) -> list[Rational] | None:
@@ -383,12 +402,17 @@ class Tableau:
 
     def dual_run(self, z: list[Rational]) -> bool:
         """Dual simplex from dual feasible reduced costs z (rule in the module
-        docstring; a free column's ratio is 0); False when lp is infeasible."""
-        rows, basis, nonneg = self.rows, self.basis, self.nonneg
-        while negative := [(b, r) for r, b in enumerate(basis) if nonneg[b] and rows[r][-1] < R0]:
-            r = min(negative)[1]
+        docstring; a free column's ratio is 0); False when lp is infeasible.
+        A row leaves while its basic value is negative on a nonnegative
+        column or nonzero on a banned one; the entering column's entry in
+        that row has the value's sign (either sign on a free column)."""
+        rows, basis, nonneg, banned = self.rows, self.basis, self.nonneg, self.banned
+        while leaving := [(b, r) for r, b in enumerate(basis)
+                          if (v := rows[r][-1]) and (v < R0 and nonneg[b] or b in banned)]:
+            r = min(leaving)[1]
+            up = rows[r][-1] > R0
             eligible = [(z[j] / abs(a), j) for j, a in enumerate(rows[r][:-1])
-                        if (a < R0 or (a and not nonneg[j])) and j not in self.banned]
+                        if a and ((a > R0) == up or not nonneg[j]) and j not in banned]
             if not eligible:
                 return False
             self.pivot(r, min(eligible)[1], z)

@@ -7,10 +7,12 @@ ordinary LP with objective c_p over the optimal face of stage p - 1
 (linprog.optimal_face): rows whose dual went nonzero become equalities (they
 are tight in every optimum of the finer objective), and columns whose dual
 constraint went strictly slack are dropped (they are zero in every such
-optimum). Each stage is a cold solve of its own model. The stage-k primal
-solution, padded with zeros on dropped columns, is THE optimum of the
-perturbed problem, and the per-stage duals form its dual's coefficient
-series in powers of eps.
+optimum). A face only fixes nonbasic columns of the last optimum at zero,
+so all stages run on one Tableau: stage 0 is the only cold solve, and each
+later stage reoptimizes it, still one solve() checked against its own stage
+model. The stage-k primal solution, padded with zeros on dropped columns, is
+THE optimum of the perturbed problem, and the per-stage duals form its dual's
+coefficient series in powers of eps.
 
 The sign rule for that series: reading a fixed row's values stage by stage,
 the first nonzero must be positive, otherwise the series is not a valid
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvariantViolation, StageSolveError
-from .linprog import EQ, GE, MIN, LinearProgram, Optimal, optimal_face, solve
+from .linprog import EQ, GE, MIN, LinearProgram, Optimal, Tableau, optimal_face, solve
 from .rationals import R0, Rational, rat
 
 
@@ -117,11 +119,12 @@ def solve_perturbed_pair(pair: PerturbedPair) -> PerturbedSolution:
     rows = [(i, {j: a for j, a in enumerate(pair.a[i]) if a}, GE, pair.b[i])
             for i in range(pair.nrows)]
     stages: list[StageRecord] = []
+    tab = Tableau()
     for p, cost in enumerate(pair.costs):
         objective = dict(enumerate(cost))
         lp = (optimal_face(lp, out, objective) if p
               else LinearProgram(MIN, columns, objective, rows))
-        out = solve(lp)
+        out = solve(lp, start=tab)
         if not isinstance(out, Optimal):
             raise StageSolveError(f"stage {p} came back {out.status}")
         equality_rows = frozenset(row.id for row in lp.rows if row.relation == EQ)

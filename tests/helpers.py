@@ -20,6 +20,7 @@ from cpmatch.linprog import (
     LinearProgram,
     Optimal,
     SolverInvariantError,
+    Tableau,
     solve,
 )
 from cpmatch.perturb import PerturbedPair
@@ -74,6 +75,20 @@ def enumerate_minimum(n, rows, objective):
         if best is None or value < best:
             best = value
     return best
+
+
+def record_phases(monkeypatch) -> list[str]:
+    """Record each Tableau.run call, in order, as "phase 1" or "phase 2":
+    phase 1 runs on its own (empty) banned set, phase 2 on the tableau's."""
+    calls = []
+    run = Tableau.run
+
+    def recording(self, zrow, banned):
+        calls.append("phase 2" if banned is self.banned else "phase 1")
+        return run(self, zrow, banned)
+
+    monkeypatch.setattr(Tableau, "run", recording)
+    return calls
 
 
 def random_bounded_lp(rng: random.Random):

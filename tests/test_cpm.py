@@ -2,8 +2,12 @@
 
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
+
+from helpers import record_phases
 
 from cpmatch import cpm
 from cpmatch.cpm import (
@@ -21,6 +25,12 @@ from cpmatch.linprog import Optimal, Tableau
 from cpmatch.oracle import brute_force_matchings, lex_tie_break
 from cpmatch.perturb import SignViolation
 from cpmatch.rationals import HALF, R0, R1, rat, rat_str
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import instances  # noqa: E402
 
 
 def k2():
@@ -138,11 +148,13 @@ DANCING_ROBOT_STAGE0_DIGESTS = (
 
 #: The same digests for the two single-stage modes: perturbed dancing_robot
 #: and naive cycling. Naive mode's fourth iteration stops on the repeat before
-#: its dual solve, so its stage list is empty (the digest of no text).
+#: its dual solve, so its stage list is empty (the digest of no text). A
+#: perturbed stage is a cold solve, so its digests pin the cold start's path
+#: (a dual simplex from the slack basis, as its costs are nonnegative).
 PERTURBED_DANCING_ROBOT_STAGE_DIGESTS = (
-    "f74d84e4b9ef8a36266c5459f034511394dc7169b7f831db36a0d5c9d3daa5e1",
-    "be4261335b5fe7fcca8577116ae17702db0cadfb92060b9a6b9fb17e3fba7c27",
-    "efdc7d5287d0df1ed852585e778ebd5240593ad021f0da90ea531638e67492f1",
+    "74f11f78322e05d54d20fcdadddda15e66fc855dd222eb223015383c4bea17f5",
+    "8bdaff9570adc767c56baff14be2348ff8e8bdf7bb0729876aba0548db764ef8",
+    "a6a11bccf95bf9dbc7c2fc39f320f59cc07b622b212cea122cdb6d68eb34559d",
 )
 NAIVE_CYCLING_STAGE_DIGESTS = (
     "cd6874866c70da0cae024115d5d6842a9f2280a69845dcd0e0159083fdd14271",
@@ -471,3 +483,25 @@ def test_random_sweep_modes_and_oracle_agree():
         assert res.cost == best
         assert res.matching == lex_tie_break(matchings, sigma)
         assert res.total_lp_solves == len(res.iterations) * (2 * g.m + 3)
+
+
+@pytest.mark.parametrize("workload", ["cuts", "integral"])
+def test_negative_costs_take_phase_1_and_keep_the_matching(workload, monkeypatch):
+    # Nonnegative costs make every cold solve a dual simplex from the slack
+    # basis; a shift by -5 leaves the probe no such start, so it runs phase
+    # 1. Every perfect matching has n/2 edges, so the shift moves each cost
+    # by the same 5n/2 and keeps the lexicographic choice among the ties.
+    phases = record_phases(monkeypatch)
+    for inst in instances.build_pool(workload, 1, [])[:6]:
+        g, sigma = inst.graph, inst.sigma
+        shifted = Graph(g.n, tuple((u, v, c - 5) for u, v, c in g.edges))
+        best, matchings = brute_force_matchings(shifted)
+        for solver in (solve_unperturbed, solve_perturbed_reference):
+            del phases[:]
+            res = solver(g, sigma)
+            assert "phase 1" not in phases
+            del phases[:]
+            low = solver(shifted, sigma)
+            assert "phase 1" in phases
+            assert low.matching == res.matching == lex_tie_break(matchings, sigma)
+            assert low.cost == res.cost - 5 * g.n // 2 == best

@@ -1,4 +1,4 @@
-"""Tests for the exact two-phase simplex."""
+"""Tests for the exact simplex: models, certificates, starts and reoptimization."""
 
 import random
 import re
@@ -11,6 +11,7 @@ from helpers import (
     fraction_verify_certificate,
     random_bounded_lp,
     random_perturbed_pair,
+    record_phases,
 )
 
 from cpmatch import linprog
@@ -614,15 +615,21 @@ def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
 
 
 def test_reoptimize_detects_an_inconsistent_redundant_row():
-    # r2 is r1 doubled: its artificial stays basic at 0 in a redundant row,
-    # and an rhs that breaks the doubling makes that value nonzero.
-    def model(rhs2):
+    # r2 is r1 doubled. Under the dual start both artificials start
+    # positive; r1's leaves onto x, and r2's stays basic at 0 in a redundant
+    # row, so r2's dual is 0. An rhs change that keeps the doubling keeps
+    # that value at 0; one that breaks it makes the value nonzero.
+    def model(rhs2, rhs1=2):
         return LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 2}, [
-            ("r1", {"x": 1, "y": 1}, EQ, 2), ("r2", {"x": 2, "y": 2}, EQ, rhs2),
+            ("r1", {"x": 1, "y": 1}, EQ, rhs1), ("r2", {"x": 2, "y": 2}, EQ, rhs2),
         ])
 
     tab = Tableau()
-    assert solve(model(4), start=tab).x == {"x": 2, "y": 0}
+    out = solve(model(4), start=tab)
+    assert out.x == {"x": 2, "y": 0} and out.y == {"r1": 1, "r2": 0}
+    assert tab.basis[1] == tab.row_cols[1][0]  # r2's artificial
+    out = solve(model(6, rhs1=3), start=tab)
+    assert out.x == solve(model(6, rhs1=3)).x == {"x": 3, "y": 0}
     assert isinstance(solve(model(5)), Infeasible)
     assert isinstance(solve(model(5), start=tab), Infeasible)
 
@@ -777,3 +784,107 @@ def test_fixing_nonbasic_columns_matches_cold_solves():
                 verify_certificate(lp, out)
                 solves += 1
     assert dropped >= 40 and tightened >= 80 and solves >= 150
+
+
+def test_dual_start_random_models_match_enumeration(monkeypatch):
+    # |c| makes every random model dual feasible at the slack basis, so no
+    # solve runs phase 1, and an infeasible one runs no primal pivot at all.
+    calls = record_phases(monkeypatch)
+    rng = random.Random(20261018)
+    optimal = infeasible = 0
+    for _ in range(150):
+        lp, rows, objective, n = random_bounded_lp(rng)
+        lp = LinearProgram(MIN, lp.variables, {k: abs(c) for k, c in lp.objective.items()},
+                           lp.rows)
+        out = solve(lp)
+        expected = enumerate_minimum(n, rows, [abs(c) for c in objective])
+        if expected is None:
+            assert isinstance(out, Infeasible) and calls == []
+            infeasible += 1
+        else:
+            assert isinstance(out, Optimal) and calls == ["phase 2"]
+            assert out.objective == expected
+            optimal += 1
+        del calls[:]
+    assert optimal >= 50 and infeasible >= 10
+
+
+def test_dual_start_takes_phase_2_only_and_any_negative_cost_takes_phase_1(monkeypatch):
+    calls = record_phases(monkeypatch)
+    for objective, sense, phases in [
+        ({"x": 1, "y": 2}, MIN, ["phase 2"]),
+        ({}, MIN, ["phase 2"]),
+        ({"x": -1, "y": -2}, MAX, ["phase 2"]),
+        ({"x": 1, "y": -1}, MIN, ["phase 1", "phase 2"]),
+        ({"x": 1, "y": 1}, MAX, ["phase 1", "phase 2"]),
+    ]:
+        lp = LinearProgram(sense, ["x", "y"], objective, _capped({}).rows)
+        out = solve(lp)
+        assert calls == phases
+        assert isinstance(out, Optimal)
+        del calls[:]
+
+
+def test_dual_start_flips_exactly_the_ge_rows():
+    rows = [
+        ("le+", {"x": 1}, LE, 3), ("le-", {"x": -1, "y": 1}, LE, -1),
+        ("ge+", {"x": 1, "y": 1}, GE, 2), ("ge-", {"y": 1}, GE, -4),
+        ("eq+", {"x": 1, "y": -1}, EQ, 1), ("eq-", {"x": -1, "y": 1}, EQ, -1),
+    ]
+    for objective, flips in [
+        ({"x": 1, "y": 1}, [False, False, True, True, False, False]),  # dual start
+        ({"x": -1, "y": 1}, [False, True, False, True, False, True]),  # phase 1: rhs < 0
+    ]:
+        lp = LinearProgram(MIN, ["x", "y"], objective, rows)
+        tab = Tableau()
+        out = solve(lp, start=tab)
+        assert [flip for _, _, flip in tab.row_cols] == flips
+        assert out.objective == solve(lp).objective
+        verify_certificate(lp, out)
+
+
+def test_dual_start_equality_rows():
+    # The artificial of x - y = -1 starts at -1 and leaves onto y (entry
+    # -1); that of -x + y = 1, the same row negated, starts at +1 and leaves
+    # onto y (entry +1). Pivoting the positive one out onto the lowest
+    # column, x, would set x = -1.
+    for row in [("r", {"x": 1, "y": -1}, EQ, -1), ("r", {"x": -1, "y": 1}, EQ, 1)]:
+        lp = LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 1}, [row, ("cap", {"y": 1}, LE, 5)])
+        out = solve(lp)
+        assert out.x == {"x": 0, "y": 1} and out.objective == 1
+        assert out.y == {"r": row[1]["y"], "cap": 0}
+    # x - y = 0 holds at the slack basis, so its artificial is basic at zero
+    # after the dual run and is pivoted out onto x. Left basic, it would be
+    # banned and nonzero once the rhs moves, and the reoptimization would
+    # report the model infeasible.
+    def model(rhs):
+        return LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 1},
+                             [("r", {"x": 1, "y": -1}, EQ, rhs), ("cap", {"x": 1}, LE, 5)])
+
+    tab = Tableau()
+    assert solve(model(0), start=tab).x == {"x": 0, "y": 0}
+    assert solve(model(2), start=tab).x == solve(model(2)).x == {"x": 2, "y": 0}
+
+
+def test_dual_start_free_columns_and_max(monkeypatch):
+    calls = record_phases(monkeypatch)
+    # f is free at cost 0: it enters first (ratio 0) and settles at its cap.
+    lp = LinearProgram(MIN, ["x", ("f", False), "y"], {"x": 1, "y": 2}, [
+        ("cover", {"x": 1, "f": 1}, GE, 3), ("fcap", {"f": 1}, LE, 1),
+        ("floor", {"f": 1, "y": 1}, GE, -2),
+    ])
+    out = solve(lp)
+    assert out.x == {"x": 2, "f": 1, "y": 0} and out.objective == 2
+    assert out.y == {"cover": 1, "fcap": -1, "floor": 0}
+    # f settles negative, at a cap below zero.
+    lp = LinearProgram(MIN, [("f", False), "x"], {"x": 1}, [
+        ("fcap", {"f": 1}, LE, -3), ("link", {"x": 1, "f": 1}, GE, -1),
+    ])
+    assert solve(lp).x == {"f": -3, "x": 2}
+    # MAX with costs <= 0 mirrors MIN with costs >= 0; the duals flip sign.
+    rows = _capped({}).rows
+    low, high = (solve(LinearProgram(MAX, ["x", "y"], {"x": -1, "y": -2}, rows)),
+                 solve(LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 2}, rows)))
+    assert low.x == high.x == {"x": 2, "y": 0} and low.objective == -2
+    assert low.y == {k: -v for k, v in high.y.items()}
+    assert calls == ["phase 2"] * 4

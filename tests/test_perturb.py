@@ -150,9 +150,10 @@ def _stage_records_digest(solutions):
     return h.hexdigest()
 
 
-# Taken while solve_perturbed_pair still kept its own drop and equality
-# bookkeeping, before the face rule moved into linprog.optimal_face.
-STAGE_RECORDS_DIGEST = "0aa901e0887d3870947092590148acf71a76ac4c0990d1cb66cdef578d0c2952"
+# The duals of a stage need not be unique, so this pins the pivot path too:
+# stage 0's start (a dual simplex from the slack basis when its costs allow
+# one, else phase 1) and the reoptimized later stages on the same Tableau.
+STAGE_RECORDS_DIGEST = "de6a027efa676493abb9671bec0328bb0fa136c13350d366cf9850a1a5be1aee"
 
 
 def test_stage_records_are_pinned():
