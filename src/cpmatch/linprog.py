@@ -10,12 +10,17 @@ inequality row that is not tight, and each nonzero reduced cost. Values of
 x and y equal to 0, +-1, +-1/2 or +-2 come back as the shared instances
 from rationals.shared.
 
-A cold solve starts from the all-slack basis. When lp's objective is dual
-feasible there (MIN costs >= 0 on nonnegative columns and 0 on free ones,
-MAX mirrored), as in every closest-dual model and every relaxation with
-nonnegative costs, a dual simplex reaches a feasible basis; any other
-objective takes phase 1 (minimize the artificials). Phase 2 follows either
-way. The start is chosen from lp's objective alone, before any pivot.
+A cold solve has one start: the all-slack basis, which flips each >= row
+and gives each = row a banned artificial, and a dual simplex from it on
+start costs that are dual feasible there. A nonnegative column's start cost
+is its cost (MIN as is, MAX negated) raised by the magnitude of the most
+negative such cost, or by 0 when none is negative; free columns start at 0.
+The dual run ends at a feasible basis (or proves lp infeasible), artificials
+left basic at zero are pivoted out, and phase 2 runs on lp's own costs from
+there. On nonnegative costs the start costs are lp's. A matching
+relaxation's degree rows force sum x = n/2, so the shift adds the same
+constant to every feasible point's cost: the dual run on a relaxation with
+negative edge costs ends at an optimum of the relaxation itself.
 
 solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
 solve and keeps its result. After an Optimal outcome the next model may
@@ -172,14 +177,12 @@ class Tableau:
     """One model's simplex state: standard form, basis, Bland pivot loop.
 
     Columns are the built model's variables (cols maps each name to its
-    column), one slack per inequality row, then one artificial per row
-    without a +e_i slack (every ``=`` row under the dual start); each row
-    ends with its rhs, negated on a flipped row. banned holds the columns
-    that never enter (artificials, dropped rows' slacks, columns fixed at
-    zero); row_cols holds each model row's (identity column, slack column or
-    None, build-time flip: rhs < 0 under phase 1, ``>=`` under the dual
-    start); z holds the last model's reduced costs, kept current through the
-    last solve's pivots.
+    column), one slack per inequality row, then one artificial per ``=``
+    row; each row ends with its rhs, negated on a flipped (``>=``) row.
+    banned holds the columns that never enter (artificials, dropped rows'
+    slacks, columns fixed at zero); row_cols holds each model row's
+    (identity column, slack column or None, flip); z holds the last model's
+    reduced costs, kept current through the last solve's pivots.
     """
 
     def __init__(self) -> None:
@@ -200,43 +203,28 @@ class Tableau:
 
     def build(self, lp: LinearProgram) -> list[Rational] | None:
         """Standard form of lp, then a feasible basis; lp's reduced costs,
-        or None when lp is infeasible. When lp's objective is dual feasible
-        at the all-slack basis (cost >= 0 on every nonnegative column and 0
-        on every free one, MAX negated), a dual simplex from that basis
-        finds it; any other objective takes phase 1."""
+        or None when lp is infeasible. The basis comes from a dual simplex
+        from the all-slack basis on the start costs (see the module
+        docstring), which are dual feasible there."""
         nvar = len(lp.variables)
         self.cols = {v.name: j for j, v in enumerate(lp.variables)}
-        sign = R1 if lp.sense == MIN else -R1
-        dual = all(sign * lp.objective.get(v.name, R0) >= R0 if v.nonnegative
-                   else not lp.objective.get(v.name) for v in lp.variables)
-        # Phase 1 negates (flips) each row with a negative rhs, so every rhs
-        # is nonnegative; the dual start flips exactly the >= rows, so every
-        # inequality row's slack is +e_i. A slack that is +e_i (a <= row
-        # without a flip or a >= row with one) is its row's identity column;
-        # every other row gets an artificial.
-        flips = [row.relation == GE if dual else row.rhs < 0 for row in lp.rows]
-        slack_col: list[int | None] = []
-        ncols = nvar
-        for row in lp.rows:
-            slack_col.append(None if row.relation == EQ else ncols)
-            ncols += row.relation != EQ
-        identity_col: list[int] = []
-        artificial: set[int] = set()
-        for row, flip, j in zip(lp.rows, flips, slack_col):
-            if j is not None and (row.relation == LE) != flip:
-                identity_col.append(j)
-            else:
-                identity_col.append(ncols)
-                artificial.add(ncols)
-                ncols += 1
+        # Columns: the variables, one slack per inequality row, then one
+        # artificial per = row. Each >= row is flipped (negated), so every
+        # inequality row's slack is its +e_i identity column; the artificials
+        # are banned.
+        ncols = nvar + len(lp.rows)
+        nslack = sum(row.relation != EQ for row in lp.rows)
+        slacks, artificial = iter(range(nvar, nvar + nslack)), range(nvar + nslack, ncols)
+        slack_col = [None if row.relation == EQ else next(slacks) for row in lp.rows]
+        artificials = iter(artificial)
+        identity_col = [next(artificials) if j is None else j for j in slack_col]
+        flips = [row.relation == GE for row in lp.rows]
 
         self.rows = []
-        for row, flip, j, b in zip(lp.rows, flips, slack_col, identity_col):
+        for row, flip, b in zip(lp.rows, flips, identity_col):
             t = [R0] * ncols + [-row.rhs if flip else row.rhs]
             for name, c in row.coeffs.items():
                 t[self.cols[name]] = -c if flip else c
-            if j is not None:
-                t[j] = -R1  # the slack, unless it is the identity column b
             t[b] = R1
             self.rows.append(t)
         self.nonneg = [v.nonnegative for v in lp.variables] + [True] * (ncols - nvar)
@@ -246,15 +234,13 @@ class Tableau:
             self.in_basis[j] = True
         self.row_cols = list(zip(identity_col, slack_col, flips))
 
-        if dual:
-            if not self.dual_run(self.reduced_costs(self.cost_vector(lp))):
-                return None
-        elif artificial:  # phase 1: drive the artificial variables to zero
-            z = self.reduced_costs([R1 if j in artificial else R0 for j in range(ncols)])
-            if self.run(z, banned=set()) == "unbounded":
-                raise SolverInvariantError("phase-1 objective cannot be unbounded")
-            if any(self.rows[i][-1] for i, b in enumerate(self.basis) if b in artificial):
-                return None
+        cost = self.cost_vector(lp)
+        shift = -min([R0] + [c for c, v in zip(cost, lp.variables) if v.nonnegative])
+        # The slack basis costs 0, so the start costs are their own reduced
+        # costs (the last entry is the objective value).
+        start = [c + shift if v.nonnegative else R0 for c, v in zip(cost, lp.variables)]
+        if not self.dual_run(start + [R0] * (ncols - nvar + 1)):
+            return None
         # Pivot each artificial still basic (at value zero) out, onto the
         # lowest nonbasic real column with a nonzero entry. A row with no
         # such column is redundant; its artificial stays basic at value zero
@@ -265,7 +251,7 @@ class Tableau:
                           if t and j not in artificial and not self.in_basis[j]), None)
                 if j is not None:
                     self.pivot(i, j)
-        return self.reduced_costs(self.cost_vector(lp))
+        return self.reduced_costs(cost)
 
     def reoptimize(self, lp: LinearProgram) -> list[Rational] | None:
         """Carry the last optimal basis over to lp, a variant of the last
@@ -363,8 +349,11 @@ class Tableau:
                         z[k] -= cb * t
         return z
 
-    def run(self, zrow: list[Rational], banned: set[int]) -> str:
+    def run(self, zrow: list[Rational]) -> str:
+        """Primal simplex (Bland's rule) on reduced costs zrow from a
+        feasible basis; banned columns never enter."""
         tableau, basis, in_basis, nonneg = self.rows, self.basis, self.in_basis, self.nonneg
+        banned = self.banned
         ncols, m = len(nonneg), len(tableau)
         while True:
             enter = -1
@@ -421,7 +410,7 @@ class Tableau:
     def phase2(self, lp: LinearProgram, z: list[Rational]) -> LPOutcome:
         """Phase 2 from the current feasible basis, on lp's reduced costs z."""
         minimize = lp.sense == MIN
-        if self.run(z, banned=self.banned) == "unbounded":
+        if self.run(z) == "unbounded":
             return Unbounded()
 
         xvals = [R0] * len(self.nonneg)

@@ -22,9 +22,11 @@ R0 = _backend(0)
 R1 = _backend(1)
 HALF = _backend(1, 2)
 
-#: One canonical instance of each value an exact solve returns most often.
+#: One canonical instance of each value an exact solve returns most often,
+#: keyed by (numerator, denominator), so a lookup never hashes a rational.
 _SHARED = {
-    q: q for q in (R0, R1, -R1, HALF, -HALF, _backend(2), _backend(-2))
+    (q.numerator, q.denominator): q
+    for q in (R0, R1, -R1, HALF, -HALF, _backend(2), _backend(-2))
 }
 
 
@@ -45,4 +47,4 @@ def shared(value):
     """The canonical instance of value when it is 0, +-1, +-1/2 or +-2, else
     value itself; results that hold many such values then hold one object
     each instead of one per entry."""
-    return _SHARED.get(value, value)
+    return _SHARED.get((value.numerator, value.denominator), value)

@@ -77,16 +77,25 @@ def enumerate_minimum(n, rows, objective):
     return best
 
 
-def record_phases(monkeypatch) -> list[str]:
-    """Record each Tableau.run call, in order, as "phase 1" or "phase 2":
-    phase 1 runs on its own (empty) banned set, phase 2 on the tableau's."""
+def record_runs(monkeypatch) -> list[int]:
+    """Record each Tableau.run call (phase 2), in order, as the number of
+    pivots it made: a cold solve makes one call when it reaches a feasible
+    basis, none when the model is infeasible."""
     calls = []
-    run = Tableau.run
+    pivots = [0]
+    run, pivot = Tableau.run, Tableau.pivot
 
-    def recording(self, zrow, banned):
-        calls.append("phase 2" if banned is self.banned else "phase 1")
-        return run(self, zrow, banned)
+    def counting(self, *args):
+        pivots[0] += 1
+        return pivot(self, *args)
 
+    def recording(self, zrow):
+        before = pivots[0]
+        out = run(self, zrow)
+        calls.append(pivots[0] - before)
+        return out
+
+    monkeypatch.setattr(Tableau, "pivot", counting)
     monkeypatch.setattr(Tableau, "run", recording)
     return calls
 

@@ -11,7 +11,7 @@ from helpers import (
     fraction_verify_certificate,
     random_bounded_lp,
     random_perturbed_pair,
-    record_phases,
+    record_runs,
 )
 
 from cpmatch import linprog
@@ -57,7 +57,9 @@ def test_two_inequality_rows_with_free_variable():
         ],
     )
     out = solve(lp)
-    assert out.x == {"x1": rat(1), "x2": rat(1), "x3": rat(0)}
+    # The optimal face is the edge from (1, 1, 0) to (1/2, 0, 1/2); the
+    # cold start (x3 at start cost 0) ends at its second vertex.
+    assert out.x == {"x1": HALF, "x2": rat(0), "x3": HALF}
     assert out.y == {"r1": rat(1), "r2": rat(1)}
     assert out.objective == 2
 
@@ -787,42 +789,73 @@ def test_fixing_nonbasic_columns_matches_cold_solves():
 
 
 def test_dual_start_random_models_match_enumeration(monkeypatch):
-    # |c| makes every random model dual feasible at the slack basis, so no
-    # solve runs phase 1, and an infeasible one runs no primal pivot at all.
-    calls = record_phases(monkeypatch)
+    # Each random model with |c| (dual feasible at the slack basis as it is),
+    # as drawn (signed costs) and as the MAX twin of the drawn costs: one
+    # phase 2 run per optimal solve, none for an infeasible one. The costs
+    # do not change feasibility, so an infeasible model is enumerated once.
+    calls = record_runs(monkeypatch)
     rng = random.Random(20261018)
     optimal = infeasible = 0
-    for _ in range(150):
+    for _ in range(200):
         lp, rows, objective, n = random_bounded_lp(rng)
-        lp = LinearProgram(MIN, lp.variables, {k: abs(c) for k, c in lp.objective.items()},
-                           lp.rows)
-        out = solve(lp)
-        expected = enumerate_minimum(n, rows, [abs(c) for c in objective])
-        if expected is None:
-            assert isinstance(out, Infeasible) and calls == []
-            infeasible += 1
-        else:
-            assert isinstance(out, Optimal) and calls == ["phase 2"]
-            assert out.objective == expected
-            optimal += 1
-        del calls[:]
-    assert optimal >= 50 and infeasible >= 10
+        names = [v.name for v in lp.variables]
+        positive = [abs(c) for c in objective]
+        low = enumerate_minimum(n, rows, positive)
+        signed = None if low is None else enumerate_minimum(n, rows, objective)
+        for sense, costs, expected in [
+            (MIN, positive, low),
+            (MIN, objective, signed),
+            (MAX, [-c for c in objective], None if signed is None else -signed),
+        ]:
+            out = solve(LinearProgram(sense, lp.variables, dict(zip(names, costs)), lp.rows))
+            if expected is None:
+                assert isinstance(out, Infeasible) and calls == []
+                infeasible += 1
+            else:
+                assert isinstance(out, Optimal) and len(calls) == 1
+                assert out.objective == expected
+                optimal += 1
+            del calls[:]
+    assert optimal >= 200 and infeasible >= 60
 
 
-def test_dual_start_takes_phase_2_only_and_any_negative_cost_takes_phase_1(monkeypatch):
-    calls = record_phases(monkeypatch)
-    for objective, sense, phases in [
-        ({"x": 1, "y": 2}, MIN, ["phase 2"]),
-        ({}, MIN, ["phase 2"]),
-        ({"x": -1, "y": -2}, MAX, ["phase 2"]),
-        ({"x": 1, "y": -1}, MIN, ["phase 1", "phase 2"]),
-        ({"x": 1, "y": 1}, MAX, ["phase 1", "phase 2"]),
+def test_dual_start_makes_one_run_call_for_every_objective(monkeypatch):
+    calls = record_runs(monkeypatch)
+    for objective, sense in [
+        ({"x": 1, "y": 2}, MIN),
+        ({}, MIN),
+        ({"x": -1, "y": -2}, MAX),
+        ({"x": 1, "y": -1}, MIN),
+        ({"x": 1, "y": 1}, MAX),
     ]:
         lp = LinearProgram(sense, ["x", "y"], objective, _capped({}).rows)
         out = solve(lp)
-        assert calls == phases
+        assert len(calls) == 1
         assert isinstance(out, Optimal)
         del calls[:]
+
+
+def test_shifted_start_costs_reach_the_optimum_before_phase_2(monkeypatch):
+    # min -a - 2b subject to a + b = 1 starts on costs (1, 0): the dual run
+    # brings b in, which is optimal. Start costs clipped to (0, 0) would
+    # bring a in (lowest index) and leave phase 2 one pivot.
+    # min -2a + b subject to a >= 1 (lo), 2a <= 2 (hi) and a + 2b >= 3
+    # (cover) starts on costs (0, 3), and the slacks start at 0: a enters
+    # on lo, cover takes lo's slack back in at ratio 0 ahead of b (3/2), and
+    # hi then brings b in at (1, 1). A slack started at the shift 2 would
+    # let b in first and leave phase 2 a degenerate pivot.
+    calls = record_runs(monkeypatch)
+    for rows, costs, x in [
+        ([("r", {"a": 1, "b": 1}, EQ, 1)], {"a": -1, "b": -2}, {"a": 0, "b": 1}),
+        ([("lo", {"a": -1}, LE, -1), ("hi", {"a": 2}, LE, 2),
+          ("cover", {"a": 1, "b": 2}, GE, 3)], {"a": -2, "b": 1}, {"a": 1, "b": 1}),
+    ]:
+        for sense, sign in [(MIN, 1), (MAX, -1)]:
+            lp = LinearProgram(sense, ["a", "b"], {k: sign * c for k, c in costs.items()}, rows)
+            out = solve(lp)
+            assert out.x == x and out.objective == sign * sum(costs[k] * x[k] for k in x)
+            assert calls == [0]
+            del calls[:]
 
 
 def test_dual_start_flips_exactly_the_ge_rows():
@@ -831,14 +864,12 @@ def test_dual_start_flips_exactly_the_ge_rows():
         ("ge+", {"x": 1, "y": 1}, GE, 2), ("ge-", {"y": 1}, GE, -4),
         ("eq+", {"x": 1, "y": -1}, EQ, 1), ("eq-", {"x": -1, "y": 1}, EQ, -1),
     ]
-    for objective, flips in [
-        ({"x": 1, "y": 1}, [False, False, True, True, False, False]),  # dual start
-        ({"x": -1, "y": 1}, [False, True, False, True, False, True]),  # phase 1: rhs < 0
-    ]:
+    # The flips do not depend on the rhs signs, nor on a negative cost.
+    for objective in [{"x": 1, "y": 1}, {"x": -1, "y": 1}]:
         lp = LinearProgram(MIN, ["x", "y"], objective, rows)
         tab = Tableau()
         out = solve(lp, start=tab)
-        assert [flip for _, _, flip in tab.row_cols] == flips
+        assert [flip for _, _, flip in tab.row_cols] == [False, False, True, True, False, False]
         assert out.objective == solve(lp).objective
         verify_certificate(lp, out)
 
@@ -867,7 +898,7 @@ def test_dual_start_equality_rows():
 
 
 def test_dual_start_free_columns_and_max(monkeypatch):
-    calls = record_phases(monkeypatch)
+    calls = record_runs(monkeypatch)
     # f is free at cost 0: it enters first (ratio 0) and settles at its cap.
     lp = LinearProgram(MIN, ["x", ("f", False), "y"], {"x": 1, "y": 2}, [
         ("cover", {"x": 1, "f": 1}, GE, 3), ("fcap", {"f": 1}, LE, 1),
@@ -887,4 +918,4 @@ def test_dual_start_free_columns_and_max(monkeypatch):
                  solve(LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 2}, rows)))
     assert low.x == high.x == {"x": 2, "y": 0} and low.objective == -2
     assert low.y == {k: -v for k, v in high.y.items()}
-    assert calls == ["phase 2"] * 4
+    assert len(calls) == 4
