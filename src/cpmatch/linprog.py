@@ -34,6 +34,15 @@ other model (new rows or variables among them), or any model after an
 Infeasible or Unbounded outcome, raises LinearProgramError before the
 tableau changes, instead of solving cold.
 
+LinearProgram(...) validates and copies its input; no model changes after
+that. lp.variant(...) derives a model with new pieces (sense, objective, rhs
+values and relations by row id, rows dropped by id, variables dropped or freed
+by name) and validates only those. It shares each unchanged row with lp, keeps
+a row's coefficient map when only its rhs or relation changes, and re-filters
+only rows that touch a dropped variable. Each map's integer scaling
+(Row.scale) is computed once, so verify_certificate scales only the rhs, and
+reoptimization accepts a kept row that holds the last model's map by identity.
+
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Free variables participate directly:
 a free variable may enter in either direction and never leaves the basis,
@@ -47,9 +56,9 @@ For maximization the signs flip (``<=`` rows carry y >= 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Collection, Hashable, Iterable, Mapping
 
 from .errors import InvariantViolation
 from .rationals import R0, R1, Rational, rat, shared
@@ -83,6 +92,8 @@ class Row:
     coeffs: Mapping[Hashable, Any]
     relation: str
     rhs: Any
+    #: coeffs' values over their lcm denominator, (nums, den), set on validation
+    scale: tuple | None = field(default=None, compare=False, repr=False)
 
 
 class LinearProgram:
@@ -120,20 +131,50 @@ class LinearProgram:
         self.rows: list[Row] = []
         seen_ids = set()
         for spec in rows:
-            row = spec if isinstance(spec, Row) else Row(*spec)
-            if row.relation not in _RELATIONS:
-                raise LinearProgramError(f"unknown relation {row.relation!r} in row {row.id!r}")
-            coeffs = {name: rat(c) for name, c in row.coeffs.items()}
+            row_id, given, relation, rhs = (
+                (spec.id, spec.coeffs, spec.relation, spec.rhs) if isinstance(spec, Row) else spec)
+            if relation not in _RELATIONS:
+                raise LinearProgramError(f"unknown relation {relation!r} in row {row_id!r}")
+            coeffs = {name: rat(c) for name, c in given.items()}
             for name in coeffs:
                 if name not in known:
                     raise LinearProgramError(
-                        f"row {row.id!r} references unknown variable {name!r}"
+                        f"row {row_id!r} references unknown variable {name!r}"
                     )
-            row = Row(row.id, coeffs, row.relation, rat(row.rhs))
-            if row.id in seen_ids:
-                raise LinearProgramError(f"duplicate row id {row.id!r}")
-            seen_ids.add(row.id)
+            row = Row(row_id, coeffs, relation, rat(rhs), _integers(coeffs.values()))
+            if row_id in seen_ids:
+                raise LinearProgramError(f"duplicate row id {row_id!r}")
+            seen_ids.add(row_id)
             self.rows.append(row)
+
+    def variant(self, sense=None, objective=None, rhs=None, relations=None,
+                drop_rows=(), drop_variables=(), free=()) -> LinearProgram:
+        """This model with the given pieces changed (see the module docstring)."""
+        rhs, relations = rhs or {}, relations or {}
+        drop, free, drop_rows = set(drop_variables), set(free), set(drop_rows)
+        lp = object.__new__(LinearProgram)
+        lp.sense = self.sense if sense is None else sense
+        lp.variables = [Variable(v.name, False) if v.name in free else v
+                        for v in self.variables if v.name not in drop]
+        names = {v.name for v in lp.variables}
+        lp.objective = ({k: rat(c) for k, c in objective.items()} if objective is not None
+                        else {k: c for k, c in self.objective.items() if k in names})
+        lp.rows = []
+        for row in self.rows:
+            if row.id not in drop_rows:
+                coeffs, scale = row.coeffs, row.scale
+                if drop and not drop.isdisjoint(coeffs):
+                    coeffs = {k: c for k, c in coeffs.items() if k not in drop}
+                    scale = _integers(coeffs.values())
+                b, rel = rat(rhs.get(row.id, row.rhs)), relations.get(row.id, row.relation)
+                same = coeffs is row.coeffs and rel == row.relation and b == row.rhs
+                lp.rows.append(row if same else Row(row.id, coeffs, rel, b, scale))
+        if (lp.sense not in (MIN, MAX) or len(names) + len(drop) != len(self.variables)
+                or not free <= names or not lp.objective.keys() <= names
+                or not rhs.keys() | relations.keys() | drop_rows <= {row.id for row in self.rows}
+                or not set(relations.values()) <= set(_RELATIONS)):
+            raise LinearProgramError("variant names an unknown sense, variable, row or relation")
+        return lp
 
 
 @dataclass(frozen=True)
@@ -181,7 +222,7 @@ class Tableau:
     row; each row ends with its rhs, negated on a flipped (``>=``) row.
     banned holds the columns that never enter (artificials, dropped rows'
     slacks, columns fixed at zero); row_cols holds each model row's
-    (identity column, slack column or None, flip); z holds the last model's
+    (identity column: its slack, or an = row's artificial; flip); z holds the last model's
     reduced costs, kept current through the last solve's pivots.
     """
 
@@ -214,10 +255,9 @@ class Tableau:
         # are banned.
         ncols = nvar + len(lp.rows)
         nslack = sum(row.relation != EQ for row in lp.rows)
-        slacks, artificial = iter(range(nvar, nvar + nslack)), range(nvar + nslack, ncols)
-        slack_col = [None if row.relation == EQ else next(slacks) for row in lp.rows]
-        artificials = iter(artificial)
-        identity_col = [next(artificials) if j is None else j for j in slack_col]
+        artificial = range(nvar + nslack, ncols)
+        slacks, artificials = iter(range(nvar, nvar + nslack)), iter(artificial)
+        identity_col = [next(artificials if row.relation == EQ else slacks) for row in lp.rows]
         flips = [row.relation == GE for row in lp.rows]
 
         self.rows = []
@@ -232,7 +272,7 @@ class Tableau:
         self.in_basis = [False] * ncols
         for j in identity_col:
             self.in_basis[j] = True
-        self.row_cols = list(zip(identity_col, slack_col, flips))
+        self.row_cols = list(zip(identity_col, flips))
 
         cost = self.cost_vector(lp)
         shift = -min([R0] + [c for c, v in zip(cost, lp.variables) if v.nonnegative])
@@ -264,26 +304,25 @@ class Tableau:
         if -1 in kept or kept != sorted(kept) or not names <= {v.name for v in old.variables}:
             raise LinearProgramError("start= takes a variant of the last model (see linprog)")
         dropped = [v.name for v in old.variables if v.name not in names]
-        pairs = list(zip(kept, lp.rows))
-        tightened = [(i, row) for i, row in pairs if row.relation != old.rows[i].relation]
-        fixed = {cols[name] for name in dropped} | {self.row_cols[i][1] for i, _ in tightened}
+        pairs = [(i, old.rows[i], row) for i, row in zip(kept, lp.rows)]
+        tightened = [(i, row) for i, o, row in pairs if row.relation != o.relation]
+        fixed = {cols[name] for name in dropped} | {self.row_cols[i][0] for i, _ in tightened}
         freed = {cols[v.name]: v.nonnegative for v in lp.variables
                  if v.nonnegative != nonneg[cols[v.name]]}
-        gone = {self.row_cols[i][1] for i in set(index.values()) - set(kept)}
-        if (  # each kept row: the last model's, on lp's variables
-            any(row.coeffs != ({k: c for k, c in old.rows[i].coeffs.items() if k in names}
-                               if dropped else old.rows[i].coeffs) for i, row in pairs)
+        gone = {self.row_cols[i][0]: old.rows[i].relation for i in set(index.values()) - set(kept)}
+        if (  # each kept row: the last model's (the same map, or an equal one), on lp's variables
+            any(row.coeffs is not o.coeffs and row.coeffs != {
+                k: c for k, c in o.coeffs.items() if k in names} for _, o, row in pairs)
             or any(row.relation != EQ for _, row in tightened)
-            or None in fixed or any(in_basis[j] for j in fixed)
+            or any(in_basis[j] for j in fixed)
             or any(nn or not in_basis[j] for j, nn in freed.items())
-            or None in gone or not all(in_basis[j] for j in gone)
+            or any(relation == EQ or not in_basis[j] for j, relation in gone.items())
         ):
             raise LinearProgramError("start= takes a variant of the last model (see linprog)")
         # B^-1 b moves by B^-1 (b - b_old); a dropped row's rhs never reaches
         # a kept row's value, because its slack is basic and in no other row.
-        delta = [(self.row_cols[i][0], old.rows[i].rhs - row.rhs if self.row_cols[i][2]
-                  else row.rhs - old.rows[i].rhs)
-                 for i, row in pairs if row.rhs != old.rows[i].rhs]
+        delta = [(self.row_cols[i][0], o.rhs - row.rhs if self.row_cols[i][1] else row.rhs - o.rhs)
+                 for i, o, row in pairs if row is not o and row.rhs != o.rhs]
         values = [sum((t[c] * v for c, v in delta if t[c]), t[-1]) for t in self.rows]
         live = [(r, j) for r, j in enumerate(self.basis) if j not in gone]
         if any(values[r] for r, j in live if j in self.banned):
@@ -303,7 +342,7 @@ class Tableau:
             in_basis[j] = False
         for t, v in zip(self.rows, values):
             t[-1] = v
-        self.banned |= gone | fixed
+        self.banned |= fixed | gone.keys()
         self.rows, self.basis = [self.rows[r] for r, _ in live], [j for _, j in live]
         self.row_cols = [self.row_cols[i] for i in kept]
         return z if not negative or self.dual_run(z) else None
@@ -419,7 +458,7 @@ class Tableau:
         x = {v.name: shared(xvals[self.cols[v.name]]) for v in lp.variables}
 
         y = {row.id: shared(-z[col] if flip != minimize else z[col])
-             for (col, _, flip), row in zip(self.row_cols, lp.rows)}
+             for (col, flip), row in zip(self.row_cols, lp.rows)}
 
         objective = sum((lp.objective[name] * x[name] for name in lp.objective), R0)
         return Optimal(x=x, y=y, objective=objective)
@@ -431,7 +470,8 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
 
     x, y and the objective are scaled once each to integers over their least
     common denominator, each row by the lcm of its coefficient and rhs
-    denominators, so every row sum and every relation, sign and
+    denominators (from the row's stored coefficient scale, Row.scale, so
+    only the rhs is scaled here), so every row sum and every relation, sign and
     complementary-slackness test runs on ints; rationals are formed only for
     error messages, the returned slacks and reduced costs, and the objective
     and strong-duality comparisons."""
@@ -454,8 +494,9 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
     terms = []  # (row, y_i * dy, coefficients * s, s) where y_i != 0
     slack = {}
     for row, yi in zip(lp.rows, ys):
-        a, s = _integers([*row.coeffs.values(), row.rhs])
-        rhs = a.pop()
+        (nums, den), q = row.scale, row.rhs.denominator
+        s = lcm(den, q)
+        a, rhs = nums if s == den else [c * (s // den) for c in nums], row.rhs.numerator * (s // q)
         lhs, b = sum(c * xs[name] for name, c in zip(row.coeffs, a)), rhs * dx
         relation = row.relation
         if not (lhs == b if relation == EQ else lhs <= b if relation == LE else lhs >= b):
@@ -494,7 +535,7 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
     return Optimal(x, y, opt.objective, slack, reduced)
 
 
-def _integers(values: list) -> tuple[list, int]:
+def _integers(values: Collection) -> tuple[list, int]:
     """values as integers over their least common denominator: (nums, den)."""
     dens = [v.denominator for v in values]
     den = lcm(*dens)
@@ -528,10 +569,6 @@ def optimal_face(lp: LinearProgram, opt: Optimal, objective: Mapping) -> LinearP
     in opt.reduced (a nonzero reduced cost), which the face drops, and tight
     on a row with a nonzero dual, which becomes ``=``."""
     keep = {v.name for v in lp.variables if v.name not in opt.reduced}
-    return LinearProgram(
-        MIN,
-        [v for v in lp.variables if v.name in keep],
-        {name: c for name, c in objective.items() if name in keep},
-        [Row(row.id, {name: c for name, c in row.coeffs.items() if name in keep},
-             EQ if opt.y[row.id] else row.relation, row.rhs) for row in lp.rows],
-    )
+    return lp.variant(MIN, {name: c for name, c in objective.items() if name in keep},
+                      relations={row.id: EQ for row in lp.rows if opt.y[row.id]},
+                      drop_variables=opt.reduced)

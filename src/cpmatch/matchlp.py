@@ -6,9 +6,10 @@ degree equality rows, and one >=1 cut row per family member. The dual side is
 never written down directly; instead we build the "closest optimal dual"
 program: among all duals that are optimal against a fixed primal optimum x,
 pick the one minimizing the size-weighted distance sum(|target(S) - pi(S)|/|S|)
-to a target vector via auxiliary r(S) variables. Stage variants drop rows or
-relax variable bounds according to an accumulated context, which is how the
-staged emulation of an infinitesimal cost perturbation reuses one builder.
+to a target vector via auxiliary r(S) variables. All stages against one x
+vary one model (LinearProgram.variant): right-hand sides move, and rows and
+sign bounds go by an accumulated context, so the staged emulation of an
+infinitesimal cost perturbation writes its model once.
 The context also holds what all stages against one x share (tight sets,
 dual keys, crossing lists, support). It is read off the rows of the primal
 model that x solves, in one pass per x, so only build_primal works out which
@@ -71,8 +72,8 @@ class StageContext:
     crossing the keys of the rows each edge appears in (its two endpoints,
     then the tight sets it crosses), in graph edge order, and support the
     edges with x(e) > 0. dropped holds the ids of the inequality rows
-    (("lo", k), ("hi", k) or ("edge", e)) that are gone, and free_sets the
-    tight sets whose nonnegativity bound is gone.
+    (("lo", k), ("hi", k) or ("edge", e)) that are gone, free_sets the tight
+    sets whose sign bound is gone, and model the model all stages vary.
     """
 
     keys: list[DualKey]
@@ -81,6 +82,7 @@ class StageContext:
     support: set[Edge]
     dropped: set = field(default_factory=set)
     free_sets: set = field(default_factory=set)
+    model: LinearProgram | None = None
 
 
 def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageContext:
@@ -130,36 +132,37 @@ def build_closest_dual(
 
     Feasible points are exactly the optimal duals of the relaxation (tight
     rows on the support enforce complementary slackness); the objective picks
-    the one closest to `target` in the size-weighted L1 sense. Every row is
-    built, then the inequality rows in ctx.dropped are left out and the sets
-    in ctx.free_sets lose their sign bound, which gives the stage variants;
-    omitted keys of `target` read 0.
+    the one closest to `target` in the size-weighted L1 sense; omitted keys
+    of `target` read 0. The first call on ctx writes ctx.model with its
+    right-hand sides (and returns it if ctx drops and frees nothing); every
+    stage is a variant of it with that stage's right-hand sides, the
+    inequality rows in ctx.dropped left out and ctx.free_sets' bounds freed.
     """
     if not ctx.free_sets <= set(ctx.tight):
         raise MatchingLpError("context frees a set without a tight cut row")
-
-    def size(key: DualKey) -> int:
-        return 1 if isinstance(key, int) else len(key)
-
-    keys = ctx.keys
-    variables = [(("pi", k), isinstance(k, frozenset) and k not in ctx.free_sets) for k in keys]
-    variables += [(("r", k), True) for k in keys]
-    objective = {("r", k): rat(1, size(k)) for k in keys}
-
-    rows = []
+    keys, rhs = ctx.keys, {}
     for k in keys:
-        goal = rat(target.get(k, R0))
-        rows.append((("lo", k), {("r", k): R1, ("pi", k): R1}, GE, goal))
-        rows.append((("hi", k), {("r", k): -R1, ("pi", k): R1}, LE, goal))
-    for e, ks in ctx.crossing.items():
-        kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
-        rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs[e])))
-    unknown = ctx.dropped - {row[0] for row in rows if row[2] != EQ}
+        rhs["lo", k] = rhs["hi", k] = rat(target.get(k, R0))
+    for e in ctx.crossing:
+        rhs["tight" if e in ctx.support else "edge", e] = rat(costs[e])
+    if ctx.model is None:
+        variables = [(("pi", k), isinstance(k, frozenset)) for k in keys]
+        variables += [(("r", k), True) for k in keys]
+        objective = {("r", k): rat(1, 1 if isinstance(k, int) else len(k)) for k in keys}
+        rows = [((side, k), {("r", k): sign, ("pi", k): R1}, relation, rhs[side, k])
+                for k in keys for side, sign, relation in (("lo", R1, GE), ("hi", -R1, LE))]
+        for e, ks in ctx.crossing.items():
+            kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
+            rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rhs[kind, e]))
+        ctx.model = LinearProgram(MIN, variables, objective, rows)
+        if not ctx.dropped and not ctx.free_sets:
+            return ctx.model
+    unknown = ctx.dropped - {row.id for row in ctx.model.rows if row.relation != EQ}
     if unknown:
         raise MatchingLpError(
             f"context drops {sorted(unknown, key=repr)}, which name no inequality row")
-    rows = [row for row in rows if row[0] not in ctx.dropped]
-    return LinearProgram(MIN, variables, objective, rows)
+    return ctx.model.variant(rhs=rhs, drop_rows=ctx.dropped,
+                             free=[("pi", s) for s in ctx.free_sets])
 
 
 def split_dual_solution(values: Mapping) -> tuple[dict, dict]:

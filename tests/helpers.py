@@ -27,6 +27,14 @@ from cpmatch.perturb import PerturbedPair
 from cpmatch.rationals import R0
 
 
+def model_parts(lp: LinearProgram) -> tuple:
+    """Everything a model holds, in order, its rows' stored coefficient
+    scales too: equal for a variant and the fresh model it stands for."""
+    return (lp.sense, [(v.name, v.nonnegative) for v in lp.variables], list(lp.objective.items()),
+            [(row.id, list(row.coeffs.items()), row.relation, row.rhs, row.scale)
+             for row in lp.rows])
+
+
 def _solve_square(system, n):
     """Solve an n x n rational linear system; None when singular."""
     m = [list(coeffs) + [rhs] for coeffs, rhs in system]

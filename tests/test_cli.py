@@ -1,7 +1,11 @@
 """Tests for the command-line front end: outputs, exit codes, traces."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
+
+import pytest
 
 from cpmatch.cli import (
     EXIT_CANTCREAT,
@@ -13,6 +17,7 @@ from cpmatch.cli import (
     main,
 )
 from cpmatch.fixtures import dancing_robot
+from cpmatch.graphio import ParseError, parse_graph
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "cpmatch" / "data"
 
@@ -216,3 +221,38 @@ def test_gen_deterministic_and_to_file(tmp_path, capsys):
     capsys.readouterr()
     assert first.read_text() == second.read_text()
     assert "p edge 6 9" in first.read_text()
+
+
+def test_malformed_graph_text_exits_one_without_a_traceback(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # Mostly lines of the format with small or bad tokens, so the parser's
+    # later checks are reached, plus arbitrary text.
+    token = st.sampled_from(["x", "-1", "0", "1", "2", "3", "0", "1", "2", "3"])
+    tagged = st.builds(lambda tag, rest: " ".join([tag, *rest]), st.sampled_from("eeeoo"),
+                       st.lists(token, min_size=3, max_size=3))
+    header = st.builds("p edge {} {}".format, st.sampled_from("01234"), st.sampled_from("0123"))
+    junk = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+    line = st.sampled_from([tagged] * 4 + [header, junk]).flatmap(lambda s: s)
+    texts = st.builds(lambda keep, head, body: "\n".join([head, *body] if keep else body),
+                      st.sampled_from([True, True, True, False]), header, st.lists(line, max_size=6))
+    path = tmp_path / "bad.g"
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(texts)
+    def exits_one(text):
+        path.write_text(text, encoding="utf-8")
+        try:  # what the CLI reads, after its newline translation
+            parse_graph(path.read_text(encoding="utf-8"))
+        except ParseError:
+            pass
+        else:
+            hypothesis.assume(False)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["solve", str(path)])
+        assert code == EXIT_PARSE
+        assert f"{path}: line " in err.getvalue() and "Traceback" not in err.getvalue()
+
+    exits_one()

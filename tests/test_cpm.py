@@ -6,8 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import model_parts
 
-from cpmatch import cpm
+from cpmatch import cpm, lexmin, linprog
 from cpmatch.cpm import (
     default_iteration_cap,
     extract_matching,
@@ -19,7 +20,17 @@ from cpmatch.errors import IterationCapExceeded, NoPerfectMatching
 from cpmatch.fixtures import altered_robot, cycling_graph, dancing_robot
 from cpmatch.gen import random_matchable_graph, random_ordering
 from cpmatch.graphs import EdgeOrdering, Graph, cut_edges, support
-from cpmatch.linprog import Optimal, Tableau
+from cpmatch.linprog import (
+    EQ,
+    GE,
+    LE,
+    MIN,
+    LinearProgram,
+    LinearProgramError,
+    Optimal,
+    Row,
+    Tableau,
+)
 from cpmatch.oracle import brute_force_matchings, lex_tie_break
 from cpmatch.perturb import SignViolation
 from cpmatch.rationals import HALF, R0, R1, rat, rat_str
@@ -284,6 +295,102 @@ def test_two_tableau_builds_per_iteration(monkeypatch):
         res = solver(g, sigma)
         assert len(res.iterations) == 3
         assert len(builds) == 2 * len(res.iterations)
+
+
+def _fresh_closest_dual(ctx, costs, target):
+    """The closest-dual stage model on ctx written out row by row, then
+    filtered by ctx's dropped rows and freed sets, as one fresh model."""
+    keys = ctx.keys
+    rows = []
+    for k in keys:
+        rows.append((("lo", k), {("r", k): 1, ("pi", k): 1}, GE, target.get(k, 0)))
+        rows.append((("hi", k), {("r", k): -1, ("pi", k): 1}, LE, target.get(k, 0)))
+    for e, ks in ctx.crossing.items():
+        kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
+        rows.append(((kind, e), {("pi", k): 1 for k in ks}, relation, costs[e]))
+    return LinearProgram(
+        MIN,
+        [(("pi", k), isinstance(k, frozenset) and k not in ctx.free_sets) for k in keys]
+        + [(("r", k), True) for k in keys],
+        {("r", k): rat(1, 1 if isinstance(k, int) else len(k)) for k in keys},
+        [row for row in rows if row[0] not in ctx.dropped],
+    )
+
+
+def _fresh_face(lp, opt, objective):
+    """lp's optimal face at opt, every row filtered and copied afresh."""
+    keep = {v.name for v in lp.variables if v.name not in opt.reduced}
+    return LinearProgram(
+        MIN,
+        [v for v in lp.variables if v.name in keep],
+        {name: c for name, c in objective.items() if name in keep},
+        [Row(row.id, {name: c for name, c in row.coeffs.items() if name in keep},
+             EQ if opt.y[row.id] else row.relation, row.rhs) for row in lp.rows],
+    )
+
+
+def _tableau_state(tab):
+    return (tab.lp, tab.status, [list(t) for t in tab.rows], list(tab.basis), set(tab.banned),
+            list(tab.row_cols), list(tab.nonneg), list(tab.in_basis), list(tab.z), dict(tab.cols))
+
+
+def test_stage_models_are_variants_equal_to_fresh_models(monkeypatch):
+    # Every closest-dual stage and every lexmin face is a variant of the
+    # model before it; each must hold what a fresh LinearProgram builds from
+    # the same inputs, and share the coefficient map of every row it does
+    # not re-filter.
+    models = []
+    build_closest_dual, optimal_face = cpm.build_closest_dual, lexmin.optimal_face
+
+    def closest(ctx, costs, target):
+        lp = build_closest_dual(ctx, costs, target)
+        models.append((lp, ctx.model, _fresh_closest_dual(ctx, costs, target)))
+        return lp
+
+    def face(lp, opt, objective):
+        out = optimal_face(lp, opt, objective)
+        models.append((out, lp, _fresh_face(lp, opt, objective)))
+        return out
+
+    # A fresh model with one coefficient changed is not a variant of the
+    # last one: reoptimizing must refuse it and leave the tableau as it was.
+    refused = []
+
+    def solving(lp, start=None):
+        if start is not None and start.status == "optimal":
+            row = next(row for row in lp.rows if row.coeffs)
+            name, c = next(iter(row.coeffs.items()))
+            changed = Row(row.id, {**row.coeffs, name: c + 1}, row.relation, row.rhs)
+            bad = LinearProgram(lp.sense, lp.variables, lp.objective,
+                                [changed if r is row else r for r in lp.rows])
+            before = _tableau_state(start)
+            with pytest.raises(LinearProgramError):
+                linprog.solve(bad, start=start)
+            assert _tableau_state(start) == before
+            refused.append(bad)
+        return linprog.solve(lp, start=start)
+
+    monkeypatch.setattr(cpm, "build_closest_dual", closest)
+    monkeypatch.setattr(lexmin, "optimal_face", face)
+    monkeypatch.setattr(cpm, "solve", solving)
+    monkeypatch.setattr(lexmin, "solve", solving)
+    solves = iterations = 0
+    for workload in ("cuts", "integral"):
+        for inst in instances.build_pool(workload, 1, [])[:10]:
+            res = solve_unperturbed(inst.graph, inst.sigma)
+            solves, iterations = solves + res.total_lp_solves, iterations + len(res.iterations)
+    refiltered = 0
+    for lp, parent, fresh in models:
+        assert model_parts(lp) == model_parts(fresh)
+        names = {v.name for v in lp.variables}
+        kept = {row.id: row.coeffs for row in parent.rows}
+        for row in lp.rows:
+            assert (row.coeffs is kept[row.id]) == (kept[row.id].keys() <= names)
+            refiltered += row.coeffs is not kept[row.id]
+    # Of each iteration's 2m + 3 solves, the probe and closest-dual stage 0
+    # are cold; the other 2m + 1 each reoptimize onto a model recorded here.
+    assert len(models) == len(refused) == solves - 2 * iterations
+    assert refiltered > 0
 
 
 def test_single_stage_modes_pin_their_duals():

@@ -9,6 +9,7 @@ from helpers import (
     _dual_slacks,
     enumerate_minimum,
     fraction_verify_certificate,
+    model_parts,
     random_bounded_lp,
     random_perturbed_pair,
     record_runs,
@@ -748,9 +749,9 @@ def _fixed_at_zero(lp, tab, rng, sense):
             if not tab.in_basis[tab.cols[v.name]] and rng.random() < 0.3}
     rows = [
         Row(row.id, {k: c for k, c in row.coeffs.items() if k not in drop},
-            EQ if slack is not None and not tab.in_basis[slack] and rng.random() < 0.5
+            EQ if row.relation != EQ and not tab.in_basis[col] and rng.random() < 0.5
             else row.relation, row.rhs)
-        for row, (_, slack, _) in zip(lp.rows, tab.row_cols)
+        for row, (col, _) in zip(lp.rows, tab.row_cols)
     ]
     tightened = sum(new.relation != row.relation for new, row in zip(rows, lp.rows))
     variables = [v for v in lp.variables if v.name not in drop]
@@ -869,7 +870,7 @@ def test_dual_start_flips_exactly_the_ge_rows():
         lp = LinearProgram(MIN, ["x", "y"], objective, rows)
         tab = Tableau()
         out = solve(lp, start=tab)
-        assert [flip for _, _, flip in tab.row_cols] == [False, False, True, True, False, False]
+        assert [flip for _, flip in tab.row_cols] == [False, False, True, True, False, False]
         assert out.objective == solve(lp).objective
         verify_certificate(lp, out)
 
@@ -919,3 +920,54 @@ def test_dual_start_free_columns_and_max(monkeypatch):
     assert low.x == high.x == {"x": 2, "y": 0} and low.objective == -2
     assert low.y == {k: -v for k, v in high.y.items()}
     assert len(calls) == 4
+
+
+def test_variant_rhs_with_a_new_denominator_is_checked_against_it():
+    rows = [("cover", {"x": 1, "y": 2}, GE, 2), ("cap", {"x": 3}, LE, 4)]
+    lp = LinearProgram(MIN, ["x", "y"], {"x": 2, "y": 1}, rows)
+    third = rat(1, 3)
+    variant = lp.variant(rhs={"cover": third, "cap": third})
+    fresh = LinearProgram(MIN, ["x", "y"], {"x": 2, "y": 1},
+                          [(i, coeffs, rel, third) for i, coeffs, rel, _ in rows])
+    assert model_parts(variant) == model_parts(fresh)
+    # The variant keeps each row's coefficient map and its integer scaling.
+    for new, old in zip(variant.rows, lp.rows):
+        assert new is not old and new.coeffs is old.coeffs and new.scale is old.scale
+    best = solve(variant)
+    assert best.x == solve(fresh).x == {"x": 0, "y": rat(1, 6)}
+    assert best.objective == rat(1, 6)
+    verify_certificate(variant, best)
+    with pytest.raises(SolverInvariantError, match=re.escape("row 'cover' violated: 1/3 >= 2")):
+        verify_certificate(lp, best)
+    # Each violation reads the same on the variant as on the fresh model,
+    # against the new rhs.
+    for x, message in [
+        ({"x": R0, "y": rat(1, 7)}, "row 'cover' violated: 2/7 >= 1/3"),
+        ({"x": rat(1, 5), "y": rat(1, 15)}, "row 'cap' violated: 3/5 <= 1/3"),
+    ]:
+        bad = Optimal(x, best.y, 2 * x["x"] + x["y"])
+        for model in (variant, fresh):
+            with pytest.raises(SolverInvariantError, match=re.escape(message)):
+                verify_certificate(model, bad)
+
+
+def test_variant_shares_what_it_keeps_and_validates_what_it_changes():
+    lp = LinearProgram(MIN, ["x", "y", "z"], {"x": 1, "y": 1, "z": 1}, [
+        ("a", {"x": 1, "y": HALF}, GE, 1), ("b", {"z": 1}, GE, 1), ("c", {"y": 1}, LE, 5)])
+    assert lp.variant() is not lp and model_parts(lp.variant()) == model_parts(lp)
+    assert all(new is old for new, old in zip(lp.variant().rows, lp.rows))
+    v = lp.variant(MAX, {"x": -1}, rhs={"b": 2}, relations={"a": EQ}, drop_rows=["c"],
+                   drop_variables=["y"], free=["z"])
+    fresh = LinearProgram(MAX, ["x", ("z", False)], {"x": -1},
+                          [("a", {"x": 1}, EQ, 1), ("b", {"z": 1}, GE, 2)])
+    assert model_parts(v) == model_parts(fresh)
+    # a loses y, so its map and scale are new; b keeps both.
+    assert v.rows[0].coeffs is not lp.rows[0].coeffs and v.rows[0].scale == ([1], 1)
+    assert lp.rows[0].scale == ([2, 1], 2)
+    assert v.rows[1].coeffs is lp.rows[1].coeffs and v.rows[1].scale is lp.rows[1].scale
+    for bad in [dict(sense="mid"), dict(objective={"w": 1}), dict(rhs={"d": 1}),
+                dict(relations={"a": "=="}), dict(relations={"d": EQ}), dict(drop_rows=["d"]),
+                dict(drop_variables=["w"]), dict(free=["w"]), dict(free=["y"], drop_variables=["y"]),
+                dict(drop_variables=["y"], objective={"y": 1})]:
+        with pytest.raises(LinearProgramError):
+            lp.variant(**bad)
