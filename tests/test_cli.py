@@ -1,6 +1,7 @@
 """Tests for the command-line front end: outputs, exit codes, traces."""
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -256,3 +257,22 @@ def test_malformed_graph_text_exits_one_without_a_traceback(tmp_path):
         assert f"{path}: line " in err.getvalue() and "Traceback" not in err.getvalue()
 
     exits_one()
+
+
+#: SHA-256 of the --trace output of each fixture in each mode, in order.
+#: Stage duals depend on the simplex pivot path and on how iteration records
+#: store them, so this pins both end to end, through the JSON a user reads.
+TRACE_DIGEST = "8cbc315ee014c0e936cd7da8e15ee771abb3add9d2719ba2c26bf2e4759c1230"
+
+
+def test_fixture_traces_are_pinned(tmp_path, capsys):
+    h = hashlib.sha256()
+    for graph in ("dancing_robot", "altered_robot", "cycling"):
+        for algorithm in ("unperturbed", "perturbed", "naive"):
+            trace = tmp_path / f"{graph}-{algorithm}.json"
+            code = main(["solve", str(DATA / f"{graph}.g"), "--algorithm", algorithm,
+                         "--trace", str(trace)])
+            assert code == EXIT_OK
+            h.update(trace.read_bytes())
+    capsys.readouterr()
+    assert h.hexdigest() == TRACE_DIGEST

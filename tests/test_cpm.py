@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import model_parts
+from helpers import model_parts, random_bounded_lp
 
 from cpmatch import cpm, lexmin, linprog
 from cpmatch.cpm import (
@@ -24,12 +24,14 @@ from cpmatch.linprog import (
     EQ,
     GE,
     LE,
+    MAX,
     MIN,
     LinearProgram,
     LinearProgramError,
     Optimal,
     Row,
     Tableau,
+    Variable,
 )
 from cpmatch.oracle import brute_force_matchings, lex_tie_break
 from cpmatch.perturb import SignViolation
@@ -605,3 +607,76 @@ def test_negative_costs_keep_the_matching(workload):
             low = solver(shifted, sigma)
             assert low.matching == res.matching == lex_tie_break(matchings, sigma)
             assert low.cost == res.cost - 5 * g.n // 2 == best
+
+
+def _pivot_path_models(rng):
+    """random_bounded_lp models, each followed by its MAX twin (objective
+    negated) with x0 free above a floor row."""
+    for _ in range(40):
+        lp = random_bounded_lp(rng)[0]
+        yield lp
+        free = [Variable(v.name, v.name != "x0") for v in lp.variables]
+        floor = Row("floor", {"x0": 1}, GE, -rng.randint(0, 3))
+        yield LinearProgram(MAX, free, {k: -c for k, c in lp.objective.items()}, [*lp.rows, floor])
+
+
+def _warm_variant(lp, out, rng):
+    """lp with some rhs values moved, some rows slack at out dropped, some
+    positive (basic) variables freed, and the sense flipped with the
+    objective negated (the same cost vector, so the basis stays dual
+    feasible)."""
+    rhs, drop = {}, []
+    for row in lp.rows:
+        lhs = sum((c * out.x[name] for name, c in row.coeffs.items()), R0)
+        if lhs != row.rhs and rng.random() < 0.4:
+            drop.append(row.id)
+        elif rng.random() < 0.7:
+            rhs[row.id] = row.rhs + rng.randint(-4, 4)
+    free = [v.name for v in lp.variables if v.nonnegative and out.x[v.name] > 0
+            and rng.random() < 0.3]
+    sense, objective = lp.sense, lp.objective
+    if rng.random() < 0.5:
+        sense, objective = MAX if sense == MIN else MIN, {k: -c for k, c in objective.items()}
+    return lp.variant(sense, objective, rhs=rhs, drop_rows=drop, free=free)
+
+
+#: SHA-256 of (leaving basic column, entering column) for every pivot of
+#: the three fixtures in all three modes, then of 80 random models (MIN and
+#: MAX, with a free column) and three warm variants of each. It pins the
+#: simplex's pivot choices themselves, whatever the tableau stores.
+PIVOT_PATH_DIGEST = "e8b97145268b0bb4e555101998aec86c8ea5634b595393cf0b63d1d36fd6fc18"
+
+
+def test_pivot_path_is_pinned(monkeypatch):
+    path = []
+    pivot = Tableau.pivot
+
+    def recording(self, r, j, zrow=None):
+        path.append((self.basis[r], j))
+        return pivot(self, r, j, zrow)
+
+    monkeypatch.setattr(Tableau, "pivot", recording)
+    for fixture in (dancing_robot, altered_robot, cycling_graph):
+        g, sigma, _ = fixture()
+        for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive):
+            solver(g, sigma)
+            path.append("|")
+    fixture_pivots = len(path)
+    rng = random.Random(20261019)
+    statuses = []
+    for lp in _pivot_path_models(rng):
+        tab = Tableau()
+        out = linprog.solve(lp, start=tab)
+        statuses.append(out.status)
+        for _ in range(3):
+            if not isinstance(out, Optimal):
+                break
+            lp = _warm_variant(lp, out, rng)
+            out = linprog.solve(lp, start=tab)
+            statuses.append((out.status, lp.sense))
+        path.append("|")
+    assert fixture_pivots > 1000 and len(path) - fixture_pivots > 200
+    assert {("optimal", MIN), ("optimal", MAX), ("infeasible", MIN),
+            ("infeasible", MAX)} <= set(statuses)
+    digest = hashlib.sha256(repr(path).encode()).hexdigest()
+    assert digest == PIVOT_PATH_DIGEST
