@@ -29,7 +29,12 @@ says so before any solve.
 
 Every iteration of every mode appends an IterationRecord holding the family
 at solve time, the full primal vector, the dual stage vectors, and the exact
-number of LP solves spent.
+number of LP solves spent. Records are stored lean, since callers may keep
+many results: x as a tuple of values over the run's edge tuple (one object
+shared by all its records), and the stage duals as their keys, once per
+iteration, plus one value tuple per stage, equal tuples held once. The x and
+dual_stages properties rebuild the dicts, with the same keys in the same
+order and the same value objects the loop produced.
 """
 
 from __future__ import annotations
@@ -71,11 +76,41 @@ from .rationals import R0, R1, rat
 
 @dataclass(frozen=True, slots=True)
 class IterationRecord:
+    """One iteration, stored lean (see the module docstring): x_values over
+    edges, and one tuple of dual_values per stage over dual_keys."""
     index: int
     family: tuple[frozenset[int], ...]
-    x: dict
-    dual_stages: tuple[dict, ...]
+    edges: tuple[Edge, ...]
+    x_values: tuple
+    dual_keys: tuple
+    dual_values: tuple[tuple, ...]
     lp_solves: int
+
+    @property
+    def x(self) -> dict:
+        """The primal vector, keyed by edge in graph order."""
+        return dict(zip(self.edges, self.x_values))
+
+    @property
+    def dual_stages(self) -> tuple[dict, ...]:
+        """Each stage's dual vector as a dict, keys in dual_keys order."""
+        return tuple(dict(zip(self.dual_keys, values)) for values in self.dual_values)
+
+
+def _record(index: int, family: tuple, edges: tuple, x: dict, stage_pis: Sequence[dict],
+            lp_solves: int) -> IterationRecord:
+    """The IterationRecord of primal vector x (_dense over the run's edge
+    tuple, so in its order) and stage dual vectors stage_pis, which share
+    their keys (in order), each distinct value tuple held once."""
+    keys = tuple(stage_pis[0]) if stage_pis else ()
+    held: dict = {}
+    values = []
+    for pi in stage_pis:
+        if tuple(pi) != keys:
+            raise StageSolveError("dual stages of one iteration differ in their keys")
+        v = tuple(pi.values())
+        values.append(held.setdefault(v, v))
+    return IterationRecord(index, family, edges, tuple(x.values()), keys, tuple(values), lp_solves)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +169,7 @@ def _edge_keys(g: Graph, sigma: EdgeOrdering) -> tuple[Edge, ...]:
     """g's edges in graph order, as the tuple objects sigma already holds, so
     every iteration record keys its x by them instead of by m new tuples."""
     held = {e: e for e in sigma.rank}
-    return tuple(held[e] for e in g.edge_pairs())
+    return tuple([held[e] for e in g.edge_pairs()])
 
 
 def _dense(edges: Sequence[Edge], values: Mapping[Edge, object]) -> dict:
@@ -287,7 +322,7 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
             if mode == "naive":
                 state = (tuple(sorted(x.items())), frozenset(family))
                 if vector_is_integral(x) or state in seen:
-                    records.append(IterationRecord(index, family_key, x, (), total - before))
+                    records.append(_record(index, family_key, edges, x, (), total - before))
                     if state in seen:
                         stop, repeat_of = "CyclingDetected", seen[state]
                         detail = f"iteration {index} repeats iteration {repeat_of}"
@@ -295,9 +330,7 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
                 seen[state] = index
             stage_pis, positive = _stage_duals(lp, stages, x, targets)
             total += len(stage_pis)
-            records.append(
-                IterationRecord(index, family_key, x, tuple(stage_pis), total - before)
-            )
+            records.append(_record(index, family_key, edges, x, stage_pis, total - before))
             family = _expand_family(g, x, positive)
             targets = [_restrict_target(pi, family) for pi in stage_pis]
             if vector_is_integral(x):

@@ -77,7 +77,9 @@ class Graph:
         return len(self.edges)
 
     def edge_pairs(self) -> tuple[Edge, ...]:
-        return tuple((u, v) for u, v, _ in self.edges)
+        # From a list: tuple() of a generator resizes its result, which
+        # leaves one more tuple on CPython's free list per call.
+        return tuple([(u, v) for u, v, _ in self.edges])
 
     def cost_map(self) -> dict[Edge, int]:
         return {(u, v): c for u, v, c in self.edges}

@@ -6,9 +6,15 @@ primal optimum and a matching dual vector, all in exact rationals, and checks
 the certificate (feasibility, complementary slackness, strong duality)
 exactly, on scaled integers, on every solve before handing it back. The
 Optimal it returns also carries what that check computed: the slack of each
-inequality row that is not tight, and each nonzero reduced cost. Values of
-x and y equal to 0, +-1, +-1/2 or +-2 come back as the shared instances
-from rationals.shared.
+inequality row that is not tight, and each nonzero reduced cost.
+
+The simplex itself runs fraction-free: each tableau row, and the row of
+reduced costs, is a list of Python ints over one positive int denominator
+(see Tableau), in the style of Bareiss (1968). Models' rationals become ints
+when a tableau is built or its costs or rhs change, and rationals are
+formed again only for the x, y and objective of an Optimal. Each of those
+values is looked up by (numerator, denominator) among the shared instances
+of rationals.shared (0, +-1, +-1/2, +-2) before a new one is built.
 
 A cold solve has one start: the all-slack basis, which flips each >= row
 and gives each = row a banned artificial, and a dual simplex from it on
@@ -44,9 +50,11 @@ only rows that touch a dropped variable. Each map's integer scaling
 reoptimization accepts a kept row that holds the last model's map by identity.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
-reproducible and cycling is impossible. Free variables participate directly:
-a free variable may enter in either direction and never leaves the basis,
-which bounds its pivots and preserves termination.
+reproducible and cycling is impossible. Every sign, ratio and tie it
+decides is decided exactly on the ints by cross-multiplication, so the
+pivot path is the one an exact rational tableau takes. Free variables
+participate directly: a free variable may enter in either direction and
+never leaves the basis, which bounds its pivots and preserves termination.
 
 Dual sign conventions, for a minimization problem:
     >= row: y >= 0,  <= row: y <= 0,  = row: y free,
@@ -57,11 +65,11 @@ For maximization the signs flip (``<=`` rows carry y >= 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Collection, Hashable, Iterable, Mapping
 
 from .errors import InvariantViolation
-from .rationals import R0, R1, Rational, rat, shared
+from .rationals import _SHARED, R0, Rational, rat
 
 MIN = "min"
 MAX = "max"
@@ -219,11 +227,24 @@ class Tableau:
 
     Columns are the built model's variables (cols maps each name to its
     column), one slack per inequality row, then one artificial per ``=``
-    row; each row ends with its rhs, negated on a flipped (``>=``) row.
+    row. Each row is a list of Python ints: one entry per column, then the
+    rhs (negated on a flipped, ``>=``, row), then the row's positive
+    denominator, which every other entry is over. z, the reduced costs of
+    the last model (kept current through the last solve's pivots), has the
+    same shape; its rhs entry is minus the objective value. Model values
+    enter through int(), so a backend integer type (gmpy2's mpz) never does.
+
+    A pivot on (r, j) divides row r by its entry p_j and sets each other
+    row i with a_j != 0 to (a_k p_j - a_j p_k) / (d_i p_j), written with
+    gcd(a_j, p_j) taken out; a row whose denominator is not 1 is then
+    divided by the gcd of its entries. Every sign test and ratio comparison
+    runs on these ints by cross-multiplication, so the pivot path is the one
+    exact rationals take; rationals are formed only for the x, y and
+    objective phase2 returns.
+
     banned holds the columns that never enter (artificials, dropped rows'
     slacks, columns fixed at zero); row_cols holds each model row's
-    (identity column: its slack, or an = row's artificial; flip); z holds the last model's
-    reduced costs, kept current through the last solve's pivots.
+    (identity column: its slack, or an = row's artificial; flip).
     """
 
     def __init__(self) -> None:
@@ -242,7 +263,7 @@ class Tableau:
         self.lp, self.status, self.z = lp, outcome.status, z
         return outcome
 
-    def build(self, lp: LinearProgram) -> list[Rational] | None:
+    def build(self, lp: LinearProgram) -> list[int] | None:
         """Standard form of lp, then a feasible basis; lp's reduced costs,
         or None when lp is infeasible. The basis comes from a dual simplex
         from the all-slack basis on the start costs (see the module
@@ -262,10 +283,15 @@ class Tableau:
 
         self.rows = []
         for row, flip, b in zip(lp.rows, flips, identity_col):
-            t = [R0] * ncols + [-row.rhs if flip else row.rhs]
-            for name, c in row.coeffs.items():
-                t[self.cols[name]] = -c if flip else c
-            t[b] = R1
+            # The row over the lcm of its coefficient (Row.scale) and rhs
+            # denominators.
+            (nums, den), q = row.scale, int(row.rhs.denominator)
+            d = lcm(den, q)
+            sign, f = -1 if flip else 1, d // den
+            t = [0] * ncols + [sign * int(row.rhs.numerator) * (d // q), d]
+            for name, c in zip(row.coeffs, nums):
+                t[self.cols[name]] = sign * f * int(c)
+            t[b] = d
             self.rows.append(t)
         self.nonneg = [v.nonnegative for v in lp.variables] + [True] * (ncols - nvar)
         self.basis, self.banned = list(identity_col), set(artificial)
@@ -277,9 +303,9 @@ class Tableau:
         cost = self.cost_vector(lp)
         shift = -min([R0] + [c for c, v in zip(cost, lp.variables) if v.nonnegative])
         # The slack basis costs 0, so the start costs are their own reduced
-        # costs (the last entry is the objective value).
+        # costs (the rhs entry is minus the objective value).
         start = [c + shift if v.nonnegative else R0 for c, v in zip(cost, lp.variables)]
-        if not self.dual_run(start + [R0] * (ncols - nvar + 1)):
+        if not self.dual_run(_int_row(start + [R0] * (ncols - nvar + 1))):
             return None
         # Pivot each artificial still basic (at value zero) out, onto the
         # lowest nonbasic real column with a nonzero entry. A row with no
@@ -287,13 +313,13 @@ class Tableau:
         # and never re-enters.
         for i, row in enumerate(self.rows):
             if self.basis[i] in artificial:
-                j = next((j for j, t in enumerate(row[:-1])
+                j = next((j for j, t in enumerate(row[:-2])
                           if t and j not in artificial and not self.in_basis[j]), None)
                 if j is not None:
                     self.pivot(i, j)
         return self.reduced_costs(cost)
 
-    def reoptimize(self, lp: LinearProgram) -> list[Rational] | None:
+    def reoptimize(self, lp: LinearProgram) -> list[int] | None:
         """Carry the last optimal basis over to lp, a variant of the last
         model (see the module docstring); lp's reduced costs, or None when
         lp is infeasible."""
@@ -321,52 +347,78 @@ class Tableau:
             raise LinearProgramError("start= takes a variant of the last model (see linprog)")
         # B^-1 b moves by B^-1 (b - b_old); a dropped row's rhs never reaches
         # a kept row's value, because its slack is basic and in no other row.
-        delta = [(self.row_cols[i][0], o.rhs - row.rhs if self.row_cols[i][1] else row.rhs - o.rhs)
-                 for i, o, row in pairs if row is not o and row.rhs != o.rhs]
-        values = [sum((t[c] * v for c, v in delta if t[c]), t[-1]) for t in self.rows]
+        # The moves are ints over one denominator dd, so row t's new rhs is
+        # values[r] over t's denominator times dd.
+        changes = [(self.row_cols[i][0], o.rhs - row.rhs if self.row_cols[i][1] else row.rhs - o.rhs)
+                   for i, o, row in pairs if row is not o and row.rhs != o.rhs]
+        *moves, dd = _int_row([v for _, v in changes])
+        delta = [(c, v) for (c, _), v in zip(changes, moves)]
+        shifts = ([sum(t[c] * v for c, v in delta if t[c]) for t in self.rows] if delta
+                  else [0] * len(self.rows))
+        values = [t[-2] * dd + s for t, s in zip(self.rows, shifts)]
         live = [(r, j) for r, j in enumerate(self.basis) if j not in gone]
         if any(values[r] for r, j in live if j in self.banned):
             return None
-        negative = any(values[r] < R0 and nonneg[j] and j not in freed for r, j in live)
+        negative = any(values[r] < 0 and nonneg[j] and j not in freed for r, j in live)
         # Dropped rows' basic slacks cost 0, so the z the last solve kept
-        # current is lp's when the objective is; its last entry (the
+        # current is lp's when the objective is; its rhs entry (the
         # objective value) is never read.
         z = (self.z if lp.sense == old.sense and lp.objective == old.objective
              else self.reduced_costs(self.cost_vector(lp)))
-        if negative and any((zj < R0 if nonneg[j] else zj) for j, zj in enumerate(z[:-1])
+        if negative and any((zj < 0 if nonneg[j] else zj) for j, zj in enumerate(z[:-2])
                             if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
 
         self.nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
         for j in gone:
             in_basis[j] = False
-        for t, v in zip(self.rows, values):
-            t[-1] = v
+        for t, s, v in zip(self.rows, shifts, values):
+            if s:
+                if dd != 1:
+                    t[:] = [a * dd for a in t]
+                t[-2] = v
+                if t[-1] != 1:
+                    _reduce(t)
         self.banned |= fixed | gone.keys()
         self.rows, self.basis = [self.rows[r] for r, _ in live], [j for _, j in live]
         self.row_cols = [self.row_cols[i] for i in kept]
         return z if not negative or self.dual_run(z) else None
 
-    # Both updates below touch only the nonzero columns of the row being
-    # subtracted: a - f*0 == a, so the arithmetic (and with it the Bland
-    # pivot path) is the same as a dense update, at a fraction of the cost.
-    def pivot(self, r: int, j: int, zrow: list[Rational] | None = None) -> None:
+    # The update below touches only the nonzero columns of the pivot row,
+    # unless a row's denominator grows (then every entry is rescaled first):
+    # a - f*0 == a, so the arithmetic (and with it the Bland pivot path) is
+    # the same as a dense update, at a fraction of the cost.
+    def pivot(self, r: int, j: int, zrow: list[int] | None = None) -> None:
         tableau = self.rows
         prow = tableau[r]
-        piv = prow[j]
-        if piv != R1:
-            nonzero = [(k, v / piv) for k, v in enumerate(prow) if v]
+        nonzero = [(k, v) for k, v in enumerate(prow) if v]
+        nonzero.pop()  # the denominator
+        # The pivot row over its pivot entry, divided by its gcd: column j
+        # holds e over e, where e > 0 is the row's new denominator.
+        g = gcd(*[v for _, v in nonzero])  # a list: see graphs.Graph.edge_pairs
+        if prow[j] < 0:
+            g = -g
+        if g != 1:
+            nonzero = [(k, v // g) for k, v in nonzero]
             for k, v in nonzero:
                 prow[k] = v
-        else:
-            nonzero = [(k, v) for k, v in enumerate(prow) if v]
+        e = prow[-1] = prow[j]
         for row in tableau if zrow is None else (*tableau, zrow):
             if row is prow:
                 continue
             f = row[j]
             if f:
+                # row - (f/e) prow, over row's denominator times e/gcd(f, e).
+                if e != 1:
+                    h = gcd(f, e)
+                    f //= h
+                    if h != e:
+                        m = e // h
+                        row[:] = [a * m for a in row]
                 for k, b in nonzero:
                     row[k] -= f * b
+                if row[-1] != 1:
+                    _reduce(row)
         self.in_basis[self.basis[r]] = False
         self.in_basis[j] = True
         self.basis[r] = j
@@ -378,17 +430,22 @@ class Tableau:
             cost[self.cols[name]] = c if lp.sense == MIN else -c
         return cost
 
-    def reduced_costs(self, costvec: list[Rational]) -> list[Rational]:
-        z = list(costvec) + [R0]
-        for i, b in enumerate(self.basis):
-            cb = costvec[b]
-            if cb:
-                for k, t in enumerate(self.rows[i]):
-                    if t:
-                        z[k] -= cb * t
+    def reduced_costs(self, costvec: list[Rational]) -> list[int]:
+        """c - c_B B^-1 A as a row of ints over one denominator (rhs entry:
+        minus the objective value), for the rational cost vector costvec."""
+        *c, dc = _int_row(costvec)
+        basic = [(row, c[b]) for b, row in zip(self.basis, self.rows) if c[b]]
+        d = lcm(*[row[-1] for row, _ in basic])
+        z = [cj * d for cj in c] + [0, dc * d]
+        for row, cb in basic:
+            f = cb * (d // row[-1])
+            for k, t in enumerate(row[:-1]):
+                if t:
+                    z[k] -= f * t
+        _reduce(z)
         return z
 
-    def run(self, zrow: list[Rational]) -> str:
+    def run(self, zrow: list[int]) -> str:
         """Primal simplex (Bland's rule) on reduced costs zrow from a
         feasible basis; banned columns never enter."""
         tableau, basis, in_basis, nonneg = self.rows, self.basis, self.in_basis, self.nonneg
@@ -396,39 +453,39 @@ class Tableau:
         ncols, m = len(nonneg), len(tableau)
         while True:
             enter = -1
-            direction = R1
+            direction = 1
             for j in range(ncols):
                 if in_basis[j] or j in banned:
                     continue
                 rc = zrow[j]
                 if nonneg[j]:
-                    if rc < R0:
-                        enter, direction = j, R1
+                    if rc < 0:
+                        enter, direction = j, 1
                         break
                 elif rc:
                     enter = j
-                    direction = R1 if rc < R0 else -R1
+                    direction = 1 if rc < 0 else -1
                     break
             if enter < 0:
                 return "optimal"
+            # The least ratio value/entry; both share the row's denominator,
+            # so it is rhs/t, compared by cross-multiplying (t > 0).
             leave = -1
-            best = None
             for i in range(m):
                 if not nonneg[basis[i]]:
                     continue
                 t = direction * tableau[i][enter]
-                if t > R0:
-                    ratio = tableau[i][-1] / t
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
+                if t > 0:
+                    b = tableau[i][-2]
+                    if leave < 0 or b * best_t < best_b * t or (
+                        b * best_t == best_b * t and basis[i] < basis[leave]
                     ):
-                        best = ratio
-                        leave = i
+                        best_b, best_t, leave = b, t, i
             if leave < 0:
                 return "unbounded"
             self.pivot(leave, enter, zrow)
 
-    def dual_run(self, z: list[Rational]) -> bool:
+    def dual_run(self, z: list[int]) -> bool:
         """Dual simplex from dual feasible reduced costs z (rule in the module
         docstring; a free column's ratio is 0); False when lp is infeasible.
         A row leaves while its basic value is negative on a nonnegative
@@ -436,32 +493,64 @@ class Tableau:
         that row has the value's sign (either sign on a free column)."""
         rows, basis, nonneg, banned = self.rows, self.basis, self.nonneg, self.banned
         while leaving := [(b, r) for r, b in enumerate(basis)
-                          if (v := rows[r][-1]) and (v < R0 and nonneg[b] or b in banned)]:
+                          if (v := rows[r][-2]) and (v < 0 and nonneg[b] or b in banned)]:
             r = min(leaving)[1]
-            up = rows[r][-1] > R0
-            eligible = [(z[j] / abs(a), j) for j, a in enumerate(rows[r][:-1])
-                        if a and ((a > R0) == up or not nonneg[j]) and j not in banned]
-            if not eligible:
+            up = rows[r][-2] > 0
+            # z_j / |a_j| over the common positive factor (row den / z den),
+            # least by cross-multiplying, then lowest j.
+            enter = -1
+            for j, a in enumerate(rows[r][:-2]):
+                if a and ((a > 0) == up or not nonneg[j]) and j not in banned:
+                    a = abs(a)
+                    if enter < 0 or z[j] * best_a < best_z * a:
+                        best_z, best_a, enter = z[j], a, j
+            if enter < 0:
                 return False
-            self.pivot(r, min(eligible)[1], z)
+            self.pivot(r, enter, z)
         return True
 
-    def phase2(self, lp: LinearProgram, z: list[Rational]) -> LPOutcome:
+    def phase2(self, lp: LinearProgram, z: list[int]) -> LPOutcome:
         """Phase 2 from the current feasible basis, on lp's reduced costs z."""
         minimize = lp.sense == MIN
         if self.run(z) == "unbounded":
             return Unbounded()
 
         xvals = [R0] * len(self.nonneg)
-        for i, b in enumerate(self.basis):
-            xvals[b] = self.rows[i][-1]
-        x = {v.name: shared(xvals[self.cols[v.name]]) for v in lp.variables}
+        for b, row in zip(self.basis, self.rows):
+            if row[-2]:
+                xvals[b] = _rational(row[-2], row[-1])
+        x = {v.name: xvals[self.cols[v.name]] for v in lp.variables}
 
-        y = {row.id: shared(-z[col] if flip != minimize else z[col])
+        dz = z[-1]
+        y = {row.id: _rational(-z[col] if flip != minimize else z[col], dz)
              for (col, flip), row in zip(self.row_cols, lp.rows)}
 
-        objective = sum((lp.objective[name] * x[name] for name in lp.objective), R0)
+        objective = sum((c * x[name] for name, c in lp.objective.items() if x[name]), R0)
         return Optimal(x=x, y=y, objective=objective)
+
+
+def _int_row(values: list) -> list[int]:
+    """Rational values as Python ints over their least common denominator,
+    which ends the list."""
+    dens = [int(v.denominator) for v in values]
+    den = lcm(*dens)
+    return [int(v.numerator) * (den // q) for v, q in zip(values, dens)] + [den]
+
+
+def _reduce(row: list[int]) -> None:
+    """Divide an int row (its denominator last) by the gcd of its entries."""
+    g = gcd(*row)
+    if g != 1:
+        row[:] = [v // g for v in row]
+
+
+def _rational(num: int, den: int) -> Rational:
+    """num/den, as the shared instance when it is one (see rationals.shared)."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    q = _SHARED.get((num, den))
+    return rat(num, den) if q is None else q
 
 
 def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
@@ -550,7 +639,7 @@ def _dual_slacks(lp: LinearProgram, terms: list, dy: int, c: list, dc: int) -> t
     and zeros are exact. terms holds (row, y_i * dy, row coefficients * s, s)
     for each row with y_i != 0, and c the objective's values times dc, all
     integers."""
-    den = lcm(dc, dy * lcm(*(s for *_, s in terms)))
+    den = lcm(dc, dy * lcm(*[s for *_, s in terms]))
     d = dict.fromkeys((v.name for v in lp.variables), 0)
     f = den // dc
     for name, cj in zip(lp.objective, c):

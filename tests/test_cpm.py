@@ -680,3 +680,43 @@ def test_pivot_path_is_pinned(monkeypatch):
             ("infeasible", MAX)} <= set(statuses)
     digest = hashlib.sha256(repr(path).encode()).hexdigest()
     assert digest == PIVOT_PATH_DIGEST
+
+
+def test_records_give_back_the_dicts_the_loop_built(monkeypatch):
+    # A record stores x and the stage duals as value tuples; its x and
+    # dual_stages properties must give back the dicts the loop built, equal,
+    # in the same key order and holding the same key and value objects, so
+    # the sharing _reuse_targets sets up stays visible.
+    built = []
+    stage_duals, dense = cpm._stage_duals, cpm._dense
+
+    def capture_stages(*args):
+        out = stage_duals(*args)
+        built[-1][1] = tuple(out[0])
+        return out
+
+    def capture_x(edges, values):
+        x = dense(edges, values)
+        built.append([x, ()])
+        return x
+
+    monkeypatch.setattr(cpm, "_stage_duals", capture_stages)
+    monkeypatch.setattr(cpm, "_dense", capture_x)
+    shared = 0
+    for fixture in (dancing_robot, altered_robot, cycling_graph):
+        g, sigma, _ = fixture()
+        for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive):
+            built.clear()
+            recs = solver(g, sigma).iterations
+            assert len(recs) == len(built) and len({id(rec.edges) for rec in recs}) == 1
+            for rec, (x, stages) in zip(recs, built):
+                assert len(rec.dual_stages) == len(stages)
+                for new, old in [(rec.x, x), *zip(rec.dual_stages, stages)]:
+                    assert new == old and list(new) == list(old)
+                    assert all(a is b for a, b in zip(new, old))
+                    assert all(a is b for a, b in zip(new.values(), old.values()))
+                distinct = {}
+                for values in rec.dual_values:
+                    assert distinct.setdefault(values, values) is values
+                shared += len(rec.dual_values) - len(distinct)
+    assert shared > 20

@@ -80,3 +80,29 @@ def test_modes_share_iterates_and_match_the_oracle(g, sigma):
     assert [(it.x, it.family) for it in unperturbed.iterations] == [
         (it.x, it.family) for it in perturbed.iterations
     ]
+
+
+def paper_regime_instances():
+    """cpmatch.gen graphs at n = 40 with m = 120 edges and costs 1..3 (five
+    seeds, two of them past iteration 1): the paper's regime, where
+    perturbed costs c + 2^-rank and the values they lead to run past 100
+    bits."""
+    for seed in range(5):
+        rng = random.Random(seed)
+        g = random_matchable_graph(40, 120, 3, rng)
+        yield pytest.param(g, random_ordering(g, rng), id=f"gen40x120-{seed}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("g, sigma", paper_regime_instances())
+def test_paper_regime_modes_agree_with_the_oracle(g, sigma):
+    unperturbed = solve_unperturbed(g, sigma)
+    perturbed = solve_perturbed_reference(g, sigma)
+    assert unperturbed.matching == perturbed.matching == networkx_matching(g, sigma)
+    assert unperturbed.cost == perturbed.cost
+    assert [(it.x, it.family) for it in unperturbed.iterations] == [
+        (it.x, it.family) for it in perturbed.iterations
+    ]
+    bits = max(max(v.numerator.bit_length(), v.denominator.bit_length())
+               for it in perturbed.iterations for stage in it.dual_stages for v in stage.values())
+    assert bits > 100

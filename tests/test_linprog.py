@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -971,3 +972,56 @@ def test_variant_shares_what_it_keeps_and_validates_what_it_changes():
                 dict(drop_variables=["y"], objective={"y": 1})]:
         with pytest.raises(LinearProgramError):
             lp.variant(**bad)
+
+
+def _wide(rng, rows, objective):
+    """The oracle's rows and objective with costs c + 2^-k (k up to 130) and
+    every rhs moved by a fraction over a power of 3 past 30 bits."""
+    objective = [Fraction(c) + Fraction(1, 2 ** rng.randint(1, 130)) for c in objective]
+    rows = [(coeffs, rel, Fraction(rhs) + Fraction(rng.randint(-2, 2), 3 ** rng.randint(20, 60)))
+            for coeffs, rel, rhs in rows]
+    return rows, objective
+
+
+def _oracle_lp(sense, rows, objective):
+    """The model of the oracle's rows and objective in sense, the objective
+    negated for MAX, so its optimum is minus the oracle's minimum."""
+    names = [f"x{j}" for j in range(len(objective))]
+    sign = 1 if sense == MIN else -1
+    return LinearProgram(
+        sense, names,
+        {name: rat(sign * c.numerator, c.denominator) for name, c in zip(names, objective)},
+        [(f"r{i}", {names[j]: c for j, c in enumerate(coeffs) if c}, rel,
+          rat(rhs.numerator, rhs.denominator)) for i, (coeffs, rel, rhs) in enumerate(rows)],
+    )
+
+
+def test_wide_values_match_enumeration_on_an_int_tableau():
+    # Each model cold (MIN), then warm as its MAX twin with new wide rhs
+    # values, against the enumeration oracle; after every solve the tableau
+    # holds Python ints only (never a rational or a backend integer type).
+    rng = random.Random(20261020)
+    tab_types, bits, optimal, infeasible = set(), 0, 0, 0
+    for _ in range(60):
+        _, rows, objective, n = random_bounded_lp(rng)
+        rows, objective = _wide(rng, rows, objective)
+        tab = Tableau()
+        for sense in (MIN, MAX):
+            if sense == MAX:
+                rows = [(coeffs, rel, rhs + Fraction(rng.randint(-2, 2), 5 ** rng.randint(20, 50)))
+                        for coeffs, rel, rhs in rows]
+            lp = _oracle_lp(sense, rows, objective)
+            out = solve(lp, start=tab)
+            expected = enumerate_minimum(n, rows, objective)
+            tab_types |= {type(v) for row in tab.rows for v in row}
+            if expected is None:
+                assert isinstance(out, Infeasible)
+                infeasible += 1
+                break
+            assert out.objective == (expected if sense == MIN else -expected)
+            assert verify_certificate(lp, out) == out
+            tab_types |= {type(v) for v in tab.z}
+            bits = max(bits, out.objective.denominator.bit_length())
+            optimal += 1
+    assert tab_types == {int}
+    assert bits > 120 and optimal >= 40 and infeasible >= 5
