@@ -94,7 +94,7 @@ class IterationRecord:
     @property
     def dual_stages(self) -> tuple[dict, ...]:
         """Each stage's dual vector as a dict, keys in dual_keys order."""
-        return tuple(dict(zip(self.dual_keys, values)) for values in self.dual_values)
+        return tuple([dict(zip(self.dual_keys, values)) for values in self.dual_values])
 
 
 def _record(index: int, family: tuple, edges: tuple, x: dict, stage_pis: Sequence[dict],

@@ -22,7 +22,7 @@ TWO_THIRDS = rat(2, 3)
 
 def _graph_from_ranked(n: int, ranked_edges) -> tuple[Graph, EdgeOrdering]:
     """Unit-cost graph whose edge order and rank order coincide."""
-    g = Graph(n, tuple((u, v, 1) for u, v in ranked_edges))
+    g = Graph(n, tuple([(u, v, 1) for u, v in ranked_edges]))
     return g, EdgeOrdering.from_sequence(ranked_edges)
 
 

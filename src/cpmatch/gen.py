@@ -33,7 +33,7 @@ def random_matchable_graph(n: int, m: int, max_cost: int, rng: random.Random) ->
     edges.update(pool[: m - len(edges)])
     ordered = sorted(edges)
     rng.shuffle(ordered)
-    return Graph(n, tuple((u, v, rng.randint(1, max_cost)) for u, v in ordered))
+    return Graph(n, tuple([(u, v, rng.randint(1, max_cost)) for u, v in ordered]))
 
 
 def random_ordering(g: Graph, rng: random.Random) -> EdgeOrdering:

@@ -14,7 +14,7 @@ reduced costs, is a list of Python ints over one positive int denominator
 when a tableau is built or its costs or rhs change, and rationals are
 formed again only for the x, y and objective of an Optimal. Each of those
 values is looked up by (numerator, denominator) among the shared instances
-of rationals.shared (0, +-1, +-1/2, +-2) before a new one is built.
+of rationals._SHARED (0, +-1, +-1/2, +-2) before a new one is built.
 
 A cold solve has one start: the all-slack basis, which flips each >= row
 and gives each = row a banned artificial, and a dual simplex from it on
@@ -231,8 +231,7 @@ class Tableau:
     rhs (negated on a flipped, ``>=``, row), then the row's positive
     denominator, which every other entry is over. z, the reduced costs of
     the last model (kept current through the last solve's pivots), has the
-    same shape; its rhs entry is minus the objective value. Model values
-    enter through int(), so a backend integer type (gmpy2's mpz) never does.
+    same shape; its rhs entry is minus the objective value.
 
     A pivot on (r, j) divides row r by its entry p_j and sets each other
     row i with a_j != 0 to (a_k p_j - a_j p_k) / (d_i p_j), written with
@@ -285,12 +284,12 @@ class Tableau:
         for row, flip, b in zip(lp.rows, flips, identity_col):
             # The row over the lcm of its coefficient (Row.scale) and rhs
             # denominators.
-            (nums, den), q = row.scale, int(row.rhs.denominator)
+            (nums, den), q = row.scale, row.rhs.denominator
             d = lcm(den, q)
             sign, f = -1 if flip else 1, d // den
-            t = [0] * ncols + [sign * int(row.rhs.numerator) * (d // q), d]
+            t = [0] * ncols + [sign * row.rhs.numerator * (d // q), d]
             for name, c in zip(row.coeffs, nums):
-                t[self.cols[name]] = sign * f * int(c)
+                t[self.cols[name]] = sign * f * c
             t[b] = d
             self.rows.append(t)
         self.nonneg = [v.nonnegative for v in lp.variables] + [True] * (ncols - nvar)
@@ -305,7 +304,8 @@ class Tableau:
         # The slack basis costs 0, so the start costs are their own reduced
         # costs (the rhs entry is minus the objective value).
         start = [c + shift if v.nonnegative else R0 for c, v in zip(cost, lp.variables)]
-        if not self.dual_run(_int_row(start + [R0] * (ncols - nvar + 1))):
+        z, dz = _integers(start + [R0] * (ncols - nvar + 1))
+        if not self.dual_run(z + [dz]):
             return None
         # Pivot each artificial still basic (at value zero) out, onto the
         # lowest nonbasic real column with a nonzero entry. A row with no
@@ -351,7 +351,7 @@ class Tableau:
         # values[r] over t's denominator times dd.
         changes = [(self.row_cols[i][0], o.rhs - row.rhs if self.row_cols[i][1] else row.rhs - o.rhs)
                    for i, o, row in pairs if row is not o and row.rhs != o.rhs]
-        *moves, dd = _int_row([v for _, v in changes])
+        moves, dd = _integers([v for _, v in changes])
         delta = [(c, v) for (c, _), v in zip(changes, moves)]
         shifts = ([sum(t[c] * v for c, v in delta if t[c]) for t in self.rows] if delta
                   else [0] * len(self.rows))
@@ -433,7 +433,7 @@ class Tableau:
     def reduced_costs(self, costvec: list[Rational]) -> list[int]:
         """c - c_B B^-1 A as a row of ints over one denominator (rhs entry:
         minus the objective value), for the rational cost vector costvec."""
-        *c, dc = _int_row(costvec)
+        c, dc = _integers(costvec)
         basic = [(row, c[b]) for b, row in zip(self.basis, self.rows) if c[b]]
         d = lcm(*[row[-1] for row, _ in basic])
         z = [cj * d for cj in c] + [0, dc * d]
@@ -529,14 +529,6 @@ class Tableau:
         return Optimal(x=x, y=y, objective=objective)
 
 
-def _int_row(values: list) -> list[int]:
-    """Rational values as Python ints over their least common denominator,
-    which ends the list."""
-    dens = [int(v.denominator) for v in values]
-    den = lcm(*dens)
-    return [int(v.numerator) * (den // q) for v, q in zip(values, dens)] + [den]
-
-
 def _reduce(row: list[int]) -> None:
     """Divide an int row (its denominator last) by the gcd of its entries."""
     g = gcd(*row)
@@ -545,7 +537,7 @@ def _reduce(row: list[int]) -> None:
 
 
 def _rational(num: int, den: int) -> Rational:
-    """num/den, as the shared instance when it is one (see rationals.shared)."""
+    """num/den, as the shared instance when it is one (see rationals._SHARED)."""
     g = gcd(num, den)
     if g != 1:
         num, den = num // g, den // g

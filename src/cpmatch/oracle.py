@@ -60,4 +60,4 @@ def lex_tie_break(matchings: Sequence[frozenset[Edge]], sigma: EdgeOrdering) -> 
     if not matchings:
         raise ValueError("no matchings to break ties among")
     order = sigma.order()
-    return min(matchings, key=lambda m: tuple(int(e in m) for e in order))
+    return min(matchings, key=lambda m: tuple([int(e in m) for e in order]))

@@ -49,9 +49,9 @@ class PerturbedPair:
 
     @classmethod
     def build(cls, a, b, costs, nonneg) -> "PerturbedPair":
-        a = tuple(tuple(rat(v) for v in row) for row in a)
-        b = tuple(rat(v) for v in b)
-        costs = tuple(tuple(rat(v) for v in c) for c in costs)
+        a = tuple([tuple([rat(v) for v in row]) for row in a])
+        b = tuple([rat(v) for v in b])
+        costs = tuple([tuple([rat(v) for v in c]) for c in costs])
         width = {len(row) for row in a} | {len(c) for c in costs}
         if len(width) > 1:
             raise ValueError("inconsistent column counts")
@@ -79,7 +79,7 @@ class DualSeries:
     stages: tuple[dict, ...]
 
     def row_series(self, row) -> tuple:
-        return tuple(stage[row] for stage in self.stages)
+        return tuple([stage[row] for stage in self.stages])
 
 
 def series_first_sign(series: Sequence) -> int:
@@ -128,12 +128,12 @@ def solve_perturbed_pair(pair: PerturbedPair) -> PerturbedSolution:
         if not isinstance(out, Optimal):
             raise StageSolveError(f"stage {p} came back {out.status}")
         equality_rows = frozenset(row.id for row in lp.rows if row.relation == EQ)
-        kept = tuple(v.name for v in lp.variables)
+        kept = tuple([v.name for v in lp.variables])
         stages.append(StageRecord(p, kept, equality_rows, dict(out.x), dict(out.y), out.objective))
 
     last_x = stages[-1].x if stages else {}
-    x = tuple(last_x.get(j, R0) for j in range(pair.ncols))
-    series = DualSeries(tuple(stage.y for stage in stages))
+    x = tuple([last_x.get(j, R0) for j in range(pair.ncols)])
+    series = DualSeries(tuple([stage.y for stage in stages]))
 
     _check_solution(pair, x, series)
     return PerturbedSolution(x=x, series=series, stages=tuple(stages))

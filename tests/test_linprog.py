@@ -1,8 +1,13 @@
 """Tests for the exact simplex: models, certificates, starts and reoptimization."""
 
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +41,7 @@ from cpmatch.linprog import (
     solve,
     verify_certificate,
 )
-from cpmatch.rationals import HALF, R0, R1, Rational, rat, shared
+from cpmatch.rationals import _SHARED, HALF, R0, R1, Rational, rat
 
 
 def test_single_bound_row():
@@ -410,7 +415,7 @@ def test_common_values_come_back_as_shared_constants():
         ],
     )
     out = solve(lp)
-    minus_half, minus_one = shared(rat(-1, 2)), shared(rat(-1))
+    minus_half, minus_one = _SHARED[-1, 2], _SHARED[-1, 1]
     assert minus_half == rat(-1, 2) and minus_one == -1
     assert out.x["a"] is HALF and out.y["half"] is HALF
     assert out.x["b"] is minus_half and out.y["minus_half"] is minus_half
@@ -418,17 +423,52 @@ def test_common_values_come_back_as_shared_constants():
     assert out.x["d"] is R1 and out.y["one"] is R1
     assert out.x["e"] is minus_one and out.y["minus_one"] is minus_one
     assert out.x["f"] == rat(3, 7) and out.y["sevenths"] == rat(1, 7)
-    assert shared(out.x["f"]) is out.x["f"]
+    assert (3, 7) not in _SHARED
     values = [*out.x.values(), *out.y.values()]
     assert all(type(v) is Rational for v in values)
 
 
 def test_models_keep_rational_values_as_given():
-    # rat() passes a backend rational through, so a model built from
-    # another model's rows shares their values instead of copying them.
+    # rat() passes a Fraction through, so a model built from another
+    # model's rows shares their values instead of copying them.
     c = rat(7, 3)
     lp = LinearProgram(MIN, ["x"], {"x": c}, [("r", {"x": c}, GE, c)])
     assert lp.objective["x"] is c and lp.rows[0].coeffs["x"] is c and lp.rows[0].rhs is c
+
+
+_ONE_RATIONAL_TYPE = """
+import json
+from fractions import Fraction
+import gmpy2
+import cpmatch.rationals
+from cpmatch import dancing_robot, solve_unperturbed
+g, sigma, _ = dancing_robot()
+result = solve_unperturbed(g, sigma)
+values = [v for rec in result.iterations for v in rec.x.values()]
+values += [v for rec in result.iterations for pi in rec.dual_stages for v in pi.values()]
+print(json.dumps({
+    "gmpy2": gmpy2.__file__,
+    "rational_is_fraction": cpmatch.rationals.Rational is Fraction,
+    "types": sorted({type(v).__name__ for v in values}),
+    "count": len(values),
+}))
+"""
+
+
+def test_an_importable_gmpy2_does_not_change_the_rational_type(tmp_path):
+    # A gmpy2 module ahead of the package on the path (here a stand-in
+    # whose mpq is a Fraction subclass) is never picked up: solver values
+    # stay Fractions.
+    (tmp_path / "gmpy2.py").write_text(
+        "from fractions import Fraction\n\n\nclass mpq(Fraction):\n    pass\n", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    run = subprocess.run([sys.executable, "-c", _ONE_RATIONAL_TYPE], env=env,
+                         capture_output=True, text=True, check=True)
+    report = json.loads(run.stdout)
+    assert Path(report["gmpy2"]).parent == tmp_path
+    assert report["rational_is_fraction"] is True
+    assert report["types"] == ["Fraction"] and report["count"] > 100
 
 
 def test_fresh_tableau_start_is_the_cold_solve():
@@ -999,7 +1039,7 @@ def _oracle_lp(sense, rows, objective):
 def test_wide_values_match_enumeration_on_an_int_tableau():
     # Each model cold (MIN), then warm as its MAX twin with new wide rhs
     # values, against the enumeration oracle; after every solve the tableau
-    # holds Python ints only (never a rational or a backend integer type).
+    # holds Python ints only (never a rational or an int subclass).
     rng = random.Random(20261020)
     tab_types, bits, optimal, infeasible = set(), 0, 0, 0
     for _ in range(60):
