@@ -61,7 +61,7 @@ from .graphs import (
     vector_is_integral,
 )
 from .lexmin import lex_min_optimal
-from .linprog import EQ, Infeasible, Optimal, Tableau, solve
+from .linprog import Infeasible, Optimal, Tableau, solve
 from .matchlp import (
     build_closest_dual,
     build_primal,
@@ -251,9 +251,8 @@ def _stage_duals(primal, stages, x, targets):
         pi, _ = split_dual_solution(out.x)
         stage_pis.append(_reuse_targets(pi, target))
 
-        for row in lp.rows:
-            if row.relation != EQ:
-                _drop_if_nonzero(ctx.dropped, row.id, row.id, out.slack.get(row.id, R0), i)
+        for row_id, slack in out.slack.items():
+            _drop_if_nonzero(ctx.dropped, row_id, row_id, slack, i)
         for s in ctx.tight:
             if s not in ctx.free_sets:
                 _drop_if_nonzero(ctx.free_sets, s, ("cut", s), pi[s], i)

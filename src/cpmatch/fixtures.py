@@ -4,15 +4,18 @@ Three hand-built unit-cost graphs exercise the interesting behaviors: a
 16-vertex instance whose naive run loses half-integrality at its third
 iterate, a 20-vertex variant whose naive run reaches denominator-5 values,
 and a 10-vertex instance on which the naive run cycles with period two. Each
-fixture ships the documented per-iteration expectations used by the tests;
-expectations are tagged by iteration index (1-based, family recorded at solve
-time).
+graph and its tie-break order are read from the package's data/<name>.g file,
+the one copy the CLI also solves. Each fixture ships the documented
+per-iteration expectations used by the tests; expectations are tagged by
+iteration index (1-based, family recorded at solve time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib.resources import files
 
+from .graphio import parse_graph
 from .graphs import Edge, EdgeOrdering, Graph, normalize_edge
 from .rationals import HALF, R0, R1, rat
 
@@ -20,10 +23,10 @@ THIRD = rat(1, 3)
 TWO_THIRDS = rat(2, 3)
 
 
-def _graph_from_ranked(n: int, ranked_edges) -> tuple[Graph, EdgeOrdering]:
-    """Unit-cost graph whose edge order and rank order coincide."""
-    g = Graph(n, tuple([(u, v, 1) for u, v in ranked_edges]))
-    return g, EdgeOrdering.from_sequence(ranked_edges)
+def _shipped(name: str) -> tuple[Graph, EdgeOrdering]:
+    """The graph and ordering of the package's data/<name>.g, read on each
+    call (not at import, and not cached: each call returns fresh objects)."""
+    return parse_graph((files("cpmatch") / "data" / f"{name}.g").read_text(encoding="utf-8"))
 
 
 def _vector(g: Graph, **groups) -> dict[Edge, object]:
@@ -86,15 +89,7 @@ class CyclingExpected:
 def dancing_robot() -> tuple[Graph, EdgeOrdering, DancingRobotExpected]:
     """16 vertices, 20 unit edges; naive mode reaches denominator 3 at
     iteration 3, the real solvers finish at cost 8."""
-    g, sigma = _graph_from_ranked(
-        16,
-        [
-            (1, 5), (2, 13), (10, 14), (0, 3), (4, 12),
-            (5, 13), (7, 12), (5, 15), (3, 7), (8, 9),
-            (0, 1), (11, 14), (0, 12), (4, 13), (2, 6),
-            (10, 11), (9, 11), (4, 11), (8, 11), (13, 15),
-        ],
-    )
+    g, sigma = _shipped("dancing_robot")
     iterate1 = _vector(
         g,
         units=[(4, 12), (8, 9), (0, 1), (2, 6), (3, 7)],
@@ -137,16 +132,7 @@ def dancing_robot() -> tuple[Graph, EdgeOrdering, DancingRobotExpected]:
 def altered_robot() -> tuple[Graph, EdgeOrdering, AlteredRobotExpected]:
     """20 vertices, 25 unit edges; a 4-cycle grafted where an edge used to
     be makes the naive mode produce denominator-5 values."""
-    g, sigma = _graph_from_ranked(
-        20,
-        [
-            (1, 5), (2, 13), (10, 14), (0, 3), (17, 19),
-            (4, 12), (5, 13), (7, 12), (16, 18), (5, 15),
-            (3, 7), (18, 19), (8, 9), (0, 16), (1, 17),
-            (11, 14), (0, 12), (16, 17), (4, 13), (2, 6),
-            (10, 11), (9, 11), (4, 11), (8, 11), (13, 15),
-        ],
-    )
+    g, sigma = _shipped("altered_robot")
     iterate1 = _vector(
         g,
         units=[(4, 12), (8, 9), (0, 16), (2, 6), (3, 7), (1, 17), (18, 19)],
@@ -192,15 +178,7 @@ def altered_robot() -> tuple[Graph, EdgeOrdering, AlteredRobotExpected]:
 def cycling_graph() -> tuple[Graph, EdgeOrdering, CyclingExpected]:
     """10 vertices, 18 unit edges; the naive mode alternates between two
     fractional supports forever and is caught at its first exact repeat."""
-    g, sigma = _graph_from_ranked(
-        10,
-        [
-            (5, 9), (3, 5), (4, 5), (1, 6), (3, 9),
-            (0, 8), (5, 7), (3, 4), (1, 5), (5, 6),
-            (0, 3), (0, 1), (1, 7), (0, 9), (2, 6),
-            (3, 8), (2, 5), (4, 8),
-        ],
-    )
+    g, sigma = _shipped("cycling")
     iterate_a = _vector(
         g,
         units=[(4, 8), (2, 6)],

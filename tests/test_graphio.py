@@ -8,7 +8,7 @@ import pytest
 from cpmatch.fixtures import altered_robot, cycling_graph, dancing_robot
 from cpmatch.gen import random_matchable_graph, random_ordering
 from cpmatch.graphio import ParseError, emit_graph, parse_graph
-from cpmatch.graphs import EdgeOrdering, Graph
+from cpmatch.graphs import EdgeOrdering, Graph, cut_edges, validate_cut_family
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "cpmatch" / "data"
 
@@ -127,15 +127,30 @@ def test_emit_requires_matching_ordering():
 
 
 def test_shipped_data_files_match_fixtures():
-    for name, fn in [
-        ("dancing_robot", dancing_robot),
-        ("altered_robot", altered_robot),
-        ("cycling", cycling_graph),
+    """The fixtures read their graphs from the shipped files, so check the
+    files against the frozen expectations: unit costs, every edge those name
+    is an edge of the file, and every x vector has exactly the file's edges
+    as keys (fixtures._vector adds a key for an unknown edge)."""
+    for name, fn, size in [
+        ("dancing_robot", dancing_robot, (16, 20)),
+        ("altered_robot", altered_robot, (20, 25)),
+        ("cycling", cycling_graph, (10, 18)),
     ]:
-        g, sigma, _ = fn()
-        text = (DATA / f"{name}.g").read_text(encoding="utf-8")
-        g2, sigma2 = parse_graph(text)
-        assert g2 == g
-        assert sigma2 == sigma
-    g, _ = parse_graph((DATA / "dancing_robot.g").read_text(encoding="utf-8"))
-    assert g.n == 16 and g.m == 20
+        g, sigma, exp = fn()
+        assert (g, sigma) == parse_graph((DATA / f"{name}.g").read_text(encoding="utf-8"))
+        assert (g.n, g.m) == size
+        assert {cost for _, _, cost in g.edges} == {1}
+        edges = set(g.edge_pairs())
+        vectors = [v for v in vars(exp).values() if isinstance(v, dict)]
+        families = [f for k, f in vars(exp).items() if k.startswith("family")]
+        assert len(vectors) == (3 if name == "dancing_robot" else 2)
+        for x in vectors:
+            assert set(x) == edges
+        for family in families:
+            validate_cut_family(g, family)
+        if name != "cycling":
+            assert exp.matching <= edges and len(exp.matching) == g.n // 2
+            assert set().union(*exp.matching) == set(range(g.n))
+    g, _, exp = altered_robot()
+    assert exp.nine_set_crossings == cut_edges(g, exp.nine_set)
+    assert exp.nine_set_support_crossings < exp.nine_set_crossings

@@ -1,10 +1,13 @@
 """The per-layer split of the traced benchmark run, checked on the solver.
 
-perfbench/tracing.py patches names in cpmatch.cpm (solve, lex_min_optimal,
-build_primal, build_closest_dual, odd_cycles, validate_cut_family) and
-attributes each LP solve to the probe, lexmin or the stage duals. These
-tests fail if the solver stops calling through those names or the layers
-stop adding up to the solve counts criterion 7 pins. The shared part of the
+perfbench/tracing.py patches ten names: cpm.solve, cpm.lex_min_optimal,
+cpm.build_primal, cpm.build_closest_dual, cpm.odd_cycles,
+cpm.validate_cut_family, lexmin.solve, perturb.solve,
+linprog.verify_certificate and matchlp.validate_cut_family (Tracer.install
+raises AttributeError if any is gone). It attributes each LP solve to the
+probe, lexmin or the stage duals. These tests fail if the solver stops
+calling through those names or the layers stop adding up to the solve
+counts criterion 7 pins. The shared part of the
 closest-dual stages is checked to be built once per iteration.
 """
 
