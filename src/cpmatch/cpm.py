@@ -223,9 +223,11 @@ def _stage_duals(primal, stages, x, targets):
     """One closest-dual solve per stage cost vector, all on one StageContext
     read off the rows of primal, the relaxation x solves; targets[i] is
     stage i's target from the last iteration. Stage 0 is solved cold; each
-    later stage reoptimizes the same Tableau (see linprog), since it only
-    changes right-hand sides, drops rows whose slack is nonzero and frees
-    positive sets' bounds, which keeps the last basis dual feasible.
+    later stage is a variant of the stage before it (see build_closest_dual)
+    and reoptimizes the same Tableau by the Diff it recorded (see linprog),
+    since it only changes right-hand sides, drops rows whose slack is
+    nonzero and frees positive sets' bounds, which keeps the last basis
+    dual feasible.
 
     An inequality row of the stage model, or a set's sign bound, stays in the
     stages until its value (the row's slack at the stage optimum, read off

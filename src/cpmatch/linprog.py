@@ -40,12 +40,19 @@ other model (new rows or variables among them), or any model after an
 Infeasible or Unbounded outcome, raises LinearProgramError before the
 tableau changes, instead of solving cold.
 
+What changed is lp's Diff against the last model: the one lp.variant
+recorded when lp is a variant of that very model, else the one Diff.compare
+reads off the rows (a model built afresh, the last model itself, a variant
+of an older one). The same refusals run on either.
+
 LinearProgram(...) validates and copies its input; no model changes after
 that. lp.variant(...) derives a model with new pieces (sense, objective, rhs
 values and relations by row id, rows dropped by id, variables dropped or freed
-by name) and validates only those. It shares each unchanged row with lp, keeps
-a row's coefficient map when only its rhs or relation changes, and re-filters
-only rows that touch a dropped variable. Each map's integer scaling
+by name) and validates only those (an rhs or relation for a row it drops is
+an error). It shares each unchanged row with lp, keeps a row's coefficient map
+when only its rhs or relation changes, and re-filters only rows that touch a
+dropped variable; it shares lp's variable list, objective and row index when
+they stay. Each map's integer scaling
 (Row.scale) is computed once, so verify_certificate scales only the rhs, and
 reoptimization accepts a kept row that holds the last model's map by identity.
 
@@ -137,7 +144,8 @@ class LinearProgram:
                 raise LinearProgramError(f"objective references unknown variable {name!r}")
 
         self.rows: list[Row] = []
-        seen_ids = set()
+        self.index: dict = {}  # row id -> position
+        self.diff: Diff | None = None
         for spec in rows:
             row_id, given, relation, rhs = (
                 (spec.id, spec.coeffs, spec.relation, spec.rhs) if isinstance(spec, Row) else spec)
@@ -150,39 +158,93 @@ class LinearProgram:
                         f"row {row_id!r} references unknown variable {name!r}"
                     )
             row = Row(row_id, coeffs, relation, rat(rhs), _integers(coeffs.values()))
-            if row_id in seen_ids:
+            if row_id in self.index:
                 raise LinearProgramError(f"duplicate row id {row_id!r}")
-            seen_ids.add(row_id)
+            self.index[row_id] = len(self.rows)
             self.rows.append(row)
 
     def variant(self, sense=None, objective=None, rhs=None, relations=None,
                 drop_rows=(), drop_variables=(), free=()) -> LinearProgram:
-        """This model with the given pieces changed (see the module docstring)."""
+        """This model with the given pieces changed (see the module docstring);
+        its .diff records them against this model."""
         rhs, relations = rhs or {}, relations or {}
         drop, free, drop_rows = set(drop_variables), set(free), set(drop_rows)
+        changed = rhs.keys() | relations.keys()
         lp = object.__new__(LinearProgram)
         lp.sense = self.sense if sense is None else sense
-        lp.variables = [Variable(v.name, False) if v.name in free else v
-                        for v in self.variables if v.name not in drop]
-        names = {v.name for v in lp.variables}
+        lp.variables, freed = self.variables, {}
+        if drop or free:
+            lp.variables = [Variable(v.name, False) if v.name in free else v
+                            for v in self.variables if v.name not in drop]
+            freed = {v.name: False for v in self.variables if v.nonnegative and v.name in free}
         lp.objective = ({k: rat(c) for k, c in objective.items()} if objective is not None
-                        else {k: c for k, c in self.objective.items() if k in names})
-        lp.rows = []
-        for row in self.rows:
-            if row.id not in drop_rows:
-                coeffs, scale = row.coeffs, row.scale
-                if drop and not drop.isdisjoint(coeffs):
-                    coeffs = {k: c for k, c in coeffs.items() if k not in drop}
-                    scale = _integers(coeffs.values())
-                b, rel = rat(rhs.get(row.id, row.rhs)), relations.get(row.id, row.relation)
-                same = coeffs is row.coeffs and rel == row.relation and b == row.rhs
-                lp.rows.append(row if same else Row(row.id, coeffs, rel, b, scale))
-        if (lp.sense not in (MIN, MAX) or len(names) + len(drop) != len(self.variables)
-                or not free <= names or not lp.objective.keys() <= names
-                or not rhs.keys() | relations.keys() | drop_rows <= {row.id for row in self.rows}
+                        else {k: c for k, c in self.objective.items() if k not in drop}
+                        if drop & self.objective.keys() else self.objective)
+        names = {v.name for v in lp.variables} if drop or free or objective else None
+        if (lp.sense not in (MIN, MAX) or names is not None and (
+                len(names) + len(drop) != len(self.variables) or not free <= names
+                or not lp.objective.keys() <= names)
+                or not changed | drop_rows <= self.index.keys()
                 or not set(relations.values()) <= set(_RELATIONS)):
             raise LinearProgramError("variant names an unknown sense, variable, row or relation")
+        if not drop_rows.isdisjoint(changed):
+            raise LinearProgramError("variant changes the rhs or relation of a row it drops")
+        kept = ([i for i, row in enumerate(self.rows) if row.id not in drop_rows] if drop_rows
+                else list(range(len(self.rows))))
+        lp.rows = [self.rows[i] for i in kept]
+        lp.index = {row.id: p for p, row in enumerate(lp.rows)} if drop_rows else self.index
+        for p, row in enumerate(lp.rows if drop else ()):
+            if not drop.isdisjoint(row.coeffs):
+                coeffs = {k: c for k, c in row.coeffs.items() if k not in drop}
+                lp.rows[p] = Row(row.id, coeffs, row.relation, row.rhs, _integers(coeffs.values()))
+        moved = []
+        for p in sorted([lp.index[row_id] for row_id in changed]):
+            row = lp.rows[p]
+            b, rel = rat(rhs.get(row.id, row.rhs)), relations.get(row.id, row.relation)
+            if rel != row.relation or b is not row.rhs and b != row.rhs:
+                lp.rows[p] = Row(row.id, row.coeffs, rel, b, row.scale)
+                moved.append((kept[p], self.rows[kept[p]], lp.rows[p]))
+        lp.diff = Diff(self, kept, moved, drop, freed, sorted([self.index[i] for i in drop_rows]),
+                       lp.sense == self.sense and (lp.objective is self.objective
+                                                   or lp.objective == self.objective))
         return lp
+
+
+@dataclass
+class Diff:
+    """A model against base, the model it varies: base's position of each of
+    its rows (kept), (base position, base row, row) for each row whose rhs or
+    relation moved, the variables dropped, name -> nonnegative for each bound
+    that moved (freed), base's positions of the rows dropped (gone), and
+    whether sense and objective are base's."""
+    base: LinearProgram
+    kept: list[int]
+    moved: list[tuple]
+    dropped: set
+    freed: dict
+    gone: list[int]
+    objective: bool
+
+    @classmethod
+    def compare(cls, base: LinearProgram, lp: LinearProgram) -> Diff:
+        """lp's Diff against base, read off their rows; raises
+        LinearProgramError unless lp keeps base's rows in order, each with
+        base's coefficients on its variables, and adds no variable."""
+        kept = [base.index.get(row.id, -1) for row in lp.rows]
+        names = {v.name for v in lp.variables}
+        bounds = {v.name: v.nonnegative for v in base.variables}
+        if -1 in kept or kept != sorted(kept) or not names <= bounds.keys():
+            raise LinearProgramError("start= takes a variant of the last model (see linprog)")
+        pairs = [(i, base.rows[i], row) for i, row in zip(kept, lp.rows)]
+        if any(row.coeffs is not o.coeffs and row.coeffs != {
+                k: c for k, c in o.coeffs.items() if k in names} for _, o, row in pairs):
+            raise LinearProgramError("start= takes a variant of the last model (see linprog)")
+        return cls(base, kept, [(i, o, row) for i, o, row in pairs if row is not o and (
+                       row.rhs != o.rhs or row.relation != o.relation)],
+                   bounds.keys() - names,
+                   {v.name: v.nonnegative for v in lp.variables if v.nonnegative != bounds[v.name]},
+                   sorted(set(range(len(base.rows))) - set(kept)),
+                   lp.sense == base.sense and lp.objective == base.objective)
 
 
 @dataclass(frozen=True)
@@ -321,25 +383,16 @@ class Tableau:
 
     def reoptimize(self, lp: LinearProgram) -> list[int] | None:
         """Carry the last optimal basis over to lp, a variant of the last
-        model (see the module docstring); lp's reduced costs, or None when
-        lp is infeasible."""
+        model (see the module docstring), by lp's Diff against it; lp's
+        reduced costs, or None when lp is infeasible."""
         old, nonneg, in_basis, cols = self.lp, self.nonneg, self.in_basis, self.cols
-        index = {row.id: i for i, row in enumerate(old.rows)}
-        kept = [index.get(row.id, -1) for row in lp.rows]
-        names = {v.name for v in lp.variables}
-        if -1 in kept or kept != sorted(kept) or not names <= {v.name for v in old.variables}:
-            raise LinearProgramError("start= takes a variant of the last model (see linprog)")
-        dropped = [v.name for v in old.variables if v.name not in names]
-        pairs = [(i, old.rows[i], row) for i, row in zip(kept, lp.rows)]
-        tightened = [(i, row) for i, o, row in pairs if row.relation != o.relation]
-        fixed = {cols[name] for name in dropped} | {self.row_cols[i][0] for i, _ in tightened}
-        freed = {cols[v.name]: v.nonnegative for v in lp.variables
-                 if v.nonnegative != nonneg[cols[v.name]]}
-        gone = {self.row_cols[i][0]: old.rows[i].relation for i in set(index.values()) - set(kept)}
-        if (  # each kept row: the last model's (the same map, or an equal one), on lp's variables
-            any(row.coeffs is not o.coeffs and row.coeffs != {
-                k: c for k, c in o.coeffs.items() if k in names} for _, o, row in pairs)
-            or any(row.relation != EQ for _, row in tightened)
+        diff = lp.diff if lp.diff is not None and lp.diff.base is old else Diff.compare(old, lp)
+        tightened = [(i, row) for i, o, row in diff.moved if row.relation != o.relation]
+        fixed = {cols[name] for name in diff.dropped} | {self.row_cols[i][0] for i, _ in tightened}
+        freed = {cols[name]: nn for name, nn in diff.freed.items()}
+        gone = {self.row_cols[i][0]: old.rows[i].relation for i in diff.gone}
+        if (
+            any(row.relation != EQ for _, row in tightened)
             or any(in_basis[j] for j in fixed)
             or any(nn or not in_basis[j] for j, nn in freed.items())
             or any(relation == EQ or not in_basis[j] for j, relation in gone.items())
@@ -350,7 +403,7 @@ class Tableau:
         # The moves are ints over one denominator dd, so row t's new rhs is
         # values[r] over t's denominator times dd.
         changes = [(self.row_cols[i][0], o.rhs - row.rhs if self.row_cols[i][1] else row.rhs - o.rhs)
-                   for i, o, row in pairs if row is not o and row.rhs != o.rhs]
+                   for i, o, row in diff.moved if row.rhs != o.rhs]
         moves, dd = _integers([v for _, v in changes])
         delta = [(c, v) for (c, _), v in zip(changes, moves)]
         shifts = ([sum(t[c] * v for c, v in delta if t[c]) for t in self.rows] if delta
@@ -363,8 +416,7 @@ class Tableau:
         # Dropped rows' basic slacks cost 0, so the z the last solve kept
         # current is lp's when the objective is; its rhs entry (the
         # objective value) is never read.
-        z = (self.z if lp.sense == old.sense and lp.objective == old.objective
-             else self.reduced_costs(self.cost_vector(lp)))
+        z = self.z if diff.objective else self.reduced_costs(self.cost_vector(lp))
         if negative and any((zj < 0 if nonneg[j] else zj) for j, zj in enumerate(z[:-2])
                             if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
@@ -381,7 +433,7 @@ class Tableau:
                     _reduce(t)
         self.banned |= fixed | gone.keys()
         self.rows, self.basis = [self.rows[r] for r, _ in live], [j for _, j in live]
-        self.row_cols = [self.row_cols[i] for i in kept]
+        self.row_cols = [self.row_cols[i] for i in diff.kept]
         return z if not negative or self.dual_run(z) else None
 
     # The update below touches only the nonzero columns of the pivot row,

@@ -6,10 +6,12 @@ degree equality rows, and one >=1 cut row per family member. The dual side is
 never written down directly; instead we build the "closest optimal dual"
 program: among all duals that are optimal against a fixed primal optimum x,
 pick the one minimizing the size-weighted distance sum(|target(S) - pi(S)|/|S|)
-to a target vector via auxiliary r(S) variables. All stages against one x
-vary one model (LinearProgram.variant): right-hand sides move, and rows and
-sign bounds go by an accumulated context, so the staged emulation of an
-infinitesimal cost perturbation writes its model once.
+to a target vector via auxiliary r(S) variables. The stages against one x
+write their model once: each later stage is a variant
+(LinearProgram.variant) of the stage before it, with the right-hand sides
+that moved and the rows and sign bounds that an accumulated context has
+dropped since, so the staged emulation of an infinitesimal cost
+perturbation pays per stage for what changed.
 The context also holds what all stages against one x share (tight sets,
 dual keys, crossing lists, support). It is read off the rows of the primal
 model that x solves, in one pass per x, so only build_primal works out which
@@ -73,7 +75,9 @@ class StageContext:
     then the tight sets it crosses), in graph edge order, and support the
     edges with x(e) > 0. dropped holds the ids of the inequality rows
     (("lo", k), ("hi", k) or ("edge", e)) that are gone, free_sets the tight
-    sets whose sign bound is gone, and model the model all stages vary.
+    sets whose sign bound is gone. model is the last stage's model, built
+    from the (costs, target, dropped, free_sets) in inputs, and inequalities
+    the ids of the inequality rows of the first.
     """
 
     keys: list[DualKey]
@@ -83,6 +87,8 @@ class StageContext:
     dropped: set = field(default_factory=set)
     free_sets: set = field(default_factory=set)
     model: LinearProgram | None = None
+    inputs: tuple = ()
+    inequalities: frozenset = frozenset()
 
 
 def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageContext:
@@ -133,36 +139,45 @@ def build_closest_dual(
     Feasible points are exactly the optimal duals of the relaxation (tight
     rows on the support enforce complementary slackness); the objective picks
     the one closest to `target` in the size-weighted L1 sense; omitted keys
-    of `target` read 0. The first call on ctx writes ctx.model with its
-    right-hand sides (and returns it if ctx drops and frees nothing); every
-    stage is a variant of it with that stage's right-hand sides, the
-    inequality rows in ctx.dropped left out and ctx.free_sets' bounds freed.
+    of `target` read 0. The first call on ctx writes the whole model; every
+    later call is a variant of the model the call before it returned
+    (ctx.model), which leaves out the inequality rows in ctx.dropped and
+    frees ctx.free_sets' bounds since then, and sets the right-hand sides
+    whose costs or target values moved. So a caller must not change costs or
+    target once it has passed them in.
     """
     if not ctx.free_sets <= set(ctx.tight):
         raise MatchingLpError("context frees a set without a tight cut row")
-    keys, rhs = ctx.keys, {}
-    for k in keys:
-        rhs["lo", k] = rhs["hi", k] = rat(target.get(k, R0))
-    for e in ctx.crossing:
-        rhs["tight" if e in ctx.support else "edge", e] = rat(costs[e])
+    keys = ctx.keys
     if ctx.model is None:
         variables = [(("pi", k), isinstance(k, frozenset)) for k in keys]
         variables += [(("r", k), True) for k in keys]
         objective = {("r", k): rat(1, 1 if isinstance(k, int) else len(k)) for k in keys}
-        rows = [((side, k), {("r", k): sign, ("pi", k): R1}, relation, rhs[side, k])
+        rows = [((side, k), {("r", k): sign, ("pi", k): R1}, relation, rat(target.get(k, R0)))
                 for k in keys for side, sign, relation in (("lo", R1, GE), ("hi", -R1, LE))]
         for e, ks in ctx.crossing.items():
             kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
-            rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rhs[kind, e]))
+            rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs[e])))
         ctx.model = LinearProgram(MIN, variables, objective, rows)
+        ctx.inputs = (costs, target, set(), set())
+        ctx.inequalities = frozenset(row.id for row in ctx.model.rows if row.relation != EQ)
         if not ctx.dropped and not ctx.free_sets:
             return ctx.model
-    unknown = ctx.dropped - {row.id for row in ctx.model.rows if row.relation != EQ}
+    unknown = ctx.dropped - ctx.inequalities
     if unknown:
         raise MatchingLpError(
             f"context drops {sorted(unknown, key=repr)}, which name no inequality row")
-    return ctx.model.variant(rhs=rhs, drop_rows=ctx.dropped,
-                             free=[("pi", s) for s in ctx.free_sets])
+    last_costs, last_target, dropped, free_sets = ctx.inputs
+    moves = [(k, target.get(k, R0), last_target.get(k, R0)) for k in keys]
+    rhs = {(side, k): rat(b) for k, b, a in moves if b is not a and b != a
+           for side in ("lo", "hi") if (side, k) not in ctx.dropped}
+    moves = [(("tight" if e in ctx.support else "edge", e), costs[e], last_costs[e])
+             for e in ctx.crossing]
+    rhs.update({i: rat(b) for i, b, a in moves if b is not a and b != a and i not in ctx.dropped})
+    ctx.model = ctx.model.variant(rhs=rhs, drop_rows=ctx.dropped - dropped,
+                                  free=[("pi", s) for s in ctx.free_sets - free_sets])
+    ctx.inputs = (costs, target, set(ctx.dropped), set(ctx.free_sets))
+    return ctx.model
 
 
 def split_dual_solution(values: Mapping) -> tuple[dict, dict]:

@@ -27,6 +27,12 @@ from cpmatch.perturb import PerturbedPair
 from cpmatch.rationals import R0
 
 
+def tableau_state(tab: Tableau) -> tuple:
+    """Everything a Tableau holds between solves, copied."""
+    return (tab.lp, tab.status, [list(t) for t in tab.rows], list(tab.basis), set(tab.banned),
+            list(tab.row_cols), list(tab.nonneg), list(tab.in_basis), list(tab.z), dict(tab.cols))
+
+
 def model_parts(lp: LinearProgram) -> tuple:
     """Everything a model holds, in order, its rows' stored coefficient
     scales too: equal for a variant and the fresh model it stands for."""

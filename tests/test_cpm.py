@@ -1,12 +1,13 @@
 """Tests for the three solver modes against the fixtures and each other."""
 
+import copy
 import hashlib
 import random
 import sys
 from pathlib import Path
 
 import pytest
-from helpers import model_parts, random_bounded_lp
+from helpers import model_parts, random_bounded_lp, tableau_state
 
 from cpmatch import cpm, lexmin, linprog
 from cpmatch.cpm import (
@@ -331,11 +332,6 @@ def _fresh_face(lp, opt, objective):
     )
 
 
-def _tableau_state(tab):
-    return (tab.lp, tab.status, [list(t) for t in tab.rows], list(tab.basis), set(tab.banned),
-            list(tab.row_cols), list(tab.nonneg), list(tab.in_basis), list(tab.z), dict(tab.cols))
-
-
 def test_stage_models_are_variants_equal_to_fresh_models(monkeypatch):
     # Every closest-dual stage and every lexmin face is a variant of the
     # model before it; each must hold what a fresh LinearProgram builds from
@@ -365,10 +361,10 @@ def test_stage_models_are_variants_equal_to_fresh_models(monkeypatch):
             changed = Row(row.id, {**row.coeffs, name: c + 1}, row.relation, row.rhs)
             bad = LinearProgram(lp.sense, lp.variables, lp.objective,
                                 [changed if r is row else r for r in lp.rows])
-            before = _tableau_state(start)
+            before = tableau_state(start)
             with pytest.raises(LinearProgramError):
                 linprog.solve(bad, start=start)
-            assert _tableau_state(start) == before
+            assert tableau_state(start) == before
             refused.append(bad)
         return linprog.solve(lp, start=start)
 
@@ -393,6 +389,59 @@ def test_stage_models_are_variants_equal_to_fresh_models(monkeypatch):
     # are cold; the other 2m + 1 each reoptimize onto a model recorded here.
     assert len(models) == len(refused) == solves - 2 * iterations
     assert refiltered > 0
+
+
+def test_recorded_diffs_solve_like_fresh_models(monkeypatch):
+    # Each warm solve runs twice more, on two deep copies of its tableau
+    # (sharing the immutable last model): on the model itself, and on an
+    # equal model built row by row, whose Diff reoptimize reads off its rows.
+    # Outcomes and tableau states must agree, and exactly the lexmin faces
+    # and the closest-dual stages after stage 0 take a recorded Diff.
+    made, counts = {}, dict.fromkeys(["warm", "recorded", "faces", "stages"], 0)
+    build_closest_dual, optimal_face = cpm.build_closest_dual, lexmin.optimal_face
+
+    def closest(ctx, costs, target):
+        later = ctx.model is not None
+        lp = build_closest_dual(ctx, costs, target)
+        if later:
+            counts["stages"] += 1
+            made[id(lp)] = lp
+        return lp
+
+    def face(lp, opt, objective):
+        out = optimal_face(lp, opt, objective)
+        counts["faces"] += 1
+        made[id(out)] = out
+        return out
+
+    def solving(lp, start=None):
+        if start is not None and start.status == "optimal":
+            recorded = lp.diff is not None and lp.diff.base is start.lp
+            assert recorded == (made.pop(id(lp), None) is lp)
+            counts["warm"] += 1
+            counts["recorded"] += recorded
+            fresh = LinearProgram(
+                lp.sense, [(v.name, v.nonnegative) for v in lp.variables], dict(lp.objective),
+                [(row.id, dict(row.coeffs), row.relation, row.rhs) for row in lp.rows])
+            tabs = [copy.deepcopy(start, {id(start.lp): start.lp}) for _ in range(2)]
+            outs = [linprog.solve(model, start=tab) for model, tab in zip((lp, fresh), tabs)]
+            assert outs[0] == outs[1]
+            (last, *state), (last_fresh, *state_fresh) = map(tableau_state, tabs)
+            assert last is lp and last_fresh is fresh and state == state_fresh
+        return linprog.solve(lp, start=start)
+
+    monkeypatch.setattr(cpm, "build_closest_dual", closest)
+    monkeypatch.setattr(lexmin, "optimal_face", face)
+    monkeypatch.setattr(cpm, "solve", solving)
+    monkeypatch.setattr(lexmin, "solve", solving)
+    runs = [(solver, *fixture()[:2]) for fixture in (dancing_robot, altered_robot, cycling_graph)
+            for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive)]
+    runs += [(solve_unperturbed, inst.graph, inst.sigma) for workload in ("cuts", "integral")
+             for inst in instances.build_pool(workload, 1, [])[:10]]
+    for solver, g, sigma in runs:
+        solver(g, sigma)
+    assert not made and counts["faces"] > 500 and counts["stages"] > 500
+    assert counts["recorded"] == counts["faces"] + counts["stages"] < counts["warm"]
 
 
 def test_single_stage_modes_pin_their_duals():

@@ -19,6 +19,7 @@ from helpers import (
     random_bounded_lp,
     random_perturbed_pair,
     record_runs,
+    tableau_state,
 )
 
 from cpmatch import linprog
@@ -28,6 +29,7 @@ from cpmatch.linprog import (
     LE,
     MAX,
     MIN,
+    Diff,
     Infeasible,
     LinearProgram,
     LinearProgramError,
@@ -725,6 +727,88 @@ def test_reoptimize_rejects_misuse_and_stays_usable():
         with pytest.raises(LinearProgramError):
             solve(lp, start=tab)
         assert solve(face, start=tab).x == {"x": 2}
+
+
+def test_reoptimize_refuses_misuse_by_a_recorded_diff(monkeypatch):
+    # The refusals above, made with .variant of the tableau's last model, so
+    # reoptimize reads each model's recorded Diff and compares no rows.
+    compared = []
+    compare = Diff.compare.__func__
+
+    def counting(cls, base, lp):
+        compared.append(lp)
+        return compare(cls, base, lp)
+
+    monkeypatch.setattr(Diff, "compare", classmethod(counting))
+    tab = Tableau()
+    lp = _capped({"x": 1, "y": 2})
+    solve(lp, start=tab)
+    bad = [
+        lp.variant(drop_variables=["x"]),  # x = 2 is basic
+        lp.variant(drop_rows=["cover"]),  # cover is tight at (2, 0): its slack is nonbasic
+        lp.variant(free=["y"]),  # y = 0 is nonbasic
+        lp.variant(relations={"xcap": GE}),  # a <= row never becomes >=
+        lp.variant(relations={"xcap": EQ}),  # xcap's slack (1) is basic
+    ]
+    for model in bad:
+        assert model.diff.base is tab.lp
+        before = tableau_state(tab)
+        with pytest.raises(LinearProgramError):
+            solve(model, start=tab)
+        assert tableau_state(tab) == before
+    good = lp.variant(rhs={"cover": 3})
+    assert solve(good, start=tab).x == solve(good).x == {"x": 3, "y": 0}
+    assert compared == []
+    # A variant of lp, now an older model, is read off its rows: its
+    # recorded Diff (cover 2 -> 4) would move cover from 3 to 5 here. The
+    # last model itself is read off its rows too.
+    older = lp.variant(rhs={"cover": 4})
+    assert solve(older, start=tab).x == solve(older).x == {"x": 3, "y": 1}
+    assert compared == [older]
+    assert solve(older, start=tab).x == {"x": 3, "y": 1}
+    assert compared == [older, older]
+
+
+def test_variant_records_the_diff_the_row_comparison_finds():
+    rng = random.Random(19)
+    shared = {"variables": 0, "objective": 0, "index": 0}
+    for _ in range(200):
+        lp = random_bounded_lp(rng)[0]
+        if rng.random() < 0.5:
+            lp = lp.variant(free=[v.name for v in lp.variables if rng.random() < 0.3])
+        ids, names = [row.id for row in lp.rows], [v.name for v in lp.variables]
+        drop_rows = [i for i in ids if rng.random() < 0.2]
+        kept = [i for i in ids if i not in drop_rows]
+        rhs = {i: lp.rows[lp.index[i]].rhs + rng.choice([0, 0, 1, -2]) for i in kept
+               if rng.random() < 0.5}
+        relations = {i: rng.choice([LE, GE, EQ]) for i in kept if rng.random() < 0.3}
+        drop = [n for n in names if rng.random() < 0.2]
+        free = [n for n in names if n not in drop and rng.random() < 0.2]
+        objective = None if rng.random() < 0.6 else {
+            n: rng.randint(-2, 2) for n in names if n not in drop and rng.random() < 0.5}
+        sense = rng.choice([None, MIN, MAX])
+        v = lp.variant(sense, objective, rhs, relations, drop_rows, drop, free)
+        assert v.diff == Diff.compare(lp, v)
+        assert v.diff.base is lp and lp.variant().diff.objective
+        assert (v.variables is lp.variables) == (not drop and not free)
+        assert (v.objective is lp.objective) == (objective is None and not set(drop) & set(
+            lp.objective))
+        assert (v.index is lp.index) == (not drop_rows)
+        assert v.index == {row.id: p for p, row in enumerate(v.rows)}
+        shared["variables"] += v.variables is lp.variables
+        shared["objective"] += v.objective is lp.objective
+        shared["index"] += v.index is lp.index
+    assert min(shared.values()) >= 10
+
+
+def test_variant_refuses_to_change_a_row_it_drops():
+    lp = _capped({"x": 1, "y": 2})
+    for bad in [dict(rhs={"xcap": 2}), dict(relations={"xcap": EQ}),
+                dict(rhs={"xcap": 3}, relations={"ycap": EQ})]:
+        with pytest.raises(LinearProgramError, match="rhs or relation of a row it drops"):
+            lp.variant(drop_rows=["xcap"], **bad)
+    assert [row.id for row in lp.variant(rhs={"ycap": 2}, drop_rows=["xcap"]).rows] == [
+        "cover", "ycap"]
 
 
 def _variant(lp, out, rng):
