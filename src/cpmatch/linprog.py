@@ -52,9 +52,9 @@ by name) and validates only those (an rhs or relation for a row it drops is
 an error). It shares each unchanged row with lp, keeps a row's coefficient map
 when only its rhs or relation changes, and re-filters only rows that touch a
 dropped variable; it shares lp's variable list, objective and row index when
-they stay. Each map's integer scaling
-(Row.scale) is computed once, so verify_certificate scales only the rhs, and
-reoptimization accepts a kept row that holds the last model's map by identity.
+they stay. Each map's integer scaling (Row.scale) is computed once, so
+verify_certificate scales only the rhs, and reoptimization accepts a kept row
+that holds the last model's map by identity.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Every sign, ratio and tie it

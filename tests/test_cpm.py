@@ -341,8 +341,9 @@ def test_stage_models_are_variants_equal_to_fresh_models(monkeypatch):
     build_closest_dual, optimal_face = cpm.build_closest_dual, lexmin.optimal_face
 
     def closest(ctx, costs, target):
+        last = ctx.model
         lp = build_closest_dual(ctx, costs, target)
-        models.append((lp, ctx.model, _fresh_closest_dual(ctx, costs, target)))
+        models.append((lp, lp if last is None else last, _fresh_closest_dual(ctx, costs, target)))
         return lp
 
     def face(lp, opt, objective):
