@@ -10,11 +10,12 @@ solve count is a fixed function of the model size. The result is the unique
 point of the optimal face that is lexicographically smallest in the given
 variable order.
 
-A face only fixes nonbasic columns of the last optimum at zero (dropped
-variables, and the slacks of rows made ``=``), so all stages reoptimize one
-Tableau of the model's size: stage 0 is the only cold solve (none when the
-caller passes a Tableau that has just solved the model), and every later
-stage runs phase 2 alone. Each stage is still one solve() call,
+A face is a variant of the stage before it that only fixes nonbasic
+columns of the last optimum at zero (dropped variables, and the slacks of
+rows made ``=``), so all stages reoptimize one Tableau of the model's size:
+stage 0 is the only cold solve, and every later stage runs phase 2 alone.
+A caller's Tableau whose last model is the model itself makes stage 0 a
+re-solve of it with no pivot. Each stage is still one solve() call,
 counted as one LP solve, and its certificate is checked against its stage
 model. The result does not depend on the pivot path, since it is unique.
 """
@@ -43,8 +44,9 @@ def lex_min_optimal(
 
     `order` must enumerate every variable exactly once. Infeasible or
     unbounded models propagate as a LexMinResult with that status. The
-    stages run on `start` when given (see linprog's start=): a Tableau that
-    has just solved lp to Optimal makes stage 0 a reoptimization too.
+    stages run on `start` when given (see linprog's start=): a Tableau whose
+    last model is lp, solved to Optimal, re-solves it at stage 0 with no
+    pivot.
     """
     names = [v.name for v in lp.variables]
     if len(order) != len(names) or set(order) != set(names):

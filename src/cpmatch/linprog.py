@@ -29,21 +29,19 @@ constant to every feasible point's cost: the dual run on a relaxation with
 negative edge costs ends at an optimum of the relaxation itself.
 
 solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
-solve and keeps its result. After an Optimal outcome the next model may
-change the objective, sense and rhs values, drop rows whose slack is basic,
-free bounds of basic columns, and fix nonbasic columns at zero: drop a
-nonbasic variable, or make ``=`` an inequality whose slack is nonbasic (as
-optimal_face does). A negative basic value B^-1 b starts the dual simplex
-(leave by the lowest basic index, enter by the least ratio z_j/|a|, then
-lowest index) that needs lp's objective dual feasible; phase 2 follows. Any
-other model (new rows or variables among them), or any model after an
-Infeasible or Unbounded outcome, raises LinearProgramError before the
+solve and keeps its result. After an Optimal outcome tab takes two kinds of
+model: tab.lp itself, whose optimum stands (phase 2 makes no pivot), and
+lp = tab.lp.variant(...), read by the Diff it recorded (lp.diff.base is
+tab.lp). The variant may change the objective, sense and rhs values, drop
+rows whose slack is basic, free bounds of basic columns, and fix nonbasic
+columns at zero: drop a nonbasic variable, or make an inequality ``=``
+when its slack is nonbasic (as optimal_face does). A negative basic value
+B^-1 b starts the dual simplex (leave by the lowest basic index, enter by
+the least ratio z_j/|a|, then lowest index) that needs lp's objective dual
+feasible; phase 2 follows. Any other model (one built afresh, a variant of
+an older model), a variant that changes more, and any model after an
+Infeasible or Unbounded outcome raise LinearProgramError before the
 tableau changes, instead of solving cold.
-
-What changed is lp's Diff against the last model: the one lp.variant
-recorded when lp is a variant of that very model, else the one Diff.compare
-reads off the rows (a model built afresh, the last model itself, a variant
-of an older one). The same refusals run on either.
 
 LinearProgram(...) validates and copies its input; no model changes after
 that. lp.variant(...) derives a model with new pieces (sense, objective, rhs
@@ -53,8 +51,7 @@ an error). It shares each unchanged row with lp, keeps a row's coefficient map
 when only its rhs or relation changes, and re-filters only rows that touch a
 dropped variable; it shares lp's variable list, objective and row index when
 they stay. Each map's integer scaling (Row.scale) is computed once, so
-verify_certificate scales only the rhs, and reoptimization accepts a kept row
-that holds the last model's map by identity.
+verify_certificate scales only the rhs.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Every sign, ratio and tie it
@@ -172,11 +169,11 @@ class LinearProgram:
         changed = rhs.keys() | relations.keys()
         lp = object.__new__(LinearProgram)
         lp.sense = self.sense if sense is None else sense
-        lp.variables, freed = self.variables, {}
+        lp.variables, freed = self.variables, set()
         if drop or free:
             lp.variables = [Variable(v.name, False) if v.name in free else v
                             for v in self.variables if v.name not in drop]
-            freed = {v.name: False for v in self.variables if v.nonnegative and v.name in free}
+            freed = {v.name for v in self.variables if v.nonnegative and v.name in free}
         lp.objective = ({k: rat(c) for k, c in objective.items()} if objective is not None
                         else {k: c for k, c in self.objective.items() if k not in drop}
                         if drop & self.objective.keys() else self.objective)
@@ -197,14 +194,19 @@ class LinearProgram:
             if not drop.isdisjoint(row.coeffs):
                 coeffs = {k: c for k, c in row.coeffs.items() if k not in drop}
                 lp.rows[p] = Row(row.id, coeffs, row.relation, row.rhs, _integers(coeffs.values()))
-        moved = []
+        rhs_moves, relation_moves = [], []
         for p in sorted([lp.index[row_id] for row_id in changed]):
             row = lp.rows[p]
             b, rel = rat(rhs.get(row.id, row.rhs)), relations.get(row.id, row.relation)
-            if rel != row.relation or b is not row.rhs and b != row.rhs:
+            shifted = b is not row.rhs and b != row.rhs
+            if shifted:
+                rhs_moves.append((kept[p], b - row.rhs))
+            if rel != row.relation:
+                relation_moves.append((kept[p], rel))
+            if shifted or rel != row.relation:
                 lp.rows[p] = Row(row.id, row.coeffs, rel, b, row.scale)
-                moved.append((kept[p], self.rows[kept[p]], lp.rows[p]))
-        lp.diff = Diff(self, kept, moved, drop, freed, sorted([self.index[i] for i in drop_rows]),
+        lp.diff = Diff(self, kept, rhs_moves, relation_moves, drop, freed,
+                       sorted([self.index[i] for i in drop_rows]),
                        lp.sense == self.sense and (lp.objective is self.objective
                                                    or lp.objective == self.objective))
         return lp
@@ -212,39 +214,20 @@ class LinearProgram:
 
 @dataclass
 class Diff:
-    """A model against base, the model it varies: base's position of each of
-    its rows (kept), (base position, base row, row) for each row whose rhs or
-    relation moved, the variables dropped, name -> nonnegative for each bound
-    that moved (freed), base's positions of the rows dropped (gone), and
-    whether sense and objective are base's."""
+    """What LinearProgram.variant changed against base, the model it varies:
+    base's position of each of its rows (kept), (base position, new rhs -
+    old rhs) for each row whose rhs moved (rhs), (base position, new
+    relation) for each row whose relation moved (relations), the variables
+    dropped, the names whose bound was freed, base's positions of the rows
+    dropped (gone), and whether sense and objective are base's."""
     base: LinearProgram
     kept: list[int]
-    moved: list[tuple]
+    rhs: list[tuple]
+    relations: list[tuple]
     dropped: set
-    freed: dict
+    freed: set
     gone: list[int]
     objective: bool
-
-    @classmethod
-    def compare(cls, base: LinearProgram, lp: LinearProgram) -> Diff:
-        """lp's Diff against base, read off their rows; raises
-        LinearProgramError unless lp keeps base's rows in order, each with
-        base's coefficients on its variables, and adds no variable."""
-        kept = [base.index.get(row.id, -1) for row in lp.rows]
-        names = {v.name for v in lp.variables}
-        bounds = {v.name: v.nonnegative for v in base.variables}
-        if -1 in kept or kept != sorted(kept) or not names <= bounds.keys():
-            raise LinearProgramError("start= takes a variant of the last model (see linprog)")
-        pairs = [(i, base.rows[i], row) for i, row in zip(kept, lp.rows)]
-        if any(row.coeffs is not o.coeffs and row.coeffs != {
-                k: c for k, c in o.coeffs.items() if k in names} for _, o, row in pairs):
-            raise LinearProgramError("start= takes a variant of the last model (see linprog)")
-        return cls(base, kept, [(i, o, row) for i, o, row in pairs if row is not o and (
-                       row.rhs != o.rhs or row.relation != o.relation)],
-                   bounds.keys() - names,
-                   {v.name: v.nonnegative for v in lp.variables if v.nonnegative != bounds[v.name]},
-                   sorted(set(range(len(base.rows))) - set(kept)),
-                   lp.sense == base.sense and lp.objective == base.objective)
 
 
 @dataclass(frozen=True)
@@ -382,19 +365,24 @@ class Tableau:
         return self.reduced_costs(cost)
 
     def reoptimize(self, lp: LinearProgram) -> list[int] | None:
-        """Carry the last optimal basis over to lp, a variant of the last
-        model (see the module docstring), by lp's Diff against it; lp's
-        reduced costs, or None when lp is infeasible."""
+        """Carry the last optimal basis over to lp, the last model or a
+        variant of it (see the module docstring), by the Diff lp.variant
+        recorded; lp's reduced costs, or None when lp is infeasible."""
         old, nonneg, in_basis, cols = self.lp, self.nonneg, self.in_basis, self.cols
-        diff = lp.diff if lp.diff is not None and lp.diff.base is old else Diff.compare(old, lp)
-        tightened = [(i, row) for i, o, row in diff.moved if row.relation != o.relation]
-        fixed = {cols[name] for name in diff.dropped} | {self.row_cols[i][0] for i, _ in tightened}
-        freed = {cols[name]: nn for name, nn in diff.freed.items()}
+        if lp is old:
+            return self.z
+        diff = lp.diff
+        if diff is None or diff.base is not old:
+            raise LinearProgramError(
+                "start= takes the tableau's last model or a .variant of it (see linprog)")
+        fixed = ({cols[name] for name in diff.dropped}
+                 | {self.row_cols[i][0] for i, _ in diff.relations})
+        freed = {cols[name] for name in diff.freed}
         gone = {self.row_cols[i][0]: old.rows[i].relation for i in diff.gone}
         if (
-            any(row.relation != EQ for _, row in tightened)
+            any(relation != EQ for _, relation in diff.relations)
             or any(in_basis[j] for j in fixed)
-            or any(nn or not in_basis[j] for j, nn in freed.items())
+            or any(not in_basis[j] for j in freed)
             or any(relation == EQ or not in_basis[j] for j, relation in gone.items())
         ):
             raise LinearProgramError("start= takes a variant of the last model (see linprog)")
@@ -402,8 +390,7 @@ class Tableau:
         # a kept row's value, because its slack is basic and in no other row.
         # The moves are ints over one denominator dd, so row t's new rhs is
         # values[r] over t's denominator times dd.
-        changes = [(self.row_cols[i][0], o.rhs - row.rhs if self.row_cols[i][1] else row.rhs - o.rhs)
-                   for i, o, row in diff.moved if row.rhs != o.rhs]
+        changes = [(self.row_cols[i][0], -v if self.row_cols[i][1] else v) for i, v in diff.rhs]
         moves, dd = _integers([v for _, v in changes])
         delta = [(c, v) for (c, _), v in zip(changes, moves)]
         shifts = ([sum(t[c] * v for c, v in delta if t[c]) for t in self.rows] if delta

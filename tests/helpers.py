@@ -1,8 +1,10 @@
-"""Shared test helpers: random model generators and brute-force oracles.
+"""Shared test helpers: random model generators, brute-force oracles and
+references.
 
 The oracles here stay independent of the package's own solver paths: plain
 fractions.Fraction arithmetic and exhaustive enumeration, nothing reused from
-cpmatch.linprog internals.
+cpmatch.linprog internals. row_diff, the row comparison each recorded
+linprog.Diff is checked against, reads only the models' rows.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from cpmatch.linprog import (
     GE,
     LE,
     MIN,
+    Diff,
     LinearProgram,
     Optimal,
     SolverInvariantError,
@@ -39,6 +42,28 @@ def model_parts(lp: LinearProgram) -> tuple:
     return (lp.sense, [(v.name, v.nonnegative) for v in lp.variables], list(lp.objective.items()),
             [(row.id, list(row.coeffs.items()), row.relation, row.rhs, row.scale)
              for row in lp.rows])
+
+
+def row_diff(base: LinearProgram, lp: LinearProgram) -> Diff:
+    """lp's Diff against base, read off their rows: the reference for the
+    one LinearProgram.variant records. lp must keep base's rows in order,
+    each with base's coefficients on lp's variables, add no variable and
+    bound none that base leaves free."""
+    kept = [base.index[row.id] for row in lp.rows]
+    names = {v.name for v in lp.variables}
+    bounds = {v.name: v.nonnegative for v in base.variables}
+    assert kept == sorted(kept) and names <= bounds.keys()
+    assert all(bounds[v.name] or not v.nonnegative for v in lp.variables)
+    pairs = [(i, base.rows[i], row) for i, row in zip(kept, lp.rows)]
+    assert all(row.coeffs == {k: c for k, c in o.coeffs.items() if k in names}
+               for _, o, row in pairs)
+    return Diff(base, kept,
+                [(i, row.rhs - o.rhs) for i, o, row in pairs if row.rhs != o.rhs],
+                [(i, row.relation) for i, o, row in pairs if row.relation != o.relation],
+                bounds.keys() - names,
+                {v.name for v in lp.variables if bounds[v.name] and not v.nonnegative},
+                sorted(set(range(len(base.rows))) - set(kept)),
+                lp.sense == base.sense and lp.objective == base.objective)
 
 
 def _solve_square(system, n):

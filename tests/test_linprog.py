@@ -19,6 +19,7 @@ from helpers import (
     random_bounded_lp,
     random_perturbed_pair,
     record_runs,
+    row_diff,
     tableau_state,
 )
 
@@ -29,7 +30,6 @@ from cpmatch.linprog import (
     LE,
     MAX,
     MIN,
-    Diff,
     Infeasible,
     LinearProgram,
     LinearProgramError,
@@ -507,52 +507,68 @@ def test_reoptimize_on_an_optimal_face():
     lp = _model({"x": 1, "y": 1})
     first = solve(lp, start=tab)
     assert first.x == {"x": 2, "y": 0} and first.y == {"cover": 1, "xcap": 0}
-    # Appended = rows that the optimum satisfies (one has a negative rhs)
-    # do not carry the tableau onto the face x + y = 2: each is rejected.
-    line, neg = ("line", {"x": 1, "y": 1}, EQ, 2), ("neg", {"x": -1, "y": -1}, EQ, -2)
-    for rows in ([line, neg], [line], [neg]):
-        with pytest.raises(LinearProgramError):
-            solve(_model({"y": 1}, rows, MAX), start=tab)
-    # The face fixes cover's slack (dual 1, so nonbasic) at zero instead,
-    # and the new objective moves along x + y = 2 to the other end, x = 0.
+    # The face x + y = 2 fixes cover's slack (dual 1, so nonbasic) at zero
+    # (appended = rows are refused: see the test below), and the new
+    # objective moves along it to the other end, x = 0.
     face = optimal_face(lp, first, {})
     assert [row.relation for row in face.rows] == [EQ, LE]
-    lp = LinearProgram(MAX, face.variables, {"y": 1}, face.rows)
+    lp = lp.variant(MAX, {"y": 1}, relations={"cover": EQ})
+    assert model_parts(lp) == model_parts(face.variant(MAX, {"y": 1}))
     out = solve(lp, start=tab)
     cold = solve(lp)
     assert out.x == cold.x == {"x": 0, "y": 2}
     assert out.objective == cold.objective == 2
     verify_certificate(lp, out)
     # Only the objective changes.
-    out = solve(LinearProgram(MIN, face.variables, {"x": -1}, face.rows), start=tab)
+    out = solve(lp.variant(MIN, {"x": -1}), start=tab)
     assert out.x == {"x": 2, "y": 0}
 
 
 def test_reoptimize_rejects_a_model_that_does_not_extend_the_last_one():
+    # start= takes the tableau's last model or a .variant of it, nothing
+    # else: a model built afresh is refused even where it equals the last
+    # model or a variant the tableau would take, and so are the older model,
+    # a variant of it and a variant of another variant. Each refusal leaves
+    # the tableau as it was.
     tab = Tableau()
-    solve(_model({"x": 1, "y": 2}), start=tab)
-    rows = _model({}).rows
+    older = _model({"x": 1, "y": 2})
+    solve(older, start=tab)
+    last = older.variant(rhs={"cover": 3})
+    assert solve(last, start=tab).x == {"x": 3, "y": 0}
+    rows = [("cover", {"x": 1, "y": 1}, GE, 3), ("xcap", {"x": 1}, LE, 3)]
+    line, neg = ("line", {"x": 1, "y": 1}, EQ, 3), ("neg", {"x": -1, "y": -1}, EQ, -3)
     bad = [
+        # Equal to the last model, and to a variant of it with a new objective.
+        LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 2}, rows),
+        LinearProgram(MIN, ["x", "y"], {"y": 1}, rows),
         # A changed coefficient, and rows in another order.
-        LinearProgram(MIN, ["x", "y"], {"x": 1}, [("cover", {"x": 1, "y": 2}, GE, 2), rows[1]]),
+        LinearProgram(MIN, ["x", "y"], {"x": 1}, [("cover", {"x": 1, "y": 2}, GE, 3), rows[1]]),
         LinearProgram(MIN, ["x", "y"], {"x": 1}, rows[::-1]),
-        # Appended rows: none is accepted, held at (2, 0) or not.
-        _model({"x": 1}, [("ge", {"x": 1}, GE, 1)]),
-        _model({"x": 1}, [("violated", {"y": 1}, EQ, 1)]),
-        _model({"x": 1}, [("holds", {"x": 1}, EQ, 2), ("violated", {"x": 1}, EQ, 1)]),
-        _model({"y": 1}, [("holds", {"x": 1}, EQ, 2)]),
-        # An appended copy of xcap, ahead of the kept rows.
+        # Appended rows: none is accepted, held at (3, 0) or not, among them
+        # = rows on the face x + y = 3 (one with a negative rhs).
+        LinearProgram(MIN, ["x", "y"], {"x": 1}, [*rows, ("ge", {"x": 1}, GE, 1)]),
+        LinearProgram(MIN, ["x", "y"], {"x": 1}, [*rows, ("violated", {"y": 1}, EQ, 1)]),
+        LinearProgram(MIN, ["x", "y"], {"x": 1},
+                      [*rows, ("holds", {"x": 1}, EQ, 3), ("violated", {"x": 1}, EQ, 1)]),
+        LinearProgram(MIN, ["x", "y"], {"y": 1}, [*rows, ("holds", {"x": 1}, EQ, 3)]),
+        *[LinearProgram(MAX, ["x", "y"], {"y": 1}, rows + extra)
+          for extra in ([line, neg], [line], [neg])],
+        # An appended copy of xcap, ahead of the kept rows, and a new variable.
         LinearProgram(MIN, ["x", "y"], {"x": 1}, [("first", {"x": 1}, LE, 3), *rows]),
         LinearProgram(MIN, ["x", "y", "z"], {"x": 1}, rows),
-        # cover is tight at the optimum (2, 0): its slack is nonbasic.
-        LinearProgram(MIN, ["x", "y"], {"x": 1}, rows[1:]),
+        # Not built from the last model by .variant.
+        older,
+        older.variant(rhs={"cover": 4}),
+        last.variant(rhs={"cover": 4}).variant(rhs={"cover": 2}),
     ]
     for lp in bad:
-        with pytest.raises(LinearProgramError):
+        before = tableau_state(tab)
+        with pytest.raises(LinearProgramError, match=r"\.variant"):
             solve(lp, start=tab)
-    # A rejected model leaves the tableau as it was.
-    out = solve(_model({"y": 1}), start=tab)
-    assert out.x == {"x": 2, "y": 0}
+        assert tableau_state(tab) == before
+    # The tableau goes on from the last model.
+    lp = last.variant(rhs={"cover": 4})
+    assert solve(lp, start=tab).x == solve(lp).x == {"x": 3, "y": 1}
 
 
 def test_no_reoptimization_after_infeasible_or_unbounded():
@@ -578,31 +594,35 @@ def _capped(objective, cover=2, rows=None):
 
 def test_reoptimize_restores_feasibility_by_a_dual_simplex():
     tab = Tableau()
-    assert solve(_capped({"x": 1, "y": 2}), start=tab).x == {"x": 2, "y": 0}
+    base = _capped({"x": 1, "y": 2})
+    assert solve(base, start=tab).x == {"x": 2, "y": 0}
     # cover 4 pushes x past its cap: the dual simplex moves to (3, 1).
-    lp = _capped({"x": 1, "y": 2}, cover=4)
+    lp = base.variant(rhs={"cover": 4})
     out = solve(lp, start=tab)
     assert out.x == solve(lp).x == {"x": 3, "y": 1} and out.objective == 5
     verify_certificate(lp, out)
     # Back to (2, 0); then one model drops xcap (its slack, 1, is basic),
     # frees x (basic) and lowers cover to 1.
-    lp = _capped({"x": 1, "y": 2}, cover=2)
+    lp = lp.variant(rhs={"cover": 2})
     assert solve(lp, start=tab).x == {"x": 2, "y": 0}
-    rows = [("cover", {"x": 1, "y": 1}, GE, 1), ("ycap", {"y": 1}, LE, 3)]
-    lp = LinearProgram(MIN, [("x", False), "y"], {"x": 1, "y": 2}, rows)
+    lp = lp.variant(rhs={"cover": 1}, drop_rows=["xcap"], free=["x"])
+    assert model_parts(lp) == model_parts(LinearProgram(
+        MIN, [("x", False), "y"], {"x": 1, "y": 2},
+        [("cover", {"x": 1, "y": 1}, GE, 1), ("ycap", {"y": 1}, LE, 3)]))
     out = solve(lp, start=tab)
     assert out.x == {"x": 1, "y": 0} and out.y == {"cover": 1, "ycap": 0}
     # cover 7 exceeds both caps together: no column can enter.
     tab = Tableau()
-    solve(_capped({"x": 1, "y": 2}), start=tab)
-    assert isinstance(solve(_capped({"x": 1, "y": 2}, cover=7), start=tab), Infeasible)
-    assert isinstance(solve(_capped({"x": 1, "y": 2}, cover=7)), Infeasible)
+    solve(base, start=tab)
+    assert isinstance(solve(base.variant(rhs={"cover": 7}), start=tab), Infeasible)
+    assert isinstance(solve(base.variant(rhs={"cover": 7})), Infeasible)
     # y fixed at zero and cover 4 at once: y's reduced cost under x alone is
     # negative, but a fixed column never enters, and x cannot pass its cap.
     tab = Tableau()
-    solve(_capped({"x": 1, "y": 2}), start=tab)
-    rows = [Row("cover", {"x": 1}, GE, 4), Row("xcap", {"x": 1}, LE, 3), Row("ycap", {}, LE, 3)]
-    lp = LinearProgram(MIN, ["x"], {"x": 1}, rows)
+    solve(base, start=tab)
+    lp = base.variant(rhs={"cover": 4}, drop_variables=["y"])
+    assert [(row.id, row.coeffs) for row in lp.rows] == [
+        ("cover", {"x": 1}), ("xcap", {"x": 1}), ("ycap", {})] and lp.objective == {"x": 1}
     assert isinstance(solve(lp, start=tab), Infeasible) and isinstance(solve(lp), Infeasible)
 
 
@@ -617,14 +637,16 @@ def test_reoptimize_keeps_the_reduced_costs_of_an_unchanged_objective(monkeypatc
         return reduced_costs(self, costvec)
 
     tab = Tableau()
-    solve(_capped({"x": 1, "y": 2}), start=tab)
-    models = [
-        (_capped({"x": 1, "y": 2}, cover=4), 0),  # rhs only: a dual simplex
-        (_capped({"x": 1, "y": 2}, cover=1), 0),
-        (_capped({"x": 2, "y": 1}, cover=1), 1),
-        (LinearProgram(MAX, ["x", "y"], {"x": 2, "y": 1}, _capped({}).rows), 1),
+    lp = _capped({"x": 1, "y": 2})
+    solve(lp, start=tab)
+    changes = [
+        (dict(rhs={"cover": 4}), 0),  # rhs only: a dual simplex
+        (dict(rhs={"cover": 1}), 0),
+        (dict(objective={"x": 2, "y": 1}), 1),
+        (dict(sense=MAX, rhs={"cover": 2}), 1),
     ]
-    for lp, recomputed in models:
+    for change, recomputed in changes:
+        lp = lp.variant(**change)
         cold = solve(lp)
         monkeypatch.setattr(Tableau, "reduced_costs", counting)
         out = solve(lp, start=tab)
@@ -655,7 +677,7 @@ def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
         pivot(self, r, j, zrow)
 
     monkeypatch.setattr(Tableau, "pivot", recording)
-    out = solve(model(1), start=tab)
+    out = solve(tab.lp.variant(rhs={"xcap": 1, "zcap": 1}), start=tab)
     assert out.x == {"x": 1, "y": 1, "z": 1, "w": 1}
     assert pivots == [(5, 1), (7, 3)]
 
@@ -674,99 +696,91 @@ def test_reoptimize_detects_an_inconsistent_redundant_row():
     out = solve(model(4), start=tab)
     assert out.x == {"x": 2, "y": 0} and out.y == {"r1": 1, "r2": 0}
     assert tab.basis[1] == tab.row_cols[1][0]  # r2's artificial
-    out = solve(model(6, rhs1=3), start=tab)
+    out = solve(tab.lp.variant(rhs={"r1": 3, "r2": 6}), start=tab)
     assert out.x == solve(model(6, rhs1=3)).x == {"x": 3, "y": 0}
     assert isinstance(solve(model(5)), Infeasible)
-    assert isinstance(solve(model(5), start=tab), Infeasible)
+    assert isinstance(solve(tab.lp.variant(rhs={"r1": 2, "r2": 5}), start=tab), Infeasible)
 
 
 def test_reoptimize_rejects_misuse_and_stays_usable():
-    rows = _capped({}).rows
+    # Each variant of the last model below changes what the basis cannot
+    # carry over; reoptimize refuses it by its recorded Diff and leaves the
+    # tableau as it was, and the tableau goes on solving variants.
     bad = [
         # cover is tight at (2, 0), so its slack is nonbasic.
-        _capped({"x": 1, "y": 2}, rows=rows[1:]),
+        dict(drop_rows=["cover"]),
         # y = 0 is nonbasic, so its bound cannot be freed.
-        LinearProgram(MIN, ["x", ("y", False)], {"x": 1, "y": 2}, rows),
-        _capped({"x": 1, "y": 2}, rows=[Row("cover", {"x": 2, "y": 1}, GE, 2), *rows[1:]]),
+        dict(free=["y"]),
         # The basis is primal infeasible at cover 4, and y's reduced cost
         # under 2x + y is negative: no dual simplex can start.
-        _capped({"x": 2, "y": 1}, cover=4),
+        dict(objective={"x": 2, "y": 1}, rhs={"cover": 4}),
         # x = 2 is basic, so it cannot be dropped (fixed at zero).
-        LinearProgram(MIN, ["y"], {"y": 2}, [
-            Row("cover", {"y": 1}, GE, 2), Row("xcap", {}, LE, 3), rows[2]]),
+        dict(drop_variables=["x"]),
         # xcap's slack (1) is basic, so xcap cannot become an equality; and
         # a <= row never becomes >=.
-        _capped({"x": 1, "y": 2}, rows=[rows[0], Row("xcap", {"x": 1}, EQ, 3), rows[2]]),
-        _capped({"x": 1, "y": 2}, rows=[rows[0], Row("xcap", {"x": 1}, GE, 3), rows[2]]),
-        # An appended row, even one the optimum satisfies, and a new variable.
-        _capped({"x": 1, "y": 2}, rows=[*rows, Row("fix", {"x": 1}, EQ, 2)]),
-        LinearProgram(MIN, ["x", "y", "z"], {"x": 1, "y": 2}, rows),
+        dict(relations={"xcap": EQ}),
+        dict(relations={"xcap": GE}),
     ]
     tab = Tableau()
     solve(_capped({"x": 1, "y": 2}), start=tab)
-    for lp in bad:
+    for change in bad:
+        lp = tab.lp.variant(**change)
+        assert lp.diff.base is tab.lp
+        before = tableau_state(tab)
         with pytest.raises(LinearProgramError):
             solve(lp, start=tab)
-        good = _capped({"x": 1, "y": 2}, cover=3)
-        out = solve(good, start=tab)
-        assert out.x == solve(good).x == {"x": 3, "y": 0}
-        assert solve(_capped({"x": 1, "y": 2}), start=tab).x == {"x": 2, "y": 0}
+        assert tableau_state(tab) == before
+        good = tab.lp.variant(rhs={"cover": 3})
+        assert solve(good, start=tab).x == solve(good).x == {"x": 3, "y": 0}
+        assert solve(good.variant(rhs={"cover": 2}), start=tab).x == {"x": 2, "y": 0}
 
     # On the face of x + 2y at (2, 0), y (reduced cost 1) is dropped and
-    # cover (dual 1) is an equality; neither comes back.
-    lp = _capped({"x": 1, "y": 2})
+    # cover (dual 1) is an equality; neither comes back: a variant cannot
+    # relax cover, nor add y, and the model before the face is older.
+    lp = tab.lp
     face = optimal_face(lp, solve(lp, start=tab), {"x": -1})
     assert [v.name for v in face.variables] == ["x"]
     assert [row.relation for row in face.rows] == [EQ, LE, LE]
     assert solve(face, start=tab).x == {"x": 2}
-    bad = [
-        LinearProgram(MIN, ["x"], {}, [Row("cover", {"x": 1}, GE, 2), *face.rows[1:]]),
-        lp,
-    ]
-    for lp in bad:
+    for lp in [face.variant(objective={}, relations={"cover": GE}), lp]:
+        before = tableau_state(tab)
         with pytest.raises(LinearProgramError):
             solve(lp, start=tab)
+        assert tableau_state(tab) == before
         assert solve(face, start=tab).x == {"x": 2}
 
 
-def test_reoptimize_refuses_misuse_by_a_recorded_diff(monkeypatch):
-    # The refusals above, made with .variant of the tableau's last model, so
-    # reoptimize reads each model's recorded Diff and compares no rows.
-    compared = []
-    compare = Diff.compare.__func__
+def test_resolving_the_last_model_makes_no_pivot(monkeypatch):
+    # tab.lp itself changes nothing: its optimum stands, so solving it again
+    # on tab makes no pivot, gives back the same x, y and objective, leaves
+    # the tableau as it was and is one solve call (one certificate check).
+    pivots, checks = [], []
+    pivot, verify = Tableau.pivot, linprog.verify_certificate
 
-    def counting(cls, base, lp):
-        compared.append(lp)
-        return compare(cls, base, lp)
+    def counting_pivot(self, r, j, zrow=None):
+        pivots.append((r, j))
+        pivot(self, r, j, zrow)
 
-    monkeypatch.setattr(Diff, "compare", classmethod(counting))
+    def counting_verify(lp, opt):
+        checks.append(lp)
+        return verify(lp, opt)
+
     tab = Tableau()
-    lp = _capped({"x": 1, "y": 2})
-    solve(lp, start=tab)
-    bad = [
-        lp.variant(drop_variables=["x"]),  # x = 2 is basic
-        lp.variant(drop_rows=["cover"]),  # cover is tight at (2, 0): its slack is nonbasic
-        lp.variant(free=["y"]),  # y = 0 is nonbasic
-        lp.variant(relations={"xcap": GE}),  # a <= row never becomes >=
-        lp.variant(relations={"xcap": EQ}),  # xcap's slack (1) is basic
-    ]
-    for model in bad:
-        assert model.diff.base is tab.lp
+    cold = _capped({"x": 1, "y": 2})
+    warm = cold.variant(rhs={"cover": 4})  # a dual simplex: (3, 1)
+    face = optimal_face(warm, solve(warm), {"y": 1})
+    for lp in (cold, warm, face):
+        first = solve(lp, start=tab)
         before = tableau_state(tab)
-        with pytest.raises(LinearProgramError):
-            solve(model, start=tab)
-        assert tableau_state(tab) == before
-    good = lp.variant(rhs={"cover": 3})
-    assert solve(good, start=tab).x == solve(good).x == {"x": 3, "y": 0}
-    assert compared == []
-    # A variant of lp, now an older model, is read off its rows: its
-    # recorded Diff (cover 2 -> 4) would move cover from 3 to 5 here. The
-    # last model itself is read off its rows too.
-    older = lp.variant(rhs={"cover": 4})
-    assert solve(older, start=tab).x == solve(older).x == {"x": 3, "y": 1}
-    assert compared == [older]
-    assert solve(older, start=tab).x == {"x": 3, "y": 1}
-    assert compared == [older, older]
+        monkeypatch.setattr(Tableau, "pivot", counting_pivot)
+        monkeypatch.setattr(linprog, "verify_certificate", counting_verify)
+        again = solve(lp, start=tab)
+        monkeypatch.undo()
+        assert pivots == [] and checks == [lp]
+        assert (again.x, again.y, again.objective) == (first.x, first.y, first.objective)
+        assert again == first and tableau_state(tab) == before
+        del checks[:]
+    assert face.diff.base is warm and tab.lp is face
 
 
 def test_variant_records_the_diff_the_row_comparison_finds():
@@ -788,7 +802,7 @@ def test_variant_records_the_diff_the_row_comparison_finds():
             n: rng.randint(-2, 2) for n in names if n not in drop and rng.random() < 0.5}
         sense = rng.choice([None, MIN, MAX])
         v = lp.variant(sense, objective, rhs, relations, drop_rows, drop, free)
-        assert v.diff == Diff.compare(lp, v)
+        assert v.diff == row_diff(lp, v)
         assert v.diff.base is lp and lp.variant().diff.objective
         assert (v.variables is lp.variables) == (not drop and not free)
         assert (v.objective is lp.objective) == (objective is None and not set(drop) & set(
@@ -814,18 +828,16 @@ def test_variant_refuses_to_change_a_row_it_drops():
 def _variant(lp, out, rng):
     """lp with some rhs values moved, some rows that are slack at out's
     optimum dropped and some positive (so basic) variables freed."""
-    rows = []
+    rhs, drop = {}, []
     for row in lp.rows:
         lhs = sum((c * out.x[name] for name, c in row.coeffs.items()), R0)
         if lhs != row.rhs and rng.random() < 0.4:
-            continue
-        shift = rng.randint(-4, 4) if rng.random() < 0.7 else 0
-        rows.append(Row(row.id, row.coeffs, row.relation, row.rhs + shift))
-    variables = [
-        Variable(v.name, v.nonnegative and not (out.x[v.name] > 0 and rng.random() < 0.3))
-        for v in lp.variables
-    ]
-    return LinearProgram(lp.sense, variables, lp.objective, rows)
+            drop.append(row.id)
+        elif rng.random() < 0.7:
+            rhs[row.id] = row.rhs + rng.randint(-4, 4)
+    free = [v.name for v in lp.variables if v.nonnegative and out.x[v.name] > 0
+            and rng.random() < 0.3]
+    return lp.variant(rhs=rhs, drop_rows=drop, free=free)
 
 
 def test_reoptimize_variants_match_cold_solves(monkeypatch):
@@ -872,16 +884,11 @@ def _fixed_at_zero(lp, tab, rng, sense):
     in sense; also the counts of dropped variables and tightened rows."""
     drop = {v.name for v in lp.variables
             if not tab.in_basis[tab.cols[v.name]] and rng.random() < 0.3}
-    rows = [
-        Row(row.id, {k: c for k, c in row.coeffs.items() if k not in drop},
-            EQ if row.relation != EQ and not tab.in_basis[col] and rng.random() < 0.5
-            else row.relation, row.rhs)
-        for row, (col, _) in zip(lp.rows, tab.row_cols)
-    ]
-    tightened = sum(new.relation != row.relation for new, row in zip(rows, lp.rows))
-    variables = [v for v in lp.variables if v.name not in drop]
-    objective = {v.name: rng.randint(-3, 3) for v in variables}
-    return LinearProgram(sense, variables, objective, rows), len(drop), tightened
+    relations = {row.id: EQ for row, (col, _) in zip(lp.rows, tab.row_cols)
+                 if row.relation != EQ and not tab.in_basis[col] and rng.random() < 0.5}
+    objective = {v.name: rng.randint(-3, 3) for v in lp.variables if v.name not in drop}
+    return (lp.variant(sense, objective, relations=relations, drop_variables=drop),
+            len(drop), len(relations))
 
 
 def test_fixing_nonbasic_columns_matches_cold_solves():
@@ -1020,7 +1027,8 @@ def test_dual_start_equality_rows():
 
     tab = Tableau()
     assert solve(model(0), start=tab).x == {"x": 0, "y": 0}
-    assert solve(model(2), start=tab).x == solve(model(2)).x == {"x": 2, "y": 0}
+    out = solve(tab.lp.variant(rhs={"r": 2}), start=tab)
+    assert out.x == solve(model(2)).x == {"x": 2, "y": 0}
 
 
 def test_dual_start_free_columns_and_max(monkeypatch):
@@ -1131,10 +1139,15 @@ def test_wide_values_match_enumeration_on_an_int_tableau():
         rows, objective = _wide(rng, rows, objective)
         tab = Tableau()
         for sense in (MIN, MAX):
-            if sense == MAX:
+            if sense == MIN:
+                lp = _oracle_lp(sense, rows, objective)
+            else:
                 rows = [(coeffs, rel, rhs + Fraction(rng.randint(-2, 2), 5 ** rng.randint(20, 50)))
                         for coeffs, rel, rhs in rows]
-            lp = _oracle_lp(sense, rows, objective)
+                lp = lp.variant(MAX, {k: -c for k, c in lp.objective.items()},
+                                rhs={f"r{i}": rat(rhs.numerator, rhs.denominator)
+                                     for i, (*_, rhs) in enumerate(rows)})
+                assert model_parts(lp) == model_parts(_oracle_lp(sense, rows, objective))
             out = solve(lp, start=tab)
             expected = enumerate_minimum(n, rows, objective)
             tab_types |= {type(v) for row in tab.rows for v in row}
