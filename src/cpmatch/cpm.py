@@ -66,7 +66,6 @@ from .matchlp import (
     build_closest_dual,
     build_primal,
     canonical_sets,
-    split_dual_solution,
     stage_context,
     stage_cost,
 )
@@ -250,7 +249,7 @@ def _stage_duals(primal, stages, x, targets):
         out = solve(lp, start=tab)
         if not isinstance(out, Optimal):
             raise StageSolveError(f"dual stage {i} came back {out.status}")
-        pi, _ = split_dual_solution(out.x)
+        pi = {k: out.value(("pi", k)) for k in ctx.keys}
         stage_pis.append(_reuse_targets(pi, target))
 
         for row_id, slack in out.slack.items():

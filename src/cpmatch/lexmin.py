@@ -17,7 +17,10 @@ stage 0 is the only cold solve, and every later stage runs phase 2 alone.
 A caller's Tableau whose last model is the model itself makes stage 0 a
 re-solve of it with no pivot. Each stage is still one solve() call,
 counted as one LP solve, and its certificate is checked against its stage
-model. The result does not depend on the pivot path, since it is unique.
+model. A stage reads only the value it minimized (Optimal.value), and the
+next face only which duals and reduced costs are nonzero, so no stage
+builds its optimum's x or y map. The result does not depend on the pivot
+path, since it is unique.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .linprog import LinearProgram, Optimal, Tableau, optimal_face, solve
-from .rationals import R0, R1, Rational
+from .rationals import R1, Rational
 
 
 @dataclass(frozen=True)
@@ -67,5 +70,5 @@ def lex_min_optimal(
             # The face is nonempty, so only unboundedness can occur here
             # (a free variable with no floor on the optimal face).
             return LexMinResult(out.status, None, None, solves)
-        values[name] = out.x.get(name, R0)
+        values[name] = out.value(name)
     return LexMinResult("optimal", values, objective, solves)

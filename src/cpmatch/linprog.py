@@ -2,19 +2,22 @@
 
 Models are row-oriented: named variables (nonnegative or free), an objective
 with a sense, and relational rows over the variables. solve() returns both a
-primal optimum and a matching dual vector, all in exact rationals, and checks
-the certificate (feasibility, complementary slackness, strong duality)
-exactly, on scaled integers, on every solve before handing it back. The
-Optimal it returns also carries what that check computed: the slack of each
-inequality row that is not tight, and each nonzero reduced cost.
+primal optimum and a matching dual vector, exact, and checks the certificate
+(feasibility, complementary slackness, strong duality) exactly, on integers,
+on every solve before handing it back. The Optimal it returns also carries
+what that check computed: the slack of each inequality row that is not
+tight, and each nonzero reduced cost.
 
 The simplex itself runs fraction-free: each tableau row, and the row of
 reduced costs, is a list of Python ints over one positive int denominator
 (see Tableau), in the style of Bareiss (1968). Models' rationals become ints
-when a tableau is built or its costs or rhs change, and rationals are
-formed again only for the x, y and objective of an Optimal. Each of those
-values is looked up by (numerator, denominator) among the shared instances
-of rationals._SHARED (0, +-1, +-1/2, +-2) before a new one is built.
+when a model piece is validated (each row and objective is scaled to ints
+once) and when a tableau's costs or rhs change. The optimum stays on ints
+too: phase2 hands x and y to verify_certificate as ints over one
+denominator each, and rationals are formed again only where a caller reads
+them (Optimal.x, .y, .value(name), .slack, .reduced). Each x and y value is
+looked up by (numerator, denominator) among the shared instances of
+rationals._SHARED (0, +-1, +-1/2, +-2) before a new one is built.
 
 A cold solve has one start: the all-slack basis, which flips each >= row
 and gives each = row a banned artificial, and a dual simplex from it on
@@ -50,8 +53,10 @@ by name) and validates only those (an rhs or relation for a row it drops is
 an error). It shares each unchanged row with lp, keeps a row's coefficient map
 when only its rhs or relation changes, and re-filters only rows that touch a
 dropped variable; it shares lp's variable list, objective and row index when
-they stay. Each map's integer scaling (Row.scale) is computed once, so
-verify_certificate scales only the rhs.
+they stay. Each row's integer scalings (Row.scale, Row.scaled) and the
+objective's (LinearProgram.costs) are computed once, when the piece is
+validated, and shared with the variants that keep it; an rhs that moves
+rescales its row from the coefficients' stored scale.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Every sign, ratio and tie it
@@ -69,7 +74,9 @@ For maximization the signs flip (``<=`` rows carry y >= 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Any, Collection, Hashable, Iterable, Mapping
 
 from .errors import InvariantViolation
@@ -106,6 +113,20 @@ class Row:
     rhs: Any
     #: coeffs' values over their lcm denominator, (nums, den), set on validation
     scale: tuple | None = field(default=None, compare=False, repr=False)
+    #: the row over the lcm s of den and rhs's denominator: (coeffs' values
+    #: times s, rhs times s, s), set with scale
+    scaled: tuple | None = field(default=None, compare=False, repr=False)
+
+
+def _row(row_id: Hashable, coeffs: Mapping, relation: str, rhs: Rational,
+         scale: tuple | None = None) -> Row:
+    """A validated Row with its integer scalings; scale is the coefficients'
+    own, computed here unless the caller already holds it."""
+    nums, den = scale = scale or _integers(coeffs.values())
+    q = rhs.denominator
+    s = den if den % q == 0 else lcm(den, q)
+    return Row(row_id, coeffs, relation, rhs, scale,
+               (nums if s == den else [c * (s // den) for c in nums], rhs.numerator * (s // q), s))
 
 
 class LinearProgram:
@@ -136,6 +157,7 @@ class LinearProgram:
             raise LinearProgramError("duplicate variable name")
 
         self.objective = {name: rat(c) for name, c in objective.items()}
+        self.costs = _integers(self.objective.values())  # (c, dc), in objective order
         for name in self.objective:
             if name not in known:
                 raise LinearProgramError(f"objective references unknown variable {name!r}")
@@ -154,7 +176,7 @@ class LinearProgram:
                     raise LinearProgramError(
                         f"row {row_id!r} references unknown variable {name!r}"
                     )
-            row = Row(row_id, coeffs, relation, rat(rhs), _integers(coeffs.values()))
+            row = _row(row_id, coeffs, relation, rat(rhs))
             if row_id in self.index:
                 raise LinearProgramError(f"duplicate row id {row_id!r}")
             self.index[row_id] = len(self.rows)
@@ -177,6 +199,8 @@ class LinearProgram:
         lp.objective = ({k: rat(c) for k, c in objective.items()} if objective is not None
                         else {k: c for k, c in self.objective.items() if k not in drop}
                         if drop & self.objective.keys() else self.objective)
+        lp.costs = (self.costs if lp.objective is self.objective
+                    else _integers(lp.objective.values()))
         names = {v.name for v in lp.variables} if drop or free or objective else None
         if (lp.sense not in (MIN, MAX) or names is not None and (
                 len(names) + len(drop) != len(self.variables) or not free <= names
@@ -193,18 +217,21 @@ class LinearProgram:
         for p, row in enumerate(lp.rows if drop else ()):
             if not drop.isdisjoint(row.coeffs):
                 coeffs = {k: c for k, c in row.coeffs.items() if k not in drop}
-                lp.rows[p] = Row(row.id, coeffs, row.relation, row.rhs, _integers(coeffs.values()))
+                lp.rows[p] = _row(row.id, coeffs, row.relation, row.rhs)
         rhs_moves, relation_moves = [], []
         for p in sorted([lp.index[row_id] for row_id in changed]):
             row = lp.rows[p]
             b, rel = rat(rhs.get(row.id, row.rhs)), relations.get(row.id, row.relation)
-            shifted = b is not row.rhs and b != row.rhs
-            if shifted:
-                rhs_moves.append((kept[p], b - row.rhs))
+            # A zero delta moves nothing, so rhs values equal to the row's
+            # are told apart without a comparison.
+            delta = b is not row.rhs and b - row.rhs
+            if delta:
+                rhs_moves.append((kept[p], delta))
             if rel != row.relation:
                 relation_moves.append((kept[p], rel))
-            if shifted or rel != row.relation:
-                lp.rows[p] = Row(row.id, row.coeffs, rel, b, row.scale)
+            if delta or rel != row.relation:
+                lp.rows[p] = (_row(row.id, row.coeffs, rel, b, row.scale) if delta
+                              else Row(row.id, row.coeffs, rel, row.rhs, row.scale, row.scaled))
         lp.diff = Diff(self, kept, rhs_moves, relation_moves, drop, freed,
                        sorted([self.index[i] for i in drop_rows]),
                        lp.sense == self.sense and (lp.objective is self.objective
@@ -230,19 +257,76 @@ class Diff:
     objective: bool
 
 
-@dataclass(frozen=True)
 class Optimal:
-    """An optimum (x, y, objective). solve returns it checked, with what
-    verify_certificate computed: slack maps each inequality row that is not
-    tight at x to its slack (rhs - lhs for <=, lhs - rhs for >=), reduced
-    maps each variable whose reduced cost c_j - y.A_j is nonzero to it; both
-    None on an unchecked optimum."""
+    """An optimum: x (variable name -> value), y (row id -> dual value) and
+    the objective value. x is held as ints xs over one positive denominator
+    dx, and y as ys over dy: phase2 hands over the tableau's ints
+    (Optimal.of_ints), and Optimal(x, y, objective) scales rational maps
+    once. .x and .y build the rational maps on first read, each value the
+    shared instance of rationals._SHARED when it is one; value(name) reads
+    one x value without building x.
+
+    solve returns it checked, with what verify_certificate computed: slack
+    maps each inequality row that is not tight at x to its slack (rhs - lhs
+    for <=, lhs - rhs for >=), reduced maps each variable whose reduced cost
+    c_j - y.A_j is nonzero to it; both None on an unchecked optimum. Both
+    are held as (key, numerator, denominator) triples and built on first
+    read too. Two optima are equal when their x, y, objective, slack and
+    reduced are.
+    """
     status = "optimal"
-    x: dict
-    y: dict
-    objective: Rational
-    slack: dict | None = None
-    reduced: dict | None = None
+
+    def __init__(self, x: Mapping, y: Mapping, objective: Rational,
+                 slack: Mapping | None = None, reduced: Mapping | None = None):
+        xs, self.dx = _integers(x.values())
+        ys, self.dy = _integers(y.values())
+        self.xs, self.ys, self.objective = dict(zip(x, xs)), dict(zip(y, ys)), objective
+        self.slacks, self.reduced_costs = [
+            None if m is None else [(k, v.numerator, v.denominator) for k, v in m.items()]
+            for m in (slack, reduced)]
+
+    @classmethod
+    def of_ints(cls, xs: dict, dx: int, ys: dict, dy: int, objective: Rational,
+                slacks: list | None = None, reduced_costs: list | None = None) -> Optimal:
+        """The optimum x = xs over dx, y = ys over dy, with slack and reduced
+        as (key, numerator, denominator) triples."""
+        opt = object.__new__(cls)
+        opt.xs, opt.dx, opt.ys, opt.dy, opt.objective = xs, dx, ys, dy, objective
+        opt.slacks, opt.reduced_costs = slacks, reduced_costs
+        return opt
+
+    def value(self, name: Hashable) -> Rational:
+        """x's value at name (0 for a name x lacks), without building x."""
+        return _rational(self.xs.get(name, 0), self.dx)
+
+    @cached_property
+    def x(self) -> dict:
+        return {k: _rational(v, self.dx) for k, v in self.xs.items()}
+
+    @cached_property
+    def y(self) -> dict:
+        return {k: _rational(v, self.dy) for k, v in self.ys.items()}
+
+    @cached_property
+    def slack(self) -> dict | None:
+        return _from_triples(self.slacks)
+
+    @cached_property
+    def reduced(self) -> dict | None:
+        return _from_triples(self.reduced_costs)
+
+    def _parts(self) -> tuple:
+        return self.x, self.y, self.objective, self.slack, self.reduced
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Optimal) and self._parts() == other._parts()
+
+    def __repr__(self) -> str:
+        return f"Optimal{self._parts()!r}"
+
+
+def _from_triples(triples: list | None) -> dict | None:
+    return None if triples is None else {k: rat(num, den) for k, num, den in triples}
 
 
 @dataclass(frozen=True)
@@ -283,8 +367,8 @@ class Tableau:
     gcd(a_j, p_j) taken out; a row whose denominator is not 1 is then
     divided by the gcd of its entries. Every sign test and ratio comparison
     runs on these ints by cross-multiplication, so the pivot path is the one
-    exact rationals take; rationals are formed only for the x, y and
-    objective phase2 returns.
+    exact rationals take; phase2 returns the optimum on ints too (see
+    Optimal), and only its objective value is a rational.
 
     banned holds the columns that never enter (artificials, dropped rows'
     slacks, columns fixed at zero); row_cols holds each model row's
@@ -327,14 +411,13 @@ class Tableau:
 
         self.rows = []
         for row, flip, b in zip(lp.rows, flips, identity_col):
-            # The row over the lcm of its coefficient (Row.scale) and rhs
-            # denominators.
-            (nums, den), q = row.scale, row.rhs.denominator
-            d = lcm(den, q)
-            sign, f = -1 if flip else 1, d // den
-            t = [0] * ncols + [sign * row.rhs.numerator * (d // q), d]
-            for name, c in zip(row.coeffs, nums):
-                t[self.cols[name]] = sign * f * c
+            # The row over the lcm of its coefficient and rhs denominators
+            # (Row.scaled).
+            a, rhs, d = row.scaled
+            sign = -1 if flip else 1
+            t = [0] * ncols + [sign * rhs, d]
+            for name, c in zip(row.coeffs, a):
+                t[self.cols[name]] = sign * c
             t[b] = d
             self.rows.append(t)
         self.nonneg = [v.nonnegative for v in lp.variables] + [True] * (ncols - nvar)
@@ -408,7 +491,8 @@ class Tableau:
                             if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
 
-        self.nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
+        if freed:
+            self.nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
         for j in gone:
             in_basis[j] = False
         for t, s, v in zip(self.rows, shifts, values):
@@ -549,23 +633,33 @@ class Tableau:
         return True
 
     def phase2(self, lp: LinearProgram, z: list[int]) -> LPOutcome:
-        """Phase 2 from the current feasible basis, on lp's reduced costs z."""
-        minimize = lp.sense == MIN
+        """Phase 2 from the current feasible basis, on lp's reduced costs z;
+        the optimum comes back on the tableau's ints (see Optimal)."""
         if self.run(z) == "unbounded":
             return Unbounded()
-
-        xvals = [R0] * len(self.nonneg)
+        # x: each basic variable's value in lowest terms, over their lcm.
+        # Only lp's variables have columns below len(cols) that can be
+        # basic (a dropped variable's column is banned and nonbasic).
+        nvar, values = len(self.cols), {}
         for b, row in zip(self.basis, self.rows):
-            if row[-2]:
-                xvals[b] = _rational(row[-2], row[-1])
-        x = {v.name: xvals[self.cols[v.name]] for v in lp.variables}
-
-        dz = z[-1]
-        y = {row.id: _rational(-z[col] if flip != minimize else z[col], dz)
+            v = row[-2]
+            if v and b < nvar:
+                d = row[-1]
+                if d != 1:
+                    g = gcd(v, d)
+                    v, d = v // g, d // g
+                values[b] = v, d
+        dx = lcm(*[d for _, d in values.values()])
+        cols = self.cols
+        x = {v.name: 0 if (t := values.get(cols[v.name])) is None else t[0] * (dx // t[1])
+             for v in lp.variables}
+        # y: each row's identity column of z, signed by its flip and lp's sense.
+        minimize = lp.sense == MIN
+        y = {row.id: -z[col] if flip != minimize else z[col]
              for (col, flip), row in zip(self.row_cols, lp.rows)}
-
-        objective = sum((c * x[name] for name, c in lp.objective.items() if x[name]), R0)
-        return Optimal(x=x, y=y, objective=objective)
+        c, dc = lp.costs
+        objective = _rational(sum(map(mul, c, map(x.__getitem__, lp.objective))), dc * dx)
+        return Optimal.of_ints(x, dx, y, z[-1], objective)
 
 
 def _reduce(row: list[int]) -> None:
@@ -588,36 +682,32 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
     """Exact optimality check: feasibility both sides, CS, strong duality.
     Returns opt with its slack and reduced maps (see Optimal) filled in.
 
-    x, y and the objective are scaled once each to integers over their least
-    common denominator, each row by the lcm of its coefficient and rhs
-    denominators (from the row's stored coefficient scale, Row.scale, so
-    only the rhs is scaled here), so every row sum and every relation, sign and
-    complementary-slackness test runs on ints; rationals are formed only for
-    error messages, the returned slacks and reduced costs, and the objective
-    and strong-duality comparisons."""
-    x, y = opt.x, opt.y
+    It reads the model and opt's ints alone (x as xs over dx, y as ys over
+    dy), never a tableau. Each row is read as its stored integer scaling
+    (Row.scaled: coefficients and rhs over the lcm of their denominators)
+    and the objective as lp.costs, both computed once per model piece, so
+    every row sum and every relation, sign, complementary-slackness,
+    objective and strong-duality test runs on ints; rationals are formed
+    only for error messages."""
+    xs, dx, ys, dy = opt.xs, opt.dx, opt.ys, opt.dy
     minimize = lp.sense == MIN
     for var in lp.variables:
-        if var.name not in x:
+        if var.name not in xs:
             raise SolverInvariantError(f"missing primal value for {var.name!r}")
-        if var.nonnegative and x[var.name].numerator < 0:
+        if var.nonnegative and xs[var.name] < 0:
             raise SolverInvariantError(f"negative value for {var.name!r}")
     for row in lp.rows:
-        if row.id not in y:
+        if row.id not in ys:
             raise SolverInvariantError(f"missing dual value for row {row.id!r}")
 
-    names = [v.name for v in lp.variables]
-    xn, dx = _integers([x[name] for name in names])
-    xs = dict(zip(names, xn))
-    ys, dy = _integers([y[row.id] for row in lp.rows])
     ydotb: dict[int, int] = {}  # y.b as integers over dy * s, by row scale s
     terms = []  # (row, y_i * dy, coefficients * s, s) where y_i != 0
-    slack = {}
-    for row, yi in zip(lp.rows, ys):
-        (nums, den), q = row.scale, row.rhs.denominator
-        s = lcm(den, q)
-        a, rhs = nums if s == den else [c * (s // den) for c in nums], row.rhs.numerator * (s // q)
-        lhs, b = sum(c * xs[name] for name, c in zip(row.coeffs, a)), rhs * dx
+    slacks = []
+    value = xs.__getitem__
+    for row in lp.rows:
+        yi = ys[row.id]
+        a, rhs, s = row.scaled
+        lhs, b = sum(map(mul, a, map(value, row.coeffs))), rhs * dx
         relation = row.relation
         if not (lhs == b if relation == EQ else lhs <= b if relation == LE else lhs >= b):
             raise SolverInvariantError(
@@ -627,14 +717,14 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
         if lhs != b:
             if yi:
                 raise SolverInvariantError(f"complementary slackness fails on row {row.id!r}")
-            slack[row.id] = rat(b - lhs if relation == LE else lhs - b, s * dx)
+            slacks.append((row.id, b - lhs if relation == LE else lhs - b, s * dx))
         elif yi:
             terms.append((row, yi, a, s))
             ydotb[s] = ydotb.get(s, 0) + yi * rhs
 
-    c, dc = _integers(list(lp.objective.values()))
+    c, dc = lp.costs
     d, den = _dual_slacks(lp, terms, dy, c, dc)
-    reduced = {}
+    reduced_costs = []
     for var in lp.variables:
         dj = d[var.name]
         if dj:
@@ -644,15 +734,19 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
                 raise SolverInvariantError(f"dual constraint for {var.name!r}")
             if xs[var.name]:
                 raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")
-            reduced[var.name] = rat(dj, den)
+            reduced_costs.append((var.name, dj, den))
 
-    cost = rat(sum(cj * xs[name] for name, cj in zip(lp.objective, c)), dc * dx)
-    if cost != opt.objective:
+    # c.x over dc * dx against the claimed objective, and y.b over dy * S
+    # against c.x, all by cross-multiplying.
+    cost, objective = sum(map(mul, c, map(value, lp.objective))), opt.objective
+    if cost * objective.denominator != objective.numerator * dc * dx:
         raise SolverInvariantError("objective value mismatch")
-    dual = sum((rat(v, dy * s) for s, v in ydotb.items()), R0)
-    if dual != cost:
-        raise SolverInvariantError(f"strong duality fails: {dual} != {cost}")
-    return Optimal(x, y, opt.objective, slack, reduced)
+    scale = lcm(*ydotb)
+    dual = sum([v * (scale // s) for s, v in ydotb.items()])
+    if dual * dc * dx != cost * dy * scale:
+        raise SolverInvariantError(
+            f"strong duality fails: {rat(dual, dy * scale)} != {rat(cost, dc * dx)}")
+    return Optimal.of_ints(xs, dx, ys, dy, objective, slacks, reduced_costs)
 
 
 def _integers(values: Collection) -> tuple[list, int]:
@@ -688,7 +782,8 @@ def optimal_face(lp: LinearProgram, opt: Optimal, objective: Mapping) -> LinearP
     complementary slackness with opt.y, every optimum is zero on a variable
     in opt.reduced (a nonzero reduced cost), which the face drops, and tight
     on a row with a nonzero dual, which becomes ``=``."""
-    keep = {v.name for v in lp.variables if v.name not in opt.reduced}
+    drop = {name for name, _, _ in opt.reduced_costs}
+    keep = {v.name for v in lp.variables if v.name not in drop}
     return lp.variant(MIN, {name: c for name, c in objective.items() if name in keep},
-                      relations={row.id: EQ for row in lp.rows if opt.y[row.id]},
-                      drop_variables=opt.reduced)
+                      relations={row.id: EQ for row in lp.rows if opt.ys[row.id]},
+                      drop_variables=drop)

@@ -179,19 +179,3 @@ def build_closest_dual(
     ctx.inputs = (costs, target, set(ctx.dropped), set(ctx.free_sets))
     return ctx.model
 
-
-def split_dual_solution(values: Mapping) -> tuple[dict, dict]:
-    """Split an LP solution of build_closest_dual into (pi, r) maps."""
-    pi = {name[1]: v for name, v in values.items() if name[0] == "pi"}
-    r = {name[1]: v for name, v in values.items() if name[0] == "r"}
-    return pi, r
-
-
-def weighted_deviation(target: Mapping[DualKey, object], pi: Mapping[DualKey, object]) -> object:
-    """sum over keys of |target - pi| / |S|, the distance the dual minimizes."""
-    total = R0
-    for k in set(target) | set(pi):
-        size = 1 if isinstance(k, int) else len(k)
-        diff = rat(target.get(k, R0)) - rat(pi.get(k, R0))
-        total += abs(diff) / size
-    return total

@@ -37,11 +37,12 @@ def tableau_state(tab: Tableau) -> tuple:
 
 
 def model_parts(lp: LinearProgram) -> tuple:
-    """Everything a model holds, in order, its rows' stored coefficient
-    scales too: equal for a variant and the fresh model it stands for."""
+    """Everything a model holds, in order, its stored integer scalings too
+    (the objective's, and each row's): equal for a variant and the fresh
+    model it stands for."""
     return (lp.sense, [(v.name, v.nonnegative) for v in lp.variables], list(lp.objective.items()),
-            [(row.id, list(row.coeffs.items()), row.relation, row.rhs, row.scale)
-             for row in lp.rows])
+            lp.costs, [(row.id, list(row.coeffs.items()), row.relation, row.rhs, row.scale,
+                        row.scaled) for row in lp.rows])
 
 
 def row_diff(base: LinearProgram, lp: LinearProgram) -> Diff:
@@ -64,6 +65,24 @@ def row_diff(base: LinearProgram, lp: LinearProgram) -> Diff:
                 {v.name for v in lp.variables if bounds[v.name] and not v.nonnegative},
                 sorted(set(range(len(base.rows))) - set(kept)),
                 lp.sense == base.sense and lp.objective == base.objective)
+
+
+def split_dual_solution(values: Mapping) -> tuple[dict, dict]:
+    """Split an LP solution of matchlp.build_closest_dual into its (pi, r)
+    maps, by dual key."""
+    pi = {name[1]: v for name, v in values.items() if name[0] == "pi"}
+    r = {name[1]: v for name, v in values.items() if name[0] == "r"}
+    return pi, r
+
+
+def weighted_deviation(target: Mapping, pi: Mapping) -> Fraction:
+    """sum over dual keys of |target - pi| / |S| (1 for a vertex), the
+    distance matchlp.build_closest_dual's objective minimizes."""
+    total = Fraction(0)
+    for k in set(target) | set(pi):
+        size = 1 if isinstance(k, int) else len(k)
+        total += abs(Fraction(target.get(k, 0)) - Fraction(pi.get(k, 0))) / size
+    return total
 
 
 def _solve_square(system, n):

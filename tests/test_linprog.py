@@ -23,7 +23,8 @@ from helpers import (
     tableau_state,
 )
 
-from cpmatch import linprog
+from cpmatch import lexmin, linprog
+from cpmatch.lexmin import lex_min_optimal
 from cpmatch.linprog import (
     EQ,
     GE,
@@ -328,6 +329,69 @@ def test_integer_checker_agrees_with_the_fraction_checker():
                      "complementary slackness fails on row", "dual constraint for free",
                      "dual constraint for", "complementary slackness fails on",
                      "objective value mismatch"}
+
+
+def test_verification_rejects_tampered_ints():
+    # The optimum of test_equality_rows_force_free_variable_into_basis is
+    # unique on both sides: x = (1/2, 0, 1/2) as (1, 0, 1) over 2 and
+    # y = (4, -2) over 1. Moving any one int of x or y, either denominator
+    # or the objective must fail the check.
+    lp = LinearProgram(
+        MIN,
+        [("x1", True), ("x2", True), ("x3", False)],
+        {"x1": 4, "x2": 2, "x3": 0},
+        [("r1", {"x1": 1, "x3": 1}, EQ, 1), ("r2", {"x2": 1, "x3": 2}, EQ, 1)],
+    )
+    out = solve(lp)
+    assert (out.xs, out.dx, out.ys, out.dy) == ({"x1": 1, "x2": 0, "x3": 1}, 2,
+                                                {"r1": 4, "r2": -2}, 1)
+    bad = [Optimal.of_ints({**out.xs, k: v + 1}, out.dx, out.ys, out.dy, out.objective)
+           for k, v in out.xs.items()]
+    bad += [Optimal.of_ints(out.xs, out.dx, {**out.ys, k: v + 1}, out.dy, out.objective)
+            for k, v in out.ys.items()]
+    bad += [Optimal.of_ints(out.xs, out.dx + 1, out.ys, out.dy, out.objective),
+            Optimal.of_ints(out.xs, out.dx, out.ys, out.dy + 1, out.objective),
+            Optimal.of_ints(out.xs, out.dx, out.ys, out.dy, out.objective + 1)]
+    assert verify_certificate(lp, Optimal.of_ints(out.xs, out.dx, out.ys, out.dy,
+                                                  out.objective)) == out
+    for cert in bad:
+        with pytest.raises(SolverInvariantError):
+            verify_certificate(lp, cert)
+
+
+def test_optimal_maps_are_built_from_the_ints_on_first_read(monkeypatch):
+    # solve's x and y, built from the tableau's ints, pass the reference
+    # check on rationals, hold the shared instance of each value that has
+    # one, and equal the optimum rebuilt from those rational maps. A lexmin
+    # stage reads its one value without building either map.
+    rng = random.Random(20261020)
+    lexmin_stages = []
+    real_solve = lexmin.solve
+
+    def recording(lp, start=None):
+        out = real_solve(lp, start=start)
+        lexmin_stages.append(out)
+        return out
+
+    monkeypatch.setattr(lexmin, "solve", recording)
+    shared = 0
+    for _ in range(60):
+        lp = random_bounded_lp(rng)[0]
+        out = solve(lp)
+        if not isinstance(out, Optimal):
+            continue
+        fraction_verify_certificate(lp, out)
+        assert list(out.x) == [v.name for v in lp.variables]
+        assert list(out.y) == [row.id for row in lp.rows]
+        for v in [*out.x.values(), *out.y.values()]:
+            assert type(v) is Rational
+            if (v.numerator, v.denominator) in _SHARED:
+                assert v is _SHARED[v.numerator, v.denominator]
+                shared += 1
+        assert Optimal(out.x, out.y, out.objective, out.slack, out.reduced) == out
+        assert lex_min_optimal(lp, [v.name for v in lp.variables]).status == "optimal"
+    assert shared >= 100 and len(lexmin_stages) >= 100
+    assert not any({"x", "y"} & vars(out).keys() for out in lexmin_stages)
 
 
 def test_solve_returns_the_checked_slacks_and_reduced_costs():

@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+from helpers import split_dual_solution, weighted_deviation
+
 from cpmatch.graphs import EdgeOrdering, Graph
 from cpmatch.linprog import EQ, GE, Optimal, solve
 from cpmatch.matchlp import (
@@ -11,10 +13,8 @@ from cpmatch.matchlp import (
     build_closest_dual,
     build_primal,
     canonical_sets,
-    split_dual_solution,
     stage_context,
     stage_cost,
-    weighted_deviation,
 )
 from cpmatch.rationals import HALF, R0, R1, rat
 
