@@ -8,11 +8,15 @@ on every solve before handing it back. The Optimal it returns also carries
 what that check computed: the slack of each inequality row that is not
 tight, and each nonzero reduced cost.
 
-The simplex itself runs fraction-free: each tableau row, and the row of
-reduced costs, is a list of Python ints over one positive int denominator
-(see Tableau), in the style of Bareiss (1968). Models' rationals become ints
-when a model piece is validated (each row and objective is scaled to ints
-once) and when a tableau's costs or rhs change. The optimum stays on ints
+The simplex itself runs fraction-free: each tableau row of B^-1 A, and the
+row of reduced costs, is a list of Python ints over one positive int
+denominator (see Tableau), in the style of Bareiss (1968). B^-1 b has its
+own column of values, each an int pair (numerator, denominator) in lowest
+terms, so a wide right-hand side (a perturbed cost c + 2^-rank, a
+half-integral target) widens only its value and never rescales a row's
+coefficients. Models' rationals become ints when a model piece is
+validated (each row's coefficients and the objective are scaled to ints
+once) and when a tableau's rhs change. The optimum stays on ints
 too: phase2 hands x and y to verify_certificate as ints over one
 denominator each, and rationals are formed again only where a caller reads
 them (Optimal.x, .y, .value(name), .slack, .reduced). Each x and y value is
@@ -53,10 +57,10 @@ by name) and validates only those (an rhs or relation for a row it drops is
 an error). It shares each unchanged row with lp, keeps a row's coefficient map
 when only its rhs or relation changes, and re-filters only rows that touch a
 dropped variable; it shares lp's variable list, objective and row index when
-they stay. Each row's integer scalings (Row.scale, Row.scaled) and the
-objective's (LinearProgram.costs) are computed once, when the piece is
-validated, and shared with the variants that keep it; an rhs that moves
-rescales its row from the coefficients' stored scale.
+they stay. Each row's coefficient scaling (Row.scale) and the objective's
+(LinearProgram.costs) are computed once, when the piece is validated, and
+shared with the variants that keep it; an rhs that moves keeps its row's
+scale.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Every sign, ratio and tie it
@@ -80,7 +84,7 @@ from operator import mul
 from typing import Any, Collection, Hashable, Iterable, Mapping
 
 from .errors import InvariantViolation
-from .rationals import _SHARED, R0, Rational, rat
+from .rationals import _SHARED, Rational, rat
 
 MIN = "min"
 MAX = "max"
@@ -107,26 +111,15 @@ class Variable:
 
 @dataclass(frozen=True)
 class Row:
+    """One model row, coeffs . x relation rhs. Only the coefficients are
+    scaled to ints (scale); the rhs keeps its own denominator, which a
+    Tableau holds in its value column and verify_certificate reads apart."""
     id: Hashable
     coeffs: Mapping[Hashable, Any]
     relation: str
     rhs: Any
     #: coeffs' values over their lcm denominator, (nums, den), set on validation
     scale: tuple | None = field(default=None, compare=False, repr=False)
-    #: the row over the lcm s of den and rhs's denominator: (coeffs' values
-    #: times s, rhs times s, s), set with scale
-    scaled: tuple | None = field(default=None, compare=False, repr=False)
-
-
-def _row(row_id: Hashable, coeffs: Mapping, relation: str, rhs: Rational,
-         scale: tuple | None = None) -> Row:
-    """A validated Row with its integer scalings; scale is the coefficients'
-    own, computed here unless the caller already holds it."""
-    nums, den = scale = scale or _integers(coeffs.values())
-    q = rhs.denominator
-    s = den if den % q == 0 else lcm(den, q)
-    return Row(row_id, coeffs, relation, rhs, scale,
-               (nums if s == den else [c * (s // den) for c in nums], rhs.numerator * (s // q), s))
 
 
 class LinearProgram:
@@ -176,7 +169,7 @@ class LinearProgram:
                     raise LinearProgramError(
                         f"row {row_id!r} references unknown variable {name!r}"
                     )
-            row = _row(row_id, coeffs, relation, rat(rhs))
+            row = Row(row_id, coeffs, relation, rat(rhs), _integers(coeffs.values()))
             if row_id in self.index:
                 raise LinearProgramError(f"duplicate row id {row_id!r}")
             self.index[row_id] = len(self.rows)
@@ -217,7 +210,7 @@ class LinearProgram:
         for p, row in enumerate(lp.rows if drop else ()):
             if not drop.isdisjoint(row.coeffs):
                 coeffs = {k: c for k, c in row.coeffs.items() if k not in drop}
-                lp.rows[p] = _row(row.id, coeffs, row.relation, row.rhs)
+                lp.rows[p] = Row(row.id, coeffs, row.relation, row.rhs, _integers(coeffs.values()))
         rhs_moves, relation_moves = [], []
         for p in sorted([lp.index[row_id] for row_id in changed]):
             row = lp.rows[p]
@@ -230,8 +223,7 @@ class LinearProgram:
             if rel != row.relation:
                 relation_moves.append((kept[p], rel))
             if delta or rel != row.relation:
-                lp.rows[p] = (_row(row.id, row.coeffs, rel, b, row.scale) if delta
-                              else Row(row.id, row.coeffs, rel, row.rhs, row.scale, row.scaled))
+                lp.rows[p] = Row(row.id, row.coeffs, rel, b if delta else row.rhs, row.scale)
         lp.diff = Diff(self, kept, rhs_moves, relation_moves, drop, freed,
                        sorted([self.index[i] for i in drop_rows]),
                        lp.sense == self.sense and (lp.objective is self.objective
@@ -356,19 +348,24 @@ class Tableau:
 
     Columns are the built model's variables (cols maps each name to its
     column), one slack per inequality row, then one artificial per ``=``
-    row. Each row is a list of Python ints: one entry per column, then the
-    rhs (negated on a flipped, ``>=``, row), then the row's positive
-    denominator, which every other entry is over. z, the reduced costs of
-    the last model (kept current through the last solve's pivots), has the
-    same shape; its rhs entry is minus the objective value.
+    row. Each row holds B^-1 A as a list of Python ints: one entry per
+    column, then the row's positive denominator, which every other entry is
+    over. values holds B^-1 b apart from the rows: each row's basic value as
+    a (numerator, denominator) pair in lowest terms, denominator > 0 (a
+    flipped, ``>=``, row starts at minus its rhs). z, the reduced costs of
+    the last model (kept current through the last solve's pivots), is a row
+    of the same shape.
 
     A pivot on (r, j) divides row r by its entry p_j and sets each other
     row i with a_j != 0 to (a_k p_j - a_j p_k) / (d_i p_j), written with
     gcd(a_j, p_j) taken out; a row whose denominator is not 1 is then
-    divided by the gcd of its entries. Every sign test and ratio comparison
-    runs on these ints by cross-multiplication, so the pivot path is the one
-    exact rationals take; phase2 returns the optimum on ints too (see
-    Optimal), and only its objective value is a rational.
+    divided by the gcd of its entries. Row r's value becomes the entering
+    value, its old value over p_j / d_r, and each other row's value moves
+    by a_j / d_i times it. A right-hand side's denominator thus stays in
+    the value column and never scales a row. Every sign test and ratio
+    comparison runs on these ints by cross-multiplication, so the pivot
+    path is the one exact rationals take; phase2 returns the optimum on
+    ints too (see Optimal), and only its objective value is a rational.
 
     banned holds the columns that never enter (artificials, dropped rows'
     slacks, columns fixed at zero); row_cols holds each model row's
@@ -409,17 +406,18 @@ class Tableau:
         identity_col = [next(artificials if row.relation == EQ else slacks) for row in lp.rows]
         flips = [row.relation == GE for row in lp.rows]
 
-        self.rows = []
+        self.rows, self.values = [], []
         for row, flip, b in zip(lp.rows, flips, identity_col):
-            # The row over the lcm of its coefficient and rhs denominators
-            # (Row.scaled).
-            a, rhs, d = row.scaled
+            # The coefficients over their lcm denominator (Row.scale); the
+            # rhs, a Fraction, is already in lowest terms.
+            a, d = row.scale
             sign = -1 if flip else 1
-            t = [0] * ncols + [sign * rhs, d]
+            t = [0] * ncols + [d]
             for name, c in zip(row.coeffs, a):
                 t[self.cols[name]] = sign * c
             t[b] = d
             self.rows.append(t)
+            self.values.append((sign * row.rhs.numerator, row.rhs.denominator))
         self.nonneg = [v.nonnegative for v in lp.variables] + [True] * (ncols - nvar)
         self.basis, self.banned = list(identity_col), set(artificial)
         self.in_basis = [False] * ncols
@@ -427,13 +425,12 @@ class Tableau:
             self.in_basis[j] = True
         self.row_cols = list(zip(identity_col, flips))
 
-        cost = self.cost_vector(lp)
-        shift = -min([R0] + [c for c, v in zip(cost, lp.variables) if v.nonnegative])
-        # The slack basis costs 0, so the start costs are their own reduced
-        # costs (the rhs entry is minus the objective value).
-        start = [c + shift if v.nonnegative else R0 for c, v in zip(cost, lp.variables)]
-        z, dz = _integers(start + [R0] * (ncols - nvar + 1))
-        if not self.dual_run(z + [dz]):
+        # The slack basis costs 0, so lp's costs are their own reduced costs
+        # there; the start costs shift them (see the module docstring).
+        z = self.reduced_costs(lp)
+        shift = -min([0] + [zj for zj, nn in zip(z[:nvar], self.nonneg) if nn])
+        z[:nvar] = [zj + shift if nn else 0 for zj, nn in zip(z[:nvar], self.nonneg)]
+        if not self.dual_run(z):
             return None
         # Pivot each artificial still basic (at value zero) out, onto the
         # lowest nonbasic real column with a nonzero entry. A row with no
@@ -441,11 +438,11 @@ class Tableau:
         # and never re-enters.
         for i, row in enumerate(self.rows):
             if self.basis[i] in artificial:
-                j = next((j for j, t in enumerate(row[:-2])
+                j = next((j for j, t in enumerate(row[:-1])
                           if t and j not in artificial and not self.in_basis[j]), None)
                 if j is not None:
                     self.pivot(i, j)
-        return self.reduced_costs(cost)
+        return self.reduced_costs(lp)
 
     def reoptimize(self, lp: LinearProgram) -> list[int] | None:
         """Carry the last optimal basis over to lp, the last model or a
@@ -471,23 +468,23 @@ class Tableau:
             raise LinearProgramError("start= takes a variant of the last model (see linprog)")
         # B^-1 b moves by B^-1 (b - b_old); a dropped row's rhs never reaches
         # a kept row's value, because its slack is basic and in no other row.
-        # The moves are ints over one denominator dd, so row t's new rhs is
-        # values[r] over t's denominator times dd.
-        changes = [(self.row_cols[i][0], -v if self.row_cols[i][1] else v) for i, v in diff.rhs]
-        moves, dd = _integers([v for _, v in changes])
-        delta = [(c, v) for (c, _), v in zip(changes, moves)]
-        shifts = ([sum(t[c] * v for c, v in delta if t[c]) for t in self.rows] if delta
-                  else [0] * len(self.rows))
-        values = [t[-2] * dd + s for t, s in zip(self.rows, shifts)]
+        # The moves are ints over one denominator dd, so row t's value moves
+        # by the sum below over t's denominator times dd.
+        moves, dd = _integers([v for _, v in diff.rhs])
+        delta = [(self.row_cols[i][0], -m if self.row_cols[i][1] else m)
+                 for (i, _), m in zip(diff.rhs, moves)]
+        values = list(self.values)
+        for r, t in enumerate(self.rows if delta else ()):
+            if s := sum([t[c] * m for c, m in delta if t[c]]):
+                values[r] = _plus(values[r], s, t[-1] * dd)
         live = [(r, j) for r, j in enumerate(self.basis) if j not in gone]
-        if any(values[r] for r, j in live if j in self.banned):
+        if any(values[r][0] for r, j in live if j in self.banned):
             return None
-        negative = any(values[r] < 0 and nonneg[j] and j not in freed for r, j in live)
+        negative = any(values[r][0] < 0 and nonneg[j] and j not in freed for r, j in live)
         # Dropped rows' basic slacks cost 0, so the z the last solve kept
-        # current is lp's when the objective is; its rhs entry (the
-        # objective value) is never read.
-        z = self.z if diff.objective else self.reduced_costs(self.cost_vector(lp))
-        if negative and any((zj < 0 if nonneg[j] else zj) for j, zj in enumerate(z[:-2])
+        # current is lp's when the objective is.
+        z = self.z if diff.objective else self.reduced_costs(lp)
+        if negative and any((zj < 0 if nonneg[j] else zj) for j, zj in enumerate(z[:-1])
                             if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
 
@@ -495,15 +492,9 @@ class Tableau:
             self.nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
         for j in gone:
             in_basis[j] = False
-        for t, s, v in zip(self.rows, shifts, values):
-            if s:
-                if dd != 1:
-                    t[:] = [a * dd for a in t]
-                t[-2] = v
-                if t[-1] != 1:
-                    _reduce(t)
         self.banned |= fixed | gone.keys()
         self.rows, self.basis = [self.rows[r] for r, _ in live], [j for _, j in live]
+        self.values = [values[r] for r, _ in live]
         self.row_cols = [self.row_cols[i] for i in diff.kept]
         return z if not negative or self.dual_run(z) else None
 
@@ -512,25 +503,37 @@ class Tableau:
     # a - f*0 == a, so the arithmetic (and with it the Bland pivot path) is
     # the same as a dense update, at a fraction of the cost.
     def pivot(self, r: int, j: int, zrow: list[int] | None = None) -> None:
-        tableau = self.rows
+        tableau, values = self.rows, self.values
         prow = tableau[r]
+        # The entering value: row r's value over its entry p / d_r.
+        p, (num, den) = prow[j], values[r]
+        if num:
+            num, den = num * prow[-1], den * p
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            values[r] = num, den = num // g, den // g
         nonzero = [(k, v) for k, v in enumerate(prow) if v]
         nonzero.pop()  # the denominator
         # The pivot row over its pivot entry, divided by its gcd: column j
         # holds e over e, where e > 0 is the row's new denominator.
         g = gcd(*[v for _, v in nonzero])  # a list: see graphs.Graph.edge_pairs
-        if prow[j] < 0:
+        if p < 0:
             g = -g
         if g != 1:
             nonzero = [(k, v // g) for k, v in nonzero]
             for k, v in nonzero:
                 prow[k] = v
         e = prow[-1] = prow[j]
-        for row in tableau if zrow is None else (*tableau, zrow):
+        for i, row in enumerate(tableau if zrow is None else (*tableau, zrow)):
             if row is prow:
                 continue
             f = row[j]
             if f:
+                # The value minus (f / d_i) times the entering value, on
+                # ints alone when every denominator is 1 (z has no value).
+                if num and row is not zrow:
+                    v, q = values[i]
+                    values[i] = ((v - f * num, 1) if q == 1 == row[-1] == den
+                                 else _plus(values[i], -f * num, row[-1] * den))
                 # row - (f/e) prow, over row's denominator times e/gcd(f, e).
                 if e != 1:
                     h = gcd(f, e)
@@ -546,20 +549,17 @@ class Tableau:
         self.in_basis[j] = True
         self.basis[r] = j
 
-    def cost_vector(self, lp: LinearProgram) -> list[Rational]:
-        """lp's objective over the tableau columns, negated for MAX."""
-        cost = [R0] * len(self.nonneg)
-        for name, c in lp.objective.items():
-            cost[self.cols[name]] = c if lp.sense == MIN else -c
-        return cost
-
-    def reduced_costs(self, costvec: list[Rational]) -> list[int]:
-        """c - c_B B^-1 A as a row of ints over one denominator (rhs entry:
-        minus the objective value), for the rational cost vector costvec."""
-        c, dc = _integers(costvec)
-        basic = [(row, c[b]) for b, row in zip(self.basis, self.rows) if c[b]]
+    def reduced_costs(self, lp: LinearProgram) -> list[int]:
+        """c - c_B B^-1 A as a row of ints over one positive denominator,
+        for lp's objective (negated for MAX), read from its ints lp.costs."""
+        c, dc = lp.costs
+        cols, sign = self.cols, 1 if lp.sense == MIN else -1
+        cost = [0] * len(self.nonneg)
+        for name, cj in zip(lp.objective, c):
+            cost[cols[name]] = sign * cj
+        basic = [(row, cost[b]) for b, row in zip(self.basis, self.rows) if cost[b]]
         d = lcm(*[row[-1] for row, _ in basic])
-        z = [cj * d for cj in c] + [0, dc * d]
+        z = [cj * d for cj in cost] + [dc * d]
         for row, cb in basic:
             f = cb * (d // row[-1])
             for k, t in enumerate(row[:-1]):
@@ -572,7 +572,7 @@ class Tableau:
         """Primal simplex (Bland's rule) on reduced costs zrow from a
         feasible basis; banned columns never enter."""
         tableau, basis, in_basis, nonneg = self.rows, self.basis, self.in_basis, self.nonneg
-        banned = self.banned
+        banned, values = self.banned, self.values
         ncols, m = len(nonneg), len(tableau)
         while True:
             enter = -1
@@ -591,15 +591,17 @@ class Tableau:
                     break
             if enter < 0:
                 return "optimal"
-            # The least ratio value/entry; both share the row's denominator,
-            # so it is rhs/t, compared by cross-multiplying (t > 0).
+            # The least ratio value / entry, (b/q) / (t/d) = b d / (q t),
+            # compared by cross-multiplying (t > 0).
             leave = -1
             for i in range(m):
                 if not nonneg[basis[i]]:
                     continue
-                t = direction * tableau[i][enter]
+                row = tableau[i]
+                t = direction * row[enter]
                 if t > 0:
-                    b = tableau[i][-2]
+                    b, q = values[i]
+                    b, t = b * row[-1], t * q
                     if leave < 0 or b * best_t < best_b * t or (
                         b * best_t == best_b * t and basis[i] < basis[leave]
                     ):
@@ -614,15 +616,16 @@ class Tableau:
         A row leaves while its basic value is negative on a nonnegative
         column or nonzero on a banned one; the entering column's entry in
         that row has the value's sign (either sign on a free column)."""
-        rows, basis, nonneg, banned = self.rows, self.basis, self.nonneg, self.banned
+        rows, basis, nonneg, banned, values = (
+            self.rows, self.basis, self.nonneg, self.banned, self.values)
         while leaving := [(b, r) for r, b in enumerate(basis)
-                          if (v := rows[r][-2]) and (v < 0 and nonneg[b] or b in banned)]:
+                          if (v := values[r][0]) and (v < 0 and nonneg[b] or b in banned)]:
             r = min(leaving)[1]
-            up = rows[r][-2] > 0
+            up = values[r][0] > 0
             # z_j / |a_j| over the common positive factor (row den / z den),
             # least by cross-multiplying, then lowest j.
             enter = -1
-            for j, a in enumerate(rows[r][:-2]):
+            for j, a in enumerate(rows[r][:-1]):
                 if a and ((a > 0) == up or not nonneg[j]) and j not in banned:
                     a = abs(a)
                     if enter < 0 or z[j] * best_a < best_z * a:
@@ -637,18 +640,11 @@ class Tableau:
         the optimum comes back on the tableau's ints (see Optimal)."""
         if self.run(z) == "unbounded":
             return Unbounded()
-        # x: each basic variable's value in lowest terms, over their lcm.
-        # Only lp's variables have columns below len(cols) that can be
+        # x: each basic variable's value, already in lowest terms, over their
+        # lcm. Only lp's variables have columns below len(cols) that can be
         # basic (a dropped variable's column is banned and nonbasic).
-        nvar, values = len(self.cols), {}
-        for b, row in zip(self.basis, self.rows):
-            v = row[-2]
-            if v and b < nvar:
-                d = row[-1]
-                if d != 1:
-                    g = gcd(v, d)
-                    v, d = v // g, d // g
-                values[b] = v, d
+        nvar = len(self.cols)
+        values = {b: v for b, v in zip(self.basis, self.values) if v[0] and b < nvar}
         dx = lcm(*[d for _, d in values.values()])
         cols = self.cols
         x = {v.name: 0 if (t := values.get(cols[v.name])) is None else t[0] * (dx // t[1])
@@ -660,6 +656,15 @@ class Tableau:
         c, dc = lp.costs
         objective = _rational(sum(map(mul, c, map(x.__getitem__, lp.objective))), dc * dx)
         return Optimal.of_ints(x, dx, y, z[-1], objective)
+
+
+def _plus(value: tuple, num: int, den: int) -> tuple:
+    """value, a (numerator, denominator) pair in lowest terms, plus num/den
+    (den > 0), in lowest terms."""
+    n, q = value
+    n, q = n * den + num * q, q * den
+    g = gcd(n, q)
+    return n // g, q // g
 
 
 def _reduce(row: list[int]) -> None:
@@ -683,12 +688,13 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
     Returns opt with its slack and reduced maps (see Optimal) filled in.
 
     It reads the model and opt's ints alone (x as xs over dx, y as ys over
-    dy), never a tableau. Each row is read as its stored integer scaling
-    (Row.scaled: coefficients and rhs over the lcm of their denominators)
-    and the objective as lp.costs, both computed once per model piece, so
-    every row sum and every relation, sign, complementary-slackness,
-    objective and strong-duality test runs on ints; rationals are formed
-    only for error messages."""
+    dy), never a tableau. Each row is read as its coefficients' stored
+    integer scaling (Row.scale: ints over their lcm denominator s) and its
+    rhs p/q in lowest terms, compared over s * dx * q; y.b is summed by rhs
+    denominator q. The objective is read as lp.costs. Both scalings are
+    computed once per model piece, so every row sum and every relation,
+    sign, complementary-slackness, objective and strong-duality test runs
+    on ints; rationals are formed only for error messages."""
     xs, dx, ys, dy = opt.xs, opt.dx, opt.ys, opt.dy
     minimize = lp.sense == MIN
     for var in lp.variables:
@@ -700,27 +706,31 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
         if row.id not in ys:
             raise SolverInvariantError(f"missing dual value for row {row.id!r}")
 
-    ydotb: dict[int, int] = {}  # y.b as integers over dy * s, by row scale s
+    ydotb: dict[int, int] = {}  # y.b as integers over dy * q, by rhs denominator q
     terms = []  # (row, y_i * dy, coefficients * s, s) where y_i != 0
     slacks = []
     value = xs.__getitem__
     for row in lp.rows:
         yi = ys[row.id]
-        a, rhs, s = row.scaled
-        lhs, b = sum(map(mul, a, map(value, row.coeffs))), rhs * dx
+        a, s = row.scale
+        p, q = row.rhs.numerator, row.rhs.denominator
+        # Both sides over s * dx * q.
+        lhs, b = sum(map(mul, a, map(value, row.coeffs))), p * s * dx
+        if q != 1:
+            lhs *= q
         relation = row.relation
         if not (lhs == b if relation == EQ else lhs <= b if relation == LE else lhs >= b):
             raise SolverInvariantError(
-                f"row {row.id!r} violated: {rat(lhs, s * dx)} {relation} {row.rhs}")
+                f"row {row.id!r} violated: {rat(lhs, s * dx * q)} {relation} {row.rhs}")
         if relation != EQ and (yi > 0 if (relation == LE) == minimize else yi < 0):
             raise SolverInvariantError(f"dual sign for row {row.id!r}")
         if lhs != b:
             if yi:
                 raise SolverInvariantError(f"complementary slackness fails on row {row.id!r}")
-            slacks.append((row.id, b - lhs if relation == LE else lhs - b, s * dx))
+            slacks.append((row.id, b - lhs if relation == LE else lhs - b, s * dx * q))
         elif yi:
             terms.append((row, yi, a, s))
-            ydotb[s] = ydotb.get(s, 0) + yi * rhs
+            ydotb[q] = ydotb.get(q, 0) + yi * p
 
     c, dc = lp.costs
     d, den = _dual_slacks(lp, terms, dy, c, dc)
@@ -736,13 +746,14 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
                 raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")
             reduced_costs.append((var.name, dj, den))
 
-    # c.x over dc * dx against the claimed objective, and y.b over dy * S
-    # against c.x, all by cross-multiplying.
+    # c.x over dc * dx against the claimed objective, and y.b over dy * Q
+    # (Q the lcm of the rhs denominators q) against c.x, all by
+    # cross-multiplying.
     cost, objective = sum(map(mul, c, map(value, lp.objective))), opt.objective
     if cost * objective.denominator != objective.numerator * dc * dx:
         raise SolverInvariantError("objective value mismatch")
     scale = lcm(*ydotb)
-    dual = sum([v * (scale // s) for s, v in ydotb.items()])
+    dual = sum([v * (scale // q) for q, v in ydotb.items()])
     if dual * dc * dx != cost * dy * scale:
         raise SolverInvariantError(
             f"strong duality fails: {rat(dual, dy * scale)} != {rat(cost, dc * dx)}")

@@ -32,8 +32,9 @@ from cpmatch.rationals import R0
 
 def tableau_state(tab: Tableau) -> tuple:
     """Everything a Tableau holds between solves, copied."""
-    return (tab.lp, tab.status, [list(t) for t in tab.rows], list(tab.basis), set(tab.banned),
-            list(tab.row_cols), list(tab.nonneg), list(tab.in_basis), list(tab.z), dict(tab.cols))
+    return (tab.lp, tab.status, [list(t) for t in tab.rows], list(tab.values), list(tab.basis),
+            set(tab.banned), list(tab.row_cols), list(tab.nonneg), list(tab.in_basis), list(tab.z),
+            dict(tab.cols))
 
 
 def model_parts(lp: LinearProgram) -> tuple:
@@ -41,8 +42,8 @@ def model_parts(lp: LinearProgram) -> tuple:
     (the objective's, and each row's): equal for a variant and the fresh
     model it stands for."""
     return (lp.sense, [(v.name, v.nonnegative) for v in lp.variables], list(lp.objective.items()),
-            lp.costs, [(row.id, list(row.coeffs.items()), row.relation, row.rhs, row.scale,
-                        row.scaled) for row in lp.rows])
+            lp.costs, [(row.id, list(row.coeffs.items()), row.relation, row.rhs, row.scale)
+                       for row in lp.rows])
 
 
 def row_diff(base: LinearProgram, lp: LinearProgram) -> Diff:

@@ -88,19 +88,22 @@ def test_modes_share_iterates_and_match_the_oracle(g, sigma, deep):
 
 
 def paper_regime_instances():
-    """cpmatch.gen graphs at n = 40 with m = 120 edges and costs 1..3 (five
-    seeds, two of them past iteration 1): the paper's regime, where
-    perturbed costs c + 2^-rank and the values they lead to run past 100
-    bits."""
-    for seed in range(5):
-        rng = random.Random(seed)
-        g = random_matchable_graph(40, 120, 3, rng)
-        yield pytest.param(g, random_ordering(g, rng), id=f"gen40x120-{seed}")
+    """cpmatch.gen graphs with costs 1..3: at n = 40 with m = 120 edges (five
+    seeds, two of them past iteration 1), and at n = 80 with m = 300 (seeds
+    0 and 3, the second past iteration 1). This is the paper's regime,
+    where perturbed costs c + 2^-rank and the values they lead to run past
+    100 bits at m = 120 and past 250 at m = 300; each comes with the width
+    its perturbed stage duals must pass."""
+    for n, m, seeds, bits in ((40, 120, range(5), 100), (80, 300, (0, 3), 250)):
+        for seed in seeds:
+            rng = random.Random(seed)
+            g = random_matchable_graph(n, m, 3, rng)
+            yield pytest.param(g, random_ordering(g, rng), bits, id=f"gen{n}x{m}-{seed}")
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("g, sigma", paper_regime_instances())
-def test_paper_regime_modes_agree_with_the_oracle(g, sigma):
+@pytest.mark.parametrize("g, sigma, min_bits", paper_regime_instances())
+def test_paper_regime_modes_agree_with_the_oracle(g, sigma, min_bits):
     unperturbed = solve_unperturbed(g, sigma)
     perturbed = solve_perturbed_reference(g, sigma)
     assert unperturbed.matching == perturbed.matching == networkx_matching(g, sigma)
@@ -110,4 +113,4 @@ def test_paper_regime_modes_agree_with_the_oracle(g, sigma):
     ]
     bits = max(max(v.numerator.bit_length(), v.denominator.bit_length())
                for it in perturbed.iterations for stage in it.dual_stages for v in stage.values())
-    assert bits > 100
+    assert bits > min_bits

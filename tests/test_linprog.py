@@ -1195,9 +1195,12 @@ def _oracle_lp(sense, rows, objective):
 def test_wide_values_match_enumeration_on_an_int_tableau():
     # Each model cold (MIN), then warm as its MAX twin with new wide rhs
     # values, against the enumeration oracle; after every solve the tableau
-    # holds Python ints only (never a rational or an int subclass).
+    # holds Python ints only (never a rational or an int subclass). The
+    # rhs width stays in the value column: the rows' coefficients stay
+    # narrow while the values run wide.
     rng = random.Random(20261020)
     tab_types, bits, optimal, infeasible = set(), 0, 0, 0
+    row_bits = value_bits = 0
     for _ in range(60):
         _, rows, objective, n = random_bounded_lp(rng)
         rows, objective = _wide(rng, rows, objective)
@@ -1215,6 +1218,9 @@ def test_wide_values_match_enumeration_on_an_int_tableau():
             out = solve(lp, start=tab)
             expected = enumerate_minimum(n, rows, objective)
             tab_types |= {type(v) for row in tab.rows for v in row}
+            tab_types |= {type(v) for pair in tab.values for v in pair}
+            row_bits = max(row_bits, *[abs(v).bit_length() for row in tab.rows for v in row])
+            value_bits = max(value_bits, *[abs(v).bit_length() for pair in tab.values for v in pair])
             if expected is None:
                 assert isinstance(out, Infeasible)
                 infeasible += 1
@@ -1226,3 +1232,4 @@ def test_wide_values_match_enumeration_on_an_int_tableau():
             optimal += 1
     assert tab_types == {int}
     assert bits > 120 and optimal >= 40 and infeasible >= 5
+    assert row_bits <= 16 and value_bits > 60, (row_bits, value_bits)
