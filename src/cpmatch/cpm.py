@@ -226,7 +226,8 @@ def _stage_duals(primal, stages, x, targets):
     and reoptimizes the same Tableau by the Diff it recorded (see linprog),
     since it only changes right-hand sides, drops rows whose slack is
     nonzero and frees positive sets' bounds, which keeps the last basis
-    dual feasible.
+    dual feasible. The chain is held here: lp, the last stage's model, drop
+    and free, what the next stage leaves out of it, and freed.
 
     An inequality row of the stage model, or a set's sign bound, stays in the
     stages until its value (the row's slack at the stage optimum, read off
@@ -234,8 +235,8 @@ def _stage_duals(primal, stages, x, targets):
     nonzero. That value decides the sign of its stage series: a negative one
     raises SignViolation (the certificate-checked rows and bounds forbid it,
     so only a faulty solve can), a positive one drops the row or bound from
-    all later stages. Returns the stage pi vectors and the sets whose bound
-    was dropped, which are those with a positive series.
+    all later stages (out.slack holds only the rows that are not tight).
+    Returns the stage pi vectors and freed, the sets with a positive series.
 
     perturb.solve_perturbed_pair cannot run these stages: it fixes A and b
     and stages only the objective, while here the stages drop rows and
@@ -244,29 +245,27 @@ def _stage_duals(primal, stages, x, targets):
     ctx = stage_context(primal, x)
     tab = Tableau()
     stage_pis: list[dict] = []
+    lp, drop, free, freed = None, (), (), set()
     for i, (ci, target) in enumerate(zip(stages, targets)):
-        lp = build_closest_dual(ctx, ci, target)
+        lp = build_closest_dual(ctx, ci, target, lp, drop, free)
         out = solve(lp, start=tab)
         if not isinstance(out, Optimal):
             raise StageSolveError(f"dual stage {i} came back {out.status}")
         pi = {k: out.value(("pi", k)) for k in ctx.keys}
         stage_pis.append(_reuse_targets(pi, target))
 
-        for row_id, slack in out.slack.items():
-            _drop_if_nonzero(ctx.dropped, row_id, row_id, slack, i)
-        for s in ctx.tight:
-            if s not in ctx.free_sets:
-                _drop_if_nonzero(ctx.free_sets, s, ("cut", s), pi[s], i)
-    return stage_pis, ctx.free_sets
+        drop = {row_id for row_id, slack in out.slack.items() if _nonzero(row_id, slack, i)}
+        free = [s for s in ctx.tight if s not in freed and _nonzero(("cut", s), pi[s], i)]
+        freed.update(free)
+    return stage_pis, freed
 
 
-def _drop_if_nonzero(dropped: set, key, what, value, stage: int) -> None:
-    """Add key to dropped when value, the first nonzero of series `what`
-    (every earlier stage gave 0), is positive; raise when it is negative."""
-    if value:
-        if value < 0:
-            raise SignViolation(what, (R0,) * stage + (value,))
-        dropped.add(key)
+def _nonzero(what, value, stage: int) -> bool:
+    """Whether value, the first candidate nonzero of series `what` (every
+    earlier stage gave 0), is nonzero; raise when it is negative."""
+    if value < 0:
+        raise SignViolation(what, (R0,) * stage + (value,))
+    return bool(value)
 
 
 def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -> NaiveTrace:
@@ -308,8 +307,9 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
                     raise NoPerfectMatching("the relaxation is infeasible")
                 if not isinstance(probe, Optimal):
                     raise StageSolveError("the relaxation came back unbounded")
+            if mode == "perturbed":
                 point = probe.x
-            if mode != "perturbed":
+            else:
                 lex = lex_min_optimal(lp, order, start=tab)
                 total += lex.lp_solves
                 if lex.status == "infeasible":

@@ -8,14 +8,14 @@ program: among all duals that are optimal against a fixed primal optimum x,
 pick the one minimizing the size-weighted distance sum(|target(S) - pi(S)|/|S|)
 to a target vector via auxiliary r(S) variables. The stages against one x
 write their model once: each later stage is a variant
-(LinearProgram.variant) of the stage before it, with the right-hand sides
-that moved and the rows and sign bounds that an accumulated context has
-dropped since, so the staged emulation of an infinitesimal cost
-perturbation pays per stage for what changed.
-The context also holds what all stages against one x share (tight sets,
-dual keys, crossing lists, support). It is read off the rows of the primal
-model that x solves, in one pass per x, so only build_primal works out which
-edges cross which cut.
+(LinearProgram.variant) of the stage before it, passed back in with the
+rows and sign bounds to drop since then, and reads the right-hand sides
+that moved off that model's rows, so the staged emulation of an
+infinitesimal cost perturbation pays per stage for what changed.
+What all stages against one x share (tight sets, dual keys, crossing
+lists, support) is a read-only StageContext. It is read off the rows of
+the primal model that x solves, in one pass per x, so only build_primal
+works out which edges cross which cut.
 
 Keys for dual quantities are vertex ids (ints) for singleton cuts and
 frozensets for family cuts. Sets in F whose cut row is slack at x get no dual
@@ -24,7 +24,7 @@ variable at all: any optimal dual must give them weight zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .graphs import Edge, EdgeOrdering, Graph, cut_edges, validate_cut_family
@@ -63,39 +63,28 @@ def build_primal(g: Graph, costs: Mapping[Edge, object], family) -> LinearProgra
     return LinearProgram(MIN, [(e, True) for e in pairs], objective, rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageContext:
-    """What the closest-dual stages of one iteration share, plus the drop
-    sets they accumulate.
-
-    The shared fields are read off the primal model's rows (see
-    stage_context): keys are the dual keys (vertices, then the tight sets in
-    canonical order), tight the family sets whose cut row is tight at x,
-    crossing the keys of the rows each edge appears in (its two endpoints,
-    then the tight sets it crosses), in graph edge order, and support the
-    edges with x(e) > 0. dropped holds the ids of the inequality rows
-    (("lo", k), ("hi", k) or ("edge", e)) that are gone, free_sets the tight
-    sets whose sign bound is gone. model is the last stage's model, built
-    from the (costs, target, dropped, free_sets) in inputs, and inequalities
-    the ids of the inequality rows of the first.
+    """What the closest-dual stages of one iteration share, read off the
+    primal model's rows (see stage_context): keys are the dual keys
+    (vertices, then the tight sets in canonical order), tight the family
+    sets whose cut row is tight at x, crossing the keys of the rows each
+    edge appears in (its two endpoints, then the tight sets it crosses), in
+    graph edge order, and support the edges with x(e) > 0. The stage chain
+    itself (the last model, the rows and bounds dropped) is the caller's;
+    see build_closest_dual.
     """
 
     keys: list[DualKey]
     tight: list[frozenset[int]]
     crossing: dict[Edge, list[DualKey]]
     support: set[Edge]
-    dropped: set = field(default_factory=set)
-    free_sets: set = field(default_factory=set)
-    model: LinearProgram | None = None
-    inputs: tuple = ()
-    inequalities: frozenset = frozenset()
 
 
 def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageContext:
     """The shared part of every closest-dual stage against primal optimum x,
-    with no rows or bounds dropped yet, read off the rows of
-    primal = build_primal(g, costs, family) in one pass; raises if x is not
-    feasible for primal."""
+    read off the rows of primal = build_primal(g, costs, family) in one
+    pass; raises if x is not feasible for primal."""
     crossing: dict[Edge, list[DualKey]] = {var.name: [] for var in primal.variables}
     for e, value in x.items():
         if e not in crossing:
@@ -131,7 +120,8 @@ def stage_cost(g: Graph, costs: Mapping[Edge, int], sigma: EdgeOrdering, i: int)
 
 
 def build_closest_dual(
-    ctx: StageContext, costs: Mapping[Edge, object], target: Mapping[DualKey, object]
+    ctx: StageContext, costs: Mapping[Edge, object], target: Mapping[DualKey, object],
+    last: LinearProgram | None = None, drop=(), free=(),
 ) -> LinearProgram:
     """The distance-minimal dual program against the primal optimum ctx was
     built for.
@@ -139,17 +129,16 @@ def build_closest_dual(
     Feasible points are exactly the optimal duals of the relaxation (tight
     rows on the support enforce complementary slackness); the objective picks
     the one closest to `target` in the size-weighted L1 sense; omitted keys
-    of `target` read 0. The first call on ctx writes the whole model; every
-    later call is a variant of the model the call before it returned
-    (ctx.model), which leaves out the inequality rows in ctx.dropped and
-    frees ctx.free_sets' bounds since then, and sets the right-hand sides
-    whose costs or target values moved. So a caller must not change costs or
-    target once it has passed them in.
+    of `target` read 0. Without `last` the whole model is written. With
+    `last`, an earlier stage's model, the result is a variant of it that
+    leaves out the inequality rows with ids in `drop`, frees the sign bounds
+    of the tight sets in `free`, and sets each kept right-hand side that
+    differs from last's row to its value from costs or target. A row or set
+    the model does not hold raises LinearProgramError from the variant, and
+    a dropped equality row from the warm solve (see linprog).
     """
-    if not ctx.free_sets <= set(ctx.tight):
-        raise MatchingLpError("context frees a set without a tight cut row")
     keys = ctx.keys
-    if ctx.model is None:
+    if last is None:
         variables = [(("pi", k), isinstance(k, frozenset)) for k in keys]
         variables += [(("r", k), True) for k in keys]
         objective = {("r", k): rat(1, 1 if isinstance(k, int) else len(k)) for k in keys}
@@ -158,24 +147,12 @@ def build_closest_dual(
         for e, ks in ctx.crossing.items():
             kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
             rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs[e])))
-        ctx.model = LinearProgram(MIN, variables, objective, rows)
-        ctx.inputs = (costs, target, set(), set())
-        ctx.inequalities = frozenset(row.id for row in ctx.model.rows if row.relation != EQ)
-        if not ctx.dropped and not ctx.free_sets:
-            return ctx.model
-    unknown = ctx.dropped - ctx.inequalities
-    if unknown:
-        raise MatchingLpError(
-            f"context drops {sorted(unknown, key=repr)}, which name no inequality row")
-    last_costs, last_target, dropped, free_sets = ctx.inputs
-    moves = [(k, target.get(k, R0), last_target.get(k, R0)) for k in keys]
-    rhs = {(side, k): rat(b) for k, b, a in moves if b is not a and b != a
-           for side in ("lo", "hi") if (side, k) not in ctx.dropped}
-    moves = [(("tight" if e in ctx.support else "edge", e), costs[e], last_costs[e])
-             for e in ctx.crossing]
-    rhs.update({i: rat(b) for i, b, a in moves if b is not a and b != a and i not in ctx.dropped})
-    ctx.model = ctx.model.variant(rhs=rhs, drop_rows=ctx.dropped - dropped,
-                                  free=[("pi", s) for s in ctx.free_sets - free_sets])
-    ctx.inputs = (costs, target, set(ctx.dropped), set(ctx.free_sets))
-    return ctx.model
-
+        return LinearProgram(MIN, variables, objective, rows)
+    rhs = {}
+    for row in last.rows:
+        kind, key = row.id
+        if row.id not in drop:
+            b = target.get(key, R0) if kind in ("lo", "hi") else costs[key]
+            if b is not row.rhs and b != row.rhs:
+                rhs[row.id] = b
+    return last.variant(rhs=rhs, drop_rows=drop, free=[("pi", s) for s in free])

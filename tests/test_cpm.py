@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from helpers import model_parts, random_bounded_lp, row_diff, tableau_state
 
-from cpmatch import cpm, lexmin, linprog
+from cpmatch import cpm, lexmin, linprog, matchlp
 from cpmatch.cpm import (
     default_iteration_cap,
     extract_matching,
@@ -299,9 +299,9 @@ def test_two_tableau_builds_per_iteration(monkeypatch):
         assert len(builds) == 2 * len(res.iterations)
 
 
-def _fresh_closest_dual(ctx, costs, target):
+def _fresh_closest_dual(ctx, costs, target, dropped=(), freed=()):
     """The closest-dual stage model on ctx written out row by row, then
-    filtered by ctx's dropped rows and freed sets, as one fresh model."""
+    filtered by the dropped row ids and the freed sets, as one fresh model."""
     keys = ctx.keys
     rows = []
     for k in keys:
@@ -312,10 +312,10 @@ def _fresh_closest_dual(ctx, costs, target):
         rows.append(((kind, e), {("pi", k): 1 for k in ks}, relation, costs[e]))
     return LinearProgram(
         MIN,
-        [(("pi", k), isinstance(k, frozenset) and k not in ctx.free_sets) for k in keys]
+        [(("pi", k), isinstance(k, frozenset) and k not in freed) for k in keys]
         + [(("r", k), True) for k in keys],
         {("r", k): rat(1, 1 if isinstance(k, int) else len(k)) for k in keys},
-        [row for row in rows if row[0] not in ctx.dropped],
+        [row for row in rows if row[0] not in dropped],
     )
 
 
@@ -339,10 +339,16 @@ def test_stage_models_are_variants_equal_to_fresh_models(monkeypatch):
     models = []
     build_closest_dual, optimal_face = cpm.build_closest_dual, lexmin.optimal_face
 
-    def closest(ctx, costs, target):
-        last = ctx.model
-        lp = build_closest_dual(ctx, costs, target)
-        models.append((lp, lp if last is None else last, _fresh_closest_dual(ctx, costs, target)))
+    gone = {"rows": set(), "sets": set()}
+
+    def closest(ctx, costs, target, last=None, drop=(), free=()):
+        if last is None:
+            gone["rows"], gone["sets"] = set(), set()
+        gone["rows"].update(drop)
+        gone["sets"].update(free)
+        lp = build_closest_dual(ctx, costs, target, last, drop, free)
+        fresh = _fresh_closest_dual(ctx, costs, target, gone["rows"], gone["sets"])
+        models.append((lp, lp if last is None else last, fresh))
         return lp
 
     def face(lp, opt, objective):
@@ -406,10 +412,9 @@ def test_recorded_diffs_solve_like_fresh_models(monkeypatch):
     made, counts = {}, dict.fromkeys(["warm", "recorded", "faces", "stages"], 0)
     build_closest_dual, optimal_face = cpm.build_closest_dual, lexmin.optimal_face
 
-    def closest(ctx, costs, target):
-        later = ctx.model is not None
-        lp = build_closest_dual(ctx, costs, target)
-        if later:
+    def closest(ctx, costs, target, last=None, drop=(), free=()):
+        lp = build_closest_dual(ctx, costs, target, last, drop, free)
+        if last is not None:
             counts["stages"] += 1
             made[id(lp)] = lp
         return lp
@@ -442,6 +447,33 @@ def test_recorded_diffs_solve_like_fresh_models(monkeypatch):
         solver(g, sigma)
     assert not made and counts["faces"] > 500 and counts["stages"] > 500
     assert counts["recorded"] == counts["faces"] + counts["stages"] < counts["warm"]
+
+
+def test_stage_chain_reads_rhs_moves_off_the_model():
+    # A caller may pass one costs dict and one target dict to every stage
+    # and change them in place in between: each stage reads what moved off
+    # the last stage's rows, never off a dict an earlier call was passed.
+    g, sigma, _ = dancing_robot()
+    rec = solve_unperturbed(g, sigma).iterations[-1]
+    ctx = matchlp.stage_context(matchlp.build_primal(g, g.cost_map(), rec.family), rec.x)
+    costs, target, tab = {}, {}, Tableau()
+    lp, drop, free, dropped, freed, moved = None, (), (), set(), set(), set()
+    for i in range(3):
+        costs.update(matchlp.stage_cost(g, g.cost_map(), sigma, i))
+        target.update({k: rat(i + j, 2) for j, k in enumerate(ctx.keys)})
+        last = lp
+        lp = matchlp.build_closest_dual(ctx, costs, target, last, drop, free)
+        dropped.update(drop)
+        freed.update(free)
+        if last is not None:
+            moved.update(last.rows[p].id[0] for p, _ in lp.diff.rhs)
+        fresh = _fresh_closest_dual(ctx, costs, target, dropped, freed)
+        assert model_parts(lp) == model_parts(fresh)
+        out, cold = linprog.solve(lp, start=tab), linprog.solve(fresh)
+        assert isinstance(out, Optimal) and out.objective == cold.objective
+        drop = list(out.slack)
+        free = [s for s in ctx.tight if s not in freed and out.value(("pi", s))]
+    assert dropped and freed and moved == {"lo", "hi", "edge", "tight"}
 
 
 def test_single_stage_modes_pin_their_duals():

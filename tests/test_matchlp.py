@@ -4,10 +4,10 @@ import re
 
 import pytest
 
-from helpers import split_dual_solution, weighted_deviation
+from helpers import split_dual_solution, tableau_state, weighted_deviation
 
 from cpmatch.graphs import EdgeOrdering, Graph
-from cpmatch.linprog import EQ, GE, Optimal, solve
+from cpmatch.linprog import EQ, GE, LinearProgramError, Optimal, Tableau, solve
 from cpmatch.matchlp import (
     MatchingLpError,
     build_closest_dual,
@@ -170,36 +170,42 @@ def test_closest_dual_respects_nonsupport_capacities():
     assert pi[2] + pi[3] == R1
 
 
-def test_stage_context_validation():
+def test_stage_chain_misuse_raises_before_a_wrong_model_is_solved():
     g = bridged_triangles()
     s = frozenset({0, 1, 2})
     x = {(0, 1): R1, (2, 3): R1, (4, 5): R1}
     cm = g.cost_map()
     ctx = context(g, x, [s])
-    # A support edge gets a ("tight", e) equality, never an ("edge", e) row.
-    for row in (("edge", (0, 1)), ("tight", (0, 1))):
-        ctx.dropped = {row}
-        message = re.escape(f"drops [{row!r}], which name no inequality row")
-        with pytest.raises(MatchingLpError, match=message):
-            build_closest_dual(ctx, cm, {})
-    ctx = context(g, x, [])
-    ctx.free_sets = {s}
-    with pytest.raises(MatchingLpError, match="frees a set without a tight cut row"):
-        build_closest_dual(ctx, cm, {})
-    ctx = context(g, x, [s])
-    ctx.dropped = {("lo", frozenset({9}))}
-    with pytest.raises(MatchingLpError, match=re.escape("drops [('lo', frozenset({9}))], which")):
-        build_closest_dual(ctx, cm, {})
+    first = build_closest_dual(ctx, cm, {})
+    unknown = "variant names an unknown sense, variable, row or relation"
+    # A support edge gets a ("tight", e) equality, never an ("edge", e) row,
+    # and frozenset({9}) is no dual key.
+    for row in (("edge", (0, 1)), ("lo", frozenset({9}))):
+        with pytest.raises(LinearProgramError, match=re.escape(unknown)):
+            build_closest_dual(ctx, cm, {}, first, drop=[row])
+    # Without a family s has no tight cut row, so no pi variable to free.
+    plain = context(g, x, [])
+    with pytest.raises(LinearProgramError, match=re.escape(unknown)):
+        build_closest_dual(plain, cm, {}, build_closest_dual(plain, cm, {}), free=[s])
+    # Dropping the equality is a model linprog builds, but the warm solve
+    # refuses it before the tableau changes.
+    tab = Tableau()
+    assert isinstance(solve(first, start=tab), Optimal)
+    wrong = build_closest_dual(ctx, cm, {}, first, drop=[("tight", (0, 1))])
+    before = tableau_state(tab)
+    with pytest.raises(LinearProgramError, match="start= takes a variant of the last model"):
+        solve(wrong, start=tab)
+    assert tableau_state(tab) == before
 
 
 def test_dropped_rows_loosen_the_distance():
     g = square()
     x = {(0, 1): R1, (2, 3): R1, (1, 2): R0, (0, 3): R0}
     target = {0: rat(2)}
-    plain = solve(build_closest_dual(context(g, x, []), g.cost_map(), target))
     ctx = context(g, x, [])
-    ctx.dropped = {("lo", 0), ("hi", 0)}
-    lp = build_closest_dual(ctx, g.cost_map(), target)
+    first = build_closest_dual(ctx, g.cost_map(), target)
+    plain = solve(first)
+    lp = build_closest_dual(ctx, g.cost_map(), target, first, drop=[("lo", 0), ("hi", 0)])
     assert not {("lo", 0), ("hi", 0)} & {row.id for row in lp.rows}
     assert ("lo", 1) in {row.id for row in lp.rows}
     dropped = solve(lp)
