@@ -67,7 +67,6 @@ from .matchlp import (
     build_primal,
     canonical_sets,
     stage_context,
-    stage_cost,
 )
 from .perturb import SignViolation
 from .rationals import R0, R1, rat
@@ -210,18 +209,11 @@ def _matching_cost(g: Graph, matching: frozenset[Edge]) -> int:
     return sum(costs[e] for e in matching)
 
 
-def _restrict_target(values: Mapping, family: set) -> dict:
-    return {
-        k: v
-        for k, v in values.items()
-        if v and (isinstance(k, int) or k in family)
-    }
-
-
 def _stage_duals(primal, stages, x, targets):
     """One closest-dual solve per stage cost vector, all on one StageContext
     read off the rows of primal, the relaxation x solves; targets[i] is
-    stage i's target from the last iteration. Stage 0 is solved cold; each
+    stage i's pi from the last iteration, unfiltered: build_closest_dual
+    never reads a key outside ctx.keys. Stage 0 is solved cold; each
     later stage is a variant of the stage before it (see build_closest_dual)
     and reoptimizes the same Tableau by the Diff it recorded (see linprog),
     since it only changes right-hand sides, drops rows whose slack is
@@ -282,7 +274,7 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
         costs = {e: rat(c) + rat(1, 2 ** sigma.rank[e]) for e, c in costs.items()}
     stages = [costs]
     if mode == "unperturbed":
-        stages = [stage_cost(g, costs, sigma, i) for i in range(g.m + 1)]
+        stages += [{e: R1} for e in order]
     cap = default_iteration_cap(g) if cap is None else cap
     family: set[frozenset[int]] = set()
     targets: list[dict] = [{} for _ in stages]
@@ -332,7 +324,7 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
             total += len(stage_pis)
             records.append(_record(index, family_key, edges, x, stage_pis, total - before))
             family = _expand_family(g, x, positive)
-            targets = [_restrict_target(pi, family) for pi in stage_pis]
+            targets = stage_pis
             if vector_is_integral(x):
                 break
     except (NoPerfectMatching, IterationCapExceeded) as exc:

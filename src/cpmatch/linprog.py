@@ -618,9 +618,10 @@ class Tableau:
         that row has the value's sign (either sign on a free column)."""
         rows, basis, nonneg, banned, values = (
             self.rows, self.basis, self.nonneg, self.banned, self.values)
-        while leaving := [(b, r) for r, b in enumerate(basis)
-                          if (v := values[r][0]) and (v < 0 and nonneg[b] or b in banned)]:
-            r = min(leaving)[1]
+        while leaving := min(((b, r) for r, b in enumerate(basis)
+                              if (v := values[r][0]) and (v < 0 and nonneg[b] or b in banned)),
+                             default=None):
+            r = leaving[1]
             up = values[r][0] > 0
             # z_j / |a_j| over the common positive factor (row den / z den),
             # least by cross-multiplying, then lowest j.
@@ -796,5 +797,6 @@ def optimal_face(lp: LinearProgram, opt: Optimal, objective: Mapping) -> LinearP
     drop = {name for name, _, _ in opt.reduced_costs}
     keep = {v.name for v in lp.variables if v.name not in drop}
     return lp.variant(MIN, {name: c for name, c in objective.items() if name in keep},
-                      relations={row.id: EQ for row in lp.rows if opt.ys[row.id]},
+                      relations={row.id: EQ for row in lp.rows
+                                 if row.relation != EQ and opt.ys[row.id]},
                       drop_variables=drop)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import Edge, EdgeOrdering, Graph, cut_edges, validate_cut_family
+from .graphs import Edge, Graph, cut_edges, validate_cut_family
 from .linprog import EQ, GE, LE, MIN, LinearProgram
 from .rationals import R0, R1, rat
 
@@ -111,14 +111,6 @@ def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageConte
     )
 
 
-def stage_cost(g: Graph, costs: Mapping[Edge, int], sigma: EdgeOrdering, i: int) -> dict:
-    """Stage-i objective on edges: the real costs at stage 0, afterwards the
-    indicator of the edge holding rank i."""
-    if i == 0:
-        return {e: rat(costs[e]) for e in g.edge_pairs()}
-    return {e: (R1 if sigma.rank[e] == i else R0) for e in g.edge_pairs()}
-
-
 def build_closest_dual(
     ctx: StageContext, costs: Mapping[Edge, object], target: Mapping[DualKey, object],
     last: LinearProgram | None = None, drop=(), free=(),
@@ -128,9 +120,10 @@ def build_closest_dual(
 
     Feasible points are exactly the optimal duals of the relaxation (tight
     rows on the support enforce complementary slackness); the objective picks
-    the one closest to `target` in the size-weighted L1 sense; omitted keys
-    of `target` read 0. Without `last` the whole model is written. With
-    `last`, an earlier stage's model, the result is a variant of it that
+    the one closest to `target` in the size-weighted L1 sense. Omitted keys
+    of `costs` and of `target` read 0, so the indicator of one edge e is
+    the one-entry map {e: 1}. Without `last` the whole model is written.
+    With `last`, an earlier stage's model, the result is a variant of it that
     leaves out the inequality rows with ids in `drop`, frees the sign bounds
     of the tight sets in `free`, and sets each kept right-hand side that
     differs from last's row to its value from costs or target. A row or set
@@ -146,13 +139,13 @@ def build_closest_dual(
                 for k in keys for side, sign, relation in (("lo", R1, GE), ("hi", -R1, LE))]
         for e, ks in ctx.crossing.items():
             kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
-            rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs[e])))
+            rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs.get(e, R0))))
         return LinearProgram(MIN, variables, objective, rows)
     rhs = {}
     for row in last.rows:
         kind, key = row.id
         if row.id not in drop:
-            b = target.get(key, R0) if kind in ("lo", "hi") else costs[key]
+            b = (target if kind in ("lo", "hi") else costs).get(key, R0)
             if b is not row.rhs and b != row.rhs:
                 rhs[row.id] = b
     return last.variant(rhs=rhs, drop_rows=drop, free=[("pi", s) for s in free])

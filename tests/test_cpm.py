@@ -309,7 +309,7 @@ def _fresh_closest_dual(ctx, costs, target, dropped=(), freed=()):
         rows.append((("hi", k), {("r", k): -1, ("pi", k): 1}, LE, target.get(k, 0)))
     for e, ks in ctx.crossing.items():
         kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
-        rows.append(((kind, e), {("pi", k): 1 for k in ks}, relation, costs[e]))
+        rows.append(((kind, e), {("pi", k): 1 for k in ks}, relation, costs.get(e, 0)))
     return LinearProgram(
         MIN,
         [(("pi", k), isinstance(k, frozenset) and k not in freed) for k in keys]
@@ -459,7 +459,8 @@ def test_stage_chain_reads_rhs_moves_off_the_model():
     costs, target, tab = {}, {}, Tableau()
     lp, drop, free, dropped, freed, moved = None, (), (), set(), set(), set()
     for i in range(3):
-        costs.update(matchlp.stage_cost(g, g.cost_map(), sigma, i))
+        costs.clear()
+        costs.update(g.cost_map() if i == 0 else {sigma.order()[i - 1]: R1})
         target.update({k: rat(i + j, 2) for j, k in enumerate(ctx.keys)})
         last = lp
         lp = matchlp.build_closest_dual(ctx, costs, target, last, drop, free)
@@ -474,6 +475,47 @@ def test_stage_chain_reads_rhs_moves_off_the_model():
         drop = list(out.slack)
         free = [s for s in ctx.tight if s not in freed and out.value(("pi", s))]
     assert dropped and freed and moved == {"lo", "hi", "edge", "tight"}
+
+
+def test_stages_take_one_edge_objectives_and_unfiltered_targets(monkeypatch):
+    # Stage i >= 1 is the indicator of the edge ranked i, passed as a
+    # one-entry map, and each stage's target is its pi of the iteration
+    # before, zeros and all. build_closest_dual reads only ctx.keys, and an
+    # omitted key reads 0, so a dense indicator or a target cut down to its
+    # nonzero values on ctx.keys builds the same model.
+    g, sigma, _ = dancing_robot()
+    calls = []
+    stage_duals = cpm._stage_duals
+
+    def capture(primal, stages, x, targets):
+        calls.append((stages, targets))
+        return stage_duals(primal, stages, x, targets)
+
+    monkeypatch.setattr(cpm, "_stage_duals", capture)
+    res = solve_unperturbed(g, sigma)
+    assert len(calls) == len(res.iterations) == 3
+    for (stages, targets), rec in zip(calls, res.iterations):
+        assert stages[0] == g.cost_map()
+        assert stages[1:] == [{e: R1} for e in sigma.order()]
+        assert sum(map(len, stages)) == 2 * g.m
+        before = res.iterations[rec.index - 2].dual_stages if rec.index > 1 else ({},) * len(stages)
+        assert targets == list(before)
+    assert any(v == 0 for _, targets in calls[1:] for t in targets for v in t.values())
+
+    rec = res.iterations[-1]
+    ctx = matchlp.stage_context(matchlp.build_primal(g, g.cost_map(), rec.family), rec.x)
+    outside = frozenset(range(3))
+    assert ctx.tight and outside not in ctx.keys
+    restricted = {k: rat(j, 2) for j, k in enumerate(ctx.keys) if j % 2}
+    extended = {**restricted, **{k: R0 for k in ctx.keys if k not in restricted}, outside: rat(5)}
+    cold = [matchlp.build_closest_dual(ctx, g.cost_map(), t) for t in (restricted, extended)]
+    assert model_parts(cold[0]) == model_parts(cold[1])
+    edge = sigma.order()[0]
+    dense = {e: R1 if e == edge else R0 for e in g.edge_pairs()}
+    warm = [matchlp.build_closest_dual(ctx, c, t, cold[0]) for c, t in
+            ((dense, restricted), ({edge: R1}, restricted), ({edge: R1}, extended))]
+    assert all(model_parts(lp) == model_parts(warm[0]) for lp in warm)
+    assert all(lp.diff == warm[0].diff and lp.diff.rhs for lp in warm)
 
 
 def test_single_stage_modes_pin_their_duals():

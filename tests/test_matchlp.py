@@ -6,7 +6,7 @@ import pytest
 
 from helpers import split_dual_solution, tableau_state, weighted_deviation
 
-from cpmatch.graphs import EdgeOrdering, Graph
+from cpmatch.graphs import Graph
 from cpmatch.linprog import EQ, GE, LinearProgramError, Optimal, Tableau, solve
 from cpmatch.matchlp import (
     MatchingLpError,
@@ -14,7 +14,6 @@ from cpmatch.matchlp import (
     build_primal,
     canonical_sets,
     stage_context,
-    stage_cost,
 )
 from cpmatch.rationals import HALF, R0, R1, rat
 
@@ -109,21 +108,6 @@ def test_check_primal_feasible_rejections():
     }
     with pytest.raises(MatchingLpError, match="carries 0 < 1"):
         context(g2, halves, [{0, 1, 2}])
-
-
-def test_stage_costs():
-    g = square()
-    sigma = EdgeOrdering.from_sequence([(1, 2), (0, 1), (2, 3), (0, 3)])
-    costs = {(0, 1): 5, (1, 2): 7, (2, 3): 1, (0, 3): 2}
-    assert stage_cost(g, costs, sigma, 0) == {
-        (0, 1): rat(5), (1, 2): rat(7), (2, 3): rat(1), (0, 3): rat(2)
-    }
-    assert stage_cost(g, costs, sigma, 1) == {
-        (0, 1): R0, (1, 2): R1, (2, 3): R0, (0, 3): R0
-    }
-    assert stage_cost(g, costs, sigma, 4) == {
-        (0, 1): R0, (1, 2): R0, (2, 3): R0, (0, 3): R1
-    }
 
 
 def test_closest_dual_feasible_points_are_optimal_duals():
