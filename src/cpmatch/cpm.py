@@ -32,8 +32,10 @@ at solve time, the full primal vector, the dual stage vectors, and the exact
 number of LP solves spent. Records are stored lean, since callers may keep
 many results: x as a tuple of values over the run's edge tuple (one object
 shared by all its records), and the stage duals as their keys, once per
-iteration, plus one value tuple per stage, equal tuples held once. The x and
-dual_stages properties rebuild the dicts, with the same keys in the same
+iteration, plus one value tuple per stage, equal tuples held once. The
+stage duals exist only in that form: _stage_duals builds the value tuples,
+and the next iteration reads each stage's target off the last record. The x
+and dual_stages properties rebuild the dicts, with the same keys in the same
 order and the same value objects the loop produced.
 """
 
@@ -93,22 +95,6 @@ class IterationRecord:
     def dual_stages(self) -> tuple[dict, ...]:
         """Each stage's dual vector as a dict, keys in dual_keys order."""
         return tuple([dict(zip(self.dual_keys, values)) for values in self.dual_values])
-
-
-def _record(index: int, family: tuple, edges: tuple, x: dict, stage_pis: Sequence[dict],
-            lp_solves: int) -> IterationRecord:
-    """The IterationRecord of primal vector x (_dense over the run's edge
-    tuple, so in its order) and stage dual vectors stage_pis, which share
-    their keys (in order), each distinct value tuple held once."""
-    keys = tuple(stage_pis[0]) if stage_pis else ()
-    held: dict = {}
-    values = []
-    for pi in stage_pis:
-        if tuple(pi) != keys:
-            raise StageSolveError("dual stages of one iteration differ in their keys")
-        v = tuple(pi.values())
-        values.append(held.setdefault(v, v))
-    return IterationRecord(index, family, edges, tuple(x.values()), keys, tuple(values), lp_solves)
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,13 +160,6 @@ def _dense(edges: Sequence[Edge], values: Mapping[Edge, object]) -> dict:
     return {e: values.get(e, R0) for e in edges}
 
 
-def _reuse_targets(pi: dict, target: Mapping) -> dict:
-    """pi with each value that equals the target's value under its key
-    replaced by the target's object, so successive iterations share the dual
-    values that did not move instead of holding equal copies."""
-    return {k: target[k] if k in target and target[k] == v else v for k, v in pi.items()}
-
-
 def _expand_family(g: Graph, x: Mapping[Edge, object], positive_sets) -> set:
     """Next cut family: the still-positive sets plus one grown set per odd
     cycle of the half-valued support (the cycle's vertices together with
@@ -209,17 +188,19 @@ def _matching_cost(g: Graph, matching: frozenset[Edge]) -> int:
     return sum(costs[e] for e in matching)
 
 
-def _stage_duals(primal, stages, x, targets):
+def _stage_duals(primal, stages, x, last):
     """One closest-dual solve per stage cost vector, all on one StageContext
-    read off the rows of primal, the relaxation x solves; targets[i] is
-    stage i's pi from the last iteration, unfiltered: build_closest_dual
-    never reads a key outside ctx.keys. Stage 0 is solved cold; each
-    later stage is a variant of the stage before it (see build_closest_dual)
-    and reoptimizes the same Tableau by the Diff it recorded (see linprog),
-    since it only changes right-hand sides, drops rows whose slack is
-    nonzero and frees positive sets' bounds, which keeps the last basis
-    dual feasible. The chain is held here: lp, the last stage's model, drop
-    and free, what the next stage leaves out of it, and freed.
+    read off the rows of primal, the relaxation x solves. Stage i's target
+    is its pi in last, the IterationRecord before (none at iteration 1),
+    read off last's keys and value tuples as a transient dict, unfiltered:
+    build_closest_dual never reads a key outside ctx.keys. Stage 0 is solved
+    cold; each later stage is a variant of the stage before it (see
+    build_closest_dual) and reoptimizes the same Tableau by the Diff it
+    recorded (see linprog), since it only changes right-hand sides, drops
+    rows whose slack is nonzero and frees positive sets' bounds, which keeps
+    the last basis dual feasible. The chain is held here: lp, the last
+    stage's model, drop and free, what the next stage leaves out of it, and
+    freed.
 
     An inequality row of the stage model, or a set's sign bound, stays in the
     stages until its value (the row's slack at the stage optimum, read off
@@ -228,7 +209,12 @@ def _stage_duals(primal, stages, x, targets):
     raises SignViolation (the certificate-checked rows and bounds forbid it,
     so only a faulty solve can), a positive one drops the row or bound from
     all later stages (out.slack holds only the rows that are not tight).
-    Returns the stage pi vectors and freed, the sets with a positive series.
+
+    The stage duals are kept in one form, the record's: returns ctx.keys,
+    one value tuple per stage over them, and freed, the sets with a positive
+    series. A pi value equal to its target keeps the target's object, and
+    equal value tuples are held once, so the results a caller keeps share
+    the dual values that did not move instead of holding equal copies.
 
     perturb.solve_perturbed_pair cannot run these stages: it fixes A and b
     and stages only the objective, while here the stages drop rows and
@@ -236,20 +222,25 @@ def _stage_duals(primal, stages, x, targets):
     """
     ctx = stage_context(primal, x)
     tab = Tableau()
-    stage_pis: list[dict] = []
+    values, held = [], {}
     lp, drop, free, freed = None, (), (), set()
-    for i, (ci, target) in enumerate(zip(stages, targets)):
+    for i, ci in enumerate(stages):
+        target = {} if last is None else dict(zip(last.dual_keys, last.dual_values[i]))
         lp = build_closest_dual(ctx, ci, target, lp, drop, free)
         out = solve(lp, start=tab)
         if not isinstance(out, Optimal):
             raise StageSolveError(f"dual stage {i} came back {out.status}")
-        pi = {k: out.value(("pi", k)) for k in ctx.keys}
-        stage_pis.append(_reuse_targets(pi, target))
+        pi = {}
+        for k in ctx.keys:
+            v = out.value(("pi", k))
+            pi[k] = target[k] if k in target and target[k] == v else v
+        stage = tuple(pi.values())
+        values.append(held.setdefault(stage, stage))
 
         drop = {row_id for row_id, slack in out.slack.items() if _nonzero(row_id, slack, i)}
         free = [s for s in ctx.tight if s not in freed and _nonzero(("cut", s), pi[s], i)]
         freed.update(free)
-    return stage_pis, freed
+    return ctx.keys, tuple(values), freed
 
 
 def _nonzero(what, value, stage: int) -> bool:
@@ -277,7 +268,6 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
         stages += [{e: R1} for e in order]
     cap = default_iteration_cap(g) if cap is None else cap
     family: set[frozenset[int]] = set()
-    targets: list[dict] = [{} for _ in stages]
     records: list[IterationRecord] = []
     seen: dict = {}
     total = 0
@@ -314,17 +304,18 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
             if mode == "naive":
                 state = (tuple(sorted(x.items())), frozenset(family))
                 if vector_is_integral(x) or state in seen:
-                    records.append(_record(index, family_key, edges, x, (), total - before))
+                    records.append(IterationRecord(index, family_key, edges, tuple(x.values()),
+                                                   (), (), total - before))
                     if state in seen:
                         stop, repeat_of = "CyclingDetected", seen[state]
                         detail = f"iteration {index} repeats iteration {repeat_of}"
                     break
                 seen[state] = index
-            stage_pis, positive = _stage_duals(lp, stages, x, targets)
-            total += len(stage_pis)
-            records.append(_record(index, family_key, edges, x, stage_pis, total - before))
+            keys, values, positive = _stage_duals(lp, stages, x, records[-1] if records else None)
+            total += len(values)
+            records.append(IterationRecord(index, family_key, edges, tuple(x.values()),
+                                           keys, values, total - before))
             family = _expand_family(g, x, positive)
-            targets = stage_pis
             if vector_is_integral(x):
                 break
     except (NoPerfectMatching, IterationCapExceeded) as exc:

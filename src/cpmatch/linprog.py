@@ -38,11 +38,13 @@ negative edge costs ends at an optimum of the relaxation itself.
 solve(lp, start=tab) continues on the Tableau tab: a fresh one gets a cold
 solve and keeps its result. After an Optimal outcome tab takes two kinds of
 model: tab.lp itself, whose optimum stands (phase 2 makes no pivot), and
-lp = tab.lp.variant(...), read by the Diff it recorded (lp.diff.base is
-tab.lp). The variant may change the objective, sense and rhs values, drop
-rows whose slack is basic, free bounds of basic columns, and fix nonbasic
-columns at zero: drop a nonbasic variable, or make an inequality ``=``
-when its slack is nonbasic (as optimal_face does). A negative basic value
+lp = tab.lp.variant(...), read by the Diff it recorded (lp.diff.base() is
+tab.lp: a Diff refers to its base weakly, so a chain of variants keeps no
+earlier model alive, and the tableau holds the one base it reads). The
+variant may change the objective, sense and rhs values, drop rows whose
+slack is basic, free bounds of basic columns, and fix nonbasic columns at
+zero: drop a nonbasic variable, or make an inequality ``=`` when its
+slack is nonbasic (as optimal_face does). A negative basic value
 B^-1 b starts the dual simplex (leave by the lowest basic index, enter by
 the least ratio z_j/|a|, then lowest index) that needs lp's objective dual
 feasible; phase 2 follows. Any other model (one built afresh, a variant of
@@ -82,6 +84,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Any, Collection, Hashable, Iterable, Mapping
+from weakref import ref
 
 from .errors import InvariantViolation
 from .rationals import _SHARED, Rational, rat
@@ -224,7 +227,7 @@ class LinearProgram:
                 relation_moves.append((kept[p], rel))
             if delta or rel != row.relation:
                 lp.rows[p] = Row(row.id, row.coeffs, rel, b if delta else row.rhs, row.scale)
-        lp.diff = Diff(self, kept, rhs_moves, relation_moves, drop, freed,
+        lp.diff = Diff(ref(self), kept, rhs_moves, relation_moves, drop, freed,
                        sorted([self.index[i] for i in drop_rows]),
                        lp.sense == self.sense and (lp.objective is self.objective
                                                    or lp.objective == self.objective))
@@ -233,13 +236,14 @@ class LinearProgram:
 
 @dataclass
 class Diff:
-    """What LinearProgram.variant changed against base, the model it varies:
-    base's position of each of its rows (kept), (base position, new rhs -
-    old rhs) for each row whose rhs moved (rhs), (base position, new
-    relation) for each row whose relation moved (relations), the variables
-    dropped, the names whose bound was freed, base's positions of the rows
-    dropped (gone), and whether sense and objective are base's."""
-    base: LinearProgram
+    """What LinearProgram.variant changed against base, a weak reference to
+    the model it varies (see the module docstring): base's position of
+    each of its rows (kept), (base position, new rhs - old rhs) for each
+    row whose rhs moved (rhs), (base position, new relation) for each row
+    whose relation moved (relations), the variables dropped, the names
+    whose bound was freed, base's positions of the rows dropped (gone), and
+    whether sense and objective are base's."""
+    base: ref
     kept: list[int]
     rhs: list[tuple]
     relations: list[tuple]
@@ -452,7 +456,7 @@ class Tableau:
         if lp is old:
             return self.z
         diff = lp.diff
-        if diff is None or diff.base is not old:
+        if diff is None or diff.base() is not old:
             raise LinearProgramError(
                 "start= takes the tableau's last model or a .variant of it (see linprog)")
         fixed = ({cols[name] for name in diff.dropped}

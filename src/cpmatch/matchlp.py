@@ -67,7 +67,8 @@ def build_primal(g: Graph, costs: Mapping[Edge, object], family) -> LinearProgra
 class StageContext:
     """What the closest-dual stages of one iteration share, read off the
     primal model's rows (see stage_context): keys are the dual keys
-    (vertices, then the tight sets in canonical order), tight the family
+    (vertices, then the tight sets in canonical order), the tuple that
+    cpm's IterationRecord keeps as its dual_keys, tight the family
     sets whose cut row is tight at x, crossing the keys of the rows each
     edge appears in (its two endpoints, then the tight sets it crosses), in
     graph edge order, and support the edges with x(e) > 0. The stage chain
@@ -75,7 +76,7 @@ class StageContext:
     see build_closest_dual.
     """
 
-    keys: list[DualKey]
+    keys: tuple[DualKey, ...]
     tight: list[frozenset[int]]
     crossing: dict[Edge, list[DualKey]]
     support: set[Edge]
@@ -104,7 +105,7 @@ def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageConte
             for e in row.coeffs:
                 crossing[e].append(key)
     return StageContext(
-        keys=keys,
+        keys=tuple(keys),
         tight=[k for k in keys if isinstance(k, frozenset)],
         crossing=crossing,
         support={e for e in crossing if x.get(e, R0)},

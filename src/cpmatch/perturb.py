@@ -52,6 +52,8 @@ class PerturbedPair:
         a = tuple([tuple([rat(v) for v in row]) for row in a])
         b = tuple([rat(v) for v in b])
         costs = tuple([tuple([rat(v) for v in c]) for c in costs])
+        if not costs:
+            raise ValueError("no cost stage")
         width = {len(row) for row in a} | {len(c) for c in costs}
         if len(width) > 1:
             raise ValueError("inconsistent column counts")
@@ -131,8 +133,7 @@ def solve_perturbed_pair(pair: PerturbedPair) -> PerturbedSolution:
         kept = tuple([v.name for v in lp.variables])
         stages.append(StageRecord(p, kept, equality_rows, dict(out.x), dict(out.y), out.objective))
 
-    last_x = stages[-1].x if stages else {}
-    x = tuple([last_x.get(j, R0) for j in range(pair.ncols)])
+    x = tuple([stages[-1].x.get(j, R0) for j in range(pair.ncols)])
     series = DualSeries(tuple([stage.y for stage in stages]))
 
     _check_solution(pair, x, series)

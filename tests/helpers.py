@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
+from weakref import ref
 
 from cpmatch.linprog import (
     EQ,
@@ -59,7 +60,7 @@ def row_diff(base: LinearProgram, lp: LinearProgram) -> Diff:
     pairs = [(i, base.rows[i], row) for i, row in zip(kept, lp.rows)]
     assert all(row.coeffs == {k: c for k, c in o.coeffs.items() if k in names}
                for _, o, row in pairs)
-    return Diff(base, kept,
+    return Diff(ref(base), kept,
                 [(i, row.rhs - o.rhs) for i, o, row in pairs if row.rhs != o.rhs],
                 [(i, row.relation) for i, o, row in pairs if row.relation != o.relation],
                 bounds.keys() - names,

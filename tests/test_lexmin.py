@@ -36,6 +36,18 @@ def test_order_changes_the_point():
     assert res.values == {(0, 1): R1, (1, 2): R0, (2, 3): R1, (0, 3): R0}
 
 
+def test_lexmin_faces_keep_no_earlier_face_alive():
+    # A face's Diff refers to the face before it weakly: once the stages
+    # are done the tableau holds the last face, and nothing holds the one
+    # before, so the faces do not chain back to the first.
+    g, sigma, _ = dancing_robot()
+    lp = build_primal(g, g.cost_map(), [])
+    tab = Tableau()
+    res = lex_min_optimal(lp, sigma.order(), start=tab)
+    assert res.status == "optimal" and res.lp_solves == g.m + 1
+    assert tab.lp is not lp and tab.lp.diff.base() is None
+
+
 def test_order_must_be_a_permutation():
     lp = LinearProgram(MIN, ["a", "b"], {"a": 1}, [("r", {"a": 1, "b": 1}, GE, 1)])
     with pytest.raises(ValueError, match="permutation"):

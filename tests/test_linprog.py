@@ -789,7 +789,7 @@ def test_reoptimize_rejects_misuse_and_stays_usable():
     solve(_capped({"x": 1, "y": 2}), start=tab)
     for change in bad:
         lp = tab.lp.variant(**change)
-        assert lp.diff.base is tab.lp
+        assert lp.diff.base() is tab.lp
         before = tableau_state(tab)
         with pytest.raises(LinearProgramError):
             solve(lp, start=tab)
@@ -844,7 +844,7 @@ def test_resolving_the_last_model_makes_no_pivot(monkeypatch):
         assert (again.x, again.y, again.objective) == (first.x, first.y, first.objective)
         assert again == first and tableau_state(tab) == before
         del checks[:]
-    assert face.diff.base is warm and tab.lp is face
+    assert face.diff.base() is warm and tab.lp is face
 
 
 def test_variant_records_the_diff_the_row_comparison_finds():
@@ -867,7 +867,7 @@ def test_variant_records_the_diff_the_row_comparison_finds():
         sense = rng.choice([None, MIN, MAX])
         v = lp.variant(sense, objective, rhs, relations, drop_rows, drop, free)
         assert v.diff == row_diff(lp, v)
-        assert v.diff.base is lp and lp.variant().diff.objective
+        assert v.diff.base() is lp and lp.variant().diff.objective
         assert (v.variables is lp.variables) == (not drop and not free)
         assert (v.objective is lp.objective) == (objective is None and not set(drop) & set(
             lp.objective))

@@ -71,7 +71,7 @@ def test_tight_sets():
     matching = {(0, 1): R1, (2, 3): R1, (4, 5): R1}
     ctx = context(g, matching, [s])
     assert ctx.tight == [s]
-    assert ctx.keys == [0, 1, 2, 3, 4, 5, s]
+    assert ctx.keys == (0, 1, 2, 3, 4, 5, s)
     # Each edge lists its endpoints, then the tight sets it crosses.
     assert ctx.crossing == {
         (0, 1): [0, 1], (1, 2): [1, 2], (0, 2): [0, 2], (2, 3): [2, 3, s],
@@ -85,7 +85,7 @@ def test_tight_sets():
     across = {(0, 3): R1, (1, 4): R1, (2, 5): R1}
     ctx = context(g, across, [s])
     assert ctx.tight == []
-    assert ctx.keys == [0, 1, 2, 3, 4, 5]
+    assert ctx.keys == (0, 1, 2, 3, 4, 5)
     assert ctx.crossing[(0, 3)] == [0, 3]
 
 

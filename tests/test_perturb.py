@@ -87,6 +87,11 @@ def test_build_validation():
         PerturbedPair.build(a=[[1, 2]], b=[1, 2], costs=[[1, 2]], nonneg=set())
     with pytest.raises(ValueError, match="out of range"):
         PerturbedPair.build(a=[[1, 2]], b=[1], costs=[[1, 2]], nonneg={5})
+    # No cost stage: there is nothing to solve, with rows or without.
+    with pytest.raises(ValueError, match="no cost stage"):
+        PerturbedPair.build(a=[], b=[], costs=[], nonneg=set())
+    with pytest.raises(ValueError, match="no cost stage"):
+        PerturbedPair.build(a=[[1, 2]], b=[1], costs=[], nonneg={0})
 
 
 def test_infeasible_stage_is_a_solve_error():
