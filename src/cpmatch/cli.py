@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -125,6 +126,18 @@ def _cmd_solve(args, out, err) -> int:
     except ParseError as exc:
         print(f"{args.file}: {exc}", file=err)
         return EXIT_PARSE
+    # The trace path is opened (without truncating it) before the solve, so
+    # an unwritable one exits 73 before any work is done, with nothing on
+    # stdout; a file opened here for the first time goes again if the
+    # solve raises.
+    created = bool(args.trace) and not os.path.exists(args.trace)
+    if args.trace:
+        try:
+            with open(args.trace, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            print(f"cannot write {args.trace}: {exc}", file=err)
+            return EXIT_CANTCREAT
 
     try:
         if args.algorithm == "unperturbed":
@@ -134,10 +147,12 @@ def _cmd_solve(args, out, err) -> int:
         else:
             cap = NAIVE_ITERATION_CAP if args.max_iter is None else args.max_iter
             result = solve_naive(g, sigma, max_iterations=cap)
-    except NoPerfectMatching as exc:
-        print(f"no perfect matching: {exc}", file=err)
-        return EXIT_NO_MATCHING
-    except InvariantViolation as exc:
+    except (NoPerfectMatching, InvariantViolation) as exc:
+        if created:
+            os.remove(args.trace)
+        if isinstance(exc, NoPerfectMatching):
+            print(f"no perfect matching: {exc}", file=err)
+            return EXIT_NO_MATCHING
         print(f"invariant violated: {type(exc).__name__}: {exc}", file=err)
         return EXIT_INVARIANT
 

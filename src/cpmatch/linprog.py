@@ -52,6 +52,21 @@ an older model), a variant that changes more, and any model after an
 Infeasible or Unbounded outcome raise LinearProgramError before the
 tableau changes, instead of solving cold.
 
+A chained solve pays for what its Diff and its pivots changed. reoptimize
+applies the rhs moves by column, visiting only the rows where a moved
+row's identity column is nonzero. When neither the warm start nor phase 2
+pivots, phase2 hands over the last optimum with only the basic values that
+moved, and with y less the dropped rows when the objective is the last one.
+verify_certificate then checks a variant against the optimum it last
+accepted for the variant's base (its checked optimum): it reads the model,
+the claimed ints and that prior, never the tableau, finds which x and y
+entries moved by comparing the claim with the prior, and re-tests every
+row and column whose inputs (rhs, relation, bound, x on the row, y on the
+column, cost) moved. That is complete because each test reads only its own
+row's or column's inputs: the rest pass as they did for the prior. A new
+sense, or more than a few moved entries, goes to the full check, which
+every cold solve gets too. The checked optimum keeps no link to the prior.
+
 LinearProgram(...) validates and copies its input; no model changes after
 that. lp.variant(...) derives a model with new pieces (sense, objective, rhs
 values and relations by row id, rows dropped by id, variables dropped or freed
@@ -81,8 +96,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import is_, itemgetter, mul
 from typing import Any, Collection, Hashable, Iterable, Mapping
 from weakref import ref
 
@@ -126,7 +142,15 @@ class Row:
 
 
 class LinearProgram:
-    """An immutable exact-rational LP in row form."""
+    """An immutable exact-rational LP in row form.
+
+    Besides the model it keeps what verify_certificate learnt about it
+    (see there): checked, the last optimum the check accepted, and, once a
+    variant's check has read it, _columns (see _chained_check), shared by
+    the variants."""
+
+    checked: Optimal | None = None
+    _columns: tuple | None = None
 
     def __init__(
         self,
@@ -191,6 +215,7 @@ class LinearProgram:
         if drop or free:
             lp.variables = [Variable(v.name, False) if v.name in free else v
                             for v in self.variables if v.name not in drop]
+        if free:
             freed = {v.name for v in self.variables if v.nonnegative and v.name in free}
         lp.objective = ({k: rat(c) for k, c in objective.items()} if objective is not None
                         else {k: c for k, c in self.objective.items() if k not in drop}
@@ -208,7 +233,7 @@ class LinearProgram:
             raise LinearProgramError("variant changes the rhs or relation of a row it drops")
         kept = ([i for i, row in enumerate(self.rows) if row.id not in drop_rows] if drop_rows
                 else list(range(len(self.rows))))
-        lp.rows = [self.rows[i] for i in kept]
+        lp.rows = [self.rows[i] for i in kept] if drop_rows else list(self.rows)
         lp.index = {row.id: p for p, row in enumerate(lp.rows)} if drop_rows else self.index
         for p, row in enumerate(lp.rows if drop else ()):
             if not drop.isdisjoint(row.coeffs):
@@ -251,6 +276,14 @@ class Diff:
     freed: set
     gone: list[int]
     objective: bool
+    _rhs_moves: tuple | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def rhs_moves(self) -> tuple[list, int]:
+        """rhs's moves as ints over one denominator, in rhs's order."""
+        if self._rhs_moves is None:
+            self._rhs_moves = _integers([v for _, v in self.rhs])
+        return self._rhs_moves
 
 
 class Optimal:
@@ -341,9 +374,13 @@ LPOutcome = Optimal | Infeasible | Unbounded
 def solve(lp: LinearProgram, start: Tableau | None = None) -> LPOutcome:
     """Solve exactly, on a fresh Tableau or on ``start`` (see the module
     docstring); an Optimal outcome comes back as verify_certificate returns it."""
+    # lp's base, which its Diff refers to weakly, stays alive until the
+    # check has read its last checked optimum.
+    base = lp.diff and lp.diff.base()
     outcome = (Tableau() if start is None else start).optimize(lp)
     if isinstance(outcome, Optimal):
-        return verify_certificate(lp, outcome)
+        outcome = verify_certificate(lp, outcome)
+    del base
     return outcome
 
 
@@ -382,6 +419,7 @@ class Tableau:
 
     def optimize(self, lp: LinearProgram) -> LPOutcome:
         """Solve lp cold on a fresh tableau, else as a variant of the last model."""
+        self.carry = None
         if self.status is None:
             z = self.build(lp)
         elif self.status == "optimal":
@@ -451,40 +489,54 @@ class Tableau:
     def reoptimize(self, lp: LinearProgram) -> list[int] | None:
         """Carry the last optimal basis over to lp, the last model or a
         variant of it (see the module docstring), by the Diff lp.variant
-        recorded; lp's reduced costs, or None when lp is infeasible."""
+        recorded; lp's reduced costs, or None when lp is infeasible. Unless
+        the dual simplex runs, carry is set for phase2: the variables
+        dropped, the ids of the rows dropped, and (column, value) for each
+        basic value that moved."""
         old, nonneg, in_basis, cols = self.lp, self.nonneg, self.in_basis, self.cols
         if lp is old:
+            self.carry = ((), (), [])
             return self.z
         diff = lp.diff
         if diff is None or diff.base() is not old:
             raise LinearProgramError(
                 "start= takes the tableau's last model or a .variant of it (see linprog)")
-        fixed = ({cols[name] for name in diff.dropped}
-                 | {self.row_cols[i][0] for i, _ in diff.relations})
+        fixed = {cols[name] for name in diff.dropped}
+        if diff.relations:
+            fixed |= {self.row_cols[i][0] for i, _ in diff.relations}
         freed = {cols[name] for name in diff.freed}
         gone = {self.row_cols[i][0]: old.rows[i].relation for i in diff.gone}
         if (
-            any(relation != EQ for _, relation in diff.relations)
-            or any(in_basis[j] for j in fixed)
-            or any(not in_basis[j] for j in freed)
-            or any(relation == EQ or not in_basis[j] for j, relation in gone.items())
+            diff.relations and any(relation != EQ for _, relation in diff.relations)
+            or fixed and any(in_basis[j] for j in fixed)
+            or freed and any(not in_basis[j] for j in freed)
+            or gone and any(relation == EQ or not in_basis[j] for j, relation in gone.items())
         ):
             raise LinearProgramError("start= takes a variant of the last model (see linprog)")
-        # B^-1 b moves by B^-1 (b - b_old); a dropped row's rhs never reaches
-        # a kept row's value, because its slack is basic and in no other row.
-        # The moves are ints over one denominator dd, so row t's value moves
-        # by the sum below over t's denominator times dd.
-        moves, dd = _integers([v for _, v in diff.rhs])
-        delta = [(self.row_cols[i][0], -m if self.row_cols[i][1] else m)
-                 for (i, _), m in zip(diff.rhs, moves)]
-        values = list(self.values)
-        for r, t in enumerate(self.rows if delta else ()):
-            if s := sum([t[c] * m for c, m in delta if t[c]]):
-                values[r] = _plus(values[r], s, t[-1] * dd)
-        live = [(r, j) for r, j in enumerate(self.basis) if j not in gone]
-        if any(values[r][0] for r, j in live if j in self.banned):
+        # B^-1 b moves by B^-1 (b - b_old), by column: each moved row's
+        # identity column, over the rows where it is nonzero. A dropped
+        # row's rhs never reaches a kept row's value, because its slack is
+        # basic and in no other row. The moves are ints over one denominator
+        # dd, so row r's value moves by its sum over r's denominator times dd.
+        moves, dd = diff.rhs_moves
+        rows, basis, values = self.rows, self.basis, list(self.values)
+        sums: dict[int, int] = {}
+        for (i, _), m in zip(diff.rhs, moves):
+            c, flip = self.row_cols[i]
+            if flip:
+                m = -m
+            for r in compress(range(len(rows)), map(itemgetter(c), rows)):
+                sums[r] = sums.get(r, 0) + rows[r][c] * m
+        moved = [r for r, s in sums.items() if s]
+        for r in moved:
+            values[r] = _plus(values[r], sums[r], rows[r][-1] * dd)
+        # The last basis was primal feasible, so only a moved value can make
+        # a banned basic column (an artificial) nonzero, which leaves lp
+        # infeasible, or a nonnegative one negative.
+        if any(values[r][0] for r in moved if basis[r] in self.banned):
             return None
-        negative = any(values[r][0] < 0 and nonneg[j] and j not in freed for r, j in live)
+        negative = any(values[r][0] < 0 and nonneg[j] and j not in freed and j not in gone
+                       for r in moved for j in [basis[r]])
         # Dropped rows' basic slacks cost 0, so the z the last solve kept
         # current is lp's when the objective is.
         z = self.z if diff.objective else self.reduced_costs(lp)
@@ -492,14 +544,20 @@ class Tableau:
                             if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
 
+        if not negative:
+            self.carry = (diff.dropped, [old.rows[i].id for i in diff.gone],
+                          [(basis[r], values[r]) for r in moved])
         if freed:
             self.nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
         for j in gone:
             in_basis[j] = False
         self.banned |= fixed | gone.keys()
-        self.rows, self.basis = [self.rows[r] for r, _ in live], [j for _, j in live]
-        self.values = [values[r] for r, _ in live]
-        self.row_cols = [self.row_cols[i] for i in diff.kept]
+        if gone:
+            live = [r for r, j in enumerate(basis) if j not in gone]
+            self.rows, self.basis = [rows[r] for r in live], [basis[r] for r in live]
+            values = [values[r] for r in live]
+            self.row_cols = [self.row_cols[i] for i in diff.kept]
+        self.values = values
         return z if not negative or self.dual_run(z) else None
 
     # The update below touches only the nonzero columns of the pivot row,
@@ -563,25 +621,26 @@ class Tableau:
             cost[cols[name]] = sign * cj
         basic = [(row, cost[b]) for b, row in zip(self.basis, self.rows) if cost[b]]
         d = lcm(*[row[-1] for row, _ in basic])
-        z = [cj * d for cj in cost] + [dc * d]
+        z = ([cj * d for cj in cost] if d != 1 else cost) + [dc * d]
         for row, cb in basic:
             f = cb * (d // row[-1])
-            for k, t in enumerate(row[:-1]):
-                if t:
-                    z[k] -= f * t
+            for k in compress(range(len(row) - 1), row):
+                z[k] -= f * row[k]
         _reduce(z)
         return z
 
-    def run(self, zrow: list[int]) -> str:
+    def run(self, zrow: list[int]) -> int | None:
         """Primal simplex (Bland's rule) on reduced costs zrow from a
-        feasible basis; banned columns never enter."""
+        feasible basis; banned columns never enter. Returns the number of
+        pivots made, or None when lp is unbounded."""
         tableau, basis, in_basis, nonneg = self.rows, self.basis, self.in_basis, self.nonneg
         banned, values = self.banned, self.values
         ncols, m = len(nonneg), len(tableau)
+        pivots = 0
         while True:
             enter = -1
             direction = 1
-            for j in range(ncols):
+            for j in compress(range(ncols), zrow):  # a zero reduced cost never enters
                 if in_basis[j] or j in banned:
                     continue
                 rc = zrow[j]
@@ -594,7 +653,7 @@ class Tableau:
                     direction = 1 if rc < 0 else -1
                     break
             if enter < 0:
-                return "optimal"
+                return pivots
             # The least ratio value / entry, (b/q) / (t/d) = b d / (q t),
             # compared by cross-multiplying (t > 0).
             leave = -1
@@ -611,8 +670,9 @@ class Tableau:
                     ):
                         best_b, best_t, leave = b, t, i
             if leave < 0:
-                return "unbounded"
+                return None
             self.pivot(leave, enter, zrow)
+            pivots += 1
 
     def dual_run(self, z: list[int]) -> bool:
         """Dual simplex from dual feasible reduced costs z (rule in the module
@@ -642,25 +702,61 @@ class Tableau:
 
     def phase2(self, lp: LinearProgram, z: list[int]) -> LPOutcome:
         """Phase 2 from the current feasible basis, on lp's reduced costs z;
-        the optimum comes back on the tableau's ints (see Optimal)."""
-        if self.run(z) == "unbounded":
+        the optimum comes back on the tableau's ints (see Optimal).
+
+        When neither phase 2 nor the warm start made a pivot, the last
+        optimum is handed over with what moved (reoptimize's carry): x less
+        the variables dropped, with each moved basic value, and y, when z
+        is the last solve's own, less the rows dropped. Every other optimum
+        is built from the basis."""
+        pivots = self.run(z)
+        if pivots is None:
             return Unbounded()
-        # x: each basic variable's value, already in lowest terms, over their
-        # lcm. Only lp's variables have columns below len(cols) that can be
-        # basic (a dropped variable's column is banned and nonbasic).
-        nvar = len(self.cols)
-        values = {b: v for b, v in zip(self.basis, self.values) if v[0] and b < nvar}
-        dx = lcm(*[d for _, d in values.values()])
-        cols = self.cols
-        x = {v.name: 0 if (t := values.get(cols[v.name])) is None else t[0] * (dx // t[1])
-             for v in lp.variables}
-        # y: each row's identity column of z, signed by its flip and lp's sense.
-        minimize = lp.sense == MIN
-        y = {row.id: -z[col] if flip != minimize else z[col]
-             for (col, flip), row in zip(self.row_cols, lp.rows)}
+        nvar, carry, x = len(self.cols), None if pivots else self.carry, None
+        if carry is not None:
+            dropped, gone, moved = carry
+            last, dx, y, dy = self.last
+            x = last
+            if dropped or moved:
+                x = dict(last)
+                for name in dropped:
+                    del x[name]
+                for j, (num, den) in moved:
+                    if j < nvar:
+                        if dx % den:  # a new denominator: build x afresh
+                            x = None
+                            break
+                        x[self.names[j]] = num * (dx // den)
+        if x is None:
+            # Each basic variable's value, already in lowest terms, over
+            # their lcm. Only lp's variables have columns below len(cols)
+            # that can be basic (a dropped variable's column is banned and
+            # nonbasic).
+            values = {b: v for b, v in zip(self.basis, self.values) if v[0] and b < nvar}
+            dx = lcm(*[d for _, d in values.values()])
+            cols = self.cols
+            x = {v.name: 0 if (t := values.get(cols[v.name])) is None else t[0] * (dx // t[1])
+                 for v in lp.variables}
+        if carry is None or z is not self.z:
+            # y: each row's identity column of z, signed by its flip and
+            # lp's sense.
+            minimize = lp.sense == MIN
+            y = {row.id: -z[col] if flip != minimize else z[col]
+                 for (col, flip), row in zip(self.row_cols, lp.rows)}
+            dy = z[-1]
+        elif gone:
+            y = dict(y)
+            for row_id in gone:
+                del y[row_id]
         c, dc = lp.costs
         objective = _rational(sum(map(mul, c, map(x.__getitem__, lp.objective))), dc * dx)
-        return Optimal.of_ints(x, dx, y, z[-1], objective)
+        self.last = x, dx, y, dy
+        return Optimal.of_ints(x, dx, y, dy, objective)
+
+    @cached_property
+    def names(self) -> list:
+        """The built model's variable names, by column."""
+        return list(self.cols)
 
 
 def _plus(value: tuple, num: int, den: int) -> tuple:
@@ -690,12 +786,49 @@ def _rational(num: int, den: int) -> Rational:
 
 def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
     """Exact optimality check: feasibility both sides, CS, strong duality.
-    Returns opt with its slack and reduced maps (see Optimal) filled in.
+    Returns opt with its slack and reduced maps (see Optimal) filled in,
+    and keeps it as lp.checked.
 
     It reads the model and opt's ints alone (x as xs over dx, y as ys over
-    dy), never a tableau. Each row is read as its coefficients' stored
-    integer scaling (Row.scale: ints over their lcm denominator s) and its
-    rhs p/q in lowest terms, compared over s * dx * q; y.b is summed by rhs
+    dy), never a tableau, plus the last optimum the check accepted for lp
+    or, for a variant, for its base (lp.diff.base().checked, the prior).
+    The ints of lp's own last checked optimum pass again as they did (a
+    re-solve of the model), with its slacks and reduced costs. For a
+    variant the check is chained (_chained_check): it compares opt's ints
+    with the prior's to find the x and y entries that moved, reads lp's
+    Diff and costs for the rhs, relations, bounds, costs, rows and
+    variables that moved, and re-tests every row and column with a moved
+    input. It is complete
+    because each row or column test reads only that row's or column's
+    inputs, so a row or column whose inputs did not move passes as it did
+    for the prior, and keeps the prior's slack or reduced cost; c.x is
+    summed afresh and y.b is the prior's moved by what moved, and the
+    objective and strong-duality tests run on both. Any certificate
+    neither accepts goes to the full check (_full_check), which every
+    other optimum gets too, and which raises its error; so a chained
+    solve gets the full check's verdict and message. The returned optimum
+    holds no link to the prior."""
+    prior, base = lp.checked, lp.diff and lp.diff.base()
+    if prior is not None and (opt.xs, opt.dx, opt.ys, opt.dy, opt.objective) == (
+            prior.xs, prior.dx, prior.ys, prior.dy, prior.objective):
+        checked = Optimal.of_ints(opt.xs, opt.dx, opt.ys, opt.dy, opt.objective,
+                                  prior.slacks, prior.reduced_costs)
+    elif base is not None and base.checked is not None:
+        checked = _chained_check(lp, opt, base)
+    else:
+        checked = None
+    if checked is None:
+        checked = _full_check(lp, opt)
+    lp.checked = checked
+    return checked
+
+
+def _full_check(lp: LinearProgram, opt: Optimal) -> Optimal:
+    """verify_certificate on every row and column of lp.
+
+    Each row is read as its coefficients' stored integer scaling
+    (Row.scale: ints over their lcm denominator s) and its rhs p/q in
+    lowest terms, compared over s * dx * q; y.b is summed by rhs
     denominator q. The objective is read as lp.costs. Both scalings are
     computed once per model piece, so every row sum and every relation,
     sign, complementary-slackness, objective and strong-duality test runs
@@ -763,6 +896,201 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
         raise SolverInvariantError(
             f"strong duality fails: {rat(dual, dy * scale)} != {rat(cost, dc * dx)}")
     return Optimal.of_ints(xs, dx, ys, dy, objective, slacks, reduced_costs)
+
+
+#: _chained_check takes a certificate while at most one of this many of its
+#: x and y entries moved.
+_CHAINED_SHARE = 8
+
+
+def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Optimal | None:
+    """verify_certificate for lp = base.variant(...) with base's sense, from
+    prior = base.checked: opt with its slacks and reduced costs, or None to
+    leave opt to the full check.
+
+    It is complete because each test of the full check reads only one row's
+    or one column's inputs, and it finds on its own which inputs moved.
+    lp's Diff gives the rhs, relations, bounds, rows and variables that
+    changed, and comparing lp's costs with base's gives the costs that
+    moved. Comparing opt's ints with the prior's gives the x and y entries
+    that moved, and opt must claim exactly lp's variables and rows. Every
+    row whose rhs, relation or y moved, or whose x moved on its
+    coefficients (a dropped variable that was nonzero counts), is tested
+    again, and so is every column whose cost, bound or x moved, or whose
+    rows' y moved (a dropped row that had a nonzero y counts). Any other row
+    or column has the prior's inputs, so it passes as it did for the prior,
+    with the prior's slack or reduced cost. Columns are read through
+    _column_index, built from the first model of a chain that needs it and
+    shared by its variants. c.x is summed again, and y.b is the prior's
+    (its objective, by strong duality) moved by the rows whose y or rhs
+    moved or that were dropped.
+
+    A new sense flips every sign test, and past one x and y entry in
+    _CHAINED_SHARE moved one pass over the model costs less than re-testing
+    their rows and columns, so both go to the full check; so does a model
+    too small to let three entries move, whose full check costs less than
+    the chained check's fixed part."""
+    prior, diff = base.checked, lp.diff
+    budget = (len(lp.variables) + len(lp.rows)) // _CHAINED_SHARE
+    if budget < 3 or lp.sense != base.sense:
+        return None
+    xs, dx, ys, dy = opt.xs, opt.dx, opt.ys, opt.dy
+    pxs, pys, old_rows = prior.xs, prior.ys, base.rows
+    dropped, gone = diff.dropped, [old_rows[i] for i in diff.gone]
+    if (len(pxs) != len(base.variables) or len(pys) != len(old_rows)
+            or len(xs) != len(lp.variables) or len(ys) != len(lp.rows)
+            or dropped and not dropped.isdisjoint(xs)
+            or gone and any(row.id in ys for row in gone)):
+        return None
+    try:  # a key outside the prior's is not lp's
+        moved_y = _moved(ys, dy, pys, prior.dy)
+        if len(moved_y) > budget:
+            return None
+        moved_x = _moved(xs, dx, pxs, prior.dx)
+    except KeyError:
+        return None
+    if len(moved_x) + len(moved_y) > budget:
+        return None
+    if base._columns is None:
+        base._columns = _column_index(base)
+    lp._columns = scale, columns, free = base._columns
+    if diff.freed:
+        lp._columns = scale, columns, free = scale, columns, free | diff.freed
+    index, rows = lp.index, lp.rows
+
+    # The rows and columns to test again, each once, in the order first met.
+    # A ``=`` row whose y alone moved passes again: its lhs and rhs did not
+    # move, and its y is free. A row id the index holds but lp dropped is
+    # passed over.
+    moved_b = [old_rows[i].id for i, _ in diff.rhs]
+    test = moved_b + [old_rows[i].id for i, _ in diff.relations]
+    for name in moved_x:
+        test += columns[name][0]
+    for name in dropped:
+        if pxs[name]:
+            test += columns[name][0]
+    test += [row_id for row_id in moved_y if rows[index[row_id]].relation != EQ]
+    names = moved_x + list(diff.freed)
+    for row_id in moved_y:
+        names += rows[index[row_id]].coeffs
+    for row in gone:
+        if pys[row.id]:
+            names += [name for name in row.coeffs if name not in dropped]
+    c, dc = lp.costs
+    costs = dict(zip(lp.objective, c))
+    if not diff.objective:
+        old_c, old_dc = base.costs
+        old_costs = dict(zip(base.objective, old_c))
+        names += [name for name, cj in costs.items() if cj * old_dc != old_costs.get(name, 0) * dc]
+        names += [name for name, cj in old_costs.items()
+                  if cj and name not in costs and name not in dropped]
+
+    minimize, value = lp.sense == MIN, xs.__getitem__
+    retest, slacks = dict.fromkeys(test), []
+    for row_id in retest:
+        p = index.get(row_id)
+        if p is None:
+            continue
+        row = rows[p]
+        yi, relation = ys[row_id], row.relation
+        a, s = row.scale
+        p, q = row.rhs.numerator, row.rhs.denominator
+        lhs, b = sum(map(mul, a, map(value, row.coeffs))), p * s * dx
+        if q != 1:
+            lhs *= q
+        if lhs == b:
+            if relation != EQ and (yi > 0 if (relation == LE) == minimize else yi < 0):
+                return None
+        elif relation == EQ or yi or (lhs < b) != (relation == LE):
+            return None
+        else:
+            slacks.append((row_id, b - lhs if relation == LE else lhs - b, s * dx * q))
+    # c_j - y.A_j over den, with A_j's entries over scale; a row the index
+    # holds but lp dropped reads y = 0.
+    den = lcm(dc, dy * scale)
+    fc, fy, get, zeros = den // dc, den // (dy * scale), ys.get, repeat(0)
+    recheck, reduced_costs = dict.fromkeys(names), []
+    for name in recheck:
+        xj, (ids, coeffs) = xs[name], columns[name]
+        dj = costs.get(name, 0) * fc - fy * sum(map(mul, coeffs, map(get, ids, zeros)))
+        if name in free:
+            if dj:
+                return None
+        elif xj < 0:
+            return None
+        elif dj:
+            if ((dj < 0) if minimize else (dj > 0)) or xj:
+                return None
+            reduced_costs.append((name, dj, den))
+
+    # c.x over dc * dx against the claimed objective. y.b against c.x:
+    # y.b is the prior's objective P/Q plus y_i (b_i - b0_i) for each rhs
+    # moved and (y_i - y0_i) b0_i for each y moved (a dropped row's y_i is
+    # 0), summed over the lcm of their denominators.
+    cost, objective = sum(map(mul, c, map(value, lp.objective))), opt.objective
+    if cost * objective.denominator != objective.numerator * dc * dx:
+        return None
+    # The rhs moves are ints over dd, so their part is over dy * dd; the y
+    # moves' part is over dy * pdy * (the lcm of their b0 denominators).
+    moves, dd = diff.rhs_moves
+    first = sum(map(mul, map(ys.__getitem__, moved_b), moves)) if moved_b else 0
+    second: dict[int, int] = {}
+    pdy = prior.dy
+    for row_id, yi in [*[(row_id, ys[row_id]) for row_id in moved_y],
+                       *[(row.id, 0) for row in gone]]:
+        b = old_rows[base.index[row_id]].rhs
+        if num := (yi * pdy - pys[row_id] * dy) * b.numerator:
+            second[b.denominator] = second.get(b.denominator, 0) + num
+    common = lcm(*second)
+    d1, d2 = dy * dd, dy * pdy * common
+    p, q = prior.objective.numerator, prior.objective.denominator
+    total = p * d1 * d2 + (first * d2 + sum([v * (common // k) for k, v in second.items()]) * d1) * q
+    if total * dc * dx != cost * q * d1 * d2:
+        return None
+
+    if retest or gone:
+        stale = retest.keys() | {row.id for row in gone} if gone else retest
+        slacks[:0] = [t for t in prior.slacks if t[0] not in stale]
+    else:
+        slacks = prior.slacks
+    if recheck or dropped:
+        reduced_costs[:0] = [t for t in prior.reduced_costs
+                             if t[0] not in recheck and t[0] not in dropped]
+    else:
+        reduced_costs = prior.reduced_costs
+    return Optimal.of_ints(xs, dx, ys, dy, objective, slacks, reduced_costs)
+
+
+def _moved(new: dict, den: int, old: dict, old_den: int) -> list:
+    """The keys of new (ints over den) whose value differs from old's (ints
+    over old_den); a KeyError when old lacks one."""
+    if new is old and den == old_den:
+        return []
+    if len(new) == len(old) and all(map(is_, new, old)):
+        # The same key objects in the same order (a phase 2 optimum after
+        # the last one): compared by position, no key is hashed.
+        if den == old_den:
+            return [k for k, v, w in zip(new, new.values(), old.values()) if v != w]
+        return [k for k, v, w in zip(new, new.values(), old.values()) if v * old_den != w * den]
+    if den == old_den:
+        return [k for k, v in new.items() if v != old[k]]
+    return [k for k, v in new.items() if v * old_den != old[k] * den]
+
+
+def _column_index(lp: LinearProgram) -> tuple[int, dict, frozenset]:
+    """lp's columns: (S, each variable -> (its rows' ids, its coefficients
+    there times S), the names of the free variables), S the lcm of the
+    rows' scale denominators (Row.scale)."""
+    scale = lcm(*[row.scale[1] for row in lp.rows])
+    columns: dict = {v.name: ([], []) for v in lp.variables}
+    for row in lp.rows:
+        a, s = row.scale
+        f = scale // s
+        for name, aj in zip(row.coeffs, a):
+            ids, coeffs = columns[name]
+            ids.append(row.id)
+            coeffs.append(aj * f)
+    return scale, columns, frozenset([v.name for v in lp.variables if not v.nonnegative])
 
 
 def _integers(values: Collection) -> tuple[list, int]:
