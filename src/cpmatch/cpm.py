@@ -199,56 +199,70 @@ def _stage_duals(primal, stages, x, last):
     recorded (see linprog), since it only changes right-hand sides, drops
     rows whose slack is nonzero and frees positive sets' bounds, which keeps
     the last basis dual feasible. The chain is held here: lp, the last
-    stage's model, drop and free, what the next stage leaves out of it, and
-    freed.
+    stage's model, drop and free, what the next stage leaves out of it,
+    freed, and moved, whose rows alone the next stage reads: the edges of
+    the last and the next objective, and the keys whose last and next
+    targets are two objects (tuples held once are one, and no key is read).
 
     An inequality row of the stage model, or a set's sign bound, stays in the
     stages until its value (the row's slack at the stage optimum, read off
-    the solve's certificate check as out.slack, or the set's pi) is first
+    the solve's certificate check as out.slacks, or the set's pi) is first
     nonzero. That value decides the sign of its stage series: a negative one
     raises SignViolation (the certificate-checked rows and bounds forbid it,
     so only a faulty solve can), a positive one drops the row or bound from
-    all later stages (out.slack holds only the rows that are not tight).
+    all later stages (out.slacks holds only the rows that are not tight).
 
     The stage duals are kept in one form, the record's: returns ctx.keys,
     one value tuple per stage over them, and freed, the sets with a positive
     series. A pi value equal to its target keeps the target's object, and
     equal value tuples are held once, so the results a caller keeps share
-    the dual values that did not move instead of holding equal copies.
+    the dual values that did not move instead of holding equal copies. Both
+    run on pi's ints (out.xs over out.dx): a tuple is held by its ints over
+    their least common denominator, so no rational is hashed, and only a
+    new one compares its values with their targets, by cross-multiplying.
 
     perturb.solve_perturbed_pair cannot run these stages: it fixes A and b
     and stages only the objective, while here the stages drop rows and
     bounds and take targets carried over from the previous iteration.
     """
     ctx = stage_context(primal, x)
+    keys, names = ctx.keys, [("pi", k) for k in ctx.keys]
+    old_keys, targets = (last.dual_keys, last.dual_values) if last else ((), [()] * len(stages))
     tab = Tableau()
     values, held = [], {}
-    lp, drop, free, freed = None, (), (), set()
+    lp, drop, free, freed, moved = None, (), (), set(), ()
     for i, ci in enumerate(stages):
-        target = {} if last is None else dict(zip(last.dual_keys, last.dual_values[i]))
-        lp = build_closest_dual(ctx, ci, target, lp, drop, free)
+        target = dict(zip(old_keys, targets[i]))
+        if i:
+            moved = [*stages[i - 1], *ci]
+            if targets[i - 1] is not targets[i]:
+                moved += [k for k, a, b in zip(old_keys, targets[i - 1], targets[i]) if a is not b]
+        lp = build_closest_dual(ctx, ci, target, lp, drop, free, moved)
         out = solve(lp, start=tab)
         if not isinstance(out, Optimal):
             raise StageSolveError(f"dual stage {i} came back {out.status}")
-        pi = {}
-        for k in ctx.keys:
-            v = out.value(("pi", k))
-            pi[k] = target[k] if k in target and target[k] == v else v
-        stage = tuple(pi.values())
-        values.append(held.setdefault(stage, stage))
+        dx, nums = out.dx, list(map(out.xs.__getitem__, names))
+        g = math.gcd(dx, *nums)
+        held_key = (dx // g, *[num // g for num in nums])
+        if held_key not in held:
+            held[held_key] = tuple([
+                t if (t := target.get(k)) is not None and num * t.denominator == t.numerator * dx
+                else out.value(name) for k, name, num in zip(keys, names, nums)])
+        values.append(held[held_key])
 
-        drop = {row_id for row_id, slack in out.slack.items() if _nonzero(row_id, slack, i)}
-        free = [s for s in ctx.tight if s not in freed and _nonzero(("cut", s), pi[s], i)]
+        drop = {row_id for row_id, num, den in out.slacks if _nonzero(row_id, num, den, i)}
+        free = [s for s in ctx.tight if s not in freed
+                and _nonzero(("cut", s), out.xs[("pi", s)], dx, i)]
         freed.update(free)
-    return ctx.keys, tuple(values), freed
+    return keys, tuple(values), freed
 
 
-def _nonzero(what, value, stage: int) -> bool:
-    """Whether value, the first candidate nonzero of series `what` (every
-    earlier stage gave 0), is nonzero; raise when it is negative."""
-    if value < 0:
-        raise SignViolation(what, (R0,) * stage + (value,))
-    return bool(value)
+def _nonzero(what, num: int, den: int, stage: int) -> bool:
+    """Whether num / den (den > 0), the first candidate nonzero of series
+    `what` (every earlier stage gave 0), is nonzero; raise when negative."""
+    if num < 0:
+        raise SignViolation(what, (R0,) * stage + (rat(num, den),))
+    return bool(num)
 
 
 def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -> NaiveTrace:

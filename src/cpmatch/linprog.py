@@ -16,7 +16,8 @@ terms, so a wide right-hand side (a perturbed cost c + 2^-rank, a
 half-integral target) widens only its value and never rescales a row's
 coefficients. Models' rationals become ints when a model piece is
 validated (each row's coefficients and the objective are scaled to ints
-once) and when a tableau's rhs change. The optimum stays on ints
+once, and each rhs is read as its numerator and denominator, Row.rhs_ints)
+and when a tableau's rhs change. The optimum stays on ints
 too: phase2 hands x and y to verify_certificate as ints over one
 denominator each, and rationals are formed again only where a caller reads
 them (Optimal.x, .y, .value(name), .slack, .reduced). Each x and y value is
@@ -77,7 +78,9 @@ dropped variable; it shares lp's variable list, objective and row index when
 they stay. Each row's coefficient scaling (Row.scale) and the objective's
 (LinearProgram.costs) are computed once, when the piece is validated, and
 shared with the variants that keep it; an rhs that moves keeps its row's
-scale.
+scale. The variant visits only the rows it is given, and records each rhs
+move new - old as ints from the two values' numerators and denominators
+(Diff.rhs, Row.rhs_ints), so no rational is compared or subtracted.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Every sign, ratio and tie it
@@ -132,13 +135,16 @@ class Variable:
 class Row:
     """One model row, coeffs . x relation rhs. Only the coefficients are
     scaled to ints (scale); the rhs keeps its own denominator, which a
-    Tableau holds in its value column and verify_certificate reads apart."""
+    Tableau holds in its value column and verify_certificate reads apart,
+    both from rhs_ints, so neither reads the rational."""
     id: Hashable
     coeffs: Mapping[Hashable, Any]
     relation: str
     rhs: Any
     #: coeffs' values over their lcm denominator, (nums, den), set on validation
     scale: tuple | None = field(default=None, compare=False, repr=False)
+    #: rhs as (numerator, denominator), set on validation and with a moved rhs
+    rhs_ints: tuple | None = field(default=None, compare=False, repr=False)
 
 
 class LinearProgram:
@@ -196,7 +202,9 @@ class LinearProgram:
                     raise LinearProgramError(
                         f"row {row_id!r} references unknown variable {name!r}"
                     )
-            row = Row(row_id, coeffs, relation, rat(rhs), _integers(coeffs.values()))
+            b = rat(rhs)
+            row = Row(row_id, coeffs, relation, b, _integers(coeffs.values()),
+                      (b.numerator, b.denominator))
             if row_id in self.index:
                 raise LinearProgramError(f"duplicate row id {row_id!r}")
             self.index[row_id] = len(self.rows)
@@ -238,20 +246,26 @@ class LinearProgram:
         for p, row in enumerate(lp.rows if drop else ()):
             if not drop.isdisjoint(row.coeffs):
                 coeffs = {k: c for k, c in row.coeffs.items() if k not in drop}
-                lp.rows[p] = Row(row.id, coeffs, row.relation, row.rhs, _integers(coeffs.values()))
+                lp.rows[p] = Row(row.id, coeffs, row.relation, row.rhs, _integers(coeffs.values()),
+                                 row.rhs_ints)
         rhs_moves, relation_moves = [], []
         for p in sorted([lp.index[row_id] for row_id in changed]):
             row = lp.rows[p]
             b, rel = rat(rhs.get(row.id, row.rhs)), relations.get(row.id, row.relation)
-            # A zero delta moves nothing, so rhs values equal to the row's
-            # are told apart without a comparison.
-            delta = b is not row.rhs and b - row.rhs
-            if delta:
-                rhs_moves.append((kept[p], delta))
+            old = row.rhs_ints
+            ints = old if b is row.rhs else (b.numerator, b.denominator)
+            num, den = (0, 1) if ints is old else _plus(ints, -old[0], old[1])
+            if num:
+                rhs_moves.append((kept[p], num, den))
             if rel != row.relation:
                 relation_moves.append((kept[p], rel))
-            if delta or rel != row.relation:
-                lp.rows[p] = Row(row.id, row.coeffs, rel, b if delta else row.rhs, row.scale)
+            if num or rel != row.relation:
+                moved = lp.rows[p] = object.__new__(Row)  # no frozen __init__
+                fields = vars(moved)
+                fields.update(vars(row))
+                fields["relation"] = rel
+                if num:
+                    fields["rhs"], fields["rhs_ints"] = b, ints
         lp.diff = Diff(ref(self), kept, rhs_moves, relation_moves, drop, freed,
                        sorted([self.index[i] for i in drop_rows]),
                        lp.sense == self.sense and (lp.objective is self.objective
@@ -263,11 +277,11 @@ class LinearProgram:
 class Diff:
     """What LinearProgram.variant changed against base, a weak reference to
     the model it varies (see the module docstring): base's position of
-    each of its rows (kept), (base position, new rhs - old rhs) for each
-    row whose rhs moved (rhs), (base position, new relation) for each row
-    whose relation moved (relations), the variables dropped, the names
-    whose bound was freed, base's positions of the rows dropped (gone), and
-    whether sense and objective are base's."""
+    each of its rows (kept), (base position, num, den) for each row whose
+    rhs moved by num/den in lowest terms (rhs), (base position, new
+    relation) for each row whose relation moved (relations), the variables
+    dropped, the names whose bound was freed, base's positions of the rows
+    dropped (gone), and whether sense and objective are base's."""
     base: ref
     kept: list[int]
     rhs: list[tuple]
@@ -282,7 +296,8 @@ class Diff:
     def rhs_moves(self) -> tuple[list, int]:
         """rhs's moves as ints over one denominator, in rhs's order."""
         if self._rhs_moves is None:
-            self._rhs_moves = _integers([v for _, v in self.rhs])
+            dd = lcm(*[den for _, _, den in self.rhs])
+            self._rhs_moves = [num * (dd // den) for _, num, den in self.rhs], dd
         return self._rhs_moves
 
 
@@ -451,7 +466,7 @@ class Tableau:
         self.rows, self.values = [], []
         for row, flip, b in zip(lp.rows, flips, identity_col):
             # The coefficients over their lcm denominator (Row.scale); the
-            # rhs, a Fraction, is already in lowest terms.
+            # rhs's ints (Row.rhs_ints) are already in lowest terms.
             a, d = row.scale
             sign = -1 if flip else 1
             t = [0] * ncols + [d]
@@ -459,7 +474,7 @@ class Tableau:
                 t[self.cols[name]] = sign * c
             t[b] = d
             self.rows.append(t)
-            self.values.append((sign * row.rhs.numerator, row.rhs.denominator))
+            self.values.append((sign * row.rhs_ints[0], row.rhs_ints[1]))
         self.nonneg = [v.nonnegative for v in lp.variables] + [True] * (ncols - nvar)
         self.basis, self.banned = list(identity_col), set(artificial)
         self.in_basis = [False] * ncols
@@ -521,7 +536,7 @@ class Tableau:
         moves, dd = diff.rhs_moves
         rows, basis, values = self.rows, self.basis, list(self.values)
         sums: dict[int, int] = {}
-        for (i, _), m in zip(diff.rhs, moves):
+        for (i, _, _), m in zip(diff.rhs, moves):
             c, flip = self.row_cols[i]
             if flip:
                 m = -m
@@ -851,7 +866,7 @@ def _full_check(lp: LinearProgram, opt: Optimal) -> Optimal:
     for row in lp.rows:
         yi = ys[row.id]
         a, s = row.scale
-        p, q = row.rhs.numerator, row.rhs.denominator
+        p, q = row.rhs_ints
         # Both sides over s * dx * q.
         lhs, b = sum(map(mul, a, map(value, row.coeffs))), p * s * dx
         if q != 1:
@@ -929,10 +944,13 @@ def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Opti
     _CHAINED_SHARE moved one pass over the model costs less than re-testing
     their rows and columns, so both go to the full check; so does a model
     too small to let three entries move, whose full check costs less than
-    the chained check's fixed part."""
+    the chained check's fixed part. The rows the Diff moved or dropped
+    count against the same budget, so a variant that moved too many goes
+    to the full check before the prior is read."""
     prior, diff = base.checked, lp.diff
     budget = (len(lp.variables) + len(lp.rows)) // _CHAINED_SHARE
-    if budget < 3 or lp.sense != base.sense:
+    if (budget < 3 or lp.sense != base.sense
+            or len(diff.rhs) + len(diff.relations) + len(diff.gone) > budget):
         return None
     xs, dx, ys, dy = opt.xs, opt.dx, opt.ys, opt.dy
     pxs, pys, old_rows = prior.xs, prior.ys, base.rows
@@ -962,7 +980,7 @@ def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Opti
     # A ``=`` row whose y alone moved passes again: its lhs and rhs did not
     # move, and its y is free. A row id the index holds but lp dropped is
     # passed over.
-    moved_b = [old_rows[i].id for i, _ in diff.rhs]
+    moved_b = [old_rows[i].id for i, _, _ in diff.rhs]
     test = moved_b + [old_rows[i].id for i, _ in diff.relations]
     for name in moved_x:
         test += columns[name][0]
@@ -994,7 +1012,7 @@ def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Opti
         row = rows[p]
         yi, relation = ys[row_id], row.relation
         a, s = row.scale
-        p, q = row.rhs.numerator, row.rhs.denominator
+        p, q = row.rhs_ints
         lhs, b = sum(map(mul, a, map(value, row.coeffs))), p * s * dx
         if q != 1:
             lhs *= q
@@ -1038,9 +1056,9 @@ def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Opti
     pdy = prior.dy
     for row_id, yi in [*[(row_id, ys[row_id]) for row_id in moved_y],
                        *[(row.id, 0) for row in gone]]:
-        b = old_rows[base.index[row_id]].rhs
-        if num := (yi * pdy - pys[row_id] * dy) * b.numerator:
-            second[b.denominator] = second.get(b.denominator, 0) + num
+        bp, bq = old_rows[base.index[row_id]].rhs_ints
+        if num := (yi * pdy - pys[row_id] * dy) * bp:
+            second[bq] = second.get(bq, 0) + num
     common = lcm(*second)
     d1, d2 = dy * dd, dy * pdy * common
     p, q = prior.objective.numerator, prior.objective.denominator

@@ -9,9 +9,9 @@ pick the one minimizing the size-weighted distance sum(|target(S) - pi(S)|/|S|)
 to a target vector via auxiliary r(S) variables. The stages against one x
 write their model once: each later stage is a variant
 (LinearProgram.variant) of the stage before it, passed back in with the
-rows and sign bounds to drop since then, and reads the right-hand sides
-that moved off that model's rows, so the staged emulation of an
-infinitesimal cost perturbation pays per stage for what changed.
+rows and sign bounds to drop and the edges and keys whose rows may move,
+and reads only those, so the staged emulation of an infinitesimal cost
+perturbation pays per stage for what changed.
 What all stages against one x share (tight sets, dual keys, crossing
 lists, support) is a read-only StageContext. It is read off the rows of
 the primal model that x solves, in one pass per x, so only build_primal
@@ -114,7 +114,7 @@ def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageConte
 
 def build_closest_dual(
     ctx: StageContext, costs: Mapping[Edge, object], target: Mapping[DualKey, object],
-    last: LinearProgram | None = None, drop=(), free=(),
+    last: LinearProgram | None = None, drop=(), free=(), moved=(),
 ) -> LinearProgram:
     """The distance-minimal dual program against the primal optimum ctx was
     built for.
@@ -126,10 +126,14 @@ def build_closest_dual(
     the one-entry map {e: 1}. Without `last` the whole model is written.
     With `last`, an earlier stage's model, the result is a variant of it that
     leaves out the inequality rows with ids in `drop`, frees the sign bounds
-    of the tight sets in `free`, and sets each kept right-hand side that
-    differs from last's row to its value from costs or target. A row or set
-    the model does not hold raises LinearProgramError from the variant, and
-    a dropped equality row from the warm solve (see linprog).
+    of the tight sets in `free`, and reads only the rows of `moved`, the
+    edges (tuples) and dual keys whose cost or target may differ from the
+    ones last's rows hold: each such row last keeps (an edge's row, a key's
+    lo and hi rows) takes its value from costs or target, and the variant
+    records which moved (see linprog). Every other row keeps last's
+    right-hand side. A row or set the model does not hold, named in `drop`
+    or `free`, raises LinearProgramError from the variant, and a dropped
+    equality row from the warm solve (see linprog).
     """
     keys = ctx.keys
     if last is None:
@@ -142,11 +146,13 @@ def build_closest_dual(
             kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
             rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs.get(e, R0))))
         return LinearProgram(MIN, variables, objective, rows)
-    rhs = {}
-    for row in last.rows:
-        kind, key = row.id
-        if row.id not in drop:
-            b = (target if kind in ("lo", "hi") else costs).get(key, R0)
-            if b is not row.rhs and b != row.rhs:
-                rhs[row.id] = b
+    rhs, index = {}, last.index
+    for key in moved:
+        if isinstance(key, tuple):  # an edge
+            b, ids = costs.get(key, R0), (("tight" if key in ctx.support else "edge", key),)
+        else:
+            b, ids = target.get(key, R0), (("lo", key), ("hi", key))
+        for row_id in ids:
+            if row_id in index and row_id not in drop:
+                rhs[row_id] = b
     return last.variant(rhs=rhs, drop_rows=drop, free=[("pi", s) for s in free])

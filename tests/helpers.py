@@ -39,12 +39,12 @@ def tableau_state(tab: Tableau) -> tuple:
 
 
 def model_parts(lp: LinearProgram) -> tuple:
-    """Everything a model holds, in order, its stored integer scalings too
-    (the objective's, and each row's): equal for a variant and the fresh
-    model it stands for."""
+    """Everything a model holds, in order, its stored integers too (the
+    objective's scaling, and each row's scaling and rhs): equal for a
+    variant and the fresh model it stands for."""
     return (lp.sense, [(v.name, v.nonnegative) for v in lp.variables], list(lp.objective.items()),
-            lp.costs, [(row.id, list(row.coeffs.items()), row.relation, row.rhs, row.scale)
-                       for row in lp.rows])
+            lp.costs, [(row.id, list(row.coeffs.items()), row.relation, row.rhs, row.scale,
+                        row.rhs_ints) for row in lp.rows])
 
 
 def row_diff(base: LinearProgram, lp: LinearProgram) -> Diff:
@@ -61,7 +61,8 @@ def row_diff(base: LinearProgram, lp: LinearProgram) -> Diff:
     assert all(row.coeffs == {k: c for k, c in o.coeffs.items() if k in names}
                for _, o, row in pairs)
     return Diff(ref(base), kept,
-                [(i, row.rhs - o.rhs) for i, o, row in pairs if row.rhs != o.rhs],
+                [(i, d.numerator, d.denominator) for i, o, row in pairs
+                 if (d := row.rhs - o.rhs)],
                 [(i, row.relation) for i, o, row in pairs if row.relation != o.relation],
                 bounds.keys() - names,
                 {v.name for v in lp.variables if bounds[v.name] and not v.nonnegative},

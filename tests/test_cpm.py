@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -342,12 +343,12 @@ def test_stage_models_are_variants_equal_to_fresh_models(monkeypatch):
 
     gone = {"rows": set(), "sets": set()}
 
-    def closest(ctx, costs, target, last=None, drop=(), free=()):
+    def closest(ctx, costs, target, last=None, drop=(), free=(), moved=()):
         if last is None:
             gone["rows"], gone["sets"] = set(), set()
         gone["rows"].update(drop)
         gone["sets"].update(free)
-        lp = build_closest_dual(ctx, costs, target, last, drop, free)
+        lp = build_closest_dual(ctx, costs, target, last, drop, free, moved)
         fresh = _fresh_closest_dual(ctx, costs, target, gone["rows"], gone["sets"])
         models.append((lp, lp if last is None else last, fresh))
         return lp
@@ -413,8 +414,8 @@ def test_recorded_diffs_solve_like_fresh_models(monkeypatch):
     made, counts = {}, dict.fromkeys(["warm", "recorded", "faces", "stages"], 0)
     build_closest_dual, optimal_face = cpm.build_closest_dual, lexmin.optimal_face
 
-    def closest(ctx, costs, target, last=None, drop=(), free=()):
-        lp = build_closest_dual(ctx, costs, target, last, drop, free)
+    def closest(ctx, costs, target, last=None, drop=(), free=(), moved=()):
+        lp = build_closest_dual(ctx, costs, target, last, drop, free, moved)
         if last is not None:
             counts["stages"] += 1
             made[id(lp)] = lp
@@ -454,6 +455,7 @@ def test_stage_chain_reads_rhs_moves_off_the_model():
     # A caller may pass one costs dict and one target dict to every stage
     # and change them in place in between: each stage reads what moved off
     # the last stage's rows, never off a dict an earlier call was passed.
+    # Here every edge and key is named as moved.
     g, sigma, _ = dancing_robot()
     rec = solve_unperturbed(g, sigma).iterations[-1]
     ctx = matchlp.stage_context(matchlp.build_primal(g, g.cost_map(), rec.family), rec.x)
@@ -464,11 +466,12 @@ def test_stage_chain_reads_rhs_moves_off_the_model():
         costs.update(g.cost_map() if i == 0 else {sigma.order()[i - 1]: R1})
         target.update({k: rat(i + j, 2) for j, k in enumerate(ctx.keys)})
         last = lp
-        lp = matchlp.build_closest_dual(ctx, costs, target, last, drop, free)
+        lp = matchlp.build_closest_dual(ctx, costs, target, last, drop, free,
+                                        [*ctx.crossing, *ctx.keys])
         dropped.update(drop)
         freed.update(free)
         if last is not None:
-            moved.update(last.rows[p].id[0] for p, _ in lp.diff.rhs)
+            moved.update(last.rows[p].id[0] for p, _, _ in lp.diff.rhs)
         fresh = _fresh_closest_dual(ctx, costs, target, dropped, freed)
         assert model_parts(lp) == model_parts(fresh)
         out, cold = linprog.solve(lp, start=tab), linprog.solve(fresh)
@@ -521,10 +524,52 @@ def test_stages_take_one_edge_objectives_and_unfiltered_targets(monkeypatch):
     assert model_parts(cold[0]) == model_parts(cold[1])
     edge = sigma.order()[0]
     dense = {e: R1 if e == edge else R0 for e in g.edge_pairs()}
-    warm = [matchlp.build_closest_dual(ctx, c, t, cold[0]) for c, t in
+    warm = [matchlp.build_closest_dual(ctx, c, t, cold[0], (), (), [*dense, *t]) for c, t in
             ((dense, restricted), ({edge: R1}, restricted), ({edge: R1}, extended))]
     assert all(model_parts(lp) == model_parts(warm[0]) for lp in warm)
     assert all(lp.diff == warm[0].diff and lp.diff.rhs for lp in warm)
+
+
+def test_warm_stages_hash_and_subtract_no_rationals(monkeypatch):
+    # From stage 1 on, a closest-dual stage reads what moved as ints: the
+    # Diff's rhs moves, the pi-against-target test and the key that holds
+    # equal value tuples once. No Fraction is hashed or subtracted from the
+    # first warm build to the end of the stage loop.
+    counts = {"hash": 0, "sub": 0}
+    warm = [False]
+    stage_duals, build_closest_dual = cpm._stage_duals, cpm.build_closest_dual
+
+    def counting(name, method):
+        def wrapper(*args):
+            counts[name] += warm[0]
+            return method(*args)
+        return wrapper
+
+    def stages(*args):
+        try:
+            return stage_duals(*args)
+        finally:
+            warm[0] = False
+
+    def closest(ctx, costs, target, last=None, *chain):
+        warm[0] = last is not None
+        return build_closest_dual(ctx, costs, target, last, *chain)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting("hash", Fraction.__hash__))
+    monkeypatch.setattr(Fraction, "__sub__", counting("sub", Fraction.__sub__))
+    monkeypatch.setattr(Fraction, "__rsub__", counting("sub", Fraction.__rsub__))
+    monkeypatch.setattr(cpm, "_stage_duals", stages)
+    monkeypatch.setattr(cpm, "build_closest_dual", closest)
+    warm_stages = 0
+    for fixture in (dancing_robot, altered_robot, cycling_graph):
+        g, sigma, _ = fixture()
+        res = solve_unperturbed(g, sigma)
+        warm_stages += sum(len(rec.dual_values) - 1 for rec in res.iterations)
+    assert warm_stages > 100
+    assert counts == {"hash": 0, "sub": 0}
+    # The counters do see rationals hashed and subtracted outside warm stages.
+    warm[0] = True
+    assert len({R1 - HALF, HALF}) == 1 and counts == {"hash": 2, "sub": 1}
 
 
 def test_single_stage_modes_pin_their_duals():
