@@ -284,7 +284,7 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
     family: set[frozenset[int]] = set()
     records: list[IterationRecord] = []
     seen: dict = {}
-    total = 0
+    total, lp = 0, None
     stop, detail, repeat_of, matching = "Integral", None, None, None
     try:
         if g.n % 2:
@@ -294,7 +294,7 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
             if index > cap:
                 raise IterationCapExceeded(f"no integral optimum after {cap} iterations")
             before = total
-            lp = build_primal(g, costs, family)
+            lp = build_primal(g, costs, family, lp)
             tab = Tableau()
             if mode != "naive":
                 probe = solve(lp, start=tab)

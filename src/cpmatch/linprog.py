@@ -69,13 +69,15 @@ sense, or more than a few moved entries, goes to the full check, which
 every cold solve gets too. The checked optimum keeps no link to the prior.
 
 LinearProgram(...) validates and copies its input; no model changes after
-that. lp.variant(...) derives a model with new pieces (sense, objective, rhs
-values and relations by row id, rows dropped by id, variables dropped or freed
-by name) and validates only those (an rhs or relation for a row it drops is
-an error). It shares each unchanged row with lp, keeps a row's coefficient map
-when only its rhs or relation changes, and re-filters only rows that touch a
-dropped variable; it shares lp's variable list, objective and row index when
-they stay. Each row's coefficient scaling (Row.scale) and the objective's
+that. A Row that a model validated (one that carries Row.scale) is taken as
+it is, its names checked against the new model's variables, so models that
+share rows validate each row once. lp.variant(...) derives a model with new
+pieces (sense, objective, rhs values and relations by row id, rows dropped
+by id, variables dropped or freed by name) and validates only those (an rhs
+or relation for a row it drops is an error). It shares each unchanged row
+with lp, keeps a row's coefficient map when only its rhs or relation
+changes, and re-filters only rows that touch a dropped variable; it shares
+lp's variable list, objective and row index when they stay. Each row's coefficient scaling (Row.scale) and the objective's
 (LinearProgram.costs) are computed once, when the piece is validated, and
 shared with the variants that keep it; an rhs that moves keeps its row's
 scale. The variant visits only the rows it is given, and records each rhs
@@ -136,15 +138,27 @@ class Row:
     """One model row, coeffs . x relation rhs. Only the coefficients are
     scaled to ints (scale); the rhs keeps its own denominator, which a
     Tableau holds in its value column and verify_certificate reads apart,
-    both from rhs_ints, so neither reads the rational."""
+    both from rhs_ints, so neither reads the rational. Only validation sets
+    scale and rhs_ints (Row(...) takes neither), so a row that carries them
+    is one a model has validated, and another model takes it as it is."""
     id: Hashable
     coeffs: Mapping[Hashable, Any]
     relation: str
     rhs: Any
     #: coeffs' values over their lcm denominator, (nums, den), set on validation
-    scale: tuple | None = field(default=None, compare=False, repr=False)
+    scale: tuple | None = field(default=None, init=False, compare=False, repr=False)
     #: rhs as (numerator, denominator), set on validation and with a moved rhs
-    rhs_ints: tuple | None = field(default=None, compare=False, repr=False)
+    rhs_ints: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+
+def _row(row_id: Hashable, coeffs: Mapping, relation: str, rhs: Any,
+         scale: tuple, rhs_ints: tuple) -> Row:
+    """A validated Row, built field by field instead of through the frozen
+    dataclass __init__."""
+    row = object.__new__(Row)
+    vars(row).update(id=row_id, coeffs=coeffs, relation=relation, rhs=rhs,
+                     scale=scale, rhs_ints=rhs_ints)
+    return row
 
 
 class LinearProgram:
@@ -192,19 +206,24 @@ class LinearProgram:
         self.index: dict = {}  # row id -> position
         self.diff: Diff | None = None
         for spec in rows:
-            row_id, given, relation, rhs = (
-                (spec.id, spec.coeffs, spec.relation, spec.rhs) if isinstance(spec, Row) else spec)
-            if relation not in _RELATIONS:
-                raise LinearProgramError(f"unknown relation {relation!r} in row {row_id!r}")
-            coeffs = {name: rat(c) for name, c in given.items()}
-            for name in coeffs:
-                if name not in known:
-                    raise LinearProgramError(
-                        f"row {row_id!r} references unknown variable {name!r}"
-                    )
-            b = rat(rhs)
-            row = Row(row_id, coeffs, relation, b, _integers(coeffs.values()),
-                      (b.numerator, b.denominator))
+            if isinstance(spec, Row) and spec.scale is not None:
+                # Validated by another model: only its names are new here.
+                row, row_id, coeffs = spec, spec.id, spec.coeffs
+            else:
+                row = None
+                row_id, given, relation, rhs = (
+                    (spec.id, spec.coeffs, spec.relation, spec.rhs) if isinstance(spec, Row)
+                    else spec)
+                if relation not in _RELATIONS:
+                    raise LinearProgramError(f"unknown relation {relation!r} in row {row_id!r}")
+                coeffs = {name: rat(c) for name, c in given.items()}
+            if not known.issuperset(coeffs):
+                name = next(name for name in coeffs if name not in known)
+                raise LinearProgramError(f"row {row_id!r} references unknown variable {name!r}")
+            if row is None:
+                b = rat(rhs)
+                row = _row(row_id, coeffs, relation, b, _integers(coeffs.values()),
+                           (b.numerator, b.denominator))
             if row_id in self.index:
                 raise LinearProgramError(f"duplicate row id {row_id!r}")
             self.index[row_id] = len(self.rows)
@@ -246,8 +265,8 @@ class LinearProgram:
         for p, row in enumerate(lp.rows if drop else ()):
             if not drop.isdisjoint(row.coeffs):
                 coeffs = {k: c for k, c in row.coeffs.items() if k not in drop}
-                lp.rows[p] = Row(row.id, coeffs, row.relation, row.rhs, _integers(coeffs.values()),
-                                 row.rhs_ints)
+                lp.rows[p] = _row(row.id, coeffs, row.relation, row.rhs,
+                                  _integers(coeffs.values()), row.rhs_ints)
         rhs_moves, relation_moves = [], []
         for p in sorted([lp.index[row_id] for row_id in changed]):
             row = lp.rows[p]
@@ -260,12 +279,8 @@ class LinearProgram:
             if rel != row.relation:
                 relation_moves.append((kept[p], rel))
             if num or rel != row.relation:
-                moved = lp.rows[p] = object.__new__(Row)  # no frozen __init__
-                fields = vars(moved)
-                fields.update(vars(row))
-                fields["relation"] = rel
-                if num:
-                    fields["rhs"], fields["rhs_ints"] = b, ints
+                lp.rows[p] = _row(row.id, row.coeffs, rel, b if num else row.rhs, row.scale,
+                                  ints if num else old)
         lp.diff = Diff(ref(self), kept, rhs_moves, relation_moves, drop, freed,
                        sorted([self.index[i] for i in drop_rows]),
                        lp.sense == self.sense and (lp.objective is self.objective
@@ -553,10 +568,13 @@ class Tableau:
         negative = any(values[r][0] < 0 and nonneg[j] and j not in freed and j not in gone
                        for r in moved for j in [basis[r]])
         # Dropped rows' basic slacks cost 0, so the z the last solve kept
-        # current is lp's when the objective is.
+        # current is lp's when the objective is; then z is dual feasible as
+        # it was (fixed columns are banned, freed columns and dropped rows'
+        # slacks basic), so only a new objective is scanned.
         z = self.z if diff.objective else self.reduced_costs(lp)
-        if negative and any((zj < 0 if nonneg[j] else zj) for j, zj in enumerate(z[:-1])
-                            if not in_basis[j] and j not in self.banned and j not in fixed):
+        if negative and not diff.objective and any(
+                (zj < 0 if nonneg[j] else zj) for j, zj in enumerate(z[:-1])
+                if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
 
         if not negative:
@@ -588,8 +606,7 @@ class Tableau:
             num, den = num * prow[-1], den * p
             g = gcd(num, den) if den > 0 else -gcd(num, den)
             values[r] = num, den = num // g, den // g
-        nonzero = [(k, v) for k, v in enumerate(prow) if v]
-        nonzero.pop()  # the denominator
+        nonzero = [(k, prow[k]) for k in compress(range(len(prow) - 1), prow)]
         # The pivot row over its pivot entry, divided by its gcd: column j
         # holds e over e, where e > 0 is the row's new denominator.
         g = gcd(*[v for _, v in nonzero])  # a list: see graphs.Graph.edge_pairs
@@ -704,9 +721,10 @@ class Tableau:
             up = values[r][0] > 0
             # z_j / |a_j| over the common positive factor (row den / z den),
             # least by cross-multiplying, then lowest j.
-            enter = -1
-            for j, a in enumerate(rows[r][:-1]):
-                if a and ((a > 0) == up or not nonneg[j]) and j not in banned:
+            enter, row = -1, rows[r]
+            for j in compress(range(len(row) - 1), row):
+                a = row[j]
+                if ((a > 0) == up or not nonneg[j]) and j not in banned:
                     a = abs(a)
                     if enter < 0 or z[j] * best_a < best_z * a:
                         best_z, best_a, enter = z[j], a, j

@@ -25,10 +25,11 @@ variable at all: any optimal dual must give them weight zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 from .graphs import Edge, Graph, cut_edges, validate_cut_family
-from .linprog import EQ, GE, LE, MIN, LinearProgram
+from .linprog import EQ, GE, LE, MIN, LinearProgram, _integers
 from .rationals import R0, R1, rat
 
 DualKey = int | frozenset
@@ -46,21 +47,29 @@ def canonical_sets(family) -> list[frozenset[int]]:
     )
 
 
-def build_primal(g: Graph, costs: Mapping[Edge, object], family) -> LinearProgram:
-    """Min-cost relaxation: degree equalities plus >=1 rows for each cut."""
+def build_primal(g: Graph, costs: Mapping[Edge, object], family,
+                 last: LinearProgram | None = None) -> LinearProgram:
+    """Min-cost relaxation: degree equalities plus >=1 rows for each cut.
+    With last, a model built here for the same g and costs (the last
+    iteration's), the degree rows and variables are last's objects, which
+    the new model takes as they are (see linprog): a run validates its
+    degree rows once."""
     sets = validate_cut_family(g, family)
-    pairs = g.edge_pairs()
-    rows = []
-    incident: dict[int, dict] = {v: {} for v in range(g.n)}
-    for u, v in pairs:
-        incident[u][(u, v)] = R1
-        incident[v][(u, v)] = R1
-    for v in range(g.n):
-        rows.append((("deg", v), incident[v], EQ, R1))
+    if last is None:
+        pairs = g.edge_pairs()
+        incident: dict[int, dict] = {v: {} for v in range(g.n)}
+        for u, v in pairs:
+            incident[u][(u, v)] = R1
+            incident[v][(u, v)] = R1
+        variables = [(e, True) for e in pairs]
+        rows = [(("deg", v), incident[v], EQ, R1) for v in range(g.n)]
+    else:
+        variables, rows = last.variables, last.rows[:g.n]
+        pairs = [var.name for var in variables]
     for s in canonical_sets(sets):
         rows.append((("cut", s), {e: R1 for e in cut_edges(g, s)}, GE, R1))
     objective = {e: rat(costs[e]) for e in pairs}
-    return LinearProgram(MIN, [(e, True) for e in pairs], objective, rows)
+    return LinearProgram(MIN, variables, objective, rows)
 
 
 @dataclass(frozen=True)
@@ -85,22 +94,26 @@ class StageContext:
 def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageContext:
     """The shared part of every closest-dual stage against primal optimum x,
     read off the rows of primal = build_primal(g, costs, family) in one
-    pass; raises if x is not feasible for primal."""
+    pass; raises if x is not feasible for primal. x is read as ints over
+    one common denominator, so each row sum and test is integer arithmetic."""
     crossing: dict[Edge, list[DualKey]] = {var.name: [] for var in primal.variables}
-    for e, value in x.items():
+    nums, den = _integers(x.values())
+    xs = dict(zip(x, nums))
+    for e, num in xs.items():
         if e not in crossing:
             raise MatchingLpError(f"vector names unknown edge {e}")
-        if value < R0:
+        if num < 0:
             raise MatchingLpError(f"negative value on edge {e}")
     keys: list[DualKey] = []
+    value, zeros = xs.get, repeat(0)
     for row in primal.rows:
         kind, key = row.id
-        total = sum((x.get(e, R0) for e in row.coeffs), R0)
-        if kind == "deg" and total != R1:
-            raise MatchingLpError(f"vertex {key} has degree {total}, not 1")
-        if kind == "cut" and total < R1:
-            raise MatchingLpError(f"cut {sorted(key)} carries {total} < 1")
-        if total == R1:  # every degree row, and the cut rows tight at x
+        total = sum(map(value, row.coeffs, zeros))
+        if kind == "deg" and total != den:
+            raise MatchingLpError(f"vertex {key} has degree {rat(total, den)}, not 1")
+        if kind == "cut" and total < den:
+            raise MatchingLpError(f"cut {sorted(key)} carries {rat(total, den)} < 1")
+        if total == den:  # every degree row, and the cut rows tight at x
             keys.append(key)
             for e in row.coeffs:
                 crossing[e].append(key)
@@ -108,7 +121,7 @@ def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageConte
         keys=tuple(keys),
         tight=[k for k in keys if isinstance(k, frozenset)],
         crossing=crossing,
-        support={e for e in crossing if x.get(e, R0)},
+        support={e for e in crossing if xs.get(e)},
     )
 
 
@@ -139,9 +152,10 @@ def build_closest_dual(
     if last is None:
         variables = [(("pi", k), isinstance(k, frozenset)) for k in keys]
         variables += [(("r", k), True) for k in keys]
-        objective = {("r", k): rat(1, 1 if isinstance(k, int) else len(k)) for k in keys}
+        objective = {("r", k): R1 if isinstance(k, int) else rat(1, len(k)) for k in keys}
+        sides = (("lo", R1, GE), ("hi", -R1, LE))
         rows = [((side, k), {("r", k): sign, ("pi", k): R1}, relation, rat(target.get(k, R0)))
-                for k in keys for side, sign, relation in (("lo", R1, GE), ("hi", -R1, LE))]
+                for k in keys for side, sign, relation in sides]
         for e, ks in ctx.crossing.items():
             kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
             rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs.get(e, R0))))

@@ -720,6 +720,58 @@ def test_reoptimize_keeps_the_reduced_costs_of_an_unchanged_objective(monkeypatc
         del calls[:]
 
 
+def test_reoptimize_scans_only_a_new_objective_for_dual_feasibility():
+    # With the last objective, z is the last optimum's, dual feasible on
+    # every column that can enter: the variant below drops ycap (its slack
+    # is basic), frees x (basic) and pushes x past its cap, so a dual simplex
+    # runs on that z and ends where a fresh solve does.
+    tab = Tableau()
+    base = _capped({"x": 1, "y": 2})
+    assert solve(base, start=tab).x == {"x": 2, "y": 0}
+    lp = base.variant(rhs={"cover": 4}, drop_rows=["ycap"], free=["x"])
+    assert lp.diff.objective
+    out, cold = solve(lp, start=tab), solve(lp)
+    assert (out.x, out.y, out.objective) == (cold.x, cold.y, cold.objective)
+    assert out.x == {"x": 3, "y": 1}
+    # A new objective is scanned: y's reduced cost under it is negative at
+    # the last basis, so with x past its cap the warm start is refused, and
+    # the tableau stays as it was.
+    tab = Tableau()
+    solve(base, start=tab)
+    before = tableau_state(tab)
+    lp = base.variant(objective={"x": 1, "y": -1}, rhs={"cover": 4})
+    with pytest.raises(LinearProgramError, match="needs a dual feasible basis"):
+        solve(lp, start=tab)
+    assert tableau_state(tab) == before
+
+
+def test_models_take_a_validated_row_as_it_is():
+    # Validation sets a row's scale and rhs ints, and Row(...) takes
+    # neither, so a row that carries them is one a model validated: another
+    # model keeps the object and only checks its names.
+    with pytest.raises(TypeError):
+        Row("r", {"x": 1}, GE, 1, scale=([1], 1))
+    with pytest.raises(TypeError):
+        Row("r", {"x": 1}, GE, 1, rhs_ints=(1, 1))
+    given = Row("r", {"x": 1, "y": HALF}, GE, "3/2")
+    assert given.scale is given.rhs_ints is None
+    first = LinearProgram(MIN, ["x", "y"], {"x": 1}, [given, ("s", {"y": 1}, LE, 2)])
+    validated = first.rows[0]
+    assert validated is not given and validated == Row("r", {"x": R1, "y": HALF}, GE, rat(3, 2))
+    assert (validated.scale, validated.rhs_ints) == (([2, 1], 2), (3, 2))
+    second = LinearProgram(MAX, ["y", "x", "z"], {"z": 1}, [("t", {"z": 1}, LE, 1), *first.rows])
+    assert all(a is b for a, b in zip(second.rows[1:], first.rows, strict=True))
+    assert model_parts(second) == model_parts(LinearProgram(
+        MAX, ["y", "x", "z"], {"z": 1},
+        [("t", {"z": 1}, LE, 1), ("r", {"x": 1, "y": HALF}, GE, "3/2"), ("s", {"y": 1}, LE, 2)]))
+    assert solve(second).x == {"y": 0, "x": rat(3, 2), "z": 1}
+    # Another model's row that names a variable the new model lacks.
+    with pytest.raises(LinearProgramError, match="row 'r' references unknown variable 'y'"):
+        LinearProgram(MIN, ["x"], {}, [validated])
+    with pytest.raises(LinearProgramError, match="duplicate row id 'r'"):
+        LinearProgram(MIN, ["x", "y"], {}, [validated, validated])
+
+
 def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
     # Two independent capped pairs; lowering both caps below the optimum
     # (2, 0, 2, 0) makes both cap slacks negative. Columns: x, y, z, w, then
