@@ -24,6 +24,7 @@ from .errors import (
     InvariantViolation,
     IterationCapExceeded,
     NoPerfectMatching,
+    SignViolation,
     StageSolveError,
 )
 from .fixtures import altered_robot, cycling_graph, dancing_robot
@@ -44,7 +45,6 @@ from .perturb import (
     DualSeries,
     PerturbedPair,
     PerturbedSolution,
-    SignViolation,
     solve_perturbed_pair,
 )
 from .rationals import rat, rat_str

@@ -49,6 +49,7 @@ from .errors import (
     FamilyViolation,
     IterationCapExceeded,
     NoPerfectMatching,
+    SignViolation,
     StageSolveError,
 )
 from .graphs import (
@@ -70,7 +71,6 @@ from .matchlp import (
     canonical_sets,
     stage_context,
 )
-from .perturb import SignViolation
 from .rationals import R0, R1, rat
 
 
@@ -221,9 +221,9 @@ def _stage_duals(primal, stages, x, last):
     their least common denominator, so no rational is hashed, and only a
     new one compares its values with their targets, by cross-multiplying.
 
-    perturb.solve_perturbed_pair cannot run these stages: it fixes A and b
-    and stages only the objective, while here the stages drop rows and
-    bounds and take targets carried over from the previous iteration.
+    lexmin.staged_optima cannot run these stages: it fixes A and b and
+    stages only the objective, while here the stages drop rows and bounds
+    and take targets carried over from the previous iteration.
     """
     ctx = stage_context(primal, x)
     keys, names = ctx.keys, [("pi", k) for k in ctx.keys]

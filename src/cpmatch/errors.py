@@ -25,6 +25,15 @@ class StageSolveError(InvariantViolation):
     unbounded."""
 
 
+class SignViolation(InvariantViolation):
+    """A stage series whose first nonzero value is negative."""
+
+    def __init__(self, what, series):
+        super().__init__(f"first nonzero stage value on {what!r} is negative: {series}")
+        self.what = what
+        self.series = tuple(series)
+
+
 class FamilyViolation(InvariantViolation):
     """A cut family update produced sets violating oddness, size bounds, or
     laminarity."""

@@ -1,34 +1,31 @@
-"""Lexicographically minimal optimum of an LP, by repeated exact solves.
+"""Staged optima over optimal faces, and the lexicographic minimum they give.
 
-Stage 0 solves the model. Each later stage minimizes one variable, visited
-in the caller's order, over the optimal face of the stage before it
-(linprog.optimal_face), which pins every variable minimized so far. A
-variable the face has already dropped is zero on it: its stage keeps an
-empty objective, value 0. That is one solve per variable plus one, always:
-later stages are never skipped even when a value is already forced, so the
-solve count is a fixed function of the model size. The result is the unique
-point of the optimal face that is lexicographically smallest in the given
-variable order.
+staged_optima is the one staged-face loop. Stage 0 solves the model, and
+each later stage minimizes the next objective over the optimal face of the
+stage before (linprog.optimal_face: rows with a nonzero dual become
+equalities, variables with a nonzero reduced cost are dropped). A face only
+fixes nonbasic columns of the last optimum at zero, so all stages
+reoptimize one Tableau of the model's size: stage 0 is the only cold solve
+(or a re-solve with no pivot, on a Tableau whose last model is the model),
+and every later stage runs phase 2 alone. Each stage is one solve() call,
+counted as one LP solve, with its certificate checked against its model.
 
-A face is a variant of the stage before it that only fixes nonbasic
-columns of the last optimum at zero (dropped variables, and the slacks of
-rows made ``=``), so all stages reoptimize one Tableau of the model's size:
-stage 0 is the only cold solve, and every later stage runs phase 2 alone.
-A caller's Tableau whose last model is the model itself makes stage 0 a
-re-solve of it with no pivot. Each stage is still one solve() call,
-counted as one LP solve, and its certificate is checked against its stage
-model. A stage reads only the value it minimized (Optimal.value), and the
-next face only which duals and reduced costs are nonzero, so no stage
-builds its optimum's x or y map. The result does not depend on the pivot
-path, since it is unique.
+lex_min_optimal stages each variable in the caller's order, so each face
+pins one more; a variable a face has dropped is zero on it (an empty
+objective, value 0). That is one solve per variable plus one, always: no
+stage is skipped even when its value is forced. The last stage's optimum is
+the unique lexicographically smallest point of the optimal face, so the
+values are read there, and no stage builds an x or y map (a face reads only
+which duals and reduced costs are nonzero). The result does not depend on
+the pivot path, since it is unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .linprog import LinearProgram, Optimal, Tableau, optimal_face, solve
+from .linprog import LinearProgram, LPOutcome, Optimal, Tableau, optimal_face, solve
 from .rationals import R1, Rational
 
 
@@ -38,6 +35,20 @@ class LexMinResult:
     values: dict | None
     objective: Rational | None
     lp_solves: int
+
+
+def staged_optima(lp: LinearProgram, objectives: Iterable[Mapping],
+                  start: Tableau | None = None) -> Iterator[tuple[LinearProgram, LPOutcome]]:
+    """(model, outcome) of lp, then of each objective over the optimal face
+    of the stage before, all on `start` (a fresh Tableau when None). Stops
+    after the first outcome that is not Optimal."""
+    tab = Tableau() if start is None else start
+    yield lp, (out := solve(lp, start=tab))
+    for objective in objectives:
+        if not isinstance(out, Optimal):
+            return
+        lp = optimal_face(lp, out, objective)
+        yield lp, (out := solve(lp, start=tab))
 
 
 def lex_min_optimal(
@@ -55,20 +66,14 @@ def lex_min_optimal(
     if len(order) != len(names) or set(order) != set(names):
         raise ValueError("order must be a permutation of the model's variables")
 
-    tab = Tableau() if start is None else start
-    out = solve(lp, start=tab)
-    solves = 1
+    stages = staged_optima(lp, ({name: R1} for name in order), start)
+    _, first = next(stages)
+    out, solves = first, 1
+    for solves, (_, out) in enumerate(stages, 2):
+        pass
     if not isinstance(out, Optimal):
+        # A later face is nonempty, so past stage 0 only unboundedness can
+        # occur (a free variable with no floor on the optimal face).
         return LexMinResult(out.status, None, None, solves)
-
-    objective, stage, values = out.objective, lp, {}
-    for name in order:
-        stage = optimal_face(stage, out, {name: R1})
-        out = solve(stage, start=tab)
-        solves += 1
-        if not isinstance(out, Optimal):
-            # The face is nonempty, so only unboundedness can occur here
-            # (a free variable with no floor on the optimal face).
-            return LexMinResult(out.status, None, None, solves)
-        values[name] = out.value(name)
-    return LexMinResult("optimal", values, objective, solves)
+    return LexMinResult("optimal", {name: out.value(name) for name in order},
+                        first.objective, solves)

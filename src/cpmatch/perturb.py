@@ -3,15 +3,10 @@
 The object of interest is min (c_0 + eps*c_1 + ... + eps^k*c_k).x subject to
 A x >= b with a subset of the columns sign-constrained, for a symbolic
 infinitesimal eps > 0. Nothing here ever materializes eps: stage p solves an
-ordinary LP with objective c_p over the optimal face of stage p - 1
-(linprog.optimal_face): rows whose dual went nonzero become equalities (they
-are tight in every optimum of the finer objective), and columns whose dual
-constraint went strictly slack are dropped (they are zero in every such
-optimum). A face only fixes nonbasic columns of the last optimum at zero,
-so all stages run on one Tableau: stage 0 is the only cold solve, and each
-later stage reoptimizes it, still one solve() checked against its own stage
-model. The stage-k primal solution, padded with zeros on dropped columns, is
-THE optimum of the perturbed problem, and the per-stage duals form its dual's
+ordinary LP with objective c_p over the optimal face of stage p - 1, by
+lexmin.staged_optima (which explains the faces and the one Tableau). The
+stage-k primal solution, padded with zeros on dropped columns, is THE
+optimum of the perturbed problem, and the per-stage duals form its dual's
 coefficient series in powers of eps.
 
 The sign rule for that series: reading a fixed row's values stage by stage,
@@ -24,18 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvariantViolation, StageSolveError
-from .linprog import EQ, GE, MIN, LinearProgram, Optimal, Tableau, optimal_face, solve
+from .errors import SignViolation, StageSolveError
+from .lexmin import staged_optima
+from .linprog import EQ, GE, MIN, LinearProgram, Optimal
+from .linprog import solve  # noqa: F401  (perfbench/tracing.py patches perturb.solve)
 from .rationals import R0, Rational, rat
-
-
-class SignViolation(InvariantViolation):
-    """A stage series whose first nonzero value is negative."""
-
-    def __init__(self, what, series):
-        super().__init__(f"first nonzero stage value on {what!r} is negative: {series}")
-        self.what = what
-        self.series = tuple(series)
 
 
 @dataclass(frozen=True)
@@ -60,9 +48,9 @@ class PerturbedPair:
         if len(a) != len(b):
             raise ValueError("row count mismatch")
         ncols = width.pop() if width else 0
-        bad = [j for j in nonneg if not 0 <= j < ncols]
+        bad = [j for j in nonneg if type(j) is not int or not 0 <= j < ncols]
         if bad:
-            raise ValueError(f"sign-constrained columns out of range: {bad}")
+            raise ValueError(f"sign-constrained columns not ints or out of range: {bad}")
         return cls(a, b, costs, frozenset(nonneg))
 
     @property
@@ -120,13 +108,10 @@ def solve_perturbed_pair(pair: PerturbedPair) -> PerturbedSolution:
     columns = [(j, j in pair.nonneg) for j in range(pair.ncols)]
     rows = [(i, {j: a for j, a in enumerate(pair.a[i]) if a}, GE, pair.b[i])
             for i in range(pair.nrows)]
+    lp = LinearProgram(MIN, columns, dict(enumerate(pair.costs[0])), rows)
     stages: list[StageRecord] = []
-    tab = Tableau()
-    for p, cost in enumerate(pair.costs):
-        objective = dict(enumerate(cost))
-        lp = (optimal_face(lp, out, objective) if p
-              else LinearProgram(MIN, columns, objective, rows))
-        out = solve(lp, start=tab)
+    later = (dict(enumerate(cost)) for cost in pair.costs[1:])
+    for p, (lp, out) in enumerate(staged_optima(lp, later)):
         if not isinstance(out, Optimal):
             raise StageSolveError(f"stage {p} came back {out.status}")
         equality_rows = frozenset(row.id for row in lp.rows if row.relation == EQ)

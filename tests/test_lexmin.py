@@ -9,8 +9,10 @@ from helpers import random_perturbed_pair
 from cpmatch.fixtures import dancing_robot
 from cpmatch.gen import random_matchable_graph, random_ordering
 from cpmatch.graphs import Graph
-from cpmatch.lexmin import lex_min_optimal
-from cpmatch.linprog import EQ, GE, LE, MAX, MIN, LinearProgram, Optimal, Row, Tableau, solve
+from cpmatch.lexmin import lex_min_optimal, staged_optima
+from cpmatch.linprog import (
+    EQ, GE, LE, MAX, MIN, LinearProgram, Optimal, Row, Tableau, Unbounded, solve,
+)
 from cpmatch.matchlp import build_primal
 from cpmatch.rationals import R0, R1, rat
 
@@ -75,6 +77,18 @@ def test_infeasible_and_unbounded_propagate():
     res = lex_min_optimal(lp, ["a", "b"])
     assert res.status == "unbounded"
     assert res.lp_solves == 2
+
+
+def test_staged_optima_stops_after_the_first_failed_stage():
+    # Stage 0 and the face minimizing b are optimal; a is free with no floor
+    # on that face, so its stage is unbounded and the last objective is
+    # never solved.
+    lp = LinearProgram(MIN, [("a", False), "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
+    stages = list(staged_optima(lp, [{"b": R1}, {"a": R1}, {"b": R1}]))
+    assert [type(out) for _, out in stages] == [Optimal, Optimal, Unbounded]
+    assert stages[0][0] is lp
+    assert [dict(model.objective) for model, _ in stages[1:]] == [{"b": R1}, {"a": R1}]
+    assert stages[1][1].value("b") == R1
 
 
 def test_result_lies_on_the_optimal_face():

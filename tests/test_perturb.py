@@ -7,7 +7,14 @@ import pytest
 
 from helpers import random_perturbed_pair, sequential_stage_minima
 
+import cpmatch
+from cpmatch import errors, lexmin, perturb
 from cpmatch.errors import StageSolveError
+from cpmatch.fixtures import dancing_robot
+from cpmatch.gen import random_matchable_graph, random_ordering
+from cpmatch.lexmin import lex_min_optimal
+from cpmatch.linprog import EQ, GE, MIN, LinearProgram
+from cpmatch.matchlp import build_primal
 from cpmatch.perturb import (
     DualSeries,
     PerturbedPair,
@@ -78,6 +85,11 @@ def test_sign_violation_message():
     assert err.series == (R0, rat(-1))
 
 
+def test_sign_violation_is_one_class():
+    assert cpmatch.SignViolation is errors.SignViolation is perturb.SignViolation
+    assert issubclass(errors.SignViolation, errors.InvariantViolation)
+
+
 def test_build_validation():
     with pytest.raises(ValueError, match="column counts"):
         PerturbedPair.build(a=[[1, 2], [1]], b=[1, 1], costs=[[1, 2]], nonneg=set())
@@ -87,6 +99,10 @@ def test_build_validation():
         PerturbedPair.build(a=[[1, 2]], b=[1, 2], costs=[[1, 2]], nonneg=set())
     with pytest.raises(ValueError, match="out of range"):
         PerturbedPair.build(a=[[1, 2]], b=[1], costs=[[1, 2]], nonneg={5})
+    # Sign-constrained columns are int indices: no float, bool or name.
+    for bad in (0.5, True, "x"):
+        with pytest.raises(ValueError, match="not ints or out of range"):
+            PerturbedPair.build(a=[[1, 2]], b=[1], costs=[[1, 2]], nonneg={bad})
     # No cost stage: there is nothing to solve, with rows or without.
     with pytest.raises(ValueError, match="no cost stage"):
         PerturbedPair.build(a=[], b=[], costs=[], nonneg=set())
@@ -100,6 +116,72 @@ def test_infeasible_stage_is_a_solve_error():
     )
     with pytest.raises(StageSolveError, match="stage 0"):
         solve_perturbed_pair(pair)
+    # So is a later stage that comes back unbounded: column 0 is free, and
+    # stage 1 minimizes it.
+    pair = PerturbedPair.build(a=[[0, 1]], b=[1], costs=[[0, 1], [1, 0]], nonneg={1})
+    with pytest.raises(StageSolveError, match="stage 1 came back unbounded"):
+        solve_perturbed_pair(pair)
+
+
+def test_both_readers_solve_every_stage_through_the_staged_loop(monkeypatch):
+    # perfbench's tracer counts lexmin and staged-pair solves by patching
+    # lexmin.solve: each stage is one call there, and none follows the first
+    # stage that is not optimal.
+    calls = []
+    real = lexmin.solve
+    monkeypatch.setattr(lexmin, "solve", lambda lp, start=None: calls.append(lp) or real(lp, start))
+
+    assert len(solve_perturbed_pair(worked_pair()).stages) == len(calls) == 3
+    calls.clear()
+    pair = PerturbedPair.build(a=[[0, 1]], b=[1], costs=[[0, 1], [1, 0], [0, 1]], nonneg={1})
+    with pytest.raises(StageSolveError, match="stage 1 came back unbounded"):
+        solve_perturbed_pair(pair)
+    assert len(calls) == 2
+
+    calls.clear()
+    lp = LinearProgram(MIN, ["a", "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
+    res = lex_min_optimal(lp, ["b", "a"])
+    assert res.status == "optimal" and res.lp_solves == len(calls) == 3
+    calls.clear()
+    # The free column a has no floor on the optimal face: stages b and c
+    # never run.
+    lp = LinearProgram(MIN, [("a", False), "b", "c"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
+    res = lex_min_optimal(lp, ["a", "b", "c"])
+    assert res.status == "unbounded" and res.lp_solves == len(calls) == 2
+
+
+def staged_pair_of(lp, order):
+    """lp (a MIN model of = and >= rows over nonnegative columns) as a
+    staged pair: each = row split into two >= rows, stage 0 costing lp's
+    objective and stage i the indicator of order[i - 1]."""
+    names = [v.name for v in lp.variables]
+    a, b = [], []
+    for row in lp.rows:
+        for sign in (1, -1) if row.relation == EQ else (1,):
+            a.append([sign * row.coeffs.get(name, 0) for name in names])
+            b.append(sign * row.rhs)
+    costs = [[lp.objective.get(name, 0) for name in names]]
+    costs += [[int(name == e) for name in names] for e in order]
+    return PerturbedPair.build(a, b, costs, nonneg=set(range(len(names))))
+
+
+def test_staged_pair_agrees_with_lexmin_on_matching_lps():
+    # Staging the edge indicators in sigma's order after the costs is the
+    # lexicographic minimum in that order, so both readers reach one x.
+    rng = random.Random(29)
+    cases = [dancing_robot()[:2]]
+    for _ in range(30):
+        n = rng.choice([6, 8, 10])
+        g = random_matchable_graph(n, rng.randint(n // 2 + 2, min(n * (n - 1) // 2, 16)), 5, rng)
+        cases.append((g, random_ordering(g, rng)))
+    for g, sigma in cases:
+        lp = build_primal(g, g.cost_map(), [])
+        order = sigma.order()
+        res = lex_min_optimal(lp, order)
+        sol = solve_perturbed_pair(staged_pair_of(lp, order))
+        assert res.status == "optimal"
+        assert sol.x == tuple([res.values[v.name] for v in lp.variables])
+        assert sol.stages[0].objective == res.objective
 
 
 def test_random_pairs_match_sequential_face_oracle():
