@@ -1,7 +1,8 @@
 """Exact-rational linear programs and a deterministic primal and dual simplex.
 
-Models are row-oriented: named variables (nonnegative or free), an objective
-with a sense, and relational rows over the variables. solve() returns both a
+Models are row-oriented minimization problems: named variables
+(nonnegative or free), an objective whose minimum is sought (for a maximum,
+negate it), and relational rows over the variables. solve() returns both a
 primal optimum and a matching dual vector, exact, and checks the certificate
 (feasibility, complementary slackness, strong duality) exactly, on integers,
 on every solve before handing it back. The Optimal it returns also carries
@@ -27,8 +28,8 @@ rationals._SHARED (0, +-1, +-1/2, +-2) before a new one is built.
 A cold solve has one start: the all-slack basis, which flips each >= row
 and gives each = row a banned artificial, and a dual simplex from it on
 start costs that are dual feasible there. A nonnegative column's start cost
-is its cost (MIN as is, MAX negated) raised by the magnitude of the most
-negative such cost, or by 0 when none is negative; free columns start at 0.
+is its cost raised by the magnitude of the most negative such cost, or by 0
+when none is negative; free columns start at 0.
 The dual run ends at a feasible basis (or proves lp infeasible), artificials
 left basic at zero are pivoted out, and phase 2 runs on lp's own costs from
 there. On nonnegative costs the start costs are lp's. A matching
@@ -42,7 +43,7 @@ model: tab.lp itself, whose optimum stands (phase 2 makes no pivot), and
 lp = tab.lp.variant(...), read by the Diff it recorded (lp.diff.base() is
 tab.lp: a Diff refers to its base weakly, so a chain of variants keeps no
 earlier model alive, and the tableau holds the one base it reads). The
-variant may change the objective, sense and rhs values, drop rows whose
+variant may change the objective and rhs values, drop rows whose
 slack is basic, free bounds of basic columns, and fix nonbasic columns at
 zero: drop a nonbasic variable, or make an inequality ``=`` when its
 slack is nonbasic (as optimal_face does). A negative basic value
@@ -56,23 +57,25 @@ tableau changes, instead of solving cold.
 A chained solve pays for what its Diff and its pivots changed. reoptimize
 applies the rhs moves by column, visiting only the rows where a moved
 row's identity column is nonzero. When neither the warm start nor phase 2
-pivots, phase2 hands over the last optimum with only the basic values that
-moved, and with y less the dropped rows when the objective is the last one.
-verify_certificate then checks a variant against the optimum it last
-accepted for the variant's base (its checked optimum): it reads the model,
-the claimed ints and that prior, never the tableau, finds which x and y
-entries moved by comparing the claim with the prior, and re-tests every
-row and column whose inputs (rhs, relation, bound, x on the row, y on the
-column, cost) moved. That is complete because each test reads only its own
-row's or column's inputs: the rest pass as they did for the prior. A new
-sense, or more than a few moved entries, goes to the full check, which
-every cold solve gets too. The checked optimum keeps no link to the prior.
+pivots, phase2 hands over tab.checked, the optimum the check last accepted
+on tab, with only the basic values that moved, and with y less the dropped
+rows when the objective is the last one. solve passes that prior and its
+model, tab.lp, to verify_certificate, which reads only its arguments and
+checks a variant against the prior: it finds which x and y entries moved
+by comparing the claim with the prior, and re-tests every row and column
+whose inputs (rhs, relation, bound, x on the row, y on the column, cost)
+moved. That is complete because each test reads only its own row's or
+column's inputs: the rest pass as they did for the prior. More than a few
+moved entries go to the full check, which every cold solve gets too, and
+so does the next solve after a check that raised (tab.checked is then
+None). The checked optimum keeps no link to the prior.
 
 LinearProgram(...) validates and copies its input; no model changes after
-that. A Row that a model validated (one that carries Row.scale) is taken as
+that (a model only memoizes its column index, see _chained_check). A Row
+that a model validated (one that carries Row.scale) is taken as
 it is, its names checked against the new model's variables, so models that
 share rows validate each row once. lp.variant(...) derives a model with new
-pieces (sense, objective, rhs values and relations by row id, rows dropped
+pieces (objective, rhs values and relations by row id, rows dropped
 by id, variables dropped or freed by name) and validates only those (an rhs
 or relation for a row it drops is an error). It shares each unchanged row
 with lp, keeps a row's coefficient map when only its rhs or relation
@@ -91,10 +94,9 @@ pivot path is the one an exact rational tableau takes. Free variables
 participate directly: a free variable may enter in either direction and
 never leaves the basis, which bounds its pivots and preserves termination.
 
-Dual sign conventions, for a minimization problem:
+Dual sign conventions:
     >= row: y >= 0,  <= row: y <= 0,  = row: y free,
 and for every variable, c_j - y.A_j >= 0 (nonnegative) or == 0 (free).
-For maximization the signs flip (``<=`` rows carry y >= 0).
 """
 
 from __future__ import annotations
@@ -110,8 +112,6 @@ from weakref import ref
 from .errors import InvariantViolation
 from .rationals import _SHARED, Rational, rat
 
-MIN = "min"
-MAX = "max"
 LE = "<="
 EQ = "="
 GE = ">="
@@ -120,7 +120,7 @@ _RELATIONS = (LE, EQ, GE)
 
 
 class LinearProgramError(ValueError):
-    """Malformed model: unknown variable, duplicate name or row id, bad sense."""
+    """Malformed model: unknown variable, duplicate name or row id, bad relation."""
 
 
 class SolverInvariantError(InvariantViolation):
@@ -162,27 +162,21 @@ def _row(row_id: Hashable, coeffs: Mapping, relation: str, rhs: Any,
 
 
 class LinearProgram:
-    """An immutable exact-rational LP in row form.
+    """An immutable exact-rational LP in row form: the minimum of the
+    objective over the rows.
 
-    Besides the model it keeps what verify_certificate learnt about it
-    (see there): checked, the last optimum the check accepted, and, once a
-    variant's check has read it, _columns (see _chained_check), shared by
-    the variants."""
+    Besides the model it keeps only _columns, the column index of its rows,
+    once a variant's check has read it (see _chained_check), shared by the
+    variants."""
 
-    checked: Optimal | None = None
     _columns: tuple | None = None
 
     def __init__(
         self,
-        sense: str,
         variables: Iterable[Variable | tuple[Hashable, bool] | Hashable],
         objective: Mapping[Hashable, Any],
         rows: Iterable[Row | tuple],
     ):
-        if sense not in (MIN, MAX):
-            raise LinearProgramError(f"unknown sense {sense!r}")
-        self.sense = sense
-
         self.variables: list[Variable] = []
         for spec in variables:
             if isinstance(spec, Variable):
@@ -229,7 +223,7 @@ class LinearProgram:
             self.index[row_id] = len(self.rows)
             self.rows.append(row)
 
-    def variant(self, sense=None, objective=None, rhs=None, relations=None,
+    def variant(self, objective=None, rhs=None, relations=None,
                 drop_rows=(), drop_variables=(), free=()) -> LinearProgram:
         """This model with the given pieces changed (see the module docstring);
         its .diff records them against this model."""
@@ -237,7 +231,6 @@ class LinearProgram:
         drop, free, drop_rows = set(drop_variables), set(free), set(drop_rows)
         changed = rhs.keys() | relations.keys()
         lp = object.__new__(LinearProgram)
-        lp.sense = self.sense if sense is None else sense
         lp.variables, freed = self.variables, set()
         if drop or free:
             lp.variables = [Variable(v.name, False) if v.name in free else v
@@ -250,12 +243,12 @@ class LinearProgram:
         lp.costs = (self.costs if lp.objective is self.objective
                     else _integers(lp.objective.values()))
         names = {v.name for v in lp.variables} if drop or free or objective else None
-        if (lp.sense not in (MIN, MAX) or names is not None and (
+        if (names is not None and (
                 len(names) + len(drop) != len(self.variables) or not free <= names
                 or not lp.objective.keys() <= names)
                 or not changed | drop_rows <= self.index.keys()
                 or not set(relations.values()) <= set(_RELATIONS)):
-            raise LinearProgramError("variant names an unknown sense, variable, row or relation")
+            raise LinearProgramError("variant names an unknown variable, row or relation")
         if not drop_rows.isdisjoint(changed):
             raise LinearProgramError("variant changes the rhs or relation of a row it drops")
         kept = ([i for i, row in enumerate(self.rows) if row.id not in drop_rows] if drop_rows
@@ -283,8 +276,7 @@ class LinearProgram:
                                   ints if num else old)
         lp.diff = Diff(ref(self), kept, rhs_moves, relation_moves, drop, freed,
                        sorted([self.index[i] for i in drop_rows]),
-                       lp.sense == self.sense and (lp.objective is self.objective
-                                                   or lp.objective == self.objective))
+                       lp.objective is self.objective or lp.objective == self.objective)
         return lp
 
 
@@ -296,7 +288,7 @@ class Diff:
     rhs moved by num/den in lowest terms (rhs), (base position, new
     relation) for each row whose relation moved (relations), the variables
     dropped, the names whose bound was freed, base's positions of the rows
-    dropped (gone), and whether sense and objective are base's."""
+    dropped (gone), and whether the objective is base's."""
     base: ref
     kept: list[int]
     rhs: list[tuple]
@@ -403,14 +395,14 @@ LPOutcome = Optimal | Infeasible | Unbounded
 
 def solve(lp: LinearProgram, start: Tableau | None = None) -> LPOutcome:
     """Solve exactly, on a fresh Tableau or on ``start`` (see the module
-    docstring); an Optimal outcome comes back as verify_certificate returns it."""
-    # lp's base, which its Diff refers to weakly, stays alive until the
-    # check has read its last checked optimum.
-    base = lp.diff and lp.diff.base()
-    outcome = (Tableau() if start is None else start).optimize(lp)
+    docstring); an Optimal outcome comes back as verify_certificate returns
+    it, checked against the tableau's last model and checked optimum, and
+    the tableau keeps it as its checked optimum."""
+    tab = Tableau() if start is None else start
+    base, prior = tab.lp, tab.checked
+    outcome = tab.optimize(lp)
     if isinstance(outcome, Optimal):
-        outcome = verify_certificate(lp, outcome)
-    del base
+        outcome = tab.checked = verify_certificate(lp, outcome, base, prior)
     return outcome
 
 
@@ -441,23 +433,26 @@ class Tableau:
     banned holds the columns that never enter (artificials, dropped rows'
     slacks, columns fixed at zero); row_cols holds each model row's
     (identity column: its slack, or an = row's artificial; flip).
+
+    checked is the last model's optimum as verify_certificate accepted it,
+    which solve stores; None until then, and after any other outcome.
     """
 
     def __init__(self) -> None:
         self.lp: LinearProgram | None = None
         self.status: str | None = None
+        self.checked: Optimal | None = None
 
     def optimize(self, lp: LinearProgram) -> LPOutcome:
         """Solve lp cold on a fresh tableau, else as a variant of the last model."""
-        self.carry = None
         if self.status is None:
-            z = self.build(lp)
+            z, carry = self.build(lp), None
         elif self.status == "optimal":
-            z = self.reoptimize(lp)
+            z, carry = self.reoptimize(lp)
         else:
             raise LinearProgramError(f"cannot reoptimize after an {self.status} solve")
-        outcome = Infeasible() if z is None else self.phase2(lp, z)
-        self.lp, self.status, self.z = lp, outcome.status, z
+        outcome = Infeasible() if z is None else self.phase2(lp, z, carry)
+        self.lp, self.status, self.z, self.checked = lp, outcome.status, z, None
         return outcome
 
     def build(self, lp: LinearProgram) -> list[int] | None:
@@ -516,17 +511,16 @@ class Tableau:
                     self.pivot(i, j)
         return self.reduced_costs(lp)
 
-    def reoptimize(self, lp: LinearProgram) -> list[int] | None:
+    def reoptimize(self, lp: LinearProgram) -> tuple[list[int] | None, tuple | None]:
         """Carry the last optimal basis over to lp, the last model or a
         variant of it (see the module docstring), by the Diff lp.variant
-        recorded; lp's reduced costs, or None when lp is infeasible. Unless
-        the dual simplex runs, carry is set for phase2: the variables
-        dropped, the ids of the rows dropped, and (column, value) for each
-        basic value that moved."""
+        recorded: (lp's reduced costs, or None when lp is infeasible; the
+        carry). Unless the dual simplex runs, the carry is what phase2
+        hands over: the variables dropped, the ids of the rows dropped, and
+        (column, value) for each basic value that moved; else None."""
         old, nonneg, in_basis, cols = self.lp, self.nonneg, self.in_basis, self.cols
         if lp is old:
-            self.carry = ((), (), [])
-            return self.z
+            return self.z, ((), (), [])
         diff = lp.diff
         if diff is None or diff.base() is not old:
             raise LinearProgramError(
@@ -564,7 +558,7 @@ class Tableau:
         # a banned basic column (an artificial) nonzero, which leaves lp
         # infeasible, or a nonnegative one negative.
         if any(values[r][0] for r in moved if basis[r] in self.banned):
-            return None
+            return None, None
         negative = any(values[r][0] < 0 and nonneg[j] and j not in freed and j not in gone
                        for r in moved for j in [basis[r]])
         # Dropped rows' basic slacks cost 0, so the z the last solve kept
@@ -577,9 +571,8 @@ class Tableau:
                 if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
 
-        if not negative:
-            self.carry = (diff.dropped, [old.rows[i].id for i in diff.gone],
-                          [(basis[r], values[r]) for r in moved])
+        carry = None if negative else (diff.dropped, [old.rows[i].id for i in diff.gone],
+                                       [(basis[r], values[r]) for r in moved])
         if freed:
             self.nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
         for j in gone:
@@ -591,7 +584,7 @@ class Tableau:
             values = [values[r] for r in live]
             self.row_cols = [self.row_cols[i] for i in diff.kept]
         self.values = values
-        return z if not negative or self.dual_run(z) else None
+        return (z if not negative or self.dual_run(z) else None), carry
 
     # The update below touches only the nonzero columns of the pivot row,
     # unless a row's denominator grows (then every entry is rescaled first):
@@ -645,12 +638,12 @@ class Tableau:
 
     def reduced_costs(self, lp: LinearProgram) -> list[int]:
         """c - c_B B^-1 A as a row of ints over one positive denominator,
-        for lp's objective (negated for MAX), read from its ints lp.costs."""
+        for lp's objective, read from its ints lp.costs."""
         c, dc = lp.costs
-        cols, sign = self.cols, 1 if lp.sense == MIN else -1
+        cols = self.cols
         cost = [0] * len(self.nonneg)
         for name, cj in zip(lp.objective, c):
-            cost[cols[name]] = sign * cj
+            cost[cols[name]] = cj
         basic = [(row, cost[b]) for b, row in zip(self.basis, self.rows) if cost[b]]
         d = lcm(*[row[-1] for row, _ in basic])
         z = ([cj * d for cj in cost] if d != 1 else cost) + [dc * d]
@@ -733,25 +726,26 @@ class Tableau:
             self.pivot(r, enter, z)
         return True
 
-    def phase2(self, lp: LinearProgram, z: list[int]) -> LPOutcome:
+    def phase2(self, lp: LinearProgram, z: list[int], carry: tuple | None) -> LPOutcome:
         """Phase 2 from the current feasible basis, on lp's reduced costs z;
         the optimum comes back on the tableau's ints (see Optimal).
 
-        When neither phase 2 nor the warm start made a pivot, the last
+        When neither phase 2 nor the warm start made a pivot, the checked
         optimum is handed over with what moved (reoptimize's carry): x less
         the variables dropped, with each moved basic value, and y, when z
-        is the last solve's own, less the rows dropped. Every other optimum
-        is built from the basis."""
+        is the last solve's own, less the rows dropped. Every other optimum,
+        and every one on a tableau with no checked optimum, is built from
+        the basis."""
         pivots = self.run(z)
         if pivots is None:
             return Unbounded()
-        nvar, carry, x = len(self.cols), None if pivots else self.carry, None
-        if carry is not None:
+        last = None if pivots or carry is None else self.checked
+        nvar, x = len(self.cols), None
+        if last is not None:
             dropped, gone, moved = carry
-            last, dx, y, dy = self.last
-            x = last
+            x, dx, y, dy = last.xs, last.dx, last.ys, last.dy
             if dropped or moved:
-                x = dict(last)
+                x = dict(x)
                 for name in dropped:
                     del x[name]
                 for j, (num, den) in moved:
@@ -770,11 +764,9 @@ class Tableau:
             cols = self.cols
             x = {v.name: 0 if (t := values.get(cols[v.name])) is None else t[0] * (dx // t[1])
                  for v in lp.variables}
-        if carry is None or z is not self.z:
-            # y: each row's identity column of z, signed by its flip and
-            # lp's sense.
-            minimize = lp.sense == MIN
-            y = {row.id: -z[col] if flip != minimize else z[col]
+        if last is None or z is not self.z:
+            # y: each row's identity column of z, signed by its flip.
+            y = {row.id: z[col] if flip else -z[col]
                  for (col, flip), row in zip(self.row_cols, lp.rows)}
             dy = z[-1]
         elif gone:
@@ -783,7 +775,6 @@ class Tableau:
                 del y[row_id]
         c, dc = lp.costs
         objective = _rational(sum(map(mul, c, map(x.__getitem__, lp.objective))), dc * dx)
-        self.last = x, dx, y, dy
         return Optimal.of_ints(x, dx, y, dy, objective)
 
     @cached_property
@@ -817,21 +808,21 @@ def _rational(num: int, den: int) -> Rational:
     return rat(num, den) if q is None else q
 
 
-def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
+def verify_certificate(lp: LinearProgram, opt: Optimal, base: LinearProgram | None = None,
+                       prior: Optimal | None = None) -> Optimal:
     """Exact optimality check: feasibility both sides, CS, strong duality.
-    Returns opt with its slack and reduced maps (see Optimal) filled in,
-    and keeps it as lp.checked.
+    Returns opt with its slack and reduced maps (see Optimal) filled in.
 
-    It reads the model and opt's ints alone (x as xs over dx, y as ys over
-    dy), never a tableau, plus the last optimum the check accepted for lp
-    or, for a variant, for its base (lp.diff.base().checked, the prior).
-    The ints of lp's own last checked optimum pass again as they did (a
-    re-solve of the model), with its slacks and reduced costs. For a
-    variant the check is chained (_chained_check): it compares opt's ints
-    with the prior's to find the x and y entries that moved, reads lp's
-    Diff and costs for the rhs, relations, bounds, costs, rows and
-    variables that moved, and re-tests every row and column with a moved
-    input. It is complete
+    It reads its arguments alone: the model, opt's ints (x as xs over dx,
+    y as ys over dy) and, when given, prior, an optimum this check accepted
+    for the model base (solve passes the tableau's last model and its
+    checked optimum). When base is lp, prior's ints pass again as they did
+    (a re-solve of the model), with its slacks and reduced costs. When lp
+    is a variant of base (lp.diff.base() is base), the check is chained
+    (_chained_check): it compares opt's ints with the prior's to find the x
+    and y entries that moved, reads lp's Diff and costs for the rhs,
+    relations, bounds, costs, rows and variables that moved, and re-tests
+    every row and column with a moved input. It is complete
     because each row or column test reads only that row's or column's
     inputs, so a row or column whose inputs did not move passes as it did
     for the prior, and keeps the prior's slack or reduced cost; c.x is
@@ -841,19 +832,16 @@ def verify_certificate(lp: LinearProgram, opt: Optimal) -> Optimal:
     other optimum gets too, and which raises its error; so a chained
     solve gets the full check's verdict and message. The returned optimum
     holds no link to the prior."""
-    prior, base = lp.checked, lp.diff and lp.diff.base()
-    if prior is not None and (opt.xs, opt.dx, opt.ys, opt.dy, opt.objective) == (
-            prior.xs, prior.dx, prior.ys, prior.dy, prior.objective):
-        checked = Optimal.of_ints(opt.xs, opt.dx, opt.ys, opt.dy, opt.objective,
-                                  prior.slacks, prior.reduced_costs)
-    elif base is not None and base.checked is not None:
-        checked = _chained_check(lp, opt, base)
-    else:
-        checked = None
-    if checked is None:
-        checked = _full_check(lp, opt)
-    lp.checked = checked
-    return checked
+    if prior is not None and base is lp:
+        if (opt.xs, opt.dx, opt.ys, opt.dy, opt.objective) == (
+                prior.xs, prior.dx, prior.ys, prior.dy, prior.objective):
+            return Optimal.of_ints(opt.xs, opt.dx, opt.ys, opt.dy, opt.objective,
+                                   prior.slacks, prior.reduced_costs)
+    elif prior is not None and base is not None and lp.diff and lp.diff.base() is base:
+        checked = _chained_check(lp, opt, base, prior)
+        if checked is not None:
+            return checked
+    return _full_check(lp, opt)
 
 
 def _full_check(lp: LinearProgram, opt: Optimal) -> Optimal:
@@ -867,7 +855,6 @@ def _full_check(lp: LinearProgram, opt: Optimal) -> Optimal:
     sign, complementary-slackness, objective and strong-duality test runs
     on ints; rationals are formed only for error messages."""
     xs, dx, ys, dy = opt.xs, opt.dx, opt.ys, opt.dy
-    minimize = lp.sense == MIN
     for var in lp.variables:
         if var.name not in xs:
             raise SolverInvariantError(f"missing primal value for {var.name!r}")
@@ -893,7 +880,7 @@ def _full_check(lp: LinearProgram, opt: Optimal) -> Optimal:
         if not (lhs == b if relation == EQ else lhs <= b if relation == LE else lhs >= b):
             raise SolverInvariantError(
                 f"row {row.id!r} violated: {rat(lhs, s * dx * q)} {relation} {row.rhs}")
-        if relation != EQ and (yi > 0 if (relation == LE) == minimize else yi < 0):
+        if relation != EQ and (yi > 0 if relation == LE else yi < 0):
             raise SolverInvariantError(f"dual sign for row {row.id!r}")
         if lhs != b:
             if yi:
@@ -911,7 +898,7 @@ def _full_check(lp: LinearProgram, opt: Optimal) -> Optimal:
         if dj:
             if not var.nonnegative:
                 raise SolverInvariantError(f"dual constraint for free {var.name!r}")
-            if (dj < 0) if minimize else (dj > 0):
+            if dj < 0:
                 raise SolverInvariantError(f"dual constraint for {var.name!r}")
             if xs[var.name]:
                 raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")
@@ -936,9 +923,10 @@ def _full_check(lp: LinearProgram, opt: Optimal) -> Optimal:
 _CHAINED_SHARE = 8
 
 
-def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Optimal | None:
-    """verify_certificate for lp = base.variant(...) with base's sense, from
-    prior = base.checked: opt with its slacks and reduced costs, or None to
+def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram,
+                   prior: Optimal) -> Optimal | None:
+    """verify_certificate for lp = base.variant(...) from prior, an optimum
+    checked for base: opt with its slacks and reduced costs, or None to
     leave opt to the full check.
 
     It is complete because each test of the full check reads only one row's
@@ -958,17 +946,16 @@ def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Opti
     (its objective, by strong duality) moved by the rows whose y or rhs
     moved or that were dropped.
 
-    A new sense flips every sign test, and past one x and y entry in
-    _CHAINED_SHARE moved one pass over the model costs less than re-testing
-    their rows and columns, so both go to the full check; so does a model
-    too small to let three entries move, whose full check costs less than
-    the chained check's fixed part. The rows the Diff moved or dropped
-    count against the same budget, so a variant that moved too many goes
-    to the full check before the prior is read."""
-    prior, diff = base.checked, lp.diff
+    Past one x and y entry in _CHAINED_SHARE moved, one pass over the model
+    costs less than re-testing their rows and columns, so the certificate
+    goes to the full check; so does a model too small to let three entries
+    move, whose full check costs less than the chained check's fixed part.
+    The rows the Diff moved or dropped count against the same budget, so a
+    variant that moved too many goes to the full check before the prior is
+    read."""
+    diff = lp.diff
     budget = (len(lp.variables) + len(lp.rows)) // _CHAINED_SHARE
-    if (budget < 3 or lp.sense != base.sense
-            or len(diff.rhs) + len(diff.relations) + len(diff.gone) > budget):
+    if budget < 3 or len(diff.rhs) + len(diff.relations) + len(diff.gone) > budget:
         return None
     xs, dx, ys, dy = opt.xs, opt.dx, opt.ys, opt.dy
     pxs, pys, old_rows = prior.xs, prior.ys, base.rows
@@ -1021,7 +1008,7 @@ def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Opti
         names += [name for name, cj in old_costs.items()
                   if cj and name not in costs and name not in dropped]
 
-    minimize, value = lp.sense == MIN, xs.__getitem__
+    value = xs.__getitem__
     retest, slacks = dict.fromkeys(test), []
     for row_id in retest:
         p = index.get(row_id)
@@ -1035,7 +1022,7 @@ def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Opti
         if q != 1:
             lhs *= q
         if lhs == b:
-            if relation != EQ and (yi > 0 if (relation == LE) == minimize else yi < 0):
+            if relation != EQ and (yi > 0 if relation == LE else yi < 0):
                 return None
         elif relation == EQ or yi or (lhs < b) != (relation == LE):
             return None
@@ -1055,7 +1042,7 @@ def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram) -> Opti
         elif xj < 0:
             return None
         elif dj:
-            if ((dj < 0) if minimize else (dj > 0)) or xj:
+            if dj < 0 or xj:
                 return None
             reduced_costs.append((name, dj, den))
 
@@ -1157,14 +1144,14 @@ def _dual_slacks(lp: LinearProgram, terms: list, dy: int, c: list, dc: int) -> t
 
 
 def optimal_face(lp: LinearProgram, opt: Optimal, objective: Mapping) -> LinearProgram:
-    """lp's optimal face, at opt as solve returned it (checked), as a MIN
+    """lp's optimal face, at opt as solve returned it (checked), as a
     model with the given objective (on the face's variables). By
     complementary slackness with opt.y, every optimum is zero on a variable
     in opt.reduced (a nonzero reduced cost), which the face drops, and tight
     on a row with a nonzero dual, which becomes ``=``."""
     drop = {name for name, _, _ in opt.reduced_costs}
     keep = {v.name for v in lp.variables if v.name not in drop}
-    return lp.variant(MIN, {name: c for name, c in objective.items() if name in keep},
+    return lp.variant({name: c for name, c in objective.items() if name in keep},
                       relations={row.id: EQ for row in lp.rows
                                  if row.relation != EQ and opt.ys[row.id]},
                       drop_variables=drop)

@@ -29,7 +29,7 @@ from itertools import repeat
 from typing import Mapping
 
 from .graphs import Edge, Graph, cut_edges, validate_cut_family
-from .linprog import EQ, GE, LE, MIN, LinearProgram, _integers
+from .linprog import EQ, GE, LE, LinearProgram, _integers
 from .rationals import R0, R1, rat
 
 DualKey = int | frozenset
@@ -69,7 +69,7 @@ def build_primal(g: Graph, costs: Mapping[Edge, object], family,
     for s in canonical_sets(sets):
         rows.append((("cut", s), {e: R1 for e in cut_edges(g, s)}, GE, R1))
     objective = {e: rat(costs[e]) for e in pairs}
-    return LinearProgram(MIN, variables, objective, rows)
+    return LinearProgram(variables, objective, rows)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def build_closest_dual(
         for e, ks in ctx.crossing.items():
             kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
             rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs.get(e, R0))))
-        return LinearProgram(MIN, variables, objective, rows)
+        return LinearProgram(variables, objective, rows)
     rhs, index = {}, last.index
     for key in moved:
         if isinstance(key, tuple):  # an edge

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import SignViolation, StageSolveError
 from .lexmin import staged_optima
-from .linprog import EQ, GE, MIN, LinearProgram, Optimal
+from .linprog import EQ, GE, LinearProgram, Optimal
 from .linprog import solve  # noqa: F401  (perfbench/tracing.py patches perturb.solve)
 from .rationals import R0, Rational, rat
 
@@ -108,7 +108,7 @@ def solve_perturbed_pair(pair: PerturbedPair) -> PerturbedSolution:
     columns = [(j, j in pair.nonneg) for j in range(pair.ncols)]
     rows = [(i, {j: a for j, a in enumerate(pair.a[i]) if a}, GE, pair.b[i])
             for i in range(pair.nrows)]
-    lp = LinearProgram(MIN, columns, dict(enumerate(pair.costs[0])), rows)
+    lp = LinearProgram(columns, dict(enumerate(pair.costs[0])), rows)
     stages: list[StageRecord] = []
     later = (dict(enumerate(cost)) for cost in pair.costs[1:])
     for p, (lp, out) in enumerate(staged_optima(lp, later)):

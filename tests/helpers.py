@@ -19,7 +19,6 @@ from cpmatch.linprog import (
     EQ,
     GE,
     LE,
-    MIN,
     Diff,
     LinearProgram,
     Optimal,
@@ -35,14 +34,14 @@ def tableau_state(tab: Tableau) -> tuple:
     """Everything a Tableau holds between solves, copied."""
     return (tab.lp, tab.status, [list(t) for t in tab.rows], list(tab.values), list(tab.basis),
             set(tab.banned), list(tab.row_cols), list(tab.nonneg), list(tab.in_basis), list(tab.z),
-            dict(tab.cols))
+            dict(tab.cols), tab.checked)
 
 
 def model_parts(lp: LinearProgram) -> tuple:
     """Everything a model holds, in order, its stored integers too (the
     objective's scaling, and each row's scaling and rhs): equal for a
     variant and the fresh model it stands for."""
-    return (lp.sense, [(v.name, v.nonnegative) for v in lp.variables], list(lp.objective.items()),
+    return ([(v.name, v.nonnegative) for v in lp.variables], list(lp.objective.items()),
             lp.costs, [(row.id, list(row.coeffs.items()), row.relation, row.rhs, row.scale,
                         row.rhs_ints) for row in lp.rows])
 
@@ -67,7 +66,7 @@ def row_diff(base: LinearProgram, lp: LinearProgram) -> Diff:
                 bounds.keys() - names,
                 {v.name for v in lp.variables if bounds[v.name] and not v.nonnegative},
                 sorted(set(range(len(base.rows))) - set(kept)),
-                lp.sense == base.sense and lp.objective == base.objective)
+                lp.objective == base.objective)
 
 
 def split_dual_solution(values: Mapping) -> tuple[dict, dict]:
@@ -180,7 +179,6 @@ def random_bounded_lp(rng: random.Random):
 
     names = [f"x{j}" for j in range(n)]
     lp = LinearProgram(
-        MIN,
         [(name, True) for name in names],
         {name: c for name, c in zip(names, objective)},
         [
@@ -248,7 +246,7 @@ def sequential_stage_minima(pair: PerturbedPair) -> list:
     minima = []
     for p, cost in enumerate(pair.costs):
         objective = {("x", j): cost[j] for j in range(pair.ncols) if cost[j]}
-        out = solve(LinearProgram(MIN, variables, objective, rows))
+        out = solve(LinearProgram(variables, objective, rows))
         assert isinstance(out, Optimal), f"stage {p} oracle came back {out.status}"
         minima.append(out.objective)
         rows = rows + [(("face", p), objective, EQ, out.objective)]
@@ -257,10 +255,10 @@ def sequential_stage_minima(pair: PerturbedPair) -> list:
 
 def fraction_verify_certificate(lp: LinearProgram, opt: Optimal) -> None:
     """The reference certificate check: linprog.verify_certificate as it was
-    on rationals, before it moved to scaled integers, kept verbatim (it reads
+    on rationals, before it moved to scaled integers, kept verbatim but for
+    its maximization branches, which went with the models' sense (it reads
     y[row.id] directly, so a missing dual raises KeyError here)."""
     x, y = opt.x, opt.y
-    minimize = lp.sense == MIN
     for var in lp.variables:
         if var.name not in x:
             raise SolverInvariantError(f"missing primal value for {var.name!r}")
@@ -276,7 +274,7 @@ def fraction_verify_certificate(lp: LinearProgram, opt: Optimal) -> None:
         if not ok:
             raise SolverInvariantError(f"row {row.id!r} violated: {lhs} {row.relation} {row.rhs}")
         yi = y[row.id]
-        if row.relation != EQ and (yi > R0 if (row.relation == LE) == minimize else yi < R0):
+        if row.relation != EQ and (yi > R0 if row.relation == LE else yi < R0):
             raise SolverInvariantError(f"dual sign for row {row.id!r}")
         if yi and lhs != row.rhs:
             raise SolverInvariantError(f"complementary slackness fails on row {row.id!r}")
@@ -287,7 +285,7 @@ def fraction_verify_certificate(lp: LinearProgram, opt: Optimal) -> None:
         d = slack_by_var[var.name]
         if d and not var.nonnegative:
             raise SolverInvariantError(f"dual constraint for free {var.name!r}")
-        if (d < R0) if minimize else (d > R0):
+        if d < R0:
             raise SolverInvariantError(f"dual constraint for {var.name!r}")
         if x[var.name] and d:
             raise SolverInvariantError(f"complementary slackness fails on {var.name!r}")

@@ -23,7 +23,6 @@ from cpmatch.linprog import (
     EQ,
     GE,
     LE,
-    MIN,
     LinearProgram,
     Optimal,
     SolverInvariantError,
@@ -50,25 +49,25 @@ def _verdict(check, lp, opt):
 
 @pytest.fixture
 def chained(monkeypatch):
-    """Check every solve whose model is a variant of a checked base three
-    ways: the chained check (on every certificate, whatever moved), the
-    full check and the rational reference. Counts the chained checks that
-    accepted and those that left the certificate to the full check."""
+    """Check every solve whose model is a variant of the tableau's checked
+    base three ways: the chained check (on every certificate, whatever
+    moved), the full check and the rational reference. Counts the chained
+    checks that accepted and those that left the certificate to the full
+    check."""
     monkeypatch.setattr(linprog, "_CHAINED_SHARE", 1)
     seen = {"accepted": 0, "declined": 0}
     verify = linprog.verify_certificate
 
-    def checking(lp, opt):
-        base = lp.diff and lp.diff.base()
-        if base is None or base.checked is None:
-            return verify(lp, opt)
+    def checking(lp, opt, base=None, prior=None):
+        if prior is None or lp.diff is None or lp.diff.base() is not base:
+            return verify(lp, opt, base, prior)
         full = _verdict(linprog._full_check, lp, opt)
         reference = _verdict(fraction_verify_certificate, lp, opt)
         assert reference == (full if isinstance(full, str) else None)
-        mine = linprog._chained_check(lp, opt, base)
+        mine = linprog._chained_check(lp, opt, base, prior)
         seen["declined" if mine is None else "accepted"] += 1
         assert mine is None or mine == full
-        assert _verdict(verify, lp, opt) == full
+        assert _verdict(lambda lp, opt: verify(lp, opt, base, prior), lp, opt) == full
         return full
 
     monkeypatch.setattr(linprog, "verify_certificate", checking)
@@ -131,8 +130,9 @@ COSTS = {"a": 2, "b": 3, "c": 1, "d": 4}
 
 
 def _checked_base():
-    """A fresh base model solved on a fresh tableau: (base, tableau)."""
-    base = LinearProgram(MIN, ["a", "b", "c", "d"], COSTS, BASE_ROWS)
+    """A fresh base model solved on a fresh tableau: (base, tableau), the
+    tableau holding base's checked optimum."""
+    base = LinearProgram(["a", "b", "c", "d"], COSTS, BASE_ROWS)
     tab = Tableau()
     solve(base, start=tab)
     return base, tab
@@ -150,12 +150,13 @@ def _tampered(out):
     yield "objective", Optimal.of_ints(out.xs, out.dx, out.ys, out.dy, out.objective + 1)
 
 
-def _rejected_alike(lp, cert):
-    """The chained check refuses cert, and verify_certificate raises the
-    message the full check and the rational reference raise."""
+def _rejected_alike(lp, cert, prior):
+    """The chained check refuses cert against prior, lp's base's checked
+    optimum, and verify_certificate raises the message the full check and
+    the rational reference raise."""
     base = lp.diff.base()
-    assert linprog._chained_check(lp, cert, base) is None
-    message = _verdict(verify_certificate, lp, cert)
+    assert linprog._chained_check(lp, cert, base, prior) is None
+    message = _verdict(lambda lp, opt: verify_certificate(lp, opt, base, prior), lp, cert)
     assert isinstance(message, str)
     assert message == _verdict(linprog._full_check, lp, cert)
     assert message == _verdict(fraction_verify_certificate, lp, cert)
@@ -168,12 +169,13 @@ def test_each_tampered_entry_of_a_chained_optimum_is_rejected(monkeypatch):
     # chained check accepts.
     monkeypatch.setattr(linprog, "_CHAINED_SHARE", 1)
     base, tab = _checked_base()
+    prior = tab.checked
     lp = base.variant(rhs={"r1": 3})
     out = solve(lp, start=tab)
-    assert linprog._chained_check(lp, out, base) == out
-    moved = linprog._moved(out.xs, out.dx, base.checked.xs, base.checked.dx)
-    assert moved == ["a"] and linprog._moved(out.ys, out.dy, base.checked.ys, base.checked.dy) == []
-    messages = {what: _rejected_alike(lp, cert) for what, cert in _tampered(out)}
+    assert linprog._chained_check(lp, out, base, prior) == out
+    moved = linprog._moved(out.xs, out.dx, prior.xs, prior.dx)
+    assert moved == ["a"] and linprog._moved(out.ys, out.dy, prior.ys, prior.dy) == []
+    messages = {what: _rejected_alike(lp, cert, prior) for what, cert in _tampered(out)}
     assert messages == {
         ("x", "a"): "complementary slackness fails on row 'r1'",
         ("x", "b"): "complementary slackness fails on row 'r1'",
@@ -194,8 +196,8 @@ def test_model_changes_under_an_unchanged_claim_are_rejected(monkeypatch):
     # dropped a row with a nonzero y, freed a bound with a nonzero reduced
     # cost, changed the objective or dropped a variable with a nonzero x.
     monkeypatch.setattr(linprog, "_CHAINED_SHARE", 1)
-    base, _ = _checked_base()
-    prior = base.checked
+    base, tab = _checked_base()
+    prior = tab.checked
     assert prior.ys["r2"] and prior.reduced == {"d": 4}
     cases = {
         "rhs": (base.variant(rhs={"r3": 2}), "row 'r3' violated: 3 <= 2"),
@@ -205,43 +207,75 @@ def test_model_changes_under_an_unchanged_claim_are_rejected(monkeypatch):
     }
     # A second model, where e carries x = 2 at cost 0 and the row r3 with
     # rhs 0 carries y = 1, so neither c.x nor y.b moves when they go.
-    zero = LinearProgram(MIN, ["a", "b", "e"], {"a": 1, "b": 1},
+    zero = LinearProgram(["a", "b", "e"], {"a": 1, "b": 1},
                          [("r1", {"a": 1, "e": 1}, GE, 3), ("r2", {"e": 1}, LE, 2),
                           ("r3", {"b": 1, "e": -1}, GE, 0)])
-    assert solve(zero).x == {"a": 1, "b": 2, "e": 2} and zero.checked.y["r3"] == 1
+    zero_tab = Tableau()
+    assert solve(zero, start=zero_tab).x == {"a": 1, "b": 2, "e": 2}
+    assert zero_tab.checked.y["r3"] == 1
     cases.update({
         "dropped variable": (zero.variant(drop_variables=["e"]), "row 'r1' violated: 1 >= 3"),
         "dropped row at rhs 0": (zero.variant(drop_rows=["r3"]),
                                  "complementary slackness fails on 'b'"),
     })
+    priors = {base: prior, zero: zero_tab.checked}
     for what, (lp, expected) in cases.items():
-        prior = lp.diff.base().checked
+        prior = priors[lp.diff.base()]
         xs = {k: v for k, v in prior.xs.items() if k not in lp.diff.dropped}
         ys = {k: v for k, v in prior.ys.items() if k in lp.index}
         cert = Optimal.of_ints(xs, prior.dx, ys, prior.dy, prior.objective)
-        message = _rejected_alike(lp, cert)
+        message = _rejected_alike(lp, cert, prior)
         assert message == expected, what
 
 
 def test_a_chained_optimum_keeps_no_reference_to_its_base_optimum(monkeypatch):
-    # The chained check reads the base's checked optimum, and the optimum it
-    # returns holds only ints, dicts and triples: once the base is gone,
-    # nothing keeps the base's optimum alive.
+    # The chained check reads the tableau's checked optimum of the base, and
+    # the optimum it returns, which the tableau keeps instead, holds only
+    # ints, dicts and triples: once the base is gone, nothing keeps the
+    # base or its optimum alive.
     monkeypatch.setattr(linprog, "_CHAINED_SHARE", 1)
     accepted = []
     chained_check = linprog._chained_check
 
-    def recording(lp, opt, base):
-        out = chained_check(lp, opt, base)
+    def recording(lp, opt, base, prior):
+        out = chained_check(lp, opt, base, prior)
         accepted.append(out is not None)
         return out
 
     monkeypatch.setattr(linprog, "_chained_check", recording)
     base, tab = _checked_base()
-    prior = weakref.ref(base.checked)
+    prior = weakref.ref(tab.checked)
     lp = base.variant(rhs={"r1": 3})
     out = solve(lp, start=tab)
-    assert accepted == [True] and out == lp.checked
+    assert accepted == [True] and out is tab.checked
     del base
     gc.collect()
     assert lp.diff.base() is None and prior() is None
+
+
+def test_a_failed_check_leaves_the_tableau_sound(monkeypatch):
+    # A check that raises leaves the tableau with no checked optimum, so
+    # the next warm solve hands nothing over (x and y are built afresh from
+    # the basis, not taken from the optimum that failed) and gets the full
+    # check, not the chained one a checked prior would give it here.
+    base, tab = _checked_base()
+    lp = base.variant(rhs={"r1": 3})
+    full, claims = linprog._full_check, []
+
+    def failing_once(model, opt):
+        claims.append(opt)
+        if len(claims) == 1:
+            raise SolverInvariantError("injected")
+        return full(model, opt)
+
+    monkeypatch.setattr(linprog, "_full_check", failing_once)
+    with pytest.raises(SolverInvariantError, match="injected"):
+        solve(lp, start=tab)
+    assert (tab.lp, tab.status, tab.checked) == (lp, "optimal", None)
+    monkeypatch.setattr(linprog, "_CHAINED_SHARE", 1)
+    monkeypatch.setattr(linprog, "_chained_check", lambda *args: pytest.fail("chained check"))
+    variant = lp.variant(rhs={"r3": 7})  # only r3's basic slack moves: no pivot
+    out = solve(variant, start=tab)
+    failed, claim = claims
+    assert claim.xs is not failed.xs and claim.ys is not failed.ys
+    assert out is tab.checked and out == solve(variant)

@@ -26,8 +26,6 @@ from cpmatch.linprog import (
     EQ,
     GE,
     LE,
-    MAX,
-    MIN,
     LinearProgram,
     LinearProgramError,
     Optimal,
@@ -313,7 +311,6 @@ def _fresh_closest_dual(ctx, costs, target, dropped=(), freed=()):
         kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
         rows.append(((kind, e), {("pi", k): 1 for k in ks}, relation, costs.get(e, 0)))
     return LinearProgram(
-        MIN,
         [(("pi", k), isinstance(k, frozenset) and k not in freed) for k in keys]
         + [(("r", k), True) for k in keys],
         {("r", k): rat(1, 1 if isinstance(k, int) else len(k)) for k in keys},
@@ -325,7 +322,6 @@ def _fresh_face(lp, opt, objective):
     """lp's optimal face at opt, every row filtered and copied afresh."""
     keep = {v.name for v in lp.variables if v.name not in opt.reduced}
     return LinearProgram(
-        MIN,
         [v for v in lp.variables if v.name in keep],
         {name: c for name, c in objective.items() if name in keep},
         [Row(row.id, {name: c for name, c in row.coeffs.items() if name in keep},
@@ -370,7 +366,7 @@ def test_stage_models_are_variants_equal_to_fresh_models(monkeypatch):
             row = next(row for row in lp.rows if row.coeffs)
             name, c = next(iter(row.coeffs.items()))
             changed = Row(row.id, {**row.coeffs, name: c + 1}, row.relation, row.rhs)
-            bad = LinearProgram(lp.sense, lp.variables, lp.objective,
+            bad = LinearProgram(lp.variables, lp.objective,
                                 [changed if r is row else r for r in lp.rows])
             before = tableau_state(start)
             with pytest.raises(LinearProgramError, match="last model or a .variant of it"):
@@ -449,6 +445,43 @@ def test_recorded_diffs_solve_like_fresh_models(monkeypatch):
         solver(g, sigma)
     assert not made and counts["faces"] > 500 and counts["stages"] > 500
     assert counts["recorded"] == counts["faces"] + counts["stages"] < counts["warm"]
+
+
+def _held(lp):
+    """What a model holds: its parts and its attribute names, less the memo
+    of its column index (LinearProgram._columns)."""
+    return model_parts(lp), set(vars(lp)) - {"_columns"}
+
+
+def test_solving_never_changes_a_model(monkeypatch):
+    # The tableau keeps what a solve learnt (its checked optimum), so no
+    # solve changes the model it solves or the tableau's last model, which
+    # a variant's check reads: the cold probe, lexmin's re-solve of the
+    # probe's model, each lexmin face and each closest-dual stage.
+    seen = dict.fromkeys(["probe", "re-solve", "face", "stage"], 0)
+
+    def watching(module):
+        def solving(lp, start=None):
+            models = [lp] if start.lp is None else [lp, start.lp]
+            if module is lexmin:
+                kind = "re-solve" if lp is start.lp else "face"
+            else:
+                kind = "stage" if lp.variables[0].name[0] == "pi" else "probe"
+                assert kind == "stage" or start.status is None
+            before = [_held(model) for model in models]
+            out = linprog.solve(lp, start=start)
+            assert [_held(model) for model in models] == before, kind
+            seen[kind] += 1
+            return out
+        return solving
+
+    monkeypatch.setattr(cpm, "solve", watching(cpm))
+    monkeypatch.setattr(lexmin, "solve", watching(lexmin))
+    g, sigma, _ = dancing_robot()
+    res = solve_unperturbed(g, sigma)
+    iterations = len(res.iterations)
+    assert seen == {"probe": iterations, "re-solve": iterations, "face": iterations * g.m,
+                    "stage": iterations * (g.m + 1)}
 
 
 def test_stage_chain_reads_rhs_moves_off_the_model():
@@ -787,21 +820,22 @@ def test_negative_costs_keep_the_matching(workload):
 
 
 def _pivot_path_models(rng):
-    """random_bounded_lp models, each followed by its MAX twin (objective
-    negated) with x0 free above a floor row."""
+    """random_bounded_lp models, each followed by its twin with x0 free
+    above a floor row."""
     for _ in range(40):
         lp = random_bounded_lp(rng)[0]
         yield lp
         free = [Variable(v.name, v.name != "x0") for v in lp.variables]
         floor = Row("floor", {"x0": 1}, GE, -rng.randint(0, 3))
-        yield LinearProgram(MAX, free, {k: -c for k, c in lp.objective.items()}, [*lp.rows, floor])
+        yield LinearProgram(free, lp.objective, [*lp.rows, floor])
 
 
 def _warm_variant(lp, out, rng):
     """lp with some rhs values moved, some rows slack at out dropped, some
-    positive (basic) variables freed, and the sense flipped with the
-    objective negated (the same cost vector, so the basis stays dual
-    feasible)."""
+    positive (basic) variables freed, and half the time the objective
+    scaled by 2 (a new objective, whose reduced costs are recomputed, on
+    which the basis stays dual feasible): (variant, whether it was
+    scaled)."""
     rhs, drop = {}, []
     for row in lp.rows:
         lhs = sum((c * out.x[name] for name, c in row.coeffs.items()), R0)
@@ -811,15 +845,14 @@ def _warm_variant(lp, out, rng):
             rhs[row.id] = row.rhs + rng.randint(-4, 4)
     free = [v.name for v in lp.variables if v.nonnegative and out.x[v.name] > 0
             and rng.random() < 0.3]
-    sense, objective = lp.sense, lp.objective
-    if rng.random() < 0.5:
-        sense, objective = MAX if sense == MIN else MIN, {k: -c for k, c in objective.items()}
-    return lp.variant(sense, objective, rhs=rhs, drop_rows=drop, free=free)
+    scaled = rng.random() < 0.5
+    objective = {k: 2 * c for k, c in lp.objective.items()} if scaled else None
+    return lp.variant(objective, rhs=rhs, drop_rows=drop, free=free), scaled
 
 
 #: SHA-256 of (leaving basic column, entering column) for every pivot of
-#: the three fixtures in all three modes, then of 80 random models (MIN and
-#: MAX, with a free column) and three warm variants of each. It pins the
+#: the three fixtures in all three modes, then of 80 random models (half of
+#: them with a free column) and three warm variants of each. It pins the
 #: simplex's pivot choices themselves, whatever the tableau stores.
 PIVOT_PATH_DIGEST = "e8b97145268b0bb4e555101998aec86c8ea5634b595393cf0b63d1d36fd6fc18"
 
@@ -848,13 +881,13 @@ def test_pivot_path_is_pinned(monkeypatch):
         for _ in range(3):
             if not isinstance(out, Optimal):
                 break
-            lp = _warm_variant(lp, out, rng)
+            lp, scaled = _warm_variant(lp, out, rng)
             out = linprog.solve(lp, start=tab)
-            statuses.append((out.status, lp.sense))
+            statuses.append((out.status, scaled))
         path.append("|")
     assert fixture_pivots > 1000 and len(path) - fixture_pivots > 200
-    assert {("optimal", MIN), ("optimal", MAX), ("infeasible", MIN),
-            ("infeasible", MAX)} <= set(statuses)
+    assert {("optimal", False), ("optimal", True), ("infeasible", False),
+            ("infeasible", True)} <= set(statuses)
     digest = hashlib.sha256(repr(path).encode()).hexdigest()
     assert digest == PIVOT_PATH_DIGEST
 

@@ -11,7 +11,7 @@ from cpmatch.gen import random_matchable_graph, random_ordering
 from cpmatch.graphs import Graph
 from cpmatch.lexmin import lex_min_optimal, staged_optima
 from cpmatch.linprog import (
-    EQ, GE, LE, MAX, MIN, LinearProgram, Optimal, Row, Tableau, Unbounded, solve,
+    EQ, GE, LE, LinearProgram, Optimal, Row, Tableau, Unbounded, solve,
 )
 from cpmatch.matchlp import build_primal
 from cpmatch.rationals import R0, R1, rat
@@ -51,7 +51,7 @@ def test_lexmin_faces_keep_no_earlier_face_alive():
 
 
 def test_order_must_be_a_permutation():
-    lp = LinearProgram(MIN, ["a", "b"], {"a": 1}, [("r", {"a": 1, "b": 1}, GE, 1)])
+    lp = LinearProgram(["a", "b"], {"a": 1}, [("r", {"a": 1, "b": 1}, GE, 1)])
     with pytest.raises(ValueError, match="permutation"):
         lex_min_optimal(lp, ["a"])
     with pytest.raises(ValueError, match="permutation"):
@@ -62,7 +62,7 @@ def test_order_must_be_a_permutation():
 
 def test_infeasible_and_unbounded_propagate():
     lp = LinearProgram(
-        MIN, ["a"], {"a": 1},
+        ["a"], {"a": 1},
         [("r1", {"a": 1}, GE, 2), ("r2", {"a": -1}, GE, 0)],
     )
     res = lex_min_optimal(lp, ["a"])
@@ -71,7 +71,7 @@ def test_infeasible_and_unbounded_propagate():
     assert res.lp_solves == 1
 
     lp = LinearProgram(
-        MIN, [("a", False), ("b", True)], {"b": 1}, [("r", {"b": 1}, GE, 1)]
+        [("a", False), ("b", True)], {"b": 1}, [("r", {"b": 1}, GE, 1)]
     )
     # The free variable has no floor on the optimal face.
     res = lex_min_optimal(lp, ["a", "b"])
@@ -83,7 +83,7 @@ def test_staged_optima_stops_after_the_first_failed_stage():
     # Stage 0 and the face minimizing b are optimal; a is free with no floor
     # on that face, so its stage is unbounded and the last objective is
     # never solved.
-    lp = LinearProgram(MIN, [("a", False), "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
+    lp = LinearProgram([("a", False), "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
     stages = list(staged_optima(lp, [{"b": R1}, {"a": R1}, {"b": R1}]))
     assert [type(out) for _, out in stages] == [Optimal, Optimal, Unbounded]
     assert stages[0][0] is lp
@@ -147,7 +147,7 @@ def cold_lex_min(lp, order):
     rows.append(Row(("lex", "objective"), dict(lp.objective), EQ, first.objective))
     values = {}
     for name in order:
-        out = solve(LinearProgram(MIN, lp.variables, {name: R1}, rows))
+        out = solve(LinearProgram(lp.variables, {name: R1}, rows))
         if not isinstance(out, Optimal):
             return out.status, None, None
         values[name] = out.x[name]
@@ -189,12 +189,11 @@ def test_warm_stages_match_cold_stages_on_a_fractional_fixture():
 
 
 def test_warm_stages_match_cold_stages_on_hand_made_models():
-    # Max sense, a free variable, negative right-hand sides: the optimal
-    # face is a + b = 4, 1 <= b, 0 <= a <= 2, c = a + 1.
+    # Negative costs, a free variable, negative right-hand sides: the
+    # optimal face is a + b = 4, 1 <= b, 0 <= a <= 2, c = a + 1.
     lp = LinearProgram(
-        MAX,
         ["a", "b", ("c", False)],
-        {"a": 1, "b": 1},
+        {"a": -1, "b": -1},
         [
             ("cap", {"a": 1, "b": 1}, LE, 4),
             ("link", {"a": 1, "c": -1}, EQ, -1),
@@ -208,7 +207,6 @@ def test_warm_stages_match_cold_stages_on_hand_made_models():
 
     # Two free variables that settle negative on the face x + y = -2.
     lp = LinearProgram(
-        MIN,
         [("x", False), ("y", False)],
         {"x": 1, "y": 1},
         [
@@ -221,24 +219,22 @@ def test_warm_stages_match_cold_stages_on_hand_made_models():
     assert assert_matches_cold(lp, ["y", "x"]).values == {"x": 3, "y": -5}
 
     # Unbounded stage and infeasible model keep their status.
-    lp = LinearProgram(MIN, [("a", False), "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
+    lp = LinearProgram([("a", False), "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
     assert assert_matches_cold(lp, ["a", "b"]).status == "unbounded"
-    lp = LinearProgram(MIN, ["a"], {}, [("r1", {"a": 1}, GE, 2), ("r2", {"a": 1}, LE, 1)])
+    lp = LinearProgram(["a"], {}, [("r1", {"a": 1}, GE, 2), ("r2", {"a": 1}, LE, 1)])
     assert assert_matches_cold(lp, ["a"]).status == "infeasible"
 
 
 def test_warm_stages_match_cold_stages_on_random_models():
-    # Free columns, >= rows with negative right-hand sides, either sense.
+    # Free columns, >= rows with negative right-hand sides, signed costs.
     rng = random.Random(31)
-    for trial in range(40):
+    for _ in range(40):
         pair = random_perturbed_pair(rng)
         names = [("x", j) for j in range(pair.ncols)]
         cost = {name: c for name, c in zip(names, pair.costs[0]) if c}
-        sense = MAX if trial % 2 else MIN
         lp = LinearProgram(
-            sense,
             [(name, j in pair.nonneg) for j, name in enumerate(names)],
-            {k: -c for k, c in cost.items()} if sense == MAX else cost,
+            cost,
             [
                 (("row", i), {names[j]: c for j, c in enumerate(pair.a[i]) if c}, GE, pair.b[i])
                 for i in range(pair.nrows)

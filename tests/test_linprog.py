@@ -29,8 +29,6 @@ from cpmatch.linprog import (
     EQ,
     GE,
     LE,
-    MAX,
-    MIN,
     Infeasible,
     LinearProgram,
     LinearProgramError,
@@ -48,7 +46,7 @@ from cpmatch.rationals import _SHARED, HALF, R0, R1, Rational, rat
 
 
 def test_single_bound_row():
-    lp = LinearProgram(MIN, ["x"], {}, [("r", {"x": 1}, GE, 5)])
+    lp = LinearProgram(["x"], {}, [("r", {"x": 1}, GE, 5)])
     out = solve(lp)
     assert isinstance(out, Optimal)
     assert out.objective == 0
@@ -58,7 +56,6 @@ def test_single_bound_row():
 def test_two_inequality_rows_with_free_variable():
     # min x1 + x2 + 3*x3, x1 + x3 >= 1, x2 + 2*x3 >= 1, x3 free
     lp = LinearProgram(
-        MIN,
         [("x1", True), ("x2", True), ("x3", False)],
         {"x1": 1, "x2": 1, "x3": 3},
         [
@@ -77,7 +74,6 @@ def test_two_inequality_rows_with_free_variable():
 def test_equality_rows_force_free_variable_into_basis():
     # Same rows as equalities, costs chosen so the free variable must move.
     lp = LinearProgram(
-        MIN,
         [("x1", True), ("x2", True), ("x3", False)],
         {"x1": 4, "x2": 2, "x3": 0},
         [
@@ -94,7 +90,6 @@ def test_equality_rows_force_free_variable_into_basis():
 def test_square_equality_system_duals():
     # Fully determined system: x1 + x3 = 1, 2*x3 = 1.
     lp = LinearProgram(
-        MIN,
         [("x1", True), ("x3", False)],
         {"x1": -2, "x3": 1},
         [
@@ -108,25 +103,8 @@ def test_square_equality_system_duals():
     assert out.objective == rat(-1, 2)
 
 
-def test_max_sense_duals_flip_sign():
-    lp = LinearProgram(
-        MAX,
-        ["x", "y"],
-        {"x": 1, "y": 2},
-        [
-            ("cap", {"x": 1, "y": 1}, LE, 4),
-            ("ycap", {"y": 1}, LE, 3),
-        ],
-    )
-    out = solve(lp)
-    assert out.objective == 7
-    assert out.x == {"x": rat(1), "y": rat(3)}
-    assert out.y["cap"] >= 0 and out.y["ycap"] >= 0
-
-
 def test_infeasible():
     lp = LinearProgram(
-        MIN,
         ["x"],
         {"x": 1},
         [("lo", {"x": 1}, GE, 2), ("hi", {"x": 1}, LE, 1)],
@@ -135,17 +113,17 @@ def test_infeasible():
 
 
 def test_unbounded():
-    lp = LinearProgram(MIN, ["x"], {"x": -1}, [("lo", {"x": 1}, GE, 0)])
+    lp = LinearProgram(["x"], {"x": -1}, [("lo", {"x": 1}, GE, 0)])
     assert isinstance(solve(lp), Unbounded)
 
 
 def test_unbounded_free_variable_direction():
-    lp = LinearProgram(MIN, [("x", False)], {"x": 1}, [])
+    lp = LinearProgram([("x", False)], {"x": 1}, [])
     assert isinstance(solve(lp), Unbounded)
 
 
 def test_free_variable_settles_negative():
-    lp = LinearProgram(MIN, [("x", False)], {"x": 1}, [("lo", {"x": 1}, GE, -3)])
+    lp = LinearProgram([("x", False)], {"x": 1}, [("lo", {"x": 1}, GE, -3)])
     out = solve(lp)
     assert out.x["x"] == -3
     assert out.objective == -3
@@ -154,7 +132,6 @@ def test_free_variable_settles_negative():
 def test_negative_rhs_rows_are_scaled():
     # -x - y <= -2 is x + y >= 2 in disguise.
     lp = LinearProgram(
-        MIN,
         ["x", "y"],
         {"x": 3, "y": 5},
         [("r", {"x": -1, "y": -1}, LE, -2)],
@@ -166,7 +143,6 @@ def test_negative_rhs_rows_are_scaled():
 
 def test_redundant_equality_rows_get_zero_dual():
     lp = LinearProgram(
-        MIN,
         ["x", "y"],
         {"x": 1, "y": 1},
         [
@@ -194,21 +170,19 @@ def test_determinism_same_model_same_certificate():
 
 def test_validation_rejects_bad_models():
     with pytest.raises(LinearProgramError):
-        LinearProgram(MIN, ["x", "x"], {}, [])
+        LinearProgram(["x", "x"], {}, [])
     with pytest.raises(LinearProgramError):
-        LinearProgram(MIN, ["x"], {"z": 1}, [])
+        LinearProgram(["x"], {"z": 1}, [])
     with pytest.raises(LinearProgramError):
-        LinearProgram(MIN, ["x"], {}, [("r", {"z": 1}, GE, 0)])
+        LinearProgram(["x"], {}, [("r", {"z": 1}, GE, 0)])
     with pytest.raises(LinearProgramError):
-        LinearProgram(MIN, ["x"], {}, [("r", {"x": 1}, "<", 0)])
+        LinearProgram(["x"], {}, [("r", {"x": 1}, "<", 0)])
     with pytest.raises(LinearProgramError):
-        LinearProgram(MIN, ["x"], {}, [("r", {"x": 1}, GE, 0), ("r", {"x": 1}, GE, 1)])
-    with pytest.raises(LinearProgramError):
-        LinearProgram("argmin", ["x"], {}, [])
+        LinearProgram(["x"], {}, [("r", {"x": 1}, GE, 0), ("r", {"x": 1}, GE, 1)])
 
 
 def test_verification_rejects_tampered_certificate():
-    lp = LinearProgram(MIN, ["x"], {"x": 1}, [("r", {"x": 1}, GE, 1)])
+    lp = LinearProgram(["x"], {"x": 1}, [("r", {"x": 1}, GE, 1)])
     out = solve(lp)
     bad = Optimal(x={"x": rat(2)}, y=out.y, objective=out.objective)
     with pytest.raises(SolverInvariantError):
@@ -218,11 +192,11 @@ def test_verification_rejects_tampered_certificate():
         verify_certificate(lp, bad)
 
 
-def _one_row(sense, variables, objective, coeffs, relation):
-    return LinearProgram(sense, variables, objective, [("r", coeffs, relation, 1)])
+def _one_row(variables, objective, coeffs, relation):
+    return LinearProgram(variables, objective, [("r", coeffs, relation, 1)])
 
 
-_GE = _one_row(MIN, ["x"], {"x": 1}, {"x": 1}, GE)  # optimum x = 1, y = 1
+_GE = _one_row(["x"], {"x": 1}, {"x": 1}, GE)  # optimum x = 1, y = 1
 
 
 def _cert(x, y, objective):
@@ -236,20 +210,20 @@ REJECTED = [
     (_GE, _cert({}, {"r": 1}, 1), "missing primal value for 'x'"),
     (_GE, _cert({"x": -1}, {"r": 1}, 1), "negative value for 'x'"),
     (_GE, _cert({"x": 1}, {}, 1), "missing dual value for row 'r'"),
-    (_one_row(MAX, ["x"], {"x": 1}, {"x": 1}, LE), _cert({"x": 2}, {"r": 1}, 2),
+    (_one_row(["x"], {"x": -1}, {"x": 1}, LE), _cert({"x": 2}, {"r": -1}, -2),
      "row 'r' violated: 2 <= 1"),
-    (_one_row(MIN, ["x"], {"x": 1}, {"x": 1}, EQ), _cert({"x": 2}, {"r": 1}, 2),
+    (_one_row(["x"], {"x": 1}, {"x": 1}, EQ), _cert({"x": 2}, {"r": 1}, 2),
      "row 'r' violated: 2 = 1"),
-    (_one_row(MIN, ["x"], {"x": 1}, {"x": rat(1, 3)}, GE), _cert({"x": 2}, {"r": 3}, 2),
+    (_one_row(["x"], {"x": 1}, {"x": rat(1, 3)}, GE), _cert({"x": 2}, {"r": 3}, 2),
      "row 'r' violated: 2/3 >= 1"),
     (_GE, _cert({"x": 1}, {"r": -1}, 1), "dual sign for row 'r'"),
     (_GE, _cert({"x": rat(3, 2)}, {"r": 1}, rat(3, 2)), "complementary slackness fails on row 'r'"),
-    (_one_row(MIN, [("x", False)], {"x": 1}, {"x": 1}, GE), _cert({"x": 1}, {"r": 0}, 1),
+    (_one_row([("x", False)], {"x": 1}, {"x": 1}, GE), _cert({"x": 1}, {"r": 0}, 1),
      "dual constraint for free 'x'"),
     (_GE, _cert({"x": 1}, {"r": 2}, 1), "dual constraint for 'x'"),
-    (_one_row(MAX, ["x"], {"x": -1}, {"x": 1}, GE), _cert({"x": 1}, {"r": -2}, -1),
+    (_one_row(["x"], {"x": -1}, {"x": 1}, LE), _cert({"x": 1}, {"r": 0}, -1),
      "dual constraint for 'x'"),
-    (_one_row(MIN, ["x", "y"], {"x": 1, "y": 2}, {"x": 1, "y": 1}, GE),
+    (_one_row(["x", "y"], {"x": 1, "y": 2}, {"x": 1, "y": 1}, GE),
      _cert({"x": 0, "y": 1}, {"r": 1}, 2), "complementary slackness fails on 'y'"),
     (_GE, _cert({"x": 1}, {"r": 1}, 2), "objective value mismatch"),
 ]
@@ -287,17 +261,19 @@ def test_strong_duality_backs_up_the_dual_slacks(monkeypatch):
 
 
 def _variants(rng, lp):
-    """lp; lp with each row multiplied by a random positive rational; its MAX
-    twin (objective negated); and lp with x0 free above a floor row."""
+    """lp; lp with each row multiplied by a random positive rational; lp
+    with its objective multiplied by one; and lp with x0 free above a floor
+    row."""
     scaled = [Row(row.id, {k: c * f for k, c in row.coeffs.items()}, row.relation, row.rhs * f)
               for row in lp.rows for f in [rat(rng.randint(1, 3), rng.randint(1, 4))]]
+    f = rat(rng.randint(1, 3), rng.randint(1, 4))
     free = [Variable(v.name, v.name != "x0") for v in lp.variables]
     floor = Row("floor", {"x0": 1}, GE, -rng.randint(0, 3))
     return [
         lp,
-        LinearProgram(MIN, lp.variables, lp.objective, scaled),
-        LinearProgram(MAX, lp.variables, {k: -c for k, c in lp.objective.items()}, lp.rows),
-        LinearProgram(MIN, free, lp.objective, [*lp.rows, floor]),
+        LinearProgram(lp.variables, lp.objective, scaled),
+        LinearProgram(lp.variables, {k: c * f for k, c in lp.objective.items()}, lp.rows),
+        LinearProgram(free, lp.objective, [*lp.rows, floor]),
     ]
 
 
@@ -337,7 +313,6 @@ def test_verification_rejects_tampered_ints():
     # y = (4, -2) over 1. Moving any one int of x or y, either denominator
     # or the objective must fail the check.
     lp = LinearProgram(
-        MIN,
         [("x1", True), ("x2", True), ("x3", False)],
         {"x1": 4, "x2": 2, "x3": 0},
         [("r1", {"x1": 1, "x3": 1}, EQ, 1), ("r2", {"x2": 1, "x3": 2}, EQ, 1)],
@@ -441,7 +416,6 @@ def beale_lp():
     # Beale (1955): the textbook largest-coefficient rule cycles on this
     # degenerate LP.
     return LinearProgram(
-        MIN,
         ["x4", "x5", "x6", "x7"],
         {"x4": rat(-3, 4), "x5": 20, "x6": rat(-1, 2), "x7": 6},
         [
@@ -468,7 +442,6 @@ def test_common_values_come_back_as_shared_constants():
     # Every value below is computed by the simplex (2a = 1 gives a by
     # division), so identity with the constants shows the final lookup ran.
     lp = LinearProgram(
-        MIN,
         ["a", ("b", False), "c", "d", ("e", False), "f"],
         {"a": 1, "b": -1, "c": 1, "d": 1, "e": -1, "f": 1},
         [
@@ -498,7 +471,7 @@ def test_models_keep_rational_values_as_given():
     # rat() passes a Fraction through, so a model built from another
     # model's rows shares their values instead of copying them.
     c = rat(7, 3)
-    lp = LinearProgram(MIN, ["x"], {"x": c}, [("r", {"x": c}, GE, c)])
+    lp = LinearProgram(["x"], {"x": c}, [("r", {"x": c}, GE, c)])
     assert lp.objective["x"] is c and lp.rows[0].coeffs["x"] is c and lp.rows[0].rhs is c
 
 
@@ -544,9 +517,8 @@ def test_fresh_tableau_start_is_the_cold_solve():
         pair = random_perturbed_pair(rng)
         names = [("x", j) for j in range(pair.ncols)]
         models.append(LinearProgram(
-            MAX,
             [(name, j in pair.nonneg) for j, name in enumerate(names)],
-            {name: -c for name, c in zip(names, pair.costs[0])},
+            dict(zip(names, pair.costs[0])),
             [(i, dict(zip(names, pair.a[i])), GE, pair.b[i]) for i in range(pair.nrows)],
         ))
     for lp in models:
@@ -561,9 +533,9 @@ def test_fresh_tableau_start_is_the_cold_solve():
     assert out.y == {"r1": 0, "r2": rat(-3, 2), "r3": rat(-5, 4)}
 
 
-def _model(objective, extra_rows=(), sense=MIN):
+def _model(objective, extra_rows=()):
     rows = [("cover", {"x": 1, "y": 1}, GE, 2), ("xcap", {"x": 1}, LE, 3)]
-    return LinearProgram(sense, ["x", "y"], objective, rows + list(extra_rows))
+    return LinearProgram(["x", "y"], objective, rows + list(extra_rows))
 
 
 def test_reoptimize_on_an_optimal_face():
@@ -576,15 +548,15 @@ def test_reoptimize_on_an_optimal_face():
     # objective moves along it to the other end, x = 0.
     face = optimal_face(lp, first, {})
     assert [row.relation for row in face.rows] == [EQ, LE]
-    lp = lp.variant(MAX, {"y": 1}, relations={"cover": EQ})
-    assert model_parts(lp) == model_parts(face.variant(MAX, {"y": 1}))
+    lp = lp.variant({"y": -1}, relations={"cover": EQ})
+    assert model_parts(lp) == model_parts(face.variant({"y": -1}))
     out = solve(lp, start=tab)
     cold = solve(lp)
     assert out.x == cold.x == {"x": 0, "y": 2}
-    assert out.objective == cold.objective == 2
+    assert out.objective == cold.objective == -2
     verify_certificate(lp, out)
     # Only the objective changes.
-    out = solve(lp.variant(MIN, {"x": -1}), start=tab)
+    out = solve(lp.variant({"x": -1}), start=tab)
     assert out.x == {"x": 2, "y": 0}
 
 
@@ -603,23 +575,23 @@ def test_reoptimize_rejects_a_model_that_does_not_extend_the_last_one():
     line, neg = ("line", {"x": 1, "y": 1}, EQ, 3), ("neg", {"x": -1, "y": -1}, EQ, -3)
     bad = [
         # Equal to the last model, and to a variant of it with a new objective.
-        LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 2}, rows),
-        LinearProgram(MIN, ["x", "y"], {"y": 1}, rows),
+        LinearProgram(["x", "y"], {"x": 1, "y": 2}, rows),
+        LinearProgram(["x", "y"], {"y": 1}, rows),
         # A changed coefficient, and rows in another order.
-        LinearProgram(MIN, ["x", "y"], {"x": 1}, [("cover", {"x": 1, "y": 2}, GE, 3), rows[1]]),
-        LinearProgram(MIN, ["x", "y"], {"x": 1}, rows[::-1]),
+        LinearProgram(["x", "y"], {"x": 1}, [("cover", {"x": 1, "y": 2}, GE, 3), rows[1]]),
+        LinearProgram(["x", "y"], {"x": 1}, rows[::-1]),
         # Appended rows: none is accepted, held at (3, 0) or not, among them
         # = rows on the face x + y = 3 (one with a negative rhs).
-        LinearProgram(MIN, ["x", "y"], {"x": 1}, [*rows, ("ge", {"x": 1}, GE, 1)]),
-        LinearProgram(MIN, ["x", "y"], {"x": 1}, [*rows, ("violated", {"y": 1}, EQ, 1)]),
-        LinearProgram(MIN, ["x", "y"], {"x": 1},
+        LinearProgram(["x", "y"], {"x": 1}, [*rows, ("ge", {"x": 1}, GE, 1)]),
+        LinearProgram(["x", "y"], {"x": 1}, [*rows, ("violated", {"y": 1}, EQ, 1)]),
+        LinearProgram(["x", "y"], {"x": 1},
                       [*rows, ("holds", {"x": 1}, EQ, 3), ("violated", {"x": 1}, EQ, 1)]),
-        LinearProgram(MIN, ["x", "y"], {"y": 1}, [*rows, ("holds", {"x": 1}, EQ, 3)]),
-        *[LinearProgram(MAX, ["x", "y"], {"y": 1}, rows + extra)
+        LinearProgram(["x", "y"], {"y": 1}, [*rows, ("holds", {"x": 1}, EQ, 3)]),
+        *[LinearProgram(["x", "y"], {"y": -1}, rows + extra)
           for extra in ([line, neg], [line], [neg])],
         # An appended copy of xcap, ahead of the kept rows, and a new variable.
-        LinearProgram(MIN, ["x", "y"], {"x": 1}, [("first", {"x": 1}, LE, 3), *rows]),
-        LinearProgram(MIN, ["x", "y", "z"], {"x": 1}, rows),
+        LinearProgram(["x", "y"], {"x": 1}, [("first", {"x": 1}, LE, 3), *rows]),
+        LinearProgram(["x", "y", "z"], {"x": 1}, rows),
         # Not built from the last model by .variant.
         older,
         older.variant(rhs={"cover": 4}),
@@ -637,9 +609,9 @@ def test_reoptimize_rejects_a_model_that_does_not_extend_the_last_one():
 
 def test_no_reoptimization_after_infeasible_or_unbounded():
     infeasible = LinearProgram(
-        MIN, ["x"], {"x": 1}, [("lo", {"x": 1}, GE, 2), ("hi", {"x": 1}, LE, 1)]
+        ["x"], {"x": 1}, [("lo", {"x": 1}, GE, 2), ("hi", {"x": 1}, LE, 1)]
     )
-    unbounded = LinearProgram(MIN, ["x"], {"x": -1}, [("lo", {"x": 1}, GE, 0)])
+    unbounded = LinearProgram(["x"], {"x": -1}, [("lo", {"x": 1}, GE, 0)])
     for lp, outcome in ((infeasible, Infeasible), (unbounded, Unbounded)):
         tab = Tableau()
         assert isinstance(solve(lp, start=tab), outcome)
@@ -653,7 +625,7 @@ def _capped(objective, cover=2, rows=None):
     cover row and both cap slacks basic."""
     caps = [("xcap", {"x": 1}, LE, 3), ("ycap", {"y": 1}, LE, 3)]
     rows = [("cover", {"x": 1, "y": 1}, GE, cover)] + caps if rows is None else rows
-    return LinearProgram(MIN, ["x", "y"], objective, rows)
+    return LinearProgram(["x", "y"], objective, rows)
 
 
 def test_reoptimize_restores_feasibility_by_a_dual_simplex():
@@ -671,7 +643,7 @@ def test_reoptimize_restores_feasibility_by_a_dual_simplex():
     assert solve(lp, start=tab).x == {"x": 2, "y": 0}
     lp = lp.variant(rhs={"cover": 1}, drop_rows=["xcap"], free=["x"])
     assert model_parts(lp) == model_parts(LinearProgram(
-        MIN, [("x", False), "y"], {"x": 1, "y": 2},
+        [("x", False), "y"], {"x": 1, "y": 2},
         [("cover", {"x": 1, "y": 1}, GE, 1), ("ycap", {"y": 1}, LE, 3)]))
     out = solve(lp, start=tab)
     assert out.x == {"x": 1, "y": 0} and out.y == {"cover": 1, "ycap": 0}
@@ -691,8 +663,8 @@ def test_reoptimize_restores_feasibility_by_a_dual_simplex():
 
 
 def test_reoptimize_keeps_the_reduced_costs_of_an_unchanged_objective(monkeypatch):
-    # The z the last solve kept current is lp's while objective and sense
-    # stay, so only a new objective or sense recomputes reduced costs.
+    # The z the last solve kept current is lp's while the objective stays,
+    # so only a new objective recomputes reduced costs.
     calls = []
     reduced_costs = Tableau.reduced_costs
 
@@ -707,7 +679,7 @@ def test_reoptimize_keeps_the_reduced_costs_of_an_unchanged_objective(monkeypatc
         (dict(rhs={"cover": 4}), 0),  # rhs only: a dual simplex
         (dict(rhs={"cover": 1}), 0),
         (dict(objective={"x": 2, "y": 1}), 1),
-        (dict(sense=MAX, rhs={"cover": 2}), 1),
+        (dict(objective={"x": 4, "y": 2}, rhs={"cover": 2}), 1),
     ]
     for change, recomputed in changes:
         lp = lp.variant(**change)
@@ -755,21 +727,21 @@ def test_models_take_a_validated_row_as_it_is():
         Row("r", {"x": 1}, GE, 1, rhs_ints=(1, 1))
     given = Row("r", {"x": 1, "y": HALF}, GE, "3/2")
     assert given.scale is given.rhs_ints is None
-    first = LinearProgram(MIN, ["x", "y"], {"x": 1}, [given, ("s", {"y": 1}, LE, 2)])
+    first = LinearProgram(["x", "y"], {"x": 1}, [given, ("s", {"y": 1}, LE, 2)])
     validated = first.rows[0]
     assert validated is not given and validated == Row("r", {"x": R1, "y": HALF}, GE, rat(3, 2))
     assert (validated.scale, validated.rhs_ints) == (([2, 1], 2), (3, 2))
-    second = LinearProgram(MAX, ["y", "x", "z"], {"z": 1}, [("t", {"z": 1}, LE, 1), *first.rows])
+    second = LinearProgram(["y", "x", "z"], {"z": -1}, [("t", {"z": 1}, LE, 1), *first.rows])
     assert all(a is b for a, b in zip(second.rows[1:], first.rows, strict=True))
     assert model_parts(second) == model_parts(LinearProgram(
-        MAX, ["y", "x", "z"], {"z": 1},
+        ["y", "x", "z"], {"z": -1},
         [("t", {"z": 1}, LE, 1), ("r", {"x": 1, "y": HALF}, GE, "3/2"), ("s", {"y": 1}, LE, 2)]))
     assert solve(second).x == {"y": 0, "x": rat(3, 2), "z": 1}
     # Another model's row that names a variable the new model lacks.
     with pytest.raises(LinearProgramError, match="row 'r' references unknown variable 'y'"):
-        LinearProgram(MIN, ["x"], {}, [validated])
+        LinearProgram(["x"], {}, [validated])
     with pytest.raises(LinearProgramError, match="duplicate row id 'r'"):
-        LinearProgram(MIN, ["x", "y"], {}, [validated, validated])
+        LinearProgram(["x", "y"], {}, [validated, validated])
 
 
 def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
@@ -778,7 +750,7 @@ def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
     # the slacks of cover1, xcap, cover2, zcap (4-7): xcap's slack leaves
     # first, and y, the only column with a negative entry, enters.
     def model(cap):
-        return LinearProgram(MIN, ["x", "y", "z", "w"], {"x": 1, "y": 2, "z": 1, "w": 2}, [
+        return LinearProgram(["x", "y", "z", "w"], {"x": 1, "y": 2, "z": 1, "w": 2}, [
             ("cover1", {"x": 1, "y": 1}, GE, 2), ("xcap", {"x": 1}, LE, cap),
             ("cover2", {"z": 1, "w": 1}, GE, 2), ("zcap", {"z": 1}, LE, cap),
         ])
@@ -804,7 +776,7 @@ def test_reoptimize_detects_an_inconsistent_redundant_row():
     # row, so r2's dual is 0. An rhs change that keeps the doubling keeps
     # that value at 0; one that breaks it makes the value nonzero.
     def model(rhs2, rhs1=2):
-        return LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 2}, [
+        return LinearProgram(["x", "y"], {"x": 1, "y": 2}, [
             ("r1", {"x": 1, "y": 1}, EQ, rhs1), ("r2", {"x": 2, "y": 2}, EQ, rhs2),
         ])
 
@@ -877,9 +849,9 @@ def test_resolving_the_last_model_makes_no_pivot(monkeypatch):
         pivots.append((r, j))
         pivot(self, r, j, zrow)
 
-    def counting_verify(lp, opt):
+    def counting_verify(lp, opt, base, prior):
         checks.append(lp)
-        return verify(lp, opt)
+        return verify(lp, opt, base, prior)
 
     tab = Tableau()
     cold = _capped({"x": 1, "y": 2})
@@ -916,8 +888,7 @@ def test_variant_records_the_diff_the_row_comparison_finds():
         free = [n for n in names if n not in drop and rng.random() < 0.2]
         objective = None if rng.random() < 0.6 else {
             n: rng.randint(-2, 2) for n in names if n not in drop and rng.random() < 0.5}
-        sense = rng.choice([None, MIN, MAX])
-        v = lp.variant(sense, objective, rhs, relations, drop_rows, drop, free)
+        v = lp.variant(objective, rhs, relations, drop_rows, drop, free)
         assert v.diff == row_diff(lp, v)
         assert v.diff.base() is lp and lp.variant().diff.objective
         assert (v.variables is lp.variables) == (not drop and not free)
@@ -971,7 +942,6 @@ def test_reoptimize_variants_match_cold_solves(monkeypatch):
         pair = random_perturbed_pair(rng)
         names = [("x", j) for j in range(pair.ncols)]
         models.append(LinearProgram(
-            MIN,
             [(name, j in pair.nonneg) for j, name in enumerate(names)],
             dict(zip(names, pair.costs[0])),
             [(i, dict(zip(names, pair.a[i])), GE, pair.b[i]) for i in range(pair.nrows)],
@@ -994,16 +964,16 @@ def test_reoptimize_variants_match_cold_solves(monkeypatch):
     assert dual_outcomes.count(True) >= 10 and False in dual_outcomes
 
 
-def _fixed_at_zero(lp, tab, rng, sense):
+def _fixed_at_zero(lp, tab, rng):
     """lp, solved last on tab, with some nonbasic variables dropped, some
-    inequalities whose slack is nonbasic made =, and a random objective
-    in sense; also the counts of dropped variables and tightened rows."""
+    inequalities whose slack is nonbasic made =, and a random objective;
+    also the counts of dropped variables and tightened rows."""
     drop = {v.name for v in lp.variables
             if not tab.in_basis[tab.cols[v.name]] and rng.random() < 0.3}
     relations = {row.id: EQ for row, (col, _) in zip(lp.rows, tab.row_cols)
                  if row.relation != EQ and not tab.in_basis[col] and rng.random() < 0.5}
     objective = {v.name: rng.randint(-3, 3) for v in lp.variables if v.name not in drop}
-    return (lp.variant(sense, objective, relations=relations, drop_variables=drop),
+    return (lp.variant(objective, relations=relations, drop_variables=drop),
             len(drop), len(relations))
 
 
@@ -1014,9 +984,8 @@ def test_fixing_nonbasic_columns_matches_cold_solves():
         pair = random_perturbed_pair(rng)
         names = [("x", j) for j in range(pair.ncols)]
         models.append(LinearProgram(
-            MAX,
             [(name, j in pair.nonneg) for j, name in enumerate(names)],
-            {name: -c for name, c in zip(names, pair.costs[0])},
+            dict(zip(names, pair.costs[0])),
             [(i, dict(zip(names, pair.a[i])), GE, pair.b[i]) for i in range(pair.nrows)],
         ))
     dropped = tightened = solves = 0
@@ -1026,7 +995,7 @@ def test_fixing_nonbasic_columns_matches_cold_solves():
         for _ in range(3):
             if not isinstance(out, Optimal):
                 break
-            lp, d, t = _fixed_at_zero(lp, tab, rng, rng.choice([MIN, MAX]))
+            lp, d, t = _fixed_at_zero(lp, tab, rng)
             dropped, tightened = dropped + d, tightened + t
             out, cold = solve(lp, start=tab), solve(lp)
             assert out.status == cold.status
@@ -1039,7 +1008,7 @@ def test_fixing_nonbasic_columns_matches_cold_solves():
 
 def test_dual_start_random_models_match_enumeration(monkeypatch):
     # Each random model with |c| (dual feasible at the slack basis as it is),
-    # as drawn (signed costs) and as the MAX twin of the drawn costs: one
+    # as drawn (signed costs) and with the drawn costs doubled: one
     # phase 2 run per optimal solve, none for an infeasible one. The costs
     # do not change feasibility, so an infeasible model is enumerated once.
     calls = record_runs(monkeypatch)
@@ -1051,12 +1020,12 @@ def test_dual_start_random_models_match_enumeration(monkeypatch):
         positive = [abs(c) for c in objective]
         low = enumerate_minimum(n, rows, positive)
         signed = None if low is None else enumerate_minimum(n, rows, objective)
-        for sense, costs, expected in [
-            (MIN, positive, low),
-            (MIN, objective, signed),
-            (MAX, [-c for c in objective], None if signed is None else -signed),
+        for costs, expected in [
+            (positive, low),
+            (objective, signed),
+            ([2 * c for c in objective], None if signed is None else 2 * signed),
         ]:
-            out = solve(LinearProgram(sense, lp.variables, dict(zip(names, costs)), lp.rows))
+            out = solve(LinearProgram(lp.variables, dict(zip(names, costs)), lp.rows))
             if expected is None:
                 assert isinstance(out, Infeasible) and calls == []
                 infeasible += 1
@@ -1070,14 +1039,8 @@ def test_dual_start_random_models_match_enumeration(monkeypatch):
 
 def test_dual_start_makes_one_run_call_for_every_objective(monkeypatch):
     calls = record_runs(monkeypatch)
-    for objective, sense in [
-        ({"x": 1, "y": 2}, MIN),
-        ({}, MIN),
-        ({"x": -1, "y": -2}, MAX),
-        ({"x": 1, "y": -1}, MIN),
-        ({"x": 1, "y": 1}, MAX),
-    ]:
-        lp = LinearProgram(sense, ["x", "y"], objective, _capped({}).rows)
+    for objective in [{"x": 1, "y": 2}, {}, {"x": 1, "y": -1}, {"x": -1, "y": -1}]:
+        lp = LinearProgram(["x", "y"], objective, _capped({}).rows)
         out = solve(lp)
         assert len(calls) == 1
         assert isinstance(out, Optimal)
@@ -1099,10 +1062,10 @@ def test_shifted_start_costs_reach_the_optimum_before_phase_2(monkeypatch):
         ([("lo", {"a": -1}, LE, -1), ("hi", {"a": 2}, LE, 2),
           ("cover", {"a": 1, "b": 2}, GE, 3)], {"a": -2, "b": 1}, {"a": 1, "b": 1}),
     ]:
-        for sense, sign in [(MIN, 1), (MAX, -1)]:
-            lp = LinearProgram(sense, ["a", "b"], {k: sign * c for k, c in costs.items()}, rows)
+        for scale in (1, 2):
+            lp = LinearProgram(["a", "b"], {k: scale * c for k, c in costs.items()}, rows)
             out = solve(lp)
-            assert out.x == x and out.objective == sign * sum(costs[k] * x[k] for k in x)
+            assert out.x == x and out.objective == scale * sum(costs[k] * x[k] for k in x)
             assert calls == [0]
             del calls[:]
 
@@ -1115,7 +1078,7 @@ def test_dual_start_flips_exactly_the_ge_rows():
     ]
     # The flips do not depend on the rhs signs, nor on a negative cost.
     for objective in [{"x": 1, "y": 1}, {"x": -1, "y": 1}]:
-        lp = LinearProgram(MIN, ["x", "y"], objective, rows)
+        lp = LinearProgram(["x", "y"], objective, rows)
         tab = Tableau()
         out = solve(lp, start=tab)
         assert [flip for _, flip in tab.row_cols] == [False, False, True, True, False, False]
@@ -1129,7 +1092,7 @@ def test_dual_start_equality_rows():
     # onto y (entry +1). Pivoting the positive one out onto the lowest
     # column, x, would set x = -1.
     for row in [("r", {"x": 1, "y": -1}, EQ, -1), ("r", {"x": -1, "y": 1}, EQ, 1)]:
-        lp = LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 1}, [row, ("cap", {"y": 1}, LE, 5)])
+        lp = LinearProgram(["x", "y"], {"x": 1, "y": 1}, [row, ("cap", {"y": 1}, LE, 5)])
         out = solve(lp)
         assert out.x == {"x": 0, "y": 1} and out.objective == 1
         assert out.y == {"r": row[1]["y"], "cap": 0}
@@ -1138,7 +1101,7 @@ def test_dual_start_equality_rows():
     # banned and nonzero once the rhs moves, and the reoptimization would
     # report the model infeasible.
     def model(rhs):
-        return LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 1},
+        return LinearProgram(["x", "y"], {"x": 1, "y": 1},
                              [("r", {"x": 1, "y": -1}, EQ, rhs), ("cap", {"x": 1}, LE, 5)])
 
     tab = Tableau()
@@ -1147,10 +1110,10 @@ def test_dual_start_equality_rows():
     assert out.x == solve(model(2)).x == {"x": 2, "y": 0}
 
 
-def test_dual_start_free_columns_and_max(monkeypatch):
+def test_dual_start_free_columns_and_scaled_costs(monkeypatch):
     calls = record_runs(monkeypatch)
     # f is free at cost 0: it enters first (ratio 0) and settles at its cap.
-    lp = LinearProgram(MIN, ["x", ("f", False), "y"], {"x": 1, "y": 2}, [
+    lp = LinearProgram(["x", ("f", False), "y"], {"x": 1, "y": 2}, [
         ("cover", {"x": 1, "f": 1}, GE, 3), ("fcap", {"f": 1}, LE, 1),
         ("floor", {"f": 1, "y": 1}, GE, -2),
     ])
@@ -1158,25 +1121,25 @@ def test_dual_start_free_columns_and_max(monkeypatch):
     assert out.x == {"x": 2, "f": 1, "y": 0} and out.objective == 2
     assert out.y == {"cover": 1, "fcap": -1, "floor": 0}
     # f settles negative, at a cap below zero.
-    lp = LinearProgram(MIN, [("f", False), "x"], {"x": 1}, [
+    lp = LinearProgram([("f", False), "x"], {"x": 1}, [
         ("fcap", {"f": 1}, LE, -3), ("link", {"x": 1, "f": 1}, GE, -1),
     ])
     assert solve(lp).x == {"f": -3, "x": 2}
-    # MAX with costs <= 0 mirrors MIN with costs >= 0; the duals flip sign.
+    # Doubled costs keep x and double the objective and the duals.
     rows = _capped({}).rows
-    low, high = (solve(LinearProgram(MAX, ["x", "y"], {"x": -1, "y": -2}, rows)),
-                 solve(LinearProgram(MIN, ["x", "y"], {"x": 1, "y": 2}, rows)))
-    assert low.x == high.x == {"x": 2, "y": 0} and low.objective == -2
-    assert low.y == {k: -v for k, v in high.y.items()}
+    low, high = (solve(LinearProgram(["x", "y"], {"x": 1, "y": 2}, rows)),
+                 solve(LinearProgram(["x", "y"], {"x": 2, "y": 4}, rows)))
+    assert low.x == high.x == {"x": 2, "y": 0} and high.objective == 4
+    assert high.y == {k: 2 * v for k, v in low.y.items()}
     assert len(calls) == 4
 
 
 def test_variant_rhs_with_a_new_denominator_is_checked_against_it():
     rows = [("cover", {"x": 1, "y": 2}, GE, 2), ("cap", {"x": 3}, LE, 4)]
-    lp = LinearProgram(MIN, ["x", "y"], {"x": 2, "y": 1}, rows)
+    lp = LinearProgram(["x", "y"], {"x": 2, "y": 1}, rows)
     third = rat(1, 3)
     variant = lp.variant(rhs={"cover": third, "cap": third})
-    fresh = LinearProgram(MIN, ["x", "y"], {"x": 2, "y": 1},
+    fresh = LinearProgram(["x", "y"], {"x": 2, "y": 1},
                           [(i, coeffs, rel, third) for i, coeffs, rel, _ in rows])
     assert model_parts(variant) == model_parts(fresh)
     # The variant keeps each row's coefficient map and its integer scaling.
@@ -1201,20 +1164,20 @@ def test_variant_rhs_with_a_new_denominator_is_checked_against_it():
 
 
 def test_variant_shares_what_it_keeps_and_validates_what_it_changes():
-    lp = LinearProgram(MIN, ["x", "y", "z"], {"x": 1, "y": 1, "z": 1}, [
+    lp = LinearProgram(["x", "y", "z"], {"x": 1, "y": 1, "z": 1}, [
         ("a", {"x": 1, "y": HALF}, GE, 1), ("b", {"z": 1}, GE, 1), ("c", {"y": 1}, LE, 5)])
     assert lp.variant() is not lp and model_parts(lp.variant()) == model_parts(lp)
     assert all(new is old for new, old in zip(lp.variant().rows, lp.rows))
-    v = lp.variant(MAX, {"x": -1}, rhs={"b": 2}, relations={"a": EQ}, drop_rows=["c"],
+    v = lp.variant({"x": 1}, rhs={"b": 2}, relations={"a": EQ}, drop_rows=["c"],
                    drop_variables=["y"], free=["z"])
-    fresh = LinearProgram(MAX, ["x", ("z", False)], {"x": -1},
+    fresh = LinearProgram(["x", ("z", False)], {"x": 1},
                           [("a", {"x": 1}, EQ, 1), ("b", {"z": 1}, GE, 2)])
     assert model_parts(v) == model_parts(fresh)
     # a loses y, so its map and scale are new; b keeps both.
     assert v.rows[0].coeffs is not lp.rows[0].coeffs and v.rows[0].scale == ([1], 1)
     assert lp.rows[0].scale == ([2, 1], 2)
     assert v.rows[1].coeffs is lp.rows[1].coeffs and v.rows[1].scale is lp.rows[1].scale
-    for bad in [dict(sense="mid"), dict(objective={"w": 1}), dict(rhs={"d": 1}),
+    for bad in [dict(objective={"w": 1}), dict(rhs={"d": 1}),
                 dict(relations={"a": "=="}), dict(relations={"d": EQ}), dict(drop_rows=["d"]),
                 dict(drop_variables=["w"]), dict(free=["w"]), dict(free=["y"], drop_variables=["y"]),
                 dict(drop_variables=["y"], objective={"y": 1})]:
@@ -1231,21 +1194,20 @@ def _wide(rng, rows, objective):
     return rows, objective
 
 
-def _oracle_lp(sense, rows, objective):
-    """The model of the oracle's rows and objective in sense, the objective
-    negated for MAX, so its optimum is minus the oracle's minimum."""
+def _oracle_lp(rows, objective, scale=1):
+    """The model of the oracle's rows and objective, the objective times
+    scale, so its optimum is scale times the oracle's minimum."""
     names = [f"x{j}" for j in range(len(objective))]
-    sign = 1 if sense == MIN else -1
     return LinearProgram(
-        sense, names,
-        {name: rat(sign * c.numerator, c.denominator) for name, c in zip(names, objective)},
+        names,
+        {name: rat(scale * c.numerator, c.denominator) for name, c in zip(names, objective)},
         [(f"r{i}", {names[j]: c for j, c in enumerate(coeffs) if c}, rel,
           rat(rhs.numerator, rhs.denominator)) for i, (coeffs, rel, rhs) in enumerate(rows)],
     )
 
 
 def test_wide_values_match_enumeration_on_an_int_tableau():
-    # Each model cold (MIN), then warm as its MAX twin with new wide rhs
+    # Each model cold, then warm with its objective doubled and new wide rhs
     # values, against the enumeration oracle; after every solve the tableau
     # holds Python ints only (never a rational or an int subclass). The
     # rhs width stays in the value column: the rows' coefficients stay
@@ -1257,16 +1219,16 @@ def test_wide_values_match_enumeration_on_an_int_tableau():
         _, rows, objective, n = random_bounded_lp(rng)
         rows, objective = _wide(rng, rows, objective)
         tab = Tableau()
-        for sense in (MIN, MAX):
-            if sense == MIN:
-                lp = _oracle_lp(sense, rows, objective)
+        for scale in (1, 2):
+            if scale == 1:
+                lp = _oracle_lp(rows, objective)
             else:
                 rows = [(coeffs, rel, rhs + Fraction(rng.randint(-2, 2), 5 ** rng.randint(20, 50)))
                         for coeffs, rel, rhs in rows]
-                lp = lp.variant(MAX, {k: -c for k, c in lp.objective.items()},
+                lp = lp.variant({k: 2 * c for k, c in lp.objective.items()},
                                 rhs={f"r{i}": rat(rhs.numerator, rhs.denominator)
                                      for i, (*_, rhs) in enumerate(rows)})
-                assert model_parts(lp) == model_parts(_oracle_lp(sense, rows, objective))
+                assert model_parts(lp) == model_parts(_oracle_lp(rows, objective, 2))
             out = solve(lp, start=tab)
             expected = enumerate_minimum(n, rows, objective)
             tab_types |= {type(v) for row in tab.rows for v in row}
@@ -1277,7 +1239,7 @@ def test_wide_values_match_enumeration_on_an_int_tableau():
                 assert isinstance(out, Infeasible)
                 infeasible += 1
                 break
-            assert out.objective == (expected if sense == MIN else -expected)
+            assert out.objective == scale * expected
             assert verify_certificate(lp, out) == out
             tab_types |= {type(v) for v in tab.z}
             bits = max(bits, out.objective.denominator.bit_length())

@@ -304,7 +304,7 @@ def test_stage_chain_misuse_raises_before_a_wrong_model_is_solved():
     cm = g.cost_map()
     ctx = context(g, x, [s])
     first = build_closest_dual(ctx, cm, {})
-    unknown = "variant names an unknown sense, variable, row or relation"
+    unknown = "variant names an unknown variable, row or relation"
     # A support edge gets a ("tight", e) equality, never an ("edge", e) row,
     # and frozenset({9}) is no dual key.
     for row in (("edge", (0, 1)), ("lo", frozenset({9}))):

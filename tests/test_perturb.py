@@ -13,7 +13,7 @@ from cpmatch.errors import StageSolveError
 from cpmatch.fixtures import dancing_robot
 from cpmatch.gen import random_matchable_graph, random_ordering
 from cpmatch.lexmin import lex_min_optimal
-from cpmatch.linprog import EQ, GE, MIN, LinearProgram
+from cpmatch.linprog import EQ, GE, LinearProgram
 from cpmatch.matchlp import build_primal
 from cpmatch.perturb import (
     DualSeries,
@@ -139,19 +139,19 @@ def test_both_readers_solve_every_stage_through_the_staged_loop(monkeypatch):
     assert len(calls) == 2
 
     calls.clear()
-    lp = LinearProgram(MIN, ["a", "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
+    lp = LinearProgram(["a", "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
     res = lex_min_optimal(lp, ["b", "a"])
     assert res.status == "optimal" and res.lp_solves == len(calls) == 3
     calls.clear()
     # The free column a has no floor on the optimal face: stages b and c
     # never run.
-    lp = LinearProgram(MIN, [("a", False), "b", "c"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
+    lp = LinearProgram([("a", False), "b", "c"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
     res = lex_min_optimal(lp, ["a", "b", "c"])
     assert res.status == "unbounded" and res.lp_solves == len(calls) == 2
 
 
 def staged_pair_of(lp, order):
-    """lp (a MIN model of = and >= rows over nonnegative columns) as a
+    """lp (a model of = and >= rows over nonnegative columns) as a
     staged pair: each = row split into two >= rows, stage 0 costing lp's
     objective and stage i the indicator of order[i - 1]."""
     names = [v.name for v in lp.variables]
