@@ -32,7 +32,10 @@ is its cost raised by the magnitude of the most negative such cost, or by 0
 when none is negative; free columns start at 0.
 The dual run ends at a feasible basis (or proves lp infeasible), artificials
 left basic at zero are pivoted out, and phase 2 runs on lp's own costs from
-there. On nonnegative costs the start costs are lp's. A matching
+there. On nonnegative costs (with every free column at cost 0) the start
+costs are lp's, so the reduced costs those pivots kept current are lp's
+own, and phase 2 starts from them (Tableau.build). The dual run keeps its
+infeasible rows, re-testing only the rows each pivot moved. A matching
 relaxation's degree rows force sum x = n/2, so the shift adds the same
 constant to every feasible point's cost: the dual run on a relaxation with
 negative edge costs ends at an optimum of the relaxation itself.
@@ -72,9 +75,12 @@ None). The checked optimum keeps no link to the prior.
 
 LinearProgram(...) validates and copies its input; no model changes after
 that (a model only memoizes its column index, see _chained_check). A Row
-that a model validated (one that carries Row.scale) is taken as
-it is, its names checked against the new model's variables, so models that
-share rows validate each row once. lp.variant(...) derives a model with new
+that carries Row.scale is taken as it is, its names and id checked against
+the new model, so models that share rows validate each row once. Such a row
+is one another model validated, or one unit_row wrote: a row of +-1
+coefficients, whose coefficients, scale and rhs_ints unit_row reads off the
+same signs and rhs, so matchlp writes its degree, cut and cold closest-dual
+rows without validating a coefficient. lp.variant(...) derives a model with new
 pieces (objective, rhs values and relations by row id, rows dropped
 by id, variables dropped or freed by name) and validates only those (an rhs
 or relation for a row it drops is an error). It shares each unchanged row
@@ -138,9 +144,11 @@ class Row:
     """One model row, coeffs . x relation rhs. Only the coefficients are
     scaled to ints (scale); the rhs keeps its own denominator, which a
     Tableau holds in its value column and verify_certificate reads apart,
-    both from rhs_ints, so neither reads the rational. Only validation sets
-    scale and rhs_ints (Row(...) takes neither), so a row that carries them
-    is one a model has validated, and another model takes it as it is."""
+    both from rhs_ints, so neither reads the rational. Only linprog sets
+    scale and rhs_ints (Row(...) takes neither): a model that validates a
+    row, a variant that moves its rhs or drops a variable from it, and
+    unit_row, which writes a row of +-1 coefficients validated. So a row
+    that carries them is a validated one, and a model takes it as it is."""
     id: Hashable
     coeffs: Mapping[Hashable, Any]
     relation: str
@@ -159,6 +167,24 @@ def _row(row_id: Hashable, coeffs: Mapping, relation: str, rhs: Any,
     vars(row).update(id=row_id, coeffs=coeffs, relation=relation, rhs=rhs,
                      scale=scale, rhs_ints=rhs_ints)
     return row
+
+
+_UNITS = {1: _SHARED[1, 1], -1: _SHARED[-1, 1]}
+
+
+def unit_row(row_id: Hashable, signs: Mapping[Hashable, int], relation: str, rhs: Any) -> Row:
+    """The validated Row signs . x relation rhs, each coefficient +1 or -1
+    (an int in signs): its coefficients, scale and rhs_ints are all read
+    off signs and rhs, so a model takes it as it is (see LinearProgram)."""
+    if relation not in _RELATIONS:
+        raise LinearProgramError(f"unknown relation {relation!r} in row {row_id!r}")
+    nums = list(signs.values())
+    try:
+        coeffs = dict(zip(signs, map(_UNITS.__getitem__, nums)))
+    except KeyError:
+        raise LinearProgramError(f"row {row_id!r} has a coefficient other than +1 or -1") from None
+    b = rat(rhs)
+    return _row(row_id, coeffs, relation, b, (nums, 1), (b.numerator, b.denominator))
 
 
 class LinearProgram:
@@ -459,7 +485,13 @@ class Tableau:
         """Standard form of lp, then a feasible basis; lp's reduced costs,
         or None when lp is infeasible. The basis comes from a dual simplex
         from the all-slack basis on the start costs (see the module
-        docstring), which are dual feasible there."""
+        docstring), which are dual feasible there. The rows are read off
+        each Row's scale and rhs_ints as linprog set them (see Row).
+
+        When the start costs are lp's own (no shift, every free column at
+        cost 0), the z the dual run and the drive-out pivots kept current
+        is lp's reduced costs, in the same lowest terms, and is returned;
+        else they are read afresh."""
         nvar = len(lp.variables)
         self.cols = {v.name: j for j, v in enumerate(lp.variables)}
         # Columns: the variables, one slack per inequality row, then one
@@ -496,7 +528,9 @@ class Tableau:
         # there; the start costs shift them (see the module docstring).
         z = self.reduced_costs(lp)
         shift = -min([0] + [zj for zj, nn in zip(z[:nvar], self.nonneg) if nn])
-        z[:nvar] = [zj + shift if nn else 0 for zj, nn in zip(z[:nvar], self.nonneg)]
+        start = [zj + shift if nn else 0 for zj, nn in zip(z[:nvar], self.nonneg)]
+        own = start == z[:nvar]
+        z[:nvar] = start
         if not self.dual_run(z):
             return None
         # Pivot each artificial still basic (at value zero) out, onto the
@@ -508,8 +542,8 @@ class Tableau:
                 j = next((j for j, t in enumerate(row[:-1])
                           if t and j not in artificial and not self.in_basis[j]), None)
                 if j is not None:
-                    self.pivot(i, j)
-        return self.reduced_costs(lp)
+                    self.pivot(i, j, z)
+        return z if own else self.reduced_costs(lp)
 
     def reoptimize(self, lp: LinearProgram) -> tuple[list[int] | None, tuple | None]:
         """Carry the last optimal basis over to lp, the last model or a
@@ -589,8 +623,10 @@ class Tableau:
     # The update below touches only the nonzero columns of the pivot row,
     # unless a row's denominator grows (then every entry is rescaled first):
     # a - f*0 == a, so the arithmetic (and with it the Bland pivot path) is
-    # the same as a dense update, at a fraction of the cost.
-    def pivot(self, r: int, j: int, zrow: list[int] | None = None) -> None:
+    # the same as a dense update, at a fraction of the cost. It returns the
+    # rows with a nonzero entry in column j, r first: the only rows whose
+    # value or basic column the pivot can move (see dual_run).
+    def pivot(self, r: int, j: int, zrow: list[int] | None = None) -> list[int]:
         tableau, values = self.rows, self.values
         prow = tableau[r]
         # The entering value: row r's value over its entry p / d_r.
@@ -610,6 +646,7 @@ class Tableau:
             for k, v in nonzero:
                 prow[k] = v
         e = prow[-1] = prow[j]
+        moved = [r]
         for i, row in enumerate(tableau if zrow is None else (*tableau, zrow)):
             if row is prow:
                 continue
@@ -617,10 +654,12 @@ class Tableau:
             if f:
                 # The value minus (f / d_i) times the entering value, on
                 # ints alone when every denominator is 1 (z has no value).
-                if num and row is not zrow:
-                    v, q = values[i]
-                    values[i] = ((v - f * num, 1) if q == 1 == row[-1] == den
-                                 else _plus(values[i], -f * num, row[-1] * den))
+                if row is not zrow:
+                    moved.append(i)
+                    if num:
+                        v, q = values[i]
+                        values[i] = ((v - f * num, 1) if q == 1 == row[-1] == den
+                                     else _plus(values[i], -f * num, row[-1] * den))
                 # row - (f/e) prow, over row's denominator times e/gcd(f, e).
                 if e != 1:
                     h = gcd(f, e)
@@ -635,6 +674,7 @@ class Tableau:
         self.in_basis[self.basis[r]] = False
         self.in_basis[j] = True
         self.basis[r] = j
+        return moved
 
     def reduced_costs(self, lp: LinearProgram) -> list[int]:
         """c - c_B B^-1 A as a row of ints over one positive denominator,
@@ -702,15 +742,27 @@ class Tableau:
     def dual_run(self, z: list[int]) -> bool:
         """Dual simplex from dual feasible reduced costs z (rule in the module
         docstring; a free column's ratio is 0); False when lp is infeasible.
-        A row leaves while its basic value is negative on a nonnegative
-        column or nonzero on a banned one; the entering column's entry in
-        that row has the value's sign (either sign on a free column)."""
+        A row is infeasible while its basic value is negative on a
+        nonnegative column or nonzero on a banned one; the infeasible row
+        with the lowest basic index leaves, and the entering column's entry
+        in that row has the value's sign (either sign on a free column).
+
+        The infeasible rows are found by one scan, then kept: only the rows
+        a pivot returns (those with an entry in the entering column) can
+        change, so only they are tested again."""
         rows, basis, nonneg, banned, values = (
             self.rows, self.basis, self.nonneg, self.banned, self.values)
-        while leaving := min(((b, r) for r, b in enumerate(basis)
-                              if (v := values[r][0]) and (v < 0 and nonneg[b] or b in banned)),
-                             default=None):
-            r = leaving[1]
+        todo, moved = set(), range(len(rows))
+        while True:
+            for i in moved:
+                b = basis[i]
+                if (v := values[i][0]) and (v < 0 and nonneg[b] or b in banned):
+                    todo.add(i)
+                else:
+                    todo.discard(i)
+            if not todo:
+                return True
+            r = min(todo, key=basis.__getitem__)
             up = values[r][0] > 0
             # z_j / |a_j| over the common positive factor (row den / z den),
             # least by cross-multiplying, then lowest j.
@@ -723,8 +775,7 @@ class Tableau:
                         best_z, best_a, enter = z[j], a, j
             if enter < 0:
                 return False
-            self.pivot(r, enter, z)
-        return True
+            moved = self.pivot(r, enter, z)
 
     def phase2(self, lp: LinearProgram, z: list[int], carry: tuple | None) -> LPOutcome:
         """Phase 2 from the current feasible basis, on lp's reduced costs z;

@@ -29,7 +29,7 @@ from itertools import repeat
 from typing import Mapping
 
 from .graphs import Edge, Graph, cut_edges, validate_cut_family
-from .linprog import EQ, GE, LE, LinearProgram, _integers
+from .linprog import EQ, GE, LE, LinearProgram, _integers, unit_row
 from .rationals import R0, R1, rat
 
 DualKey = int | frozenset
@@ -51,23 +51,23 @@ def build_primal(g: Graph, costs: Mapping[Edge, object], family,
                  last: LinearProgram | None = None) -> LinearProgram:
     """Min-cost relaxation: degree equalities plus >=1 rows for each cut.
     With last, a model built here for the same g and costs (the last
-    iteration's), the degree rows and variables are last's objects, which
-    the new model takes as they are (see linprog): a run validates its
-    degree rows once."""
+    iteration's), the degree rows and variables are last's objects. Every
+    row is written by linprog.unit_row, so the model takes each as it is
+    (see linprog) and a run writes its degree rows once."""
     sets = validate_cut_family(g, family)
     if last is None:
         pairs = g.edge_pairs()
         incident: dict[int, dict] = {v: {} for v in range(g.n)}
         for u, v in pairs:
-            incident[u][(u, v)] = R1
-            incident[v][(u, v)] = R1
+            incident[u][(u, v)] = 1
+            incident[v][(u, v)] = 1
         variables = [(e, True) for e in pairs]
-        rows = [(("deg", v), incident[v], EQ, R1) for v in range(g.n)]
+        rows = [unit_row(("deg", v), incident[v], EQ, R1) for v in range(g.n)]
     else:
         variables, rows = last.variables, last.rows[:g.n]
         pairs = [var.name for var in variables]
     for s in canonical_sets(sets):
-        rows.append((("cut", s), {e: R1 for e in cut_edges(g, s)}, GE, R1))
+        rows.append(unit_row(("cut", s), dict.fromkeys(cut_edges(g, s), 1), GE, R1))
     objective = {e: rat(costs[e]) for e in pairs}
     return LinearProgram(variables, objective, rows)
 
@@ -136,7 +136,9 @@ def build_closest_dual(
     rows on the support enforce complementary slackness); the objective picks
     the one closest to `target` in the size-weighted L1 sense. Omitted keys
     of `costs` and of `target` read 0, so the indicator of one edge e is
-    the one-entry map {e: 1}. Without `last` the whole model is written.
+    the one-entry map {e: 1}. Without `last` the whole model is written,
+    each row by linprog.unit_row (every coefficient is +-1), so the model
+    takes its rows as they are and validates no coefficient.
     With `last`, an earlier stage's model, the result is a variant of it that
     leaves out the inequality rows with ids in `drop`, frees the sign bounds
     of the tight sets in `free`, and reads only the rows of `moved`, the
@@ -150,15 +152,20 @@ def build_closest_dual(
     """
     keys = ctx.keys
     if last is None:
-        variables = [(("pi", k), isinstance(k, frozenset)) for k in keys]
-        variables += [(("r", k), True) for k in keys]
-        objective = {("r", k): R1 if isinstance(k, int) else rat(1, len(k)) for k in keys}
-        sides = (("lo", R1, GE), ("hi", -R1, LE))
-        rows = [((side, k), {("r", k): sign, ("pi", k): R1}, relation, rat(target.get(k, R0)))
-                for k in keys for side, sign, relation in sides]
+        pi = {k: ("pi", k) for k in keys}
+        r = {k: ("r", k) for k in keys}
+        variables = [(pi[k], isinstance(k, frozenset)) for k in keys]
+        variables += [(r[k], True) for k in keys]
+        objective = {r[k]: R1 if isinstance(k, int) else rat(1, len(k)) for k in keys}
+        rows = []
+        for k in keys:
+            t = target.get(k, R0)
+            rows.append(unit_row(("lo", k), {r[k]: 1, pi[k]: 1}, GE, t))
+            rows.append(unit_row(("hi", k), {r[k]: -1, pi[k]: 1}, LE, t))
         for e, ks in ctx.crossing.items():
             kind, relation = ("tight", EQ) if e in ctx.support else ("edge", LE)
-            rows.append(((kind, e), {("pi", k): R1 for k in ks}, relation, rat(costs.get(e, R0))))
+            rows.append(unit_row((kind, e), dict.fromkeys(map(pi.__getitem__, ks), 1),
+                                 relation, costs.get(e, R0)))
         return LinearProgram(variables, objective, rows)
     rhs, index = {}, last.index
     for key in moved:

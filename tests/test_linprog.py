@@ -24,6 +24,8 @@ from helpers import (
 )
 
 from cpmatch import lexmin, linprog
+from cpmatch.cpm import solve_naive, solve_perturbed_reference, solve_unperturbed
+from cpmatch.fixtures import altered_robot, cycling_graph, dancing_robot
 from cpmatch.lexmin import lex_min_optimal
 from cpmatch.linprog import (
     EQ,
@@ -40,6 +42,7 @@ from cpmatch.linprog import (
     Variable,
     optimal_face,
     solve,
+    unit_row,
     verify_certificate,
 )
 from cpmatch.rationals import _SHARED, HALF, R0, R1, Rational, rat
@@ -744,6 +747,173 @@ def test_models_take_a_validated_row_as_it_is():
         LinearProgram(["x", "y"], {}, [validated, validated])
 
 
+def test_unit_rows_are_taken_as_they_are_and_checked_for_names():
+    # unit_row writes a row of +-1 coefficients validated: its scale and
+    # rhs ints are the ones a model's validation reads off the same row.
+    row = unit_row("r", {"y": -1, "x": 1}, GE, "3/2")
+    assert (row.scale, row.rhs_ints) == (([-1, 1], 1), (3, 2))
+    lp = LinearProgram(["x", "y"], {"x": 1}, [row, unit_row("s", {"x": 1}, LE, 2)])
+    assert lp.rows[0] is row
+    assert model_parts(lp) == model_parts(LinearProgram(
+        ["x", "y"], {"x": 1}, [("r", {"y": -1, "x": 1}, GE, rat(3, 2)), ("s", {"x": 1}, LE, 2)]))
+    with pytest.raises(LinearProgramError, match="unknown relation '<' in row 'r'"):
+        unit_row("r", {"x": 1}, "<", 0)
+    for bad in (2, 0, HALF):
+        with pytest.raises(LinearProgramError, match="other than \\+1 or -1"):
+            unit_row("r", {"x": 1, "y": bad}, LE, 0)
+    # The model still checks the names and the id of a row it takes.
+    with pytest.raises(LinearProgramError, match="row 'r' references unknown variable 'z'"):
+        LinearProgram(["x"], {}, [unit_row("r", {"x": 1, "z": 1}, GE, 0)])
+    with pytest.raises(LinearProgramError, match="duplicate row id 'r'"):
+        LinearProgram(["x", "y"], {}, [row, unit_row("r", {"x": 1}, LE, 1)])
+
+
+def _infeasible_rows(tab):
+    """The rows a dual run must still fix, by a full scan: a negative value
+    on a nonnegative basic column, or a nonzero one on a banned column."""
+    return [i for i, (b, (v, _)) in enumerate(zip(tab.basis, tab.values))
+            if v < 0 and tab.nonneg[b] or v and b in tab.banned]
+
+
+def _watch_dual_runs_and_builds(monkeypatch):
+    """Check every dual-run pivot's leaving row against a full scan (the
+    infeasible row with the lowest basic index), that a dual run that
+    succeeds leaves no infeasible row, and that the z each build returns is
+    lp's reduced costs computed afresh. Returns the counts of dual-run
+    pivots, builds, and the rows each dual-run pivot found infeasible (by
+    row index, a list per pivot)."""
+    seen = {"pivots": 0, "builds": 0, "infeasible": []}
+    dual_run, pivot, build = Tableau.dual_run, Tableau.pivot, Tableau.build
+    running = []
+
+    def watched_dual_run(self, z):
+        running.append(self)
+        try:
+            feasible = dual_run(self, z)
+        finally:
+            running.pop()
+        assert not feasible or _infeasible_rows(self) == []
+        return feasible
+
+    def watched_pivot(self, r, j, zrow=None):
+        if running:
+            infeasible = _infeasible_rows(self)
+            assert r == min(infeasible, key=self.basis.__getitem__)
+            seen["pivots"] += 1
+            seen["infeasible"].append(infeasible)
+        return pivot(self, r, j, zrow)
+
+    def watched_build(self, lp):
+        z = build(self, lp)
+        assert z is None or z == self.reduced_costs(lp)
+        seen["builds"] += 1
+        return z
+
+    monkeypatch.setattr(Tableau, "dual_run", watched_dual_run)
+    monkeypatch.setattr(Tableau, "pivot", watched_pivot)
+    monkeypatch.setattr(Tableau, "build", watched_build)
+    return seen
+
+
+def test_dual_runs_leave_by_the_full_scan_and_builds_keep_z(monkeypatch):
+    # The dual run keeps its infeasible rows as a set, re-tested only where
+    # a pivot moved a value, and a cold build returns the z the dual run
+    # and the drive-out pivots kept current when the start costs are lp's.
+    # Each leaving row is the full scan's, and each z is the one
+    # reduced_costs computes, on random models, cold and warm, and on
+    # every solve of the fixtures in every mode; after each cold solve z
+    # is the reduced costs of the optimum's basis.
+    seen = _watch_dual_runs_and_builds(monkeypatch)
+    pivots = {"cold": 0, "warm": 0}
+    optimize = Tableau.optimize
+
+    def counted(self, lp):
+        kind, before = "cold" if self.status is None else "warm", seen["pivots"]
+        out = optimize(self, lp)
+        if kind == "cold" and isinstance(out, Optimal):
+            assert self.z == self.reduced_costs(lp)
+        pivots[kind] += seen["pivots"] - before
+        return out
+
+    monkeypatch.setattr(Tableau, "optimize", counted)
+    rng = random.Random(31)
+    for _ in range(40):
+        lp = random_bounded_lp(rng)[0]
+        tab = Tableau()
+        out = solve(lp, start=tab)
+        for _ in range(4):
+            if not isinstance(out, Optimal):
+                break
+            lp = _variant(lp, out, rng)
+            out = solve(lp, start=tab)
+    assert seen["builds"] == 40 and pivots["cold"] >= 40 and pivots["warm"] >= 10
+    for fixture in (dancing_robot, altered_robot, cycling_graph):
+        g, sigma, _ = fixture()
+        for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive):
+            solver(g, sigma)
+    assert seen["builds"] > 90 and pivots["cold"] > 1000 and pivots["warm"] > 150
+
+
+def test_dual_runs_retest_the_rows_a_pivot_moves(monkeypatch):
+    # cover's slack leaves first and x enters at 2, past its cap: xcap's
+    # row, feasible at the start, becomes infeasible, and leaves next.
+    seen = _watch_dual_runs_and_builds(monkeypatch)
+    lp = LinearProgram(["x", "y"], {"x": 1, "y": 2},
+                       [("cover", {"x": 1, "y": 1}, GE, 2), ("xcap", {"x": 1}, LE, 1)])
+    assert solve(lp).x == {"x": 1, "y": 1}
+    assert seen["infeasible"] == [[0], [1]]
+    # Both rows start infeasible; at = 2 brings x in at 2, which makes
+    # least's row feasible without it leaving, so the run stops there.
+    del seen["infeasible"][:]
+    lp = LinearProgram(["x"], {"x": 1}, [("at", {"x": 1}, GE, 2), ("least", {"x": 1}, GE, 1)])
+    out = solve(lp)
+    assert out.x == {"x": 2} and out.y == {"at": 1, "least": 0}
+    assert seen["infeasible"] == [[0, 1]]
+
+
+def test_builds_return_lps_reduced_costs(monkeypatch):
+    # Where the start costs are lp's own (no shift, every free column at
+    # cost 0) build returns the z its pivots kept current, having read
+    # lp's reduced costs once, at the slack basis; otherwise it reads them
+    # again at the feasible basis. Either way z is lp's reduced costs.
+    reads = []
+    reduced_costs = Tableau.reduced_costs
+
+    def counted(self, lp):
+        reads.append(lp)
+        return reduced_costs(self, lp)
+
+    monkeypatch.setattr(Tableau, "reduced_costs", counted)
+    cases = [
+        # Negative costs: the start costs are shifted.
+        (LinearProgram(["a", "b"], {"a": -1, "b": -2}, [("r", {"a": 1, "b": 1}, EQ, 1)]),
+         2, {"a": 0, "b": 1}),
+        # A free column with a nonzero cost starts at cost 0.
+        (LinearProgram([("f", False), "x"], {"f": 1, "x": 2},
+                       [("link", {"f": 1, "x": 1}, GE, 1), ("floor", {"f": 1}, GE, -3)]),
+         2, {"f": 1, "x": 0}),
+        # r2 is r1 doubled: its artificial stays basic at zero.
+        (LinearProgram(["x", "y"], {"x": 1, "y": 2},
+                       [("r1", {"x": 1, "y": 1}, EQ, 2), ("r2", {"x": 2, "y": 2}, EQ, 4)]),
+         1, {"x": 2, "y": 0}),
+        # x - y = 0 holds at the slack basis: its artificial is driven out.
+        (LinearProgram(["x", "y"], {"x": 1, "y": 1},
+                       [("r", {"x": 1, "y": -1}, EQ, 0), ("cap", {"x": 1}, LE, 5)]),
+         1, {"x": 0, "y": 0}),
+    ]
+    built = []
+    for lp, build_reads, x in cases:
+        tab, reads[:] = Tableau(), []
+        z = tab.build(lp)
+        assert len(reads) == build_reads and z == reduced_costs(tab, lp)
+        built.append(tab)
+        tab = Tableau()
+        assert solve(lp, start=tab).x == x and tab.z == reduced_costs(tab, lp)
+    *_, redundant, driven = built
+    assert redundant.basis[1] == redundant.row_cols[1][0]
+    assert driven.row_cols[0][0] not in driven.basis
+
+
 def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
     # Two independent capped pairs; lowering both caps below the optimum
     # (2, 0, 2, 0) makes both cap slacks negative. Columns: x, y, z, w, then
@@ -762,7 +932,7 @@ def test_dual_simplex_leaves_by_the_lowest_basic_index(monkeypatch):
 
     def recording(self, r, j, zrow=None):
         pivots.append((self.basis[r], j))
-        pivot(self, r, j, zrow)
+        return pivot(self, r, j, zrow)
 
     monkeypatch.setattr(Tableau, "pivot", recording)
     out = solve(tab.lp.variant(rhs={"xcap": 1, "zcap": 1}), start=tab)

@@ -1,7 +1,9 @@
 """Tests for the matching relaxation and the distance-minimal dual program."""
 
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from cpmatch import cpm
 from cpmatch.cpm import solve_naive, solve_perturbed_reference, solve_unperturbed
 from cpmatch.fixtures import altered_robot, cycling_graph, dancing_robot
 from cpmatch.graphs import Graph
-from cpmatch.linprog import EQ, GE, LinearProgramError, Optimal, Tableau, solve
+from cpmatch.linprog import EQ, GE, LinearProgram, LinearProgramError, Optimal, Tableau, solve
 from cpmatch.matchlp import (
     MatchingLpError,
     StageContext,
@@ -21,6 +23,12 @@ from cpmatch.matchlp import (
     stage_context,
 )
 from cpmatch.rationals import HALF, R0, R1, rat
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import instances  # noqa: E402
 
 
 def square():
@@ -251,6 +259,48 @@ def test_chained_primal_builds_share_the_degree_rows(monkeypatch):
             assert len(built) >= 2
             chains += len(built) - 1
     assert chains > 10
+
+
+def test_unit_rows_equal_the_rows_a_model_validates(monkeypatch):
+    # build_primal and the cold build_closest_dual write every row by
+    # linprog.unit_row, which the model takes as it is. Each model cpm
+    # builds that way equals the one LinearProgram validates from the same
+    # rows as plain tuples, in every part: ids, coefficients in order,
+    # relations, rhs values, Row.scale and Row.rhs_ints.
+    built = {"primal": 0, "closest": 0}
+    build_primal_, build_closest_dual_ = cpm.build_primal, cpm.build_closest_dual
+
+    def same_as_plain(lp, kind):
+        plain = LinearProgram(
+            [(v.name, v.nonnegative) for v in lp.variables], lp.objective,
+            [(row.id, dict(row.coeffs), row.relation, row.rhs) for row in lp.rows])
+        assert model_parts(lp) == model_parts(plain) and lp.index == plain.index
+        assert all(abs(c) == 1 for row in lp.rows for c in row.coeffs.values())
+        built[kind] += 1
+
+    def primal(g, costs, family, last=None):
+        lp = build_primal_(g, costs, family, last)
+        same_as_plain(lp, "primal")
+        return lp
+
+    def closest(ctx, costs, target, last=None, drop=(), free=(), moved=()):
+        lp = build_closest_dual_(ctx, costs, target, last, drop, free, moved)
+        if last is None:
+            same_as_plain(lp, "closest")
+        return lp
+
+    monkeypatch.setattr(cpm, "build_primal", primal)
+    monkeypatch.setattr(cpm, "build_closest_dual", closest)
+    runs = [(solver, *fixture()[:2]) for fixture in (dancing_robot, altered_robot, cycling_graph)
+            for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive)]
+    runs += [(solve_unperturbed, inst.graph, inst.sigma) for workload in ("cuts", "integral")
+             for inst in instances.build_pool(workload, 1, [])[:10]]
+    iterations = 0
+    for solver, g, sigma in runs:
+        iterations += len(solver(g, sigma).iterations)
+    # One relaxation per iteration, and a cold stage 0 in each but the
+    # iteration where naive mode catches the cycling graph repeating.
+    assert built["primal"] == iterations > 50 and built["closest"] > 50
 
 
 def test_closest_dual_feasible_points_are_optimal_duals():
