@@ -57,41 +57,39 @@ an older model), a variant that changes more, and any model after an
 Infeasible or Unbounded outcome raise LinearProgramError before the
 tableau changes, instead of solving cold.
 
-A chained solve pays for what its Diff and its pivots changed. reoptimize
-applies the rhs moves by column, visiting only the rows where a moved
-row's identity column is nonzero. When neither the warm start nor phase 2
-pivots, phase2 hands over tab.checked, the optimum the check last accepted
-on tab, with only the basic values that moved, and with y less the dropped
-rows when the objective is the last one. solve passes that prior and its
-model, tab.lp, to verify_certificate, which reads only its arguments and
-checks a variant against the prior: it finds which x and y entries moved
-by comparing the claim with the prior, and re-tests every row and column
-whose inputs (rhs, relation, bound, x on the row, y on the column, cost)
-moved. That is complete because each test reads only its own row's or
-column's inputs: the rest pass as they did for the prior. More than a few
-moved entries go to the full check, which every cold solve gets too, and
-so does the next solve after a check that raised (tab.checked is then
-None). The checked optimum keeps no link to the prior.
+A warm solve pays for what its Diff and its pivots changed. reoptimize
+applies the rhs moves by column, visiting only the rows where a moved row's
+identity column is nonzero. When neither the warm start nor phase 2 pivots,
+phase2 hands over tab.checked, the optimum the check last accepted on tab,
+with only the basic values that moved, and with y less the dropped rows
+when the objective is the last one. verify_certificate checks every optimum
+in full, but for a re-solve of tab.lp: solve passes tab.checked as the
+prior, and the claim, the prior's own ints, passes again as it did. A
+variant that changes nothing is its base (see LinearProgram.variant), so it
+is such a re-solve. After a check that raised, tab.checked is None, so the
+next solve hands nothing over and gets the full check.
 
 LinearProgram(...) validates and copies its input; no model changes after
-that (a model only memoizes its column index, see _chained_check). A Row
-that carries Row.scale is taken as it is, its names and id checked against
-the new model, so models that share rows validate each row once. Such a row
-is one another model validated, or one unit_row wrote: a row of +-1
-coefficients, whose coefficients, scale and rhs_ints unit_row reads off the
-same signs and rhs, so matchlp writes its degree, cut and cold closest-dual
-rows without validating a coefficient. lp.variant(...) derives a model with new
-pieces (objective, rhs values and relations by row id, rows dropped
-by id, variables dropped or freed by name) and validates only those (an rhs
-or relation for a row it drops is an error). It shares each unchanged row
+that. A Row that carries Row.scale is taken as it is, its names and id
+checked against the new model, so models that share rows validate each row
+once. Such a row is one another model validated, or one unit_row wrote: a
+row of +-1 coefficients, whose coefficients, scale and rhs_ints unit_row
+reads off the same signs and rhs, so matchlp writes its degree, cut and
+cold closest-dual rows without validating a coefficient. lp.variant(...)
+derives a model with new pieces (objective, rhs values and relations by row
+id, rows dropped by id, variables dropped or freed by name) and validates
+only those (an rhs or relation for a row it drops is an error). Pieces that
+change nothing give lp itself: an equal objective, rhs or relation, no row
+or variable dropped and no bound newly freed. It shares each unchanged row
 with lp, keeps a row's coefficient map when only its rhs or relation
 changes, and re-filters only rows that touch a dropped variable; it shares
-lp's variable list, objective and row index when they stay. Each row's coefficient scaling (Row.scale) and the objective's
-(LinearProgram.costs) are computed once, when the piece is validated, and
-shared with the variants that keep it; an rhs that moves keeps its row's
-scale. The variant visits only the rows it is given, and records each rhs
-move new - old as ints from the two values' numerators and denominators
-(Diff.rhs, Row.rhs_ints), so no rational is compared or subtracted.
+lp's variable list, objective and row index when they stay. Each row's
+coefficient scaling (Row.scale) and the objective's (LinearProgram.costs)
+are computed once, when the piece is validated, and shared with the
+variants that keep it; an rhs that moves keeps its row's scale. The variant
+visits only the rows it is given, and records each rhs move new - old as
+ints from the two values' numerators and denominators (Diff.rhs,
+Row.rhs_ints), so no rational is compared or subtracted.
 
 Pivot selection is Bland's rule (lowest eligible index), so runs are
 reproducible and cycling is impossible. Every sign, ratio and tie it
@@ -109,9 +107,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, lcm
-from operator import is_, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Any, Collection, Hashable, Iterable, Mapping
 from weakref import ref
 
@@ -189,13 +187,7 @@ def unit_row(row_id: Hashable, signs: Mapping[Hashable, int], relation: str, rhs
 
 class LinearProgram:
     """An immutable exact-rational LP in row form: the minimum of the
-    objective over the rows.
-
-    Besides the model it keeps only _columns, the column index of its rows,
-    once a variant's check has read it (see _chained_check), shared by the
-    variants."""
-
-    _columns: tuple | None = None
+    objective over the rows."""
 
     def __init__(
         self,
@@ -252,86 +244,87 @@ class LinearProgram:
     def variant(self, objective=None, rhs=None, relations=None,
                 drop_rows=(), drop_variables=(), free=()) -> LinearProgram:
         """This model with the given pieces changed (see the module docstring);
-        its .diff records them against this model."""
+        its .diff records them against this model. Pieces that change
+        nothing (no arguments, an equal objective, rhs or relation, a free
+        on a free variable) give this model itself, once validated."""
         rhs, relations = rhs or {}, relations or {}
         drop, free, drop_rows = set(drop_variables), set(free), set(drop_rows)
         changed = rhs.keys() | relations.keys()
-        lp = object.__new__(LinearProgram)
-        lp.variables, freed = self.variables, set()
+        variables, freed = self.variables, set()
         if drop or free:
-            lp.variables = [Variable(v.name, False) if v.name in free else v
-                            for v in self.variables if v.name not in drop]
+            variables = [Variable(v.name, False) if v.name in free else v
+                         for v in self.variables if v.name not in drop]
         if free:
             freed = {v.name for v in self.variables if v.nonnegative and v.name in free}
-        lp.objective = ({k: rat(c) for k, c in objective.items()} if objective is not None
-                        else {k: c for k, c in self.objective.items() if k not in drop}
-                        if drop & self.objective.keys() else self.objective)
-        lp.costs = (self.costs if lp.objective is self.objective
-                    else _integers(lp.objective.values()))
-        names = {v.name for v in lp.variables} if drop or free or objective else None
+        new_objective = ({k: rat(c) for k, c in objective.items()} if objective is not None
+                         else {k: c for k, c in self.objective.items() if k not in drop}
+                         if drop & self.objective.keys() else self.objective)
+        names = {v.name for v in variables} if drop or free or objective else None
         if (names is not None and (
                 len(names) + len(drop) != len(self.variables) or not free <= names
-                or not lp.objective.keys() <= names)
+                or not new_objective.keys() <= names)
                 or not changed | drop_rows <= self.index.keys()
                 or not set(relations.values()) <= set(_RELATIONS)):
             raise LinearProgramError("variant names an unknown variable, row or relation")
         if not drop_rows.isdisjoint(changed):
             raise LinearProgramError("variant changes the rhs or relation of a row it drops")
-        kept = ([i for i, row in enumerate(self.rows) if row.id not in drop_rows] if drop_rows
-                else list(range(len(self.rows))))
-        lp.rows = [self.rows[i] for i in kept] if drop_rows else list(self.rows)
-        lp.index = {row.id: p for p, row in enumerate(lp.rows)} if drop_rows else self.index
-        for p, row in enumerate(lp.rows if drop else ()):
-            if not drop.isdisjoint(row.coeffs):
-                coeffs = {k: c for k, c in row.coeffs.items() if k not in drop}
-                lp.rows[p] = _row(row.id, coeffs, row.relation, row.rhs,
-                                  _integers(coeffs.values()), row.rhs_ints)
-        rhs_moves, relation_moves = [], []
-        for p in sorted([lp.index[row_id] for row_id in changed]):
-            row = lp.rows[p]
+        # Each given rhs and relation against the row's, by base position:
+        # the rows that move, as (relation, rhs, rhs_ints) at each position.
+        rhs_moves, relation_moves, moves = [], [], {}
+        for i in sorted([self.index[row_id] for row_id in changed]):
+            row = self.rows[i]
             b, rel = rat(rhs.get(row.id, row.rhs)), relations.get(row.id, row.relation)
             old = row.rhs_ints
             ints = old if b is row.rhs else (b.numerator, b.denominator)
             num, den = (0, 1) if ints is old else _plus(ints, -old[0], old[1])
             if num:
-                rhs_moves.append((kept[p], num, den))
+                rhs_moves.append((i, num, den))
             if rel != row.relation:
-                relation_moves.append((kept[p], rel))
+                relation_moves.append((i, rel))
             if num or rel != row.relation:
-                lp.rows[p] = _row(row.id, row.coeffs, rel, b if num else row.rhs, row.scale,
-                                  ints if num else old)
-        lp.diff = Diff(ref(self), kept, rhs_moves, relation_moves, drop, freed,
-                       sorted([self.index[i] for i in drop_rows]),
-                       lp.objective is self.objective or lp.objective == self.objective)
+                moves[i] = rel, b if num else row.rhs, ints if num else old
+        same = new_objective is self.objective or new_objective == self.objective
+        if same and not (drop or freed or drop_rows or moves):
+            return self
+        lp = object.__new__(LinearProgram)
+        lp.variables, lp.objective = variables, new_objective
+        lp.costs = (self.costs if new_objective is self.objective
+                    else _integers(new_objective.values()))
+        if drop_rows:
+            lp.rows = [row for row in self.rows if row.id not in drop_rows]
+            lp.index = {row.id: p for p, row in enumerate(lp.rows)}
+        else:
+            lp.rows, lp.index = list(self.rows), self.index
+        for p, row in enumerate(lp.rows if drop else ()):
+            if not drop.isdisjoint(row.coeffs):
+                coeffs = {k: c for k, c in row.coeffs.items() if k not in drop}
+                lp.rows[p] = _row(row.id, coeffs, row.relation, row.rhs,
+                                  _integers(coeffs.values()), row.rhs_ints)
+        for i, (rel, b, ints) in moves.items():
+            p = lp.index[self.rows[i].id]
+            row = lp.rows[p]
+            lp.rows[p] = _row(row.id, row.coeffs, rel, b, row.scale, ints)
+        lp.diff = Diff(ref(self), rhs_moves, relation_moves, drop, freed,
+                       sorted([self.index[i] for i in drop_rows]), same)
         return lp
 
 
 @dataclass
 class Diff:
     """What LinearProgram.variant changed against base, a weak reference to
-    the model it varies (see the module docstring): base's position of
-    each of its rows (kept), (base position, num, den) for each row whose
-    rhs moved by num/den in lowest terms (rhs), (base position, new
-    relation) for each row whose relation moved (relations), the variables
-    dropped, the names whose bound was freed, base's positions of the rows
-    dropped (gone), and whether the objective is base's."""
+    the model it varies (see the module docstring): (base position, num,
+    den) for each row whose rhs moved by num/den in lowest terms (rhs),
+    (base position, new relation) for each row whose relation moved
+    (relations), the variables dropped, the names whose bound was freed,
+    base's positions of the rows dropped (gone), and whether the objective
+    is base's."""
     base: ref
-    kept: list[int]
     rhs: list[tuple]
     relations: list[tuple]
     dropped: set
     freed: set
     gone: list[int]
     objective: bool
-    _rhs_moves: tuple | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def rhs_moves(self) -> tuple[list, int]:
-        """rhs's moves as ints over one denominator, in rhs's order."""
-        if self._rhs_moves is None:
-            dd = lcm(*[den for _, _, den in self.rhs])
-            self._rhs_moves = [num * (dd // den) for _, num, den in self.rhs], dd
-        return self._rhs_moves
 
 
 class Optimal:
@@ -422,13 +415,13 @@ LPOutcome = Optimal | Infeasible | Unbounded
 def solve(lp: LinearProgram, start: Tableau | None = None) -> LPOutcome:
     """Solve exactly, on a fresh Tableau or on ``start`` (see the module
     docstring); an Optimal outcome comes back as verify_certificate returns
-    it, checked against the tableau's last model and checked optimum, and
-    the tableau keeps it as its checked optimum."""
+    it, and the tableau keeps it as its checked optimum. A re-solve of the
+    tableau's last model passes that model's checked optimum as the prior."""
     tab = Tableau() if start is None else start
-    base, prior = tab.lp, tab.checked
+    prior = tab.checked if tab.lp is lp else None
     outcome = tab.optimize(lp)
     if isinstance(outcome, Optimal):
-        outcome = tab.checked = verify_certificate(lp, outcome, base, prior)
+        outcome = tab.checked = verify_certificate(lp, outcome, prior)
     return outcome
 
 
@@ -576,11 +569,12 @@ class Tableau:
         # row's rhs never reaches a kept row's value, because its slack is
         # basic and in no other row. The moves are ints over one denominator
         # dd, so row r's value moves by its sum over r's denominator times dd.
-        moves, dd = diff.rhs_moves
+        dd = lcm(*[den for _, _, den in diff.rhs])
         rows, basis, values = self.rows, self.basis, list(self.values)
         sums: dict[int, int] = {}
-        for (i, _, _), m in zip(diff.rhs, moves):
+        for i, num, den in diff.rhs:
             c, flip = self.row_cols[i]
+            m = num * (dd // den)
             if flip:
                 m = -m
             for r in compress(range(len(rows)), map(itemgetter(c), rows)):
@@ -616,7 +610,7 @@ class Tableau:
             live = [r for r, j in enumerate(basis) if j not in gone]
             self.rows, self.basis = [rows[r] for r in live], [basis[r] for r in live]
             values = [values[r] for r in live]
-            self.row_cols = [self.row_cols[i] for i in diff.kept]
+            self.row_cols = [t for t in self.row_cols if t[0] not in gone]
         self.values = values
         return (z if not negative or self.dual_run(z) else None), carry
 
@@ -859,39 +853,21 @@ def _rational(num: int, den: int) -> Rational:
     return rat(num, den) if q is None else q
 
 
-def verify_certificate(lp: LinearProgram, opt: Optimal, base: LinearProgram | None = None,
-                       prior: Optimal | None = None) -> Optimal:
+def verify_certificate(lp: LinearProgram, opt: Optimal, prior: Optimal | None = None) -> Optimal:
     """Exact optimality check: feasibility both sides, CS, strong duality.
     Returns opt with its slack and reduced maps (see Optimal) filled in.
 
     It reads its arguments alone: the model, opt's ints (x as xs over dx,
     y as ys over dy) and, when given, prior, an optimum this check accepted
-    for the model base (solve passes the tableau's last model and its
-    checked optimum). When base is lp, prior's ints pass again as they did
-    (a re-solve of the model), with its slacks and reduced costs. When lp
-    is a variant of base (lp.diff.base() is base), the check is chained
-    (_chained_check): it compares opt's ints with the prior's to find the x
-    and y entries that moved, reads lp's Diff and costs for the rhs,
-    relations, bounds, costs, rows and variables that moved, and re-tests
-    every row and column with a moved input. It is complete
-    because each row or column test reads only that row's or column's
-    inputs, so a row or column whose inputs did not move passes as it did
-    for the prior, and keeps the prior's slack or reduced cost; c.x is
-    summed afresh and y.b is the prior's moved by what moved, and the
-    objective and strong-duality tests run on both. Any certificate
-    neither accepts goes to the full check (_full_check), which every
-    other optimum gets too, and which raises its error; so a chained
-    solve gets the full check's verdict and message. The returned optimum
-    holds no link to the prior."""
-    if prior is not None and base is lp:
-        if (opt.xs, opt.dx, opt.ys, opt.dy, opt.objective) == (
-                prior.xs, prior.dx, prior.ys, prior.dy, prior.objective):
-            return Optimal.of_ints(opt.xs, opt.dx, opt.ys, opt.dy, opt.objective,
-                                   prior.slacks, prior.reduced_costs)
-    elif prior is not None and base is not None and lp.diff and lp.diff.base() is base:
-        checked = _chained_check(lp, opt, base, prior)
-        if checked is not None:
-            return checked
+    for lp itself (solve passes the tableau's checked optimum on a re-solve
+    of its last model). When opt's ints and objective are prior's, they
+    pass again as they did, with prior's slacks and reduced costs; every
+    other optimum gets the full check (_full_check), which raises its
+    error."""
+    if prior is not None and (opt.xs, opt.dx, opt.ys, opt.dy, opt.objective) == (
+            prior.xs, prior.dx, prior.ys, prior.dy, prior.objective):
+        return Optimal.of_ints(opt.xs, opt.dx, opt.ys, opt.dy, opt.objective,
+                               prior.slacks, prior.reduced_costs)
     return _full_check(lp, opt)
 
 
@@ -967,204 +943,6 @@ def _full_check(lp: LinearProgram, opt: Optimal) -> Optimal:
         raise SolverInvariantError(
             f"strong duality fails: {rat(dual, dy * scale)} != {rat(cost, dc * dx)}")
     return Optimal.of_ints(xs, dx, ys, dy, objective, slacks, reduced_costs)
-
-
-#: _chained_check takes a certificate while at most one of this many of its
-#: x and y entries moved.
-_CHAINED_SHARE = 8
-
-
-def _chained_check(lp: LinearProgram, opt: Optimal, base: LinearProgram,
-                   prior: Optimal) -> Optimal | None:
-    """verify_certificate for lp = base.variant(...) from prior, an optimum
-    checked for base: opt with its slacks and reduced costs, or None to
-    leave opt to the full check.
-
-    It is complete because each test of the full check reads only one row's
-    or one column's inputs, and it finds on its own which inputs moved.
-    lp's Diff gives the rhs, relations, bounds, rows and variables that
-    changed, and comparing lp's costs with base's gives the costs that
-    moved. Comparing opt's ints with the prior's gives the x and y entries
-    that moved, and opt must claim exactly lp's variables and rows. Every
-    row whose rhs, relation or y moved, or whose x moved on its
-    coefficients (a dropped variable that was nonzero counts), is tested
-    again, and so is every column whose cost, bound or x moved, or whose
-    rows' y moved (a dropped row that had a nonzero y counts). Any other row
-    or column has the prior's inputs, so it passes as it did for the prior,
-    with the prior's slack or reduced cost. Columns are read through
-    _column_index, built from the first model of a chain that needs it and
-    shared by its variants. c.x is summed again, and y.b is the prior's
-    (its objective, by strong duality) moved by the rows whose y or rhs
-    moved or that were dropped.
-
-    Past one x and y entry in _CHAINED_SHARE moved, one pass over the model
-    costs less than re-testing their rows and columns, so the certificate
-    goes to the full check; so does a model too small to let three entries
-    move, whose full check costs less than the chained check's fixed part.
-    The rows the Diff moved or dropped count against the same budget, so a
-    variant that moved too many goes to the full check before the prior is
-    read."""
-    diff = lp.diff
-    budget = (len(lp.variables) + len(lp.rows)) // _CHAINED_SHARE
-    if budget < 3 or len(diff.rhs) + len(diff.relations) + len(diff.gone) > budget:
-        return None
-    xs, dx, ys, dy = opt.xs, opt.dx, opt.ys, opt.dy
-    pxs, pys, old_rows = prior.xs, prior.ys, base.rows
-    dropped, gone = diff.dropped, [old_rows[i] for i in diff.gone]
-    if (len(pxs) != len(base.variables) or len(pys) != len(old_rows)
-            or len(xs) != len(lp.variables) or len(ys) != len(lp.rows)
-            or dropped and not dropped.isdisjoint(xs)
-            or gone and any(row.id in ys for row in gone)):
-        return None
-    try:  # a key outside the prior's is not lp's
-        moved_y = _moved(ys, dy, pys, prior.dy)
-        if len(moved_y) > budget:
-            return None
-        moved_x = _moved(xs, dx, pxs, prior.dx)
-    except KeyError:
-        return None
-    if len(moved_x) + len(moved_y) > budget:
-        return None
-    if base._columns is None:
-        base._columns = _column_index(base)
-    lp._columns = scale, columns, free = base._columns
-    if diff.freed:
-        lp._columns = scale, columns, free = scale, columns, free | diff.freed
-    index, rows = lp.index, lp.rows
-
-    # The rows and columns to test again, each once, in the order first met.
-    # A ``=`` row whose y alone moved passes again: its lhs and rhs did not
-    # move, and its y is free. A row id the index holds but lp dropped is
-    # passed over.
-    moved_b = [old_rows[i].id for i, _, _ in diff.rhs]
-    test = moved_b + [old_rows[i].id for i, _ in diff.relations]
-    for name in moved_x:
-        test += columns[name][0]
-    for name in dropped:
-        if pxs[name]:
-            test += columns[name][0]
-    test += [row_id for row_id in moved_y if rows[index[row_id]].relation != EQ]
-    names = moved_x + list(diff.freed)
-    for row_id in moved_y:
-        names += rows[index[row_id]].coeffs
-    for row in gone:
-        if pys[row.id]:
-            names += [name for name in row.coeffs if name not in dropped]
-    c, dc = lp.costs
-    costs = dict(zip(lp.objective, c))
-    if not diff.objective:
-        old_c, old_dc = base.costs
-        old_costs = dict(zip(base.objective, old_c))
-        names += [name for name, cj in costs.items() if cj * old_dc != old_costs.get(name, 0) * dc]
-        names += [name for name, cj in old_costs.items()
-                  if cj and name not in costs and name not in dropped]
-
-    value = xs.__getitem__
-    retest, slacks = dict.fromkeys(test), []
-    for row_id in retest:
-        p = index.get(row_id)
-        if p is None:
-            continue
-        row = rows[p]
-        yi, relation = ys[row_id], row.relation
-        a, s = row.scale
-        p, q = row.rhs_ints
-        lhs, b = sum(map(mul, a, map(value, row.coeffs))), p * s * dx
-        if q != 1:
-            lhs *= q
-        if lhs == b:
-            if relation != EQ and (yi > 0 if relation == LE else yi < 0):
-                return None
-        elif relation == EQ or yi or (lhs < b) != (relation == LE):
-            return None
-        else:
-            slacks.append((row_id, b - lhs if relation == LE else lhs - b, s * dx * q))
-    # c_j - y.A_j over den, with A_j's entries over scale; a row the index
-    # holds but lp dropped reads y = 0.
-    den = lcm(dc, dy * scale)
-    fc, fy, get, zeros = den // dc, den // (dy * scale), ys.get, repeat(0)
-    recheck, reduced_costs = dict.fromkeys(names), []
-    for name in recheck:
-        xj, (ids, coeffs) = xs[name], columns[name]
-        dj = costs.get(name, 0) * fc - fy * sum(map(mul, coeffs, map(get, ids, zeros)))
-        if name in free:
-            if dj:
-                return None
-        elif xj < 0:
-            return None
-        elif dj:
-            if dj < 0 or xj:
-                return None
-            reduced_costs.append((name, dj, den))
-
-    # c.x over dc * dx against the claimed objective. y.b against c.x:
-    # y.b is the prior's objective P/Q plus y_i (b_i - b0_i) for each rhs
-    # moved and (y_i - y0_i) b0_i for each y moved (a dropped row's y_i is
-    # 0), summed over the lcm of their denominators.
-    cost, objective = sum(map(mul, c, map(value, lp.objective))), opt.objective
-    if cost * objective.denominator != objective.numerator * dc * dx:
-        return None
-    # The rhs moves are ints over dd, so their part is over dy * dd; the y
-    # moves' part is over dy * pdy * (the lcm of their b0 denominators).
-    moves, dd = diff.rhs_moves
-    first = sum(map(mul, map(ys.__getitem__, moved_b), moves)) if moved_b else 0
-    second: dict[int, int] = {}
-    pdy = prior.dy
-    for row_id, yi in [*[(row_id, ys[row_id]) for row_id in moved_y],
-                       *[(row.id, 0) for row in gone]]:
-        bp, bq = old_rows[base.index[row_id]].rhs_ints
-        if num := (yi * pdy - pys[row_id] * dy) * bp:
-            second[bq] = second.get(bq, 0) + num
-    common = lcm(*second)
-    d1, d2 = dy * dd, dy * pdy * common
-    p, q = prior.objective.numerator, prior.objective.denominator
-    total = p * d1 * d2 + (first * d2 + sum([v * (common // k) for k, v in second.items()]) * d1) * q
-    if total * dc * dx != cost * q * d1 * d2:
-        return None
-
-    if retest or gone:
-        stale = retest.keys() | {row.id for row in gone} if gone else retest
-        slacks[:0] = [t for t in prior.slacks if t[0] not in stale]
-    else:
-        slacks = prior.slacks
-    if recheck or dropped:
-        reduced_costs[:0] = [t for t in prior.reduced_costs
-                             if t[0] not in recheck and t[0] not in dropped]
-    else:
-        reduced_costs = prior.reduced_costs
-    return Optimal.of_ints(xs, dx, ys, dy, objective, slacks, reduced_costs)
-
-
-def _moved(new: dict, den: int, old: dict, old_den: int) -> list:
-    """The keys of new (ints over den) whose value differs from old's (ints
-    over old_den); a KeyError when old lacks one."""
-    if new is old and den == old_den:
-        return []
-    if len(new) == len(old) and all(map(is_, new, old)):
-        # The same key objects in the same order (a phase 2 optimum after
-        # the last one): compared by position, no key is hashed.
-        if den == old_den:
-            return [k for k, v, w in zip(new, new.values(), old.values()) if v != w]
-        return [k for k, v, w in zip(new, new.values(), old.values()) if v * old_den != w * den]
-    if den == old_den:
-        return [k for k, v in new.items() if v != old[k]]
-    return [k for k, v in new.items() if v * old_den != old[k] * den]
-
-
-def _column_index(lp: LinearProgram) -> tuple[int, dict, frozenset]:
-    """lp's columns: (S, each variable -> (its rows' ids, its coefficients
-    there times S), the names of the free variables), S the lcm of the
-    rows' scale denominators (Row.scale)."""
-    scale = lcm(*[row.scale[1] for row in lp.rows])
-    columns: dict = {v.name: ([], []) for v in lp.variables}
-    for row in lp.rows:
-        a, s = row.scale
-        f = scale // s
-        for name, aj in zip(row.coeffs, a):
-            ids, coeffs = columns[name]
-            ids.append(row.id)
-            coeffs.append(aj * f)
-    return scale, columns, frozenset([v.name for v in lp.variables if not v.nonnegative])
 
 
 def _integers(values: Collection) -> tuple[list, int]:

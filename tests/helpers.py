@@ -59,7 +59,7 @@ def row_diff(base: LinearProgram, lp: LinearProgram) -> Diff:
     pairs = [(i, base.rows[i], row) for i, row in zip(kept, lp.rows)]
     assert all(row.coeffs == {k: c for k, c in o.coeffs.items() if k in names}
                for _, o, row in pairs)
-    return Diff(ref(base), kept,
+    return Diff(ref(base),
                 [(i, d.numerator, d.denominator) for i, o, row in pairs
                  if (d := row.rhs - o.rhs)],
                 [(i, row.relation) for i, o, row in pairs if row.relation != o.relation],

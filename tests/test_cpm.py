@@ -400,27 +400,43 @@ def test_stage_models_are_variants_equal_to_fresh_models(monkeypatch):
     assert refiltered > 0
 
 
+def _fixture_and_pool_runs():
+    """(solver, graph, ordering): the 3 fixtures in all 3 modes, then the
+    first 10 seed-1 cuts and integral pool graphs unperturbed."""
+    runs = [(solver, *fixture()[:2]) for fixture in (dancing_robot, altered_robot, cycling_graph)
+            for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive)]
+    return runs + [(solve_unperturbed, inst.graph, inst.sigma) for workload in ("cuts", "integral")
+                   for inst in instances.build_pool(workload, 1, [])[:10]]
+
+
 def test_recorded_diffs_solve_like_fresh_models(monkeypatch):
     # Every warm solve takes the tableau's last model itself or a variant of
     # it whose recorded Diff is the one the row comparison (helpers.row_diff)
     # reads off the rows, as for an equal model built afresh. Exactly the
-    # lexmin faces and the closest-dual stages after stage 0 take a recorded
-    # Diff; every other warm solve is lexmin stage 0 re-solving the probe's
-    # model, which changes nothing.
-    made, counts = {}, dict.fromkeys(["warm", "recorded", "faces", "stages"], 0)
+    # lexmin faces and the closest-dual stages after stage 0 that change
+    # something take a recorded Diff; every other warm solve re-solves the
+    # tableau's last model: lexmin stage 0 on the probe's model, and each
+    # face or stage that changes nothing, which is the model it varies.
+    made, counts = {}, dict.fromkeys(["warm", "recorded", "faces", "stages", "no-ops"], 0)
     build_closest_dual, optimal_face = cpm.build_closest_dual, lexmin.optimal_face
+
+    def record(lp, base):
+        if lp is base:
+            counts["no-ops"] += 1
+        else:
+            made[id(lp)] = lp
 
     def closest(ctx, costs, target, last=None, drop=(), free=(), moved=()):
         lp = build_closest_dual(ctx, costs, target, last, drop, free, moved)
         if last is not None:
             counts["stages"] += 1
-            made[id(lp)] = lp
+            record(lp, last)
         return lp
 
     def face(lp, opt, objective):
         out = optimal_face(lp, opt, objective)
         counts["faces"] += 1
-        made[id(out)] = out
+        record(out, lp)
         return out
 
     def solving(lp, start=None):
@@ -437,27 +453,47 @@ def test_recorded_diffs_solve_like_fresh_models(monkeypatch):
     monkeypatch.setattr(lexmin, "optimal_face", face)
     monkeypatch.setattr(cpm, "solve", solving)
     monkeypatch.setattr(lexmin, "solve", solving)
-    runs = [(solver, *fixture()[:2]) for fixture in (dancing_robot, altered_robot, cycling_graph)
-            for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive)]
-    runs += [(solve_unperturbed, inst.graph, inst.sigma) for workload in ("cuts", "integral")
-             for inst in instances.build_pool(workload, 1, [])[:10]]
-    for solver, g, sigma in runs:
+    for solver, g, sigma in _fixture_and_pool_runs():
         solver(g, sigma)
-    assert not made and counts["faces"] > 500 and counts["stages"] > 500
-    assert counts["recorded"] == counts["faces"] + counts["stages"] < counts["warm"]
+    assert not made and counts["faces"] > 500 and counts["stages"] > 500 and counts["no-ops"]
+    assert counts["recorded"] + counts["no-ops"] == counts["faces"] + counts["stages"]
+    assert counts["recorded"] < counts["warm"]
+
+
+def test_every_solve_but_a_re_solve_gets_one_full_check(monkeypatch):
+    # The full check (linprog._full_check) is the one certificate check: it
+    # runs once on every solve that is not a re-solve of the tableau's last
+    # model, and never on a re-solve, whose checked optimum stands.
+    solves, optimize, full_check = [], Tableau.optimize, linprog._full_check
+
+    def optimizing(tab, lp):
+        solves.append([lp is tab.lp, 0])
+        return optimize(tab, lp)
+
+    def counting(lp, opt):
+        solves[-1][1] += 1
+        return full_check(lp, opt)
+
+    monkeypatch.setattr(Tableau, "optimize", optimizing)
+    monkeypatch.setattr(linprog, "_full_check", counting)
+    total = sum(solver(g, sigma).total_lp_solves for solver, g, sigma in _fixture_and_pool_runs())
+    assert len(solves) == total
+    assert all(checks == (0 if resolve else 1) for resolve, checks in solves)
+    assert 0 < sum(resolve for resolve, _ in solves) < total
 
 
 def _held(lp):
-    """What a model holds: its parts and its attribute names, less the memo
-    of its column index (LinearProgram._columns)."""
-    return model_parts(lp), set(vars(lp)) - {"_columns"}
+    """What a model holds: its parts and its attribute names."""
+    return model_parts(lp), set(vars(lp))
 
 
 def test_solving_never_changes_a_model(monkeypatch):
     # The tableau keeps what a solve learnt (its checked optimum), so no
     # solve changes the model it solves or the tableau's last model, which
-    # a variant's check reads: the cold probe, lexmin's re-solve of the
-    # probe's model, each lexmin face and each closest-dual stage.
+    # a variant's warm start reads: the cold probe, lexmin's re-solve of the
+    # probe's model, each lexmin face and each closest-dual stage. A face
+    # that changes nothing is the model before it, so it counts as a
+    # re-solve.
     seen = dict.fromkeys(["probe", "re-solve", "face", "stage"], 0)
 
     def watching(module):
@@ -480,8 +516,10 @@ def test_solving_never_changes_a_model(monkeypatch):
     g, sigma, _ = dancing_robot()
     res = solve_unperturbed(g, sigma)
     iterations = len(res.iterations)
-    assert seen == {"probe": iterations, "re-solve": iterations, "face": iterations * g.m,
-                    "stage": iterations * (g.m + 1)}
+    no_ops = seen["re-solve"] - iterations
+    assert no_ops > 0 and seen == {"probe": iterations, "re-solve": iterations + no_ops,
+                                   "face": iterations * g.m - no_ops,
+                                   "stage": iterations * (g.m + 1)}
 
 
 def test_stage_chain_reads_rhs_moves_off_the_model():

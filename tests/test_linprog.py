@@ -1,11 +1,13 @@
 """Tests for the exact simplex: models, certificates, starts and reoptimization."""
 
+import gc
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -1019,9 +1021,9 @@ def test_resolving_the_last_model_makes_no_pivot(monkeypatch):
         pivots.append((r, j))
         pivot(self, r, j, zrow)
 
-    def counting_verify(lp, opt, base, prior):
+    def counting_verify(lp, opt, prior):
         checks.append(lp)
-        return verify(lp, opt, base, prior)
+        return verify(lp, opt, prior)
 
     tab = Tableau()
     cold = _capped({"x": 1, "y": 2})
@@ -1041,9 +1043,164 @@ def test_resolving_the_last_model_makes_no_pivot(monkeypatch):
     assert face.diff.base() is warm and tab.lp is face
 
 
+# A model whose variant below moves x on one entry and keeps y:
+# x = (2, 0, 1, 0), y = (2, 1, 0, 0), then x = (3, 0, 1, 0) at r1 >= 3.
+BASE_ROWS = [("r1", {"a": 1, "b": 1}, GE, 2), ("r2", {"b": 1, "c": 1}, GE, 1),
+             ("r3", {"a": 1, "c": 1, "d": 1}, LE, 6), ("r4", {"c": 1, "d": -1}, EQ, 1)]
+COSTS = {"a": 2, "b": 3, "c": 1, "d": 4}
+
+
+def _checked_base():
+    """A fresh base model solved on a fresh tableau: (base, tableau), the
+    tableau holding base's checked optimum."""
+    base = LinearProgram(["a", "b", "c", "d"], COSTS, BASE_ROWS)
+    tab = Tableau()
+    solve(base, start=tab)
+    return base, tab
+
+
+def _tampered(out):
+    """out with one int of x or y moved, either denominator moved, or the
+    objective moved: (what, certificate) pairs."""
+    yield from ((("x", k), Optimal.of_ints({**out.xs, k: v + 1}, out.dx, out.ys, out.dy,
+                                           out.objective)) for k, v in out.xs.items())
+    yield from ((("y", k), Optimal.of_ints(out.xs, out.dx, {**out.ys, k: v + 1}, out.dy,
+                                           out.objective)) for k, v in out.ys.items())
+    yield "dx", Optimal.of_ints(out.xs, 2 * out.dx, out.ys, out.dy, out.objective)
+    yield "dy", Optimal.of_ints(out.xs, out.dx, out.ys, 2 * out.dy, out.objective)
+    yield "objective", Optimal.of_ints(out.xs, out.dx, out.ys, out.dy, out.objective + 1)
+
+
+def _claimed(monkeypatch, lp, tab, cert):
+    """The message solve(lp, start=tab) raises when the tableau claims cert
+    as lp's optimum; it must be the one the full check and the rational
+    reference raise."""
+    with monkeypatch.context() as m:
+        m.setattr(Tableau, "optimize", lambda self, model: cert)
+        message = _verdict(lambda lp, cert: solve(lp, start=tab), lp, cert)
+    assert isinstance(message, str)
+    assert message == _verdict(linprog._full_check, lp, cert)
+    assert message == _verdict(fraction_verify_certificate, lp, cert)
+    return message
+
+
+def test_each_tampered_entry_of_a_warm_optimum_is_rejected(monkeypatch):
+    # Each x and y entry, either denominator and the claimed objective of a
+    # warm optimum, tampered in turn and claimed by the tableau, on a
+    # re-solve of the variant (solve passes the true optimum as the prior)
+    # and on the variant's warm solve from its base (solve passes no
+    # prior): solve refuses each claim with the full check's message.
+    base, tab = _checked_base()
+    lp = base.variant(rhs={"r1": 3})
+    out = solve(lp, start=tab)
+    messages = {}
+    for what, cert in _tampered(out):
+        messages[what] = _claimed(monkeypatch, lp, tab, cert)
+        assert tab.checked is out
+        other, other_tab = _checked_base()
+        assert _claimed(monkeypatch, other.variant(rhs={"r1": 3}), other_tab, cert) == (
+            messages[what])
+    assert messages == {
+        ("x", "a"): "complementary slackness fails on row 'r1'",
+        ("x", "b"): "complementary slackness fails on row 'r1'",
+        ("x", "c"): "complementary slackness fails on row 'r2'",
+        ("x", "d"): "row 'r4' violated: 0 = 1",
+        ("y", "r1"): "dual constraint for 'a'",
+        ("y", "r2"): "dual constraint for 'b'",
+        ("y", "r3"): "dual sign for row 'r3'",
+        ("y", "r4"): "dual constraint for 'c'",
+        "dx": "row 'r1' violated: 3/2 >= 3",
+        "dy": "complementary slackness fails on 'a'",
+        "objective": "objective value mismatch",
+    }
+
+
+def test_model_changes_under_an_unchanged_claim_are_rejected(monkeypatch):
+    # The base's own optimum claimed for a variant that moved a rhs,
+    # dropped a row with a nonzero y, freed a bound with a nonzero reduced
+    # cost, changed the objective or dropped a variable with a nonzero x:
+    # solve gives the tableau's checked optimum of the base to no variant's
+    # check, so each stale claim gets the full check's verdict.
+    base, tab = _checked_base()
+    assert tab.checked.ys["r2"] and tab.checked.reduced == {"d": 4}
+    cases = {
+        "rhs": (_checked_base, dict(rhs={"r3": 2}), "row 'r3' violated: 3 <= 2"),
+        "dropped row": (_checked_base, dict(drop_rows=["r2"]),
+                        "complementary slackness fails on 'c'"),
+        "freed bound": (_checked_base, dict(free=["d"]), "dual constraint for free 'd'"),
+        "objective": (_checked_base, dict(objective={**COSTS, "a": 1}),
+                      "dual constraint for 'a'"),
+    }
+
+    def checked_zero():
+        # A second model, where e carries x = 2 at cost 0 and the row r3
+        # with rhs 0 carries y = 1, so neither c.x nor y.b moves when they go.
+        zero = LinearProgram(["a", "b", "e"], {"a": 1, "b": 1},
+                             [("r1", {"a": 1, "e": 1}, GE, 3), ("r2", {"e": 1}, LE, 2),
+                              ("r3", {"b": 1, "e": -1}, GE, 0)])
+        zero_tab = Tableau()
+        assert solve(zero, start=zero_tab).x == {"a": 1, "b": 2, "e": 2}
+        assert zero_tab.checked.y["r3"] == 1
+        return zero, zero_tab
+
+    cases.update({
+        "dropped variable": (checked_zero, dict(drop_variables=["e"]),
+                             "row 'r1' violated: 1 >= 3"),
+        "dropped row at rhs 0": (checked_zero, dict(drop_rows=["r3"]),
+                                 "complementary slackness fails on 'b'"),
+    })
+    for what, (checked, change, expected) in cases.items():
+        model, tab = checked()
+        prior, lp = tab.checked, model.variant(**change)
+        xs = {k: v for k, v in prior.xs.items() if k not in lp.diff.dropped}
+        ys = {k: v for k, v in prior.ys.items() if k in lp.index}
+        cert = Optimal.of_ints(xs, prior.dx, ys, prior.dy, prior.objective)
+        assert _claimed(monkeypatch, lp, tab, cert) == expected, what
+        assert _verdict(verify_certificate, lp, cert) == expected, what
+
+
+def test_a_warm_optimum_keeps_no_reference_to_its_base_optimum():
+    # The optimum a warm solve returns, which the tableau keeps instead of
+    # the base's, holds only ints, dicts and triples: once the base is
+    # gone, nothing keeps the base or its optimum alive.
+    base, tab = _checked_base()
+    prior = weakref.ref(tab.checked)
+    lp = base.variant(rhs={"r1": 3})
+    out = solve(lp, start=tab)
+    assert out is tab.checked
+    del base
+    gc.collect()
+    assert lp.diff.base() is None and prior() is None
+
+
+def test_a_failed_check_leaves_the_tableau_sound(monkeypatch):
+    # A check that raises leaves the tableau with no checked optimum, so
+    # the next warm solve hands nothing over: x and y are built afresh from
+    # the basis, not taken from the optimum that failed.
+    base, tab = _checked_base()
+    lp = base.variant(rhs={"r1": 3})
+    full, claims = linprog._full_check, []
+
+    def failing_once(model, opt):
+        claims.append(opt)
+        if len(claims) == 1:
+            raise SolverInvariantError("injected")
+        return full(model, opt)
+
+    monkeypatch.setattr(linprog, "_full_check", failing_once)
+    with pytest.raises(SolverInvariantError, match="injected"):
+        solve(lp, start=tab)
+    assert (tab.lp, tab.status, tab.checked) == (lp, "optimal", None)
+    variant = lp.variant(rhs={"r3": 7})  # only r3's basic slack moves: no pivot
+    out = solve(variant, start=tab)
+    failed, claim = claims
+    assert claim.xs is not failed.xs and claim.ys is not failed.ys
+    assert out is tab.checked and out == solve(variant)
+
+
 def test_variant_records_the_diff_the_row_comparison_finds():
     rng = random.Random(19)
-    shared = {"variables": 0, "objective": 0, "index": 0}
+    shared, no_ops = {"variables": 0, "objective": 0, "index": 0}, 0
     for _ in range(200):
         lp = random_bounded_lp(rng)[0]
         if rng.random() < 0.5:
@@ -1059,8 +1216,15 @@ def test_variant_records_the_diff_the_row_comparison_finds():
         objective = None if rng.random() < 0.6 else {
             n: rng.randint(-2, 2) for n in names if n not in drop and rng.random() < 0.5}
         v = lp.variant(objective, rhs, relations, drop_rows, drop, free)
-        assert v.diff == row_diff(lp, v)
-        assert v.diff.base() is lp and lp.variant().diff.objective
+        diff = row_diff(lp, v)
+        # A variant that changes nothing is lp itself, with lp's own Diff.
+        unchanged = not (diff.rhs or diff.relations or diff.dropped or diff.freed
+                         or diff.gone) and diff.objective
+        assert (v is lp) == unchanged and lp.variant() is lp
+        no_ops += unchanged
+        if unchanged:
+            continue
+        assert v.diff == diff and v.diff.base() is lp
         assert (v.variables is lp.variables) == (not drop and not free)
         assert (v.objective is lp.objective) == (objective is None and not set(drop) & set(
             lp.objective))
@@ -1069,7 +1233,31 @@ def test_variant_records_the_diff_the_row_comparison_finds():
         shared["variables"] += v.variables is lp.variables
         shared["objective"] += v.objective is lp.objective
         shared["index"] += v.index is lp.index
-    assert min(shared.values()) >= 10
+    assert min(shared.values()) >= 10 and no_ops
+
+
+def test_a_variant_that_changes_nothing_is_its_base():
+    # Once its arguments are validated, a variant that changes nothing is
+    # the model itself, so a warm solve of it is a re-solve. Any real
+    # change gives a new model with its Diff.
+    lp = LinearProgram(["x", ("y", False), "z"], {"x": 1, "z": HALF},
+                       [("a", {"x": 1, "y": 1}, GE, 1), ("b", {"z": 1}, LE, 3)])
+    for same in [{}, dict(objective={"x": 1, "z": HALF}),
+                 dict(objective={"z": rat(1, 2), "x": Fraction(1)}),
+                 dict(rhs={"a": 1, "b": rat(6, 2)}), dict(relations={"a": GE, "b": LE}),
+                 dict(free=["y"]), dict(rhs={"a": 1}, relations={"b": LE}, free=["y"])]:
+        assert lp.variant(**same) is lp, same
+    for bad in [dict(rhs={"c": 1}), dict(relations={"c": LE}), dict(relations={"a": "=="}),
+                dict(free=["w"]), dict(objective={"x": 1, "z": HALF, "w": 0}),
+                dict(drop_rows=["c"]), dict(drop_variables=["w"]),
+                dict(rhs={"a": 1}, drop_rows=["a"])]:
+        with pytest.raises(LinearProgramError):
+            lp.variant(**bad)
+    for change in [dict(objective={"x": 2, "z": HALF}), dict(objective={"x": 1}),
+                   dict(rhs={"a": 2}), dict(relations={"b": EQ}), dict(free=["x"]),
+                   dict(free=["x", "y"]), dict(drop_rows=["b"]), dict(drop_variables=["z"])]:
+        v = lp.variant(**change)
+        assert v is not lp and v.diff.base() is lp and v.diff == row_diff(lp, v), change
 
 
 def test_variant_refuses_to_change_a_row_it_drops():
@@ -1336,8 +1524,7 @@ def test_variant_rhs_with_a_new_denominator_is_checked_against_it():
 def test_variant_shares_what_it_keeps_and_validates_what_it_changes():
     lp = LinearProgram(["x", "y", "z"], {"x": 1, "y": 1, "z": 1}, [
         ("a", {"x": 1, "y": HALF}, GE, 1), ("b", {"z": 1}, GE, 1), ("c", {"y": 1}, LE, 5)])
-    assert lp.variant() is not lp and model_parts(lp.variant()) == model_parts(lp)
-    assert all(new is old for new, old in zip(lp.variant().rows, lp.rows))
+    assert lp.variant() is lp
     v = lp.variant({"x": 1}, rhs={"b": 2}, relations={"a": EQ}, drop_rows=["c"],
                    drop_variables=["y"], free=["z"])
     fresh = LinearProgram(["x", ("z", False)], {"x": 1},
