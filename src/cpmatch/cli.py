@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 unreadable or malformed graph file, 2 no perfect
 matching, 3 violated solver invariant, 4 oracle mismatch under --validate,
-64 usage errors, 73 an output file (--trace, --output) cannot be written.
+64 usage errors, 73 an output file (--trace, --output) or standard output
+cannot be written.
 """
 
 from __future__ import annotations
@@ -156,19 +157,24 @@ def _cmd_solve(args, out, err) -> int:
         print(f"invariant violated: {type(exc).__name__}: {exc}", file=err)
         return EXIT_INVARIANT
 
-    if isinstance(result, NaiveTrace):
-        print(f"stop {result.stop_reason}", file=out)
-        if result.detail:
-            print(f"detail {result.detail}", file=out)
-        if result.repeat_of is not None:
-            print(f"repeat-of {result.repeat_of}", file=out)
-    matching, cost = result.matching, result.cost
-    if matching is not None:
-        for u, v in sorted(matching):
-            print(f"matching {u} {v}", file=out)
-        print(f"cost {cost}", file=out)
-    print(f"iterations {len(result.iterations)}", file=out)
-    print(f"lp-solves {result.total_lp_solves}", file=out)
+    try:
+        if isinstance(result, NaiveTrace):
+            print(f"stop {result.stop_reason}", file=out)
+            if result.detail:
+                print(f"detail {result.detail}", file=out)
+            if result.repeat_of is not None:
+                print(f"repeat-of {result.repeat_of}", file=out)
+        matching, cost = result.matching, result.cost
+        if matching is not None:
+            for u, v in sorted(matching):
+                print(f"matching {u} {v}", file=out)
+            print(f"cost {cost}", file=out)
+        print(f"iterations {len(result.iterations)}", file=out)
+        print(f"lp-solves {result.total_lp_solves}", file=out)
+    except BrokenPipeError:  # main reports it; the trace was not written
+        if created:
+            os.remove(args.trace)
+        raise
 
     if args.trace:
         text = json.dumps(_trace_json(result), indent=2) + "\n"
@@ -247,13 +253,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # stdout is buffered: flushed here, a closed reader raises while it can
+    # still be reported, not at interpreter exit.
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if not exc.code else EXIT_USAGE
-    if args.command == "solve":
-        return _cmd_solve(args, sys.stdout, sys.stderr)
-    return _cmd_gen(args, sys.stdout, sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error
+            status = EXIT_OK if not exc.code else EXIT_USAGE
+        else:
+            command = _cmd_solve if args.command == "solve" else _cmd_gen
+            status = command(args, sys.stdout, sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout goes to the null device, so the flush at exit cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write standard output: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
+    return status
 
 
 if __name__ == "__main__":

@@ -59,15 +59,15 @@ tableau changes, instead of solving cold.
 
 A warm solve pays for what its Diff and its pivots changed. reoptimize
 applies the rhs moves by column, visiting only the rows where a moved row's
-identity column is nonzero. When neither the warm start nor phase 2 pivots,
-phase2 hands over tab.checked, the optimum the check last accepted on tab,
-with only the basic values that moved, and with y less the dropped rows
-when the objective is the last one. verify_certificate checks every optimum
-in full, but for a re-solve of tab.lp: solve passes tab.checked as the
-prior, and the claim, the prior's own ints, passes again as it did. A
-variant that changes nothing is its base (see LinearProgram.variant), so it
-is such a re-solve. After a check that raised, tab.checked is None, so the
-next solve hands nothing over and gets the full check.
+identity column is nonzero. phase2 reads every optimum off its basis, x
+over its values' least common denominator, so an optimum's ints are a
+function of its basis and z alone. verify_certificate checks every optimum
+in full, but for a re-solve of tab.lp: solve passes tab.checked, the
+optimum the check last accepted on tab, as the prior, and the claim, read
+off the same basis and z, passes again as it did. A variant that changes
+nothing is its base (see LinearProgram.variant), so it is such a re-solve.
+After a check that raised, tab.checked is None, so the next solve gets the
+full check.
 
 LinearProgram(...) validates and copies its input; no model changes after
 that. A Row that carries Row.scale is taken as it is, its names and id
@@ -109,7 +109,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import Any, Collection, Hashable, Iterable, Mapping
 from weakref import ref
 
@@ -330,7 +330,7 @@ class Diff:
 class Optimal:
     """An optimum: x (variable name -> value), y (row id -> dual value) and
     the objective value. x is held as ints xs over one positive denominator
-    dx, and y as ys over dy: phase2 hands over the tableau's ints
+    dx, and y as ys over dy: phase2 reads the tableau's ints off its basis
     (Optimal.of_ints), and Optimal(x, y, objective) scales rational maps
     once. .x and .y build the rational maps on first read, each value the
     shared instance of rationals._SHARED when it is one; value(name) reads
@@ -454,7 +454,8 @@ class Tableau:
     (identity column: its slack, or an = row's artificial; flip).
 
     checked is the last model's optimum as verify_certificate accepted it,
-    which solve stores; None until then, and after any other outcome.
+    which solve stores and reads only as a re-solve's prior; None until
+    then, and after any other outcome.
     """
 
     def __init__(self) -> None:
@@ -465,12 +466,12 @@ class Tableau:
     def optimize(self, lp: LinearProgram) -> LPOutcome:
         """Solve lp cold on a fresh tableau, else as a variant of the last model."""
         if self.status is None:
-            z, carry = self.build(lp), None
+            z = self.build(lp)
         elif self.status == "optimal":
-            z, carry = self.reoptimize(lp)
+            z = self.reoptimize(lp)
         else:
             raise LinearProgramError(f"cannot reoptimize after an {self.status} solve")
-        outcome = Infeasible() if z is None else self.phase2(lp, z, carry)
+        outcome = Infeasible() if z is None else self.phase2(lp, z)
         self.lp, self.status, self.z, self.checked = lp, outcome.status, z, None
         return outcome
 
@@ -538,16 +539,13 @@ class Tableau:
                     self.pivot(i, j, z)
         return z if own else self.reduced_costs(lp)
 
-    def reoptimize(self, lp: LinearProgram) -> tuple[list[int] | None, tuple | None]:
+    def reoptimize(self, lp: LinearProgram) -> list[int] | None:
         """Carry the last optimal basis over to lp, the last model or a
         variant of it (see the module docstring), by the Diff lp.variant
-        recorded: (lp's reduced costs, or None when lp is infeasible; the
-        carry). Unless the dual simplex runs, the carry is what phase2
-        hands over: the variables dropped, the ids of the rows dropped, and
-        (column, value) for each basic value that moved; else None."""
+        recorded: lp's reduced costs, or None when lp is infeasible."""
         old, nonneg, in_basis, cols = self.lp, self.nonneg, self.in_basis, self.cols
         if lp is old:
-            return self.z, ((), (), [])
+            return self.z
         diff = lp.diff
         if diff is None or diff.base() is not old:
             raise LinearProgramError(
@@ -586,7 +584,7 @@ class Tableau:
         # a banned basic column (an artificial) nonzero, which leaves lp
         # infeasible, or a nonnegative one negative.
         if any(values[r][0] for r in moved if basis[r] in self.banned):
-            return None, None
+            return None
         negative = any(values[r][0] < 0 and nonneg[j] and j not in freed and j not in gone
                        for r in moved for j in [basis[r]])
         # Dropped rows' basic slacks cost 0, so the z the last solve kept
@@ -599,8 +597,6 @@ class Tableau:
                 if not in_basis[j] and j not in self.banned and j not in fixed):
             raise LinearProgramError("start= needs a dual feasible basis for lp's objective")
 
-        carry = None if negative else (diff.dropped, [old.rows[i].id for i in diff.gone],
-                                       [(basis[r], values[r]) for r in moved])
         if freed:
             self.nonneg = [nn and j not in freed for j, nn in enumerate(nonneg)]
         for j in gone:
@@ -612,7 +608,7 @@ class Tableau:
             values = [values[r] for r in live]
             self.row_cols = [t for t in self.row_cols if t[0] not in gone]
         self.values = values
-        return (z if not negative or self.dual_run(z) else None), carry
+        return z if not negative or self.dual_run(z) else None
 
     # The update below touches only the nonzero columns of the pivot row,
     # unless a row's denominator grows (then every entry is rescaled first):
@@ -771,61 +767,27 @@ class Tableau:
                 return False
             moved = self.pivot(r, enter, z)
 
-    def phase2(self, lp: LinearProgram, z: list[int], carry: tuple | None) -> LPOutcome:
-        """Phase 2 from the current feasible basis, on lp's reduced costs z;
-        the optimum comes back on the tableau's ints (see Optimal).
-
-        When neither phase 2 nor the warm start made a pivot, the checked
-        optimum is handed over with what moved (reoptimize's carry): x less
-        the variables dropped, with each moved basic value, and y, when z
-        is the last solve's own, less the rows dropped. Every other optimum,
-        and every one on a tableau with no checked optimum, is built from
-        the basis."""
-        pivots = self.run(z)
-        if pivots is None:
+    def phase2(self, lp: LinearProgram, z: list[int]) -> LPOutcome:
+        """Phase 2 from the current feasible basis, on lp's reduced costs z.
+        The optimum is read off the basis on the tableau's ints (see
+        Optimal): x as the basic values over their lcm, y as z's identity
+        columns."""
+        if self.run(z) is None:
             return Unbounded()
-        last = None if pivots or carry is None else self.checked
-        nvar, x = len(self.cols), None
-        if last is not None:
-            dropped, gone, moved = carry
-            x, dx, y, dy = last.xs, last.dx, last.ys, last.dy
-            if dropped or moved:
-                x = dict(x)
-                for name in dropped:
-                    del x[name]
-                for j, (num, den) in moved:
-                    if j < nvar:
-                        if dx % den:  # a new denominator: build x afresh
-                            x = None
-                            break
-                        x[self.names[j]] = num * (dx // den)
-        if x is None:
-            # Each basic variable's value, already in lowest terms, over
-            # their lcm. Only lp's variables have columns below len(cols)
-            # that can be basic (a dropped variable's column is banned and
-            # nonbasic).
-            values = {b: v for b, v in zip(self.basis, self.values) if v[0] and b < nvar}
-            dx = lcm(*[d for _, d in values.values()])
-            cols = self.cols
-            x = {v.name: 0 if (t := values.get(cols[v.name])) is None else t[0] * (dx // t[1])
-                 for v in lp.variables}
-        if last is None or z is not self.z:
-            # y: each row's identity column of z, signed by its flip.
-            y = {row.id: z[col] if flip else -z[col]
-                 for (col, flip), row in zip(self.row_cols, lp.rows)}
-            dy = z[-1]
-        elif gone:
-            y = dict(y)
-            for row_id in gone:
-                del y[row_id]
+        # x: 0 but on the basic variables, whose values (in lowest terms)
+        # go over their lcm. Only lp's variables have columns below
+        # len(cols) that can be basic: a dropped variable's column is banned.
+        nvar, names = len(self.cols), list(self.cols)
+        basic = [(names[b], v) for b, v in zip(self.basis, self.values) if b < nvar and v[0]]
+        dx = lcm(*[d for _, (_, d) in basic])
+        x = dict.fromkeys(map(attrgetter("name"), lp.variables), 0)
+        x.update([(name, num * (dx // den)) for name, (num, den) in basic])
+        # y: each row's identity column of z, signed by its flip.
+        y = {row.id: z[col] if flip else -z[col]
+             for (col, flip), row in zip(self.row_cols, lp.rows)}
         c, dc = lp.costs
         objective = _rational(sum(map(mul, c, map(x.__getitem__, lp.objective))), dc * dx)
-        return Optimal.of_ints(x, dx, y, dy, objective)
-
-    @cached_property
-    def names(self) -> list:
-        """The built model's variable names, by column."""
-        return list(self.cols)
+        return Optimal.of_ints(x, dx, y, z[-1], objective)
 
 
 def _plus(value: tuple, num: int, den: int) -> tuple:

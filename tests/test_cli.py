@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +174,43 @@ def test_unwritable_outputs_exit_seventythree(tmp_path, capsys):
     assert f"cannot write {graph}: " in captured.err
     assert captured.out == ""
     assert not missing.exists()
+
+
+def test_a_closed_stdout_reader_exits_seventythree(tmp_path):
+    # Each subcommand and --help, its stdout reader closed at once. stdout
+    # is buffered, so solve's few lines and the help break at main's flush
+    # (solve's trace was written and stays), and gen's long text at its
+    # write. One stderr line, no traceback, no error at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(DATA.parent.parent), *filter(None, [os.environ.get("PYTHONPATH")])])
+    trace = tmp_path / "t.json"
+    for args in (["solve", str(DATA / "dancing_robot.g"), "--trace", str(trace)],
+                 ["gen", "--vertices", "400", "--edges", "20000"], ["--help"]):
+        proc = subprocess.Popen([sys.executable, "-m", "cpmatch.cli", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (
+            EXIT_CANTCREAT, "cannot write standard output: [Errno 32] Broken pipe\n"), args
+    assert json.loads(trace.read_text(encoding="utf-8"))["cost"] == 8
+
+
+def test_a_closed_stdout_reader_removes_the_trace_it_did_not_write(
+        tmp_path, monkeypatch, capsys):
+    # A line-buffered stdout whose reader is gone breaks at solve's first
+    # line, before the trace is written: the file this run created goes,
+    # as on a failed solve.
+    read, write_end = os.pipe()
+    os.close(read)
+    with open(write_end, "w", buffering=1) as broken:
+        monkeypatch.setattr(sys, "stdout", broken)
+        trace = tmp_path / "t.json"
+        code = main(["solve", str(DATA / "cycling.g"), "--trace", str(trace)])
+        monkeypatch.undo()
+    assert code == EXIT_CANTCREAT and not trace.exists()
+    assert capsys.readouterr().err.startswith("cannot write standard output: ")
 
 
 def test_trace_schema(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import os
 import random
 import re
@@ -25,7 +26,7 @@ from helpers import (
     tableau_state,
 )
 
-from cpmatch import lexmin, linprog
+from cpmatch import cpm, lexmin, linprog
 from cpmatch.cpm import solve_naive, solve_perturbed_reference, solve_unperturbed
 from cpmatch.fixtures import altered_robot, cycling_graph, dancing_robot
 from cpmatch.lexmin import lex_min_optimal
@@ -372,6 +373,31 @@ def test_optimal_maps_are_built_from_the_ints_on_first_read(monkeypatch):
         assert lex_min_optimal(lp, [v.name for v in lp.variables]).status == "optimal"
     assert shared >= 100 and len(lexmin_stages) >= 100
     assert not any({"x", "y"} & vars(out).keys() for out in lexmin_stages)
+
+
+def test_every_optimum_is_over_the_least_common_denominator_of_x(monkeypatch):
+    # Each optimum is read off its basis, x over its values' lcm, so its
+    # ints are canonical: dx is the least common denominator of x, on every
+    # solve of the three fixtures in each mode (cold, warm and re-solves).
+    optima = []
+
+    def recording(real):
+        def wrapped(lp, start=None):
+            out = real(lp, start=start)
+            if isinstance(out, Optimal):
+                optima.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(cpm, "solve", recording(cpm.solve))
+    monkeypatch.setattr(lexmin, "solve", recording(lexmin.solve))
+    for fixture in (dancing_robot, altered_robot, cycling_graph):
+        g, sigma, _ = fixture()
+        for mode in (solve_unperturbed, solve_perturbed_reference, solve_naive):
+            mode(g, sigma)
+    assert len(optima) == 649
+    lcds = [math.lcm(*[v.denominator for v in out.x.values()]) for out in optima]
+    assert [out.dx for out in optima] == lcds
 
 
 def test_solve_returns_the_checked_slacks_and_reduced_costs():
@@ -1174,9 +1200,9 @@ def test_a_warm_optimum_keeps_no_reference_to_its_base_optimum():
 
 
 def test_a_failed_check_leaves_the_tableau_sound(monkeypatch):
-    # A check that raises leaves the tableau with no checked optimum, so
-    # the next warm solve hands nothing over: x and y are built afresh from
-    # the basis, not taken from the optimum that failed.
+    # A check that raises leaves tab.checked None, so the next warm solve
+    # passes no prior: its claim is built afresh from the basis, not taken
+    # from the optimum that failed, and it equals a cold solve.
     base, tab = _checked_base()
     lp = base.variant(rhs={"r1": 3})
     full, claims = linprog._full_check, []
