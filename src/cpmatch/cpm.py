@@ -24,8 +24,13 @@ its dual solve, and reports no perfect matching, the iteration cap or the
 loss of the half-integral odd-cycle structure as stop reasons instead of
 raising them.
 
-A graph with an odd number of vertices has no perfect matching; every mode
-says so before any solve.
+x is read once per iteration, off the checked optimum that picked it (the
+probe, or lexmin's last stage): its ints (xs over dx) feed the stage context
+and the integrality test, dx == 1, and one value per edge the record. The
+family is one tuple in canonical order, the record's and build_primal's.
+
+A graph with an odd number of vertices, or with a vertex no edge covers,
+has no perfect matching; every mode says so before any solve.
 
 Every iteration of every mode appends an IterationRecord holding the family
 at solve time, the full primal vector, the dual stage vectors, and the exact
@@ -43,7 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Mapping
 
 from .errors import (
     FamilyViolation,
@@ -61,16 +67,10 @@ from .graphs import (
     StructureViolation,
     odd_cycles,
     validate_cut_family,
-    vector_is_integral,
 )
 from .lexmin import lex_min_optimal
 from .linprog import Infeasible, Optimal, Tableau, solve
-from .matchlp import (
-    build_closest_dual,
-    build_primal,
-    canonical_sets,
-    stage_context,
-)
+from .matchlp import build_closest_dual, build_primal, canonical_sets, stage_context
 from .rationals import R0, R1, rat
 
 
@@ -156,12 +156,9 @@ def _edge_keys(g: Graph, sigma: EdgeOrdering) -> tuple[Edge, ...]:
     return tuple([held[e] for e in g.edge_pairs()])
 
 
-def _dense(edges: Sequence[Edge], values: Mapping[Edge, object]) -> dict:
-    return {e: values.get(e, R0) for e in edges}
-
-
-def _expand_family(g: Graph, x: Mapping[Edge, object], positive_sets) -> set:
-    """Next cut family: the still-positive sets plus one grown set per odd
+def _expand_family(g: Graph, x: Mapping[Edge, object], positive_sets) -> tuple:
+    """Next cut family, as its validated sets in canonical order (see
+    canonical_sets): the still-positive sets plus one grown set per odd
     cycle of the half-valued support (the cycle's vertices together with
     every maximal positive set meeting it)."""
     cycles = odd_cycles(g, x)
@@ -177,10 +174,9 @@ def _expand_family(g: Graph, x: Mapping[Edge, object], positive_sets) -> set:
                 grown |= s
         family.add(frozenset(grown))
     try:
-        validate_cut_family(g, family)
+        return tuple(canonical_sets(validate_cut_family(g, family)))
     except GraphError as exc:
         raise FamilyViolation(str(exc)) from exc
-    return family
 
 
 def _matching_cost(g: Graph, matching: frozenset[Edge]) -> int:
@@ -188,9 +184,10 @@ def _matching_cost(g: Graph, matching: frozenset[Edge]) -> int:
     return sum(costs[e] for e in matching)
 
 
-def _stage_duals(primal, stages, x, last):
+def _stage_duals(primal, stages, opt, last):
     """One closest-dual solve per stage cost vector, all on one StageContext
-    read off the rows of primal, the relaxation x solves. Stage i's target
+    read off the rows of primal and the ints of opt, the checked optimum x of
+    that relaxation (xs over dx, see linprog.Optimal). Stage i's target
     is its pi in last, the IterationRecord before (none at iteration 1),
     read off last's keys and value tuples as a transient dict, unfiltered:
     build_closest_dual never reads a key outside ctx.keys. Stage 0 is solved
@@ -225,7 +222,7 @@ def _stage_duals(primal, stages, x, last):
     stages only the objective, while here the stages drop rows and bounds
     and take targets carried over from the previous iteration.
     """
-    ctx = stage_context(primal, x)
+    ctx = stage_context(primal, opt.xs, opt.dx)
     keys, names = ctx.keys, [("pi", k) for k in ctx.keys]
     old_keys, targets = (last.dual_keys, last.dual_values) if last else ((), [()] * len(stages))
     tab = Tableau()
@@ -281,56 +278,55 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
     if mode == "unperturbed":
         stages += [{e: R1} for e in order]
     cap = default_iteration_cap(g) if cap is None else cap
-    family: set[frozenset[int]] = set()
+    family: tuple[frozenset[int], ...] = ()
     records: list[IterationRecord] = []
     seen: dict = {}
-    total, lp = 0, None
+    total = 0
     stop, detail, repeat_of, matching = "Integral", None, None, None
     try:
         if g.n % 2:
             raise NoPerfectMatching("the graph has an odd number of vertices")
+        if lone := set(range(g.n)).difference(chain.from_iterable(edges)):
+            raise NoPerfectMatching(f"vertex {min(lone)} has no edge")
         while True:
             index = len(records) + 1
             if index > cap:
                 raise IterationCapExceeded(f"no integral optimum after {cap} iterations")
             before = total
-            lp = build_primal(g, costs, family, lp)
+            lp = build_primal(g, costs, family)
             tab = Tableau()
             if mode != "naive":
-                probe = solve(lp, start=tab)
+                opt = solve(lp, start=tab)
                 total += 1
-                if isinstance(probe, Infeasible):
+                if isinstance(opt, Infeasible):
                     raise NoPerfectMatching("the relaxation is infeasible")
-                if not isinstance(probe, Optimal):
+                if not isinstance(opt, Optimal):
                     raise StageSolveError("the relaxation came back unbounded")
-            if mode == "perturbed":
-                point = probe.x
-            else:
+            if mode != "perturbed":
                 lex = lex_min_optimal(lp, order, start=tab)
                 total += lex.lp_solves
                 if lex.status == "infeasible":
                     raise NoPerfectMatching("the relaxation is infeasible")
                 if lex.status != "optimal":
                     raise StageSolveError(f"lexicographic stage came back {lex.status}")
-                point = lex.values
-            x = _dense(edges, point)
-            family_key = tuple(canonical_sets(family))
+                opt = lex.optimum
+            x_values = tuple(map(opt.value, edges))
             if mode == "naive":
-                state = (tuple(sorted(x.items())), frozenset(family))
-                if vector_is_integral(x) or state in seen:
-                    records.append(IterationRecord(index, family_key, edges, tuple(x.values()),
-                                                   (), (), total - before))
+                state = (x_values, family)
+                if opt.dx == 1 or state in seen:
+                    records.append(IterationRecord(index, family, edges, x_values, (), (),
+                                                   total - before))
                     if state in seen:
                         stop, repeat_of = "CyclingDetected", seen[state]
                         detail = f"iteration {index} repeats iteration {repeat_of}"
                     break
                 seen[state] = index
-            keys, values, positive = _stage_duals(lp, stages, x, records[-1] if records else None)
+            keys, values, positive = _stage_duals(lp, stages, opt, records[-1] if records else None)
             total += len(values)
-            records.append(IterationRecord(index, family_key, edges, tuple(x.values()),
-                                           keys, values, total - before))
-            family = _expand_family(g, x, positive)
-            if vector_is_integral(x):
+            records.append(IterationRecord(index, family, edges, x_values, keys, values,
+                                           total - before))
+            family = _expand_family(g, records[-1].x, positive)
+            if opt.dx == 1:
                 break
     except (NoPerfectMatching, IterationCapExceeded) as exc:
         if mode != "naive":
@@ -341,7 +337,7 @@ def _cutting_planes(g: Graph, sigma: EdgeOrdering, mode: str, cap: int | None) -
             raise
         stop, detail = type(exc).__name__, str(exc)
     if stop == "Integral":
-        matching = extract_matching(x, g.n)
+        matching = extract_matching(records[-1].x, g.n)
     return NaiveTrace(
         stop_reason=stop,
         detail=detail,

@@ -15,9 +15,11 @@ pins one more; a variable a face has dropped is zero on it (an empty
 objective, value 0). That is one solve per variable plus one, always: no
 stage is skipped even when its value is forced. The last stage's optimum is
 the unique lexicographically smallest point of the optimal face, so the
-values are read there, and no stage builds an x or y map (a face reads only
-which duals and reduced costs are nonzero). The result does not depend on
-the pivot path, since it is unique.
+result is that checked Optimal itself: its x is the point, read on its ints
+(xs over dx) or by value(name), which is 0 on a name a face dropped. No
+stage builds an x or y map (a face reads only which duals and reduced costs
+are nonzero). The point does not depend on the pivot path, since it is
+unique.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .rationals import R1, Rational
 @dataclass(frozen=True)
 class LexMinResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    values: dict | None
+    optimum: Optimal | None  # the last stage's: its x is the point
     objective: Rational | None
     lp_solves: int
 
@@ -75,5 +77,4 @@ def lex_min_optimal(
         # A later face is nonempty, so past stage 0 only unboundedness can
         # occur (a free variable with no floor on the optimal face).
         return LexMinResult(out.status, None, None, solves)
-    return LexMinResult("optimal", {name: out.value(name) for name in order},
-                        first.objective, solves)
+    return LexMinResult("optimal", out, first.objective, solves)

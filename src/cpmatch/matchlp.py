@@ -29,7 +29,7 @@ from itertools import repeat
 from typing import Mapping
 
 from .graphs import Edge, Graph, cut_edges, validate_cut_family
-from .linprog import EQ, GE, LE, LinearProgram, _integers, unit_row
+from .linprog import EQ, GE, LE, LinearProgram, unit_row
 from .rationals import R0, R1, rat
 
 DualKey = int | frozenset
@@ -47,29 +47,21 @@ def canonical_sets(family) -> list[frozenset[int]]:
     )
 
 
-def build_primal(g: Graph, costs: Mapping[Edge, object], family,
-                 last: LinearProgram | None = None) -> LinearProgram:
-    """Min-cost relaxation: degree equalities plus >=1 rows for each cut.
-    With last, a model built here for the same g and costs (the last
-    iteration's), the degree rows and variables are last's objects. Every
-    row is written by linprog.unit_row, so the model takes each as it is
-    (see linprog) and a run writes its degree rows once."""
+def build_primal(g: Graph, costs: Mapping[Edge, object], family) -> LinearProgram:
+    """Min-cost relaxation: degree equalities plus one >=1 row per set of
+    family, in family's order (cpm passes the canonical tuple its records
+    hold, see canonical_sets). Every row is written by linprog.unit_row, so
+    the model takes each as it is (see linprog)."""
     sets = validate_cut_family(g, family)
-    if last is None:
-        pairs = g.edge_pairs()
-        incident: dict[int, dict] = {v: {} for v in range(g.n)}
-        for u, v in pairs:
-            incident[u][(u, v)] = 1
-            incident[v][(u, v)] = 1
-        variables = [(e, True) for e in pairs]
-        rows = [unit_row(("deg", v), incident[v], EQ, R1) for v in range(g.n)]
-    else:
-        variables, rows = last.variables, last.rows[:g.n]
-        pairs = [var.name for var in variables]
-    for s in canonical_sets(sets):
+    pairs = g.edge_pairs()
+    incident: dict[int, dict] = {v: {} for v in range(g.n)}
+    for u, v in pairs:
+        incident[u][(u, v)] = 1
+        incident[v][(u, v)] = 1
+    rows = [unit_row(("deg", v), incident[v], EQ, R1) for v in range(g.n)]
+    for s in sets:
         rows.append(unit_row(("cut", s), dict.fromkeys(cut_edges(g, s), 1), GE, R1))
-    objective = {e: rat(costs[e]) for e in pairs}
-    return LinearProgram(variables, objective, rows)
+    return LinearProgram([(e, True) for e in pairs], {e: rat(costs[e]) for e in pairs}, rows)
 
 
 @dataclass(frozen=True)
@@ -91,14 +83,14 @@ class StageContext:
     support: set[Edge]
 
 
-def stage_context(primal: LinearProgram, x: Mapping[Edge, object]) -> StageContext:
-    """The shared part of every closest-dual stage against primal optimum x,
-    read off the rows of primal = build_primal(g, costs, family) in one
-    pass; raises if x is not feasible for primal. x is read as ints over
-    one common denominator, so each row sum and test is integer arithmetic."""
+def stage_context(primal: LinearProgram, xs: Mapping[Edge, int], den: int) -> StageContext:
+    """The shared part of every closest-dual stage against the primal
+    optimum x, read off the rows of primal = build_primal(g, costs, family)
+    in one pass; raises if x is not feasible for primal. x comes as ints xs
+    over one positive denominator den, the form linprog.Optimal holds it in
+    (xs, dx), an edge xs lacks reading 0, so each row sum and test is
+    integer arithmetic."""
     crossing: dict[Edge, list[DualKey]] = {var.name: [] for var in primal.variables}
-    nums, den = _integers(x.values())
-    xs = dict(zip(x, nums))
     for e, num in xs.items():
         if e not in crossing:
             raise MatchingLpError(f"vector names unknown edge {e}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Mapping
 from weakref import ref
 
@@ -28,6 +29,13 @@ from cpmatch.linprog import (
 )
 from cpmatch.perturb import PerturbedPair
 from cpmatch.rationals import R0
+
+
+def x_ints(x: Mapping) -> tuple[dict, int]:
+    """A rational vector as matchlp.stage_context reads x: (its values as
+    ints over their least common denominator, by key, that denominator)."""
+    den = lcm(*[Fraction(v).denominator for v in x.values()])
+    return {k: int(Fraction(v) * den) for k, v in x.items()}, den
 
 
 def tableau_state(tab: Tableau) -> tuple:

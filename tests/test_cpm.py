@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import model_parts, random_bounded_lp, row_diff, tableau_state
+from helpers import model_parts, random_bounded_lp, row_diff, tableau_state, x_ints
 
 from cpmatch import cpm, lexmin, linprog, matchlp
 from cpmatch.cpm import (
@@ -100,6 +100,21 @@ def test_no_perfect_matching_raises():
             solve_perturbed_reference(g, sigma)
         naive = solve_naive(g, sigma)
         assert naive.stop_reason == "NoPerfectMatching"
+        assert naive.iterations == () and naive.total_lp_solves == 0
+
+
+def test_a_vertex_with_no_edge_is_caught_before_any_solve():
+    # Like an odd vertex count: the lowest vertex that no edge covers is
+    # named before any relaxation is written, so a graph with many vertices
+    # and few edges costs no tableau.
+    for g, lone in ((Graph(2000, ((0, 1, 1),)), 2),
+                    (Graph(6, ((0, 1, 1), (1, 2, 1), (4, 5, 1), (2, 4, 1))), 3)):
+        sigma = EdgeOrdering.from_sequence(g.edge_pairs())
+        for solver in (solve_unperturbed, solve_perturbed_reference):
+            with pytest.raises(NoPerfectMatching, match=f"^vertex {lone} has no edge$"):
+                solver(g, sigma)
+        naive = solve_naive(g, sigma)
+        assert naive.stop_reason == "NoPerfectMatching" and naive.matching is None
         assert naive.iterations == () and naive.total_lp_solves == 0
 
 
@@ -529,7 +544,8 @@ def test_stage_chain_reads_rhs_moves_off_the_model():
     # Here every edge and key is named as moved.
     g, sigma, _ = dancing_robot()
     rec = solve_unperturbed(g, sigma).iterations[-1]
-    ctx = matchlp.stage_context(matchlp.build_primal(g, g.cost_map(), rec.family), rec.x)
+    ctx = matchlp.stage_context(matchlp.build_primal(g, g.cost_map(), rec.family),
+                                *x_ints(rec.x))
     costs, target, tab = {}, {}, Tableau()
     lp, drop, free, dropped, freed, moved = None, (), (), set(), set(), set()
     for i in range(3):
@@ -586,7 +602,8 @@ def test_stages_take_one_edge_objectives_and_unfiltered_targets(monkeypatch):
     assert any(v == 0 for _, _, targets in calls[1:] for t in targets for v in t.values())
 
     rec = res.iterations[-1]
-    ctx = matchlp.stage_context(matchlp.build_primal(g, g.cost_map(), rec.family), rec.x)
+    ctx = matchlp.stage_context(matchlp.build_primal(g, g.cost_map(), rec.family),
+                                *x_ints(rec.x))
     outside = frozenset(range(3))
     assert ctx.tight and outside not in ctx.keys
     restricted = {k: rat(j, 2) for j, k in enumerate(ctx.keys) if j % 2}
@@ -641,6 +658,44 @@ def test_warm_stages_hash_and_subtract_no_rationals(monkeypatch):
     # The counters do see rationals hashed and subtracted outside warm stages.
     warm[0] = True
     assert len({R1 - HALF, HALF}) == 1 and counts == {"hash": 2, "sub": 1}
+
+
+def test_the_loop_compares_rationals_only_where_it_reads_the_rational_x(monkeypatch):
+    # x is read off the optimum's ints: integrality is its denominator, and
+    # the naive repeat key is x's value tuple, hashed, its values compared
+    # only on a repeat (cycling's halves, shared objects that compare by
+    # identity). So the only Fraction.__eq__ calls cpm makes outside an LP
+    # solve are those of odd_cycles and extract_matching, which read x as a
+    # dict of rationals.
+    # Each call is charged to the innermost cpmatch function between it and
+    # cpm; a call inside linprog or lexmin is the solve's.
+    eq, seen = Fraction.__eq__, {}
+
+    def counted(a, b):
+        frame, names = sys._getframe(1), []
+        while frame is not None:
+            module = frame.f_globals.get("__name__", "")
+            if module in ("cpmatch.linprog", "cpmatch.lexmin"):
+                break
+            if module.startswith("cpmatch."):
+                names.append(frame.f_code.co_name)
+            if module == "cpmatch.cpm":
+                seen[names[0]] = seen.get(names[0], 0) + 1
+                break
+            frame = frame.f_back
+        return eq(a, b)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    runs = [(solver, *fixture()[:2]) for fixture in (dancing_robot, altered_robot, cycling_graph)
+            for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive)]
+    runs += [(solver, inst.graph, inst.sigma) for workload, solver in (
+        ("cuts", solve_unperturbed), ("integral", solve_unperturbed),
+        ("reference", solve_perturbed_reference))
+        for inst in instances.build_pool(workload, 1, [])[:10]]
+    for solver, g, sigma in runs:
+        solver(g, sigma)
+    # Both readers are seen, so the counter sees the calls cpm makes.
+    assert seen.keys() == {"odd_cycles", "extract_matching"}
 
 
 def test_single_stage_modes_pin_their_duals():
@@ -932,33 +987,34 @@ def test_pivot_path_is_pinned(monkeypatch):
 
 def test_records_give_back_the_dicts_the_loop_built(monkeypatch):
     # A record stores x and the stage duals as value tuples; its x property
-    # must give back the dict the loop built, equal, in the same key order
-    # and holding the same key and value objects. The stage duals are built
+    # must give back the values the loop built, in the record's edge order
+    # and as the same objects: the loop reads x_values once off the
+    # optimum's ints, one Optimal.value per edge. The stage duals are built
     # in the record's form: the record holds the StageContext's key tuple
     # and the very value tuples _stage_duals returned, so the sharing set up
     # there stays visible (equal tuples held once, and a value equal to its
     # target, the last record's value, is the last record's object).
-    built = []
-    stage_duals, dense, stage_context = cpm._stage_duals, cpm._dense, cpm.stage_context
+    built, pending = [], []
+    stage_duals, stage_context, record = cpm._stage_duals, cpm.stage_context, cpm.IterationRecord
 
-    def capture_context(primal, x):
-        ctx = stage_context(primal, x)
-        built[-1][2] = ctx
+    def capture_context(primal, xs, den):
+        ctx = stage_context(primal, xs, den)
+        pending.append(ctx)
         return ctx
 
-    def capture_stages(*args):
-        out = stage_duals(*args)
-        built[-1][1] = out
+    def capture_stages(primal, stages, opt, last):
+        out = stage_duals(primal, stages, opt, last)
+        pending.extend([out, opt])
         return out
 
-    def capture_x(edges, values):
-        x = dense(edges, values)
-        built.append([x, None, None])
-        return x
+    def capture_record(*args):
+        built.append([args[3], *(pending or [None] * 3)])
+        pending.clear()
+        return record(*args)
 
     monkeypatch.setattr(cpm, "stage_context", capture_context)
     monkeypatch.setattr(cpm, "_stage_duals", capture_stages)
-    monkeypatch.setattr(cpm, "_dense", capture_x)
+    monkeypatch.setattr(cpm, "IterationRecord", capture_record)
     shared = kept = 0
     for fixture in (dancing_robot, altered_robot, cycling_graph):
         g, sigma, _ = fixture()
@@ -966,14 +1022,15 @@ def test_records_give_back_the_dicts_the_loop_built(monkeypatch):
             built.clear()
             recs = solver(g, sigma).iterations
             assert len(recs) == len(built) and len({id(rec.edges) for rec in recs}) == 1
-            for rec, (x, out, ctx) in zip(recs, built):
+            for rec, (x_values, ctx, out, opt) in zip(recs, built):
                 new = rec.x
-                assert new == x and list(new) == list(x)
-                assert all(a is b for a, b in zip(new, x))
-                assert all(a is b for a, b in zip(new.values(), x.values()))
+                assert rec.x_values is x_values and list(new) == list(rec.edges)
+                assert all(a is b for a, b in zip(new, rec.edges))
+                assert all(a is b for a, b in zip(new.values(), x_values))
                 if out is None:  # naive mode's last record, before any dual solve
                     assert rec.dual_keys == rec.dual_values == ()
                     continue
+                assert x_values == tuple(map(opt.value, rec.edges))
                 keys, values, _ = out
                 assert rec.dual_keys is keys is ctx.keys and rec.dual_values is values
                 assert all(list(stage) == list(keys) for stage in rec.dual_stages)

@@ -6,6 +6,8 @@ exact feasibility against the relaxations they are documented to solve.
 
 import hashlib
 
+from helpers import x_ints
+
 from cpmatch.fixtures import altered_robot, cycling_graph, dancing_robot
 from cpmatch.graphs import cut_edges, odd_cycles, support
 from cpmatch.matchlp import build_primal, stage_context
@@ -26,7 +28,7 @@ CHECKSUMS = {
 def check_feasible(g, x, family):
     """Raise MatchingLpError unless x is feasible for the relaxation over
     family (stage_context checks every row of the primal model)."""
-    stage_context(build_primal(g, g.cost_map(), family), x)
+    stage_context(build_primal(g, g.cost_map(), family), *x_ints(x))
 
 
 def edge_list_digest(g):

@@ -17,6 +17,12 @@ from cpmatch.matchlp import build_primal
 from cpmatch.rationals import R0, R1, rat
 
 
+def point(res, order):
+    """The lexmin point, over the names in order, read off the optimum of
+    the result's last stage (0 on a name a face dropped)."""
+    return {name: res.optimum.value(name) for name in order}
+
+
 def test_square_matching_example():
     # Unit-cost 4-cycle, edges minimized in the order
     # (0,1), (1,2), (2,3), (0,3): the first edge is forced to 0, which
@@ -28,14 +34,15 @@ def test_square_matching_example():
     assert res.status == "optimal"
     assert res.objective == 2
     assert res.lp_solves == 5
-    assert res.values == {(0, 1): R0, (1, 2): R1, (2, 3): R0, (0, 3): R1}
+    assert point(res, order) == {(0, 1): R0, (1, 2): R1, (2, 3): R0, (0, 3): R1}
 
 
 def test_order_changes_the_point():
     g = Graph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
     lp = build_primal(g, g.cost_map(), [])
-    res = lex_min_optimal(lp, [(1, 2), (0, 1), (2, 3), (0, 3)])
-    assert res.values == {(0, 1): R1, (1, 2): R0, (2, 3): R1, (0, 3): R0}
+    order = [(1, 2), (0, 1), (2, 3), (0, 3)]
+    res = lex_min_optimal(lp, order)
+    assert point(res, order) == {(0, 1): R1, (1, 2): R0, (2, 3): R1, (0, 3): R0}
 
 
 def test_lexmin_faces_keep_no_earlier_face_alive():
@@ -67,7 +74,7 @@ def test_infeasible_and_unbounded_propagate():
     )
     res = lex_min_optimal(lp, ["a"])
     assert res.status == "infeasible"
-    assert res.values is None
+    assert res.optimum is None
     assert res.lp_solves == 1
 
     lp = LinearProgram(
@@ -106,7 +113,7 @@ def test_result_lies_on_the_optimal_face():
         assert res.status == "optimal"
         assert res.objective == base.objective
         cost = g.cost_map()
-        assert sum(res.values[e] * cost[e] for e in g.edge_pairs()) == base.objective
+        assert sum(res.optimum.value(e) * cost[e] for e in g.edge_pairs()) == base.objective
 
 
 def test_matches_explicit_power_of_two_perturbation():
@@ -131,7 +138,7 @@ def test_matches_explicit_power_of_two_perturbation():
         }
         out = solve(build_primal(g, bumped, []))
         assert isinstance(out, Optimal)
-        assert out.x == res.values
+        assert out.x == point(res, order)
 
 
 def cold_lex_min(lp, order):
@@ -157,7 +164,8 @@ def cold_lex_min(lp, order):
 
 def assert_matches_cold(lp, order):
     res = lex_min_optimal(lp, order)
-    assert (res.status, res.values, res.objective) == cold_lex_min(lp, order)
+    values = None if res.optimum is None else point(res, order)
+    assert (res.status, values, res.objective) == cold_lex_min(lp, order)
     return res
 
 
@@ -185,7 +193,7 @@ def test_warm_stages_match_cold_stages_on_a_fractional_fixture():
     g, sigma, exp = dancing_robot()
     lp = build_primal(g, g.cost_map(), exp.family2)
     res = assert_matches_cold(lp, sigma.order())
-    assert res.values == exp.iterate2
+    assert point(res, sigma.order()) == exp.iterate2
 
 
 def test_warm_stages_match_cold_stages_on_hand_made_models():
@@ -201,9 +209,10 @@ def test_warm_stages_match_cold_stages_on_hand_made_models():
             ("floor", {"b": -1}, LE, -1),
         ],
     )
-    assert assert_matches_cold(lp, ["a", "b", "c"]).values == {"a": 0, "b": 4, "c": 1}
-    assert assert_matches_cold(lp, ["b", "c", "a"]).values == {"a": 2, "b": 2, "c": 3}
-    assert assert_matches_cold(lp, ["c", "a", "b"]).values == {"a": 0, "b": 4, "c": 1}
+    for order, expected in ((["a", "b", "c"], {"a": 0, "b": 4, "c": 1}),
+                            (["b", "c", "a"], {"a": 2, "b": 2, "c": 3}),
+                            (["c", "a", "b"], {"a": 0, "b": 4, "c": 1})):
+        assert point(assert_matches_cold(lp, order), order) == expected
 
     # Two free variables that settle negative on the face x + y = -2.
     lp = LinearProgram(
@@ -215,8 +224,8 @@ def test_warm_stages_match_cold_stages_on_hand_made_models():
             ("ylo", {"y": 1}, GE, -5),
         ],
     )
-    assert assert_matches_cold(lp, ["x", "y"]).values == {"x": -5, "y": 3}
-    assert assert_matches_cold(lp, ["y", "x"]).values == {"x": 3, "y": -5}
+    for order, expected in ((["x", "y"], {"x": -5, "y": 3}), (["y", "x"], {"x": 3, "y": -5})):
+        assert point(assert_matches_cold(lp, order), order) == expected
 
     # Unbounded stage and infeasible model keep their status.
     lp = LinearProgram([("a", False), "b"], {"b": 1}, [("r", {"b": 1}, GE, 1)])
@@ -276,5 +285,5 @@ def test_lexmin_keeps_the_probe_tableau_size():
     solve(lp, start=tab)
     size = (len(tab.rows), len(tab.nonneg))
     res = lex_min_optimal(lp, sigma.order(), start=tab)
-    assert res.values == exp.iterate2 and res.lp_solves == g.m + 1
+    assert point(res, sigma.order()) == exp.iterate2 and res.lp_solves == g.m + 1
     assert (len(tab.rows), len(tab.nonneg)) == size

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import model_parts, split_dual_solution, tableau_state, weighted_deviation
+from helpers import model_parts, split_dual_solution, tableau_state, weighted_deviation, x_ints
 
 from cpmatch import cpm
 from cpmatch.cpm import solve_naive, solve_perturbed_reference, solve_unperturbed
@@ -44,7 +44,12 @@ def bridged_triangles():
 
 def context(g, x, family):
     """The stage context of x, read off the relaxation of g over family."""
-    return stage_context(build_primal(g, g.cost_map(), family), x)
+    return int_stage_context(build_primal(g, g.cost_map(), family), x)
+
+
+def int_stage_context(primal, x):
+    """stage_context of the rational vector x, handed over as ints."""
+    return stage_context(primal, *x_ints(x))
 
 
 def test_canonical_sets_order():
@@ -172,7 +177,7 @@ def test_stage_context_matches_the_fraction_reading_on_the_fixtures():
             pairs += [(rec.x, rec.family) for rec in solver(g, sigma).iterations]
         for x, family in pairs:
             primal = build_primal(g, g.cost_map(), family)
-            ctx = _outcome(stage_context, primal, x)
+            ctx = _outcome(int_stage_context, primal, x)
             assert isinstance(ctx, StageContext)
             assert ctx == fraction_stage_context(primal, x)
             assert list(ctx.support) == list(fraction_stage_context(primal, x).support)
@@ -183,7 +188,8 @@ def test_stage_context_matches_the_fraction_reading_on_the_fixtures():
     for x in ({(0, 2): R1}, {(0, 1): -R1}, {(0, 1): R1}, {(0, 1): R1, (1, 2): HALF},
               {(0, 1): R1, (1, 2): R1, (2, 3): R1}):
         primal = build_primal(g, g.cost_map(), [])
-        assert _outcome(stage_context, primal, x) == _outcome(fraction_stage_context, primal, x)
+        assert (_outcome(int_stage_context, primal, x)
+                == _outcome(fraction_stage_context, primal, x))
 
 
 def two_bridged_triangles():
@@ -206,11 +212,13 @@ def test_stage_context_keeps_its_messages_on_fractional_sums():
 
 
 def test_stage_context_adds_and_compares_no_rationals(monkeypatch):
-    # x is read as ints over one denominator: no row sum or test of
+    # x comes as ints over one denominator: no row sum or test of
     # stage_context adds or compares a Fraction.
     g, _, exp = dancing_robot()
     primal = build_primal(g, g.cost_map(), [])
     assert HALF in exp.iterate1.values()
+    xs, den = x_ints(exp.iterate1)
+    assert den == 2
     counts = dict.fromkeys(["add", "compare"], 0)
 
     def counting(name, method):
@@ -223,42 +231,12 @@ def test_stage_context_adds_and_compares_no_rationals(monkeypatch):
         monkeypatch.setattr(Fraction, method, counting("add", getattr(Fraction, method)))
     for method in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
         monkeypatch.setattr(Fraction, method, counting("compare", getattr(Fraction, method)))
-    ctx = stage_context(primal, exp.iterate1)
+    ctx = stage_context(primal, xs, den)
     assert counts == {"add": 0, "compare": 0}
     # The counters do see rationals added and compared.
     assert HALF + HALF == R1 and counts == {"add": 1, "compare": 1}
     monkeypatch.undo()
     assert ctx == fraction_stage_context(primal, exp.iterate1)
-
-
-def test_chained_primal_builds_share_the_degree_rows(monkeypatch):
-    # Each iteration after the first builds its relaxation from the last
-    # one's degree rows and variables, as objects; the model equals a fresh
-    # build in every part, on every iteration of the fixtures in every mode.
-    built, fresh = [], build_primal
-
-    def chained(g, costs, family, last=None):
-        assert last is (built[-1] if built else None)
-        lp = fresh(g, costs, family, last)
-        cold = fresh(g, costs, family)
-        assert model_parts(lp) == model_parts(cold)
-        assert lp.index == cold.index and lp.costs == cold.costs
-        if last is not None:
-            assert all(lp.rows[v] is last.rows[v] for v in range(g.n))
-            assert all(a is b for a, b in zip(lp.variables, last.variables, strict=True))
-        built.append(lp)
-        return lp
-
-    monkeypatch.setattr(cpm, "build_primal", chained)
-    chains = 0
-    for fixture in (dancing_robot, altered_robot, cycling_graph):
-        g, sigma, _ = fixture()
-        for solver in (solve_unperturbed, solve_perturbed_reference, solve_naive):
-            del built[:]
-            solver(g, sigma)
-            assert len(built) >= 2
-            chains += len(built) - 1
-    assert chains > 10
 
 
 def test_unit_rows_equal_the_rows_a_model_validates(monkeypatch):
@@ -278,8 +256,8 @@ def test_unit_rows_equal_the_rows_a_model_validates(monkeypatch):
         assert all(abs(c) == 1 for row in lp.rows for c in row.coeffs.values())
         built[kind] += 1
 
-    def primal(g, costs, family, last=None):
-        lp = build_primal_(g, costs, family, last)
+    def primal(g, costs, family):
+        lp = build_primal_(g, costs, family)
         same_as_plain(lp, "primal")
         return lp
 

@@ -180,7 +180,7 @@ def test_staged_pair_agrees_with_lexmin_on_matching_lps():
         res = lex_min_optimal(lp, order)
         sol = solve_perturbed_pair(staged_pair_of(lp, order))
         assert res.status == "optimal"
-        assert sol.x == tuple([res.values[v.name] for v in lp.variables])
+        assert sol.x == tuple([res.optimum.value(v.name) for v in lp.variables])
         assert sol.stages[0].objective == res.objective
 
 
